@@ -15,10 +15,9 @@ from .plant import (LinearPlant, PlantModel, ProbeResult, feasibility_check,
 from .power import (GridModel, GridPlant, PowerFlowSolution, dvl_dql,
                     dvl_dvg, loadability_sweep, monotonicity_margin,
                     reactive_injections, solve_load_voltages)
-from .protocol import (ProtocolGains, ProtocolState, RoundMessages,
-                       auto_gains, beacon_update, gain_condition,
-                       is_equilibrium, project, protocol_round,
-                       spectral_norm, target_setpoint, violation)
+from .protocol import (ProtocolGains, auto_gains, gain_condition,
+                       is_equilibrium, protocol_round, spectral_norm,
+                       violation)
 from .scenario_io import (bundled_scenario_path, load_scenario,
                           save_scenario, scenario_from_dict,
                           scenario_to_dict)

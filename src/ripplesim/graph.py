@@ -1,6 +1,7 @@
 """Undirected graphs shared by the physical models and the communication overlay."""
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,14 +43,21 @@ class Graph:
                 raise ModelError("weights must align with edges")
             object.__setattr__(self, "weights", w)
 
+    @cached_property
+    def _neighbor_lists(self):
+        """Ascending neighbor tuple of every node, built on first use."""
+        adj = [[] for _ in range(self.node_count)]
+        for m, n in self.edges:
+            adj[m].append(n)
+            adj[n].append(m)
+        return tuple(tuple(sorted(a)) for a in adj)
+
     def neighbors(self, node):
         """Adjacent node indices, ascending."""
-        out = [n for m, n in self.edges if m == node]
-        out += [m for m, n in self.edges if n == node]
-        return tuple(sorted(out))
+        return self._neighbor_lists[node]
 
     def degree(self, node):
-        return len(self.neighbors(node))
+        return len(self._neighbor_lists[node])
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -61,21 +69,22 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff every node is reachable from node 0 (breadth-first)."""
-    seen = {0}
-    queue = deque([0])
-    adj = [[] for _ in range(g.node_count)]
-    for m, n in g.edges:
-        adj[m].append(n)
-        adj[n].append(m)
+def reachable(g: Graph, sources) -> set:
+    """Nodes reachable from any of the source nodes (breadth-first)."""
+    adj = g._neighbor_lists
+    seen = set(sources)
+    queue = deque(seen)
     while queue:
-        v = queue.popleft()
-        for w in adj[v]:
+        for w in adj[queue.popleft()]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return len(seen) == g.node_count
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff every node is reachable from node 0."""
+    return len(reachable(g, (0,))) == g.node_count
 
 
 def weighted_laplacian(g: Graph, weights=None) -> np.ndarray:

@@ -27,7 +27,7 @@ from .plant import monotonicity_probe
 
 @dataclass(frozen=True)
 class ProtocolGains:
-    """Per-agent step sizes; all entries must be strictly positive."""
+    """Per-agent step sizes; all entries must be finite and strictly positive."""
 
     eta1: np.ndarray
     eta2: np.ndarray
@@ -36,143 +36,69 @@ class ProtocolGains:
     def __post_init__(self):
         for name in ("eta1", "eta2", "eta3"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if np.any(v <= 0):
-                raise ValueError(f"{name} must be strictly positive")
+            if not np.all(np.isfinite(v) & (v > 0)):
+                raise ValueError(f"{name} must be finite and strictly positive")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
         if not (len(self.eta1) == len(self.eta2) == len(self.eta3)):
             raise ValueError("gain vectors disagree in length")
 
 
-@dataclass(frozen=True)
-class ProtocolState:
-    """Controls and beacons after a given round (round 0 = initial)."""
-
-    u: np.ndarray
-    beacons: np.ndarray
-    round: int = 0
-
-    def __post_init__(self):
-        u = np.array(self.u, dtype=float)
-        b = np.array(self.beacons, dtype=float)
-        if u.shape != b.shape:
-            raise ValueError("controls and beacons disagree in shape")
-        if np.any(b < 0):
-            raise ValueError("beacons must be nonnegative")
-        u.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "beacons", b)
-
-
-@dataclass(frozen=True)
-class RoundMessages:
-    """(sender, receiver, beacon value) triples emitted in one round."""
-
-    triples: tuple
-
-    @property
-    def count(self) -> int:
-        return len(self.triples)
-
-
 def violation(y, y_lower, measured_nodes, node_count: int) -> np.ndarray:
     """Per-node output deficit: max(0, floor - reading), zero if unmeasured."""
-    y = np.asarray(y, dtype=float)
-    y_lower = np.asarray(y_lower, dtype=float)
     f = np.zeros(node_count)
-    for yk, floor, node in zip(y, y_lower, measured_nodes):
-        if floor >= yk:
-            f[node] = floor - yk
+    f[np.asarray(measured_nodes, dtype=int)] = np.maximum(
+        np.asarray(y_lower, dtype=float) - np.asarray(y, dtype=float), 0.0)
     return f
 
 
-def target_setpoint(u, deficit, beacon_input, gains: ProtocolGains) -> np.ndarray:
-    """Raw control target: u + eta1*deficit + eta2*(neighbor beacon sum).
-
-    Both added terms are nonnegative, so the target never drops below the
-    current control. beacon_input is the adjacency-weighted beacon sum,
-    i.e. each agent only sees beacons from its direct neighbors.
-    """
-    u = np.asarray(u, dtype=float)
-    return u + gains.eta1 * np.asarray(deficit, float) + gains.eta2 * np.asarray(beacon_input, float)
-
-
-def beacon_update(target, u_upper, eta3) -> np.ndarray:
-    """New beacons: eta3-scaled target overshoot past the ceiling, floored at 0."""
-    return np.maximum(0.0, np.asarray(eta3, float) * (np.asarray(target, float) - np.asarray(u_upper, float)))
-
-
-def project(target, u_upper) -> np.ndarray:
-    """Clip the target to the control ceiling (element-wise min)."""
-    return np.minimum(np.asarray(target, dtype=float), np.asarray(u_upper, dtype=float))
-
-
-def spectral_norm(matrix, tol: float = 1e-10, max_iter: int = 500_000) -> float:
-    """Largest singular value by power iteration on M^T M.
-
-    Starts from the all-ones vector so results are reproducible; for the
-    nonnegative matrices used here that start always overlaps the dominant
-    eigenvector, so the iteration cannot get stuck at zero. Stops when the
-    eigenpair residual ||Bv - est v|| drops below tol * est, which bounds
-    the eigenvalue error directly for the symmetric matrix B = M^T M.
-    """
+def spectral_norm(matrix) -> float:
+    """Largest singular value (the matrix 2-norm); 0 for an empty matrix."""
     m = np.asarray(matrix, dtype=float)
-    if m.size == 0 or not np.any(m):
+    if m.size == 0:
         return 0.0
-    b = m.T @ m
-    v = np.ones(b.shape[0]) / np.sqrt(b.shape[0])
-    est = 0.0
-    for _ in range(max_iter):
-        w = b @ v
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        w = b @ v
-        est = float(v @ w)
-        if float(np.linalg.norm(w - est * v)) <= tol * max(est, 1e-300):
-            break
-    return float(np.sqrt(est))
+    return float(np.linalg.norm(m, 2))
 
 
 def gain_condition(eta2, eta3, adjacency) -> float:
-    """Spectral norm of diag(eta2) diag(eta3) A; values < 1 certify settling."""
-    d = np.asarray(eta2, dtype=float) * np.asarray(eta3, dtype=float)
-    return spectral_norm(d[:, None] * np.asarray(adjacency, dtype=float))
+    """Spectral norm of diag(eta2) diag(eta3) A; values < 1 certify settling.
 
-
-def protocol_round(state: ProtocolState, y, gains: ProtocolGains, adjacency,
-                   u_upper, y_lower, measured_nodes):
-    """Advance one synchronous round; returns (new state, messages sent).
-
-    The reading y must correspond to the controls in `state`. Beacons in
-    `state` are the ones computed last round (they arrive one round late by
-    construction). Messages are emitted by every agent whose new beacon is
-    positive, one per communication neighbor.
+    Returns inf when the scaled matrix is not finite (the gain product
+    overflowed), so the certificate cannot pass by accident.
     """
-    adjacency = np.asarray(adjacency, dtype=float)
-    n = len(state.u)
-    deficit = violation(y, y_lower, measured_nodes, n)
-    target = target_setpoint(state.u, deficit, adjacency @ state.beacons, gains)
-    new_beacons = beacon_update(target, u_upper, gains.eta3)
-    new_u = project(target, u_upper)
-    triples = []
-    for sender in range(n):
-        if new_beacons[sender] > 0.0:
-            for receiver in np.nonzero(adjacency[sender])[0]:
-                triples.append((sender, int(receiver), float(new_beacons[sender])))
-    next_state = ProtocolState(u=new_u, beacons=new_beacons, round=state.round + 1)
-    return next_state, RoundMessages(triples=tuple(triples))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.asarray(eta2, dtype=float) * np.asarray(eta3, dtype=float)
+        m = d[:, None] * np.asarray(adjacency, dtype=float)
+    if not np.all(np.isfinite(m)):
+        return float("inf")
+    return spectral_norm(m)
 
 
-def is_equilibrium(prev: ProtocolState, nxt: ProtocolState, eps_eq: float = 1e-8) -> bool:
+def protocol_round(u, beacons, deficit, gains: ProtocolGains, adjacency,
+                   u_upper):
+    """Advance one synchronous round; returns (u_next, beacons_next, messages).
+
+    deficit is the violation of the reading taken at controls u. beacons are
+    the ones computed last round (they arrive one round late by
+    construction). Every agent whose new beacon is positive sends one
+    message per communication neighbor, so messages is the summed overlay
+    degree of the beaconing agents.
+    """
+    target = u + gains.eta1 * deficit + gains.eta2 * (adjacency @ beacons)
+    beacons_next = np.maximum(0.0, gains.eta3 * (target - u_upper))
+    u_next = np.minimum(target, u_upper)
+    messages = int(np.count_nonzero(adjacency[beacons_next > 0.0]))
+    return u_next, beacons_next, messages
+
+
+def is_equilibrium(u, beacons, u_next, beacons_next, eps_eq: float = 1e-8) -> bool:
     """True when neither controls nor beacons moved more than eps_eq (inf-norm)."""
-    if prev.u.shape != nxt.u.shape:
+    if np.shape(u) != np.shape(u_next):
         raise ValueError("states disagree in dimension")
-    du = float(np.max(np.abs(nxt.u - prev.u))) if len(prev.u) else 0.0
-    db = float(np.max(np.abs(nxt.beacons - prev.beacons))) if len(prev.u) else 0.0
-    return du <= eps_eq and db <= eps_eq
+    if not len(u):
+        return True
+    return float(np.max(np.abs(u_next - u))) <= eps_eq and \
+        float(np.max(np.abs(beacons_next - beacons))) <= eps_eq
 
 
 def auto_gains(plant, adjacency, u0=None, target_norm: float = 0.5) -> ProtocolGains:

@@ -155,7 +155,11 @@ def _gains(doc, n):
         if arr.shape != (n,):
             raise ScenarioError(f"gains.{key}: wrong length")
         return arr
-    return ProtocolGains(eta1=vec("eta1"), eta2=vec("eta2"), eta3=vec("eta3"))
+    eta = {key: vec(key) for key in ("eta1", "eta2", "eta3")}
+    try:
+        return ProtocolGains(**eta)
+    except ValueError as exc:
+        raise ScenarioError(f"gains: {exc}") from exc
 
 
 def _event(ev, index, i):

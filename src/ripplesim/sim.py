@@ -16,9 +16,8 @@ from .graph import Graph, adjacency_matrix, is_connected
 from .plant import (EPS_FEAS_DEFAULT, LinearPlant, PlantModel,
                     feasibility_check)
 from .power import GridModel, GridPlant
-from .protocol import (ProtocolGains, ProtocolState, auto_gains,
-                       gain_condition, is_equilibrium, protocol_round,
-                       violation)
+from .protocol import (ProtocolGains, auto_gains, gain_condition,
+                       is_equilibrium, protocol_round, violation)
 from .water import WaterModel, WaterPlant
 
 
@@ -260,60 +259,57 @@ def run(scenario: Scenario):
     if gains is None:
         gains = auto_gains(plant, adjacency, u0)
     norm = gain_condition(gains.eta2, gains.eta3, adjacency)
-    if norm >= 1.0 and not scenario.override_gain_check:
+    if not norm < 1.0 and not scenario.override_gain_check:
         raise ScenarioError(
-            f"gain condition violated (spectral norm {norm:.6f} >= 1); "
-            "pass override_gain_check to run anyway")
+            f"gain condition violated (spectral norm {norm:.6f} is not "
+            "below 1); pass override_gain_check to run anyway")
 
-    state = ProtocolState(u=u0, beacons=np.zeros(len(u0)), round=0)
+    n = len(u0)
+    u, beacons = u0, np.zeros(n)
     records = []
     start = time.perf_counter()
     keep = max(1, int(scenario.trace_decimation))
     prev_deficit = None
     frozen_rounds = 0
 
-    def classify(status, rounds, equilibrium, deficit, beacons, detail=""):
+    def classify(status, rounds, equilibrium, detail=""):
         feas = False
         if status != "solver_failure":
-            feas = feasibility_check(plant, state.u, scenario.eps_feas)
-        max_v = float(np.max(deficit)) if len(deficit) else 0.0
-        max_b = float(np.max(beacons)) if len(beacons) else 0.0
+            feas = feasibility_check(plant, u, scenario.eps_feas)
+        max_v = float(np.max(deficit)) if n else 0.0
+        max_b = float(np.max(beacons)) if n else 0.0
         if status == "equilibrium":
             status = "converged" if feas else "stalled"
         return Outcome(status=status, rounds=rounds, feasible=feas,
                        equilibrium=equilibrium, max_violation=max_v,
                        max_beacon=max_b, detail=detail)
 
-    deficit = np.zeros(len(u0))
+    deficit = np.zeros(n)
     for t in range(1, scenario.budget + 1):
         try:
-            y = plant.solve(state.u)
+            y = plant.solve(u)
+            if not np.all(np.isfinite(y)):
+                raise SolverError(f"round {t}: plant output is not finite")
         except SolverError as exc:
             outcome = Outcome(status="solver_failure", rounds=t,
                               feasible=False, equilibrium=False,
                               max_violation=float("nan"),
-                              max_beacon=float(np.max(state.beacons)),
+                              max_beacon=float(np.max(beacons)),
                               detail=str(exc))
             return outcome, records
-        nxt, msgs = protocol_round(state, y, gains, adjacency,
-                                   plant.u_upper, plant.y_lower,
-                                   plant.measured_nodes)
-        deficit = violation(y, plant.y_lower, plant.measured_nodes, len(u0))
-        if t % keep == 0 or t == 1:
-            records.append(TraceRecord(
-                round=t, u=nxt.u, y=y.copy(), deficit=deficit,
-                beacons=nxt.beacons, messages=msgs.count,
-                wall_time=time.perf_counter() - start))
-        at_ceiling = bool(np.all(nxt.u >= plant.u_upper - scenario.eps_eq))
+        deficit = violation(y, plant.y_lower, plant.measured_nodes, n)
+        u_next, beacons_next, messages = protocol_round(
+            u, beacons, deficit, gains, adjacency, plant.u_upper)
+        at_ceiling = bool(np.all(u_next >= plant.u_upper - scenario.eps_eq))
         deficit_cleared = float(np.max(deficit, initial=0.0)) <= scenario.eps_feas
         # a state that moved less than eps_eq may still be crawling toward a
         # feasible point through a weakly coupled agent; only stop once the
         # deficit has cleared, every control is pinned, or nothing moved at
         # all (an exact fixed point cannot move later)
-        exact_fixed = np.array_equal(nxt.u, state.u) and \
-            np.array_equal(nxt.beacons, state.beacons)
+        exact_fixed = np.array_equal(u_next, u) and \
+            np.array_equal(beacons_next, beacons)
         reached_eq = exact_fixed or (
-            is_equilibrium(state, nxt, scenario.eps_eq)
+            is_equilibrium(u, beacons, u_next, beacons_next, scenario.eps_eq)
             and (deficit_cleared or at_ceiling))
         if prev_deficit is not None and at_ceiling and \
                 np.array_equal(deficit, prev_deficit):
@@ -321,22 +317,19 @@ def run(scenario: Scenario):
         else:
             frozen_rounds = 0
         prev_deficit = deficit
-        state = nxt
+        u, beacons = u_next, beacons_next
+        if t % keep == 0 or t == 1 or reached_eq:
+            records.append(TraceRecord(
+                round=t, u=u, y=y, deficit=deficit, beacons=beacons,
+                messages=messages, wall_time=time.perf_counter() - start))
         if reached_eq:
-            if not records or records[-1].round != t:
-                records.append(TraceRecord(
-                    round=t, u=nxt.u, y=y.copy(), deficit=deficit,
-                    beacons=nxt.beacons, messages=msgs.count,
-                    wall_time=time.perf_counter() - start))
-            return classify("equilibrium", t, True, deficit,
-                            nxt.beacons), records
+            return classify("equilibrium", t, True), records
         if frozen_rounds >= scenario.stall_window and \
                 float(np.max(deficit)) > scenario.eps_feas:
-            return classify("stalled", t, False, deficit, nxt.beacons,
+            return classify("stalled", t, False,
                             detail="controls pinned at the ceiling with a "
                                    "persistent violation"), records
-    return classify("budget_exceeded", scenario.budget, False, deficit,
-                    state.beacons), records
+    return classify("budget_exceeded", scenario.budget, False), records
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (HydraulicInfeasibleError, ModelError,
                      PumpReverseFlowError)
-from .graph import Graph
+from .graph import Graph, reachable
 from .plant import PlantModel
 
 FLOW_TOL = 1e-9
@@ -149,7 +149,10 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
     if u.shape != (n,):
         raise ModelError("control vector must hold one entry per node")
     fixed = set(model.pressure_nodes)
-    _check_reference_reachability(g, fixed)
+    missing = sorted(set(range(n)) - reachable(g, fixed))
+    if missing:
+        raise ModelError(
+            f"nodes {missing} cannot reach any fixed-pressure node")
 
     free = [i for i in range(n) if i not in fixed]
     free_pos = {node: k for k, node in enumerate(free)}
@@ -248,27 +251,6 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
                 f"{pump_flows[pi]:.3f}")
     return HydraulicSolution(pressures=pressures, flows=flows,
                              residual=rnorm, iterations=iters)
-
-
-def _check_reference_reachability(g: Graph, fixed):
-    from collections import deque
-
-    adj = [[] for _ in range(g.node_count)]
-    for m, n in g.edges:
-        adj[m].append(n)
-        adj[n].append(m)
-    seen = set(fixed)
-    queue = deque(fixed)
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    missing = sorted(set(range(g.node_count)) - seen)
-    if missing:
-        raise ModelError(
-            f"nodes {missing} cannot reach any fixed-pressure node")
 
 
 def check_pressure_ordering(model: WaterModel, u_hi, u_lo,

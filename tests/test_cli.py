@@ -161,3 +161,33 @@ def test_feasibility_infeasible_exit(tmp_path):
     path = tmp_path / "tight.json"
     json.dump(doc, open(path, "w"))
     assert main(["feasibility", str(path)]) == 1
+
+
+def write_cascade(tmp_path, edit):
+    doc = json.load(open(bundled_scenario_path("linear_cascade")))
+    edit(doc)
+    path = tmp_path / "edited.json"
+    json.dump(doc, open(path, "w"))
+    return str(path)
+
+
+def test_simulate_rejects_bad_gains(tmp_path):
+    for bad in (float("nan"), -1.0):
+        path = write_cascade(tmp_path,
+                             lambda doc: doc["gains"].update(eta2=bad))
+        assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 2
+
+
+def test_check_gains_overflowing_gains_fail(tmp_path, capsys):
+    path = write_cascade(tmp_path, lambda doc: doc["gains"].update(
+        eta2=1e308, eta3=1e308))
+    assert main(["check-gains", path]) == 1
+    assert "inf -> fail" in capsys.readouterr().out
+
+
+def test_simulate_non_finite_plant_output_exit(tmp_path):
+    path = write_cascade(tmp_path,
+                         lambda doc: doc["plant"].update(offset=[float("nan")]))
+    assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 3
+    summary = json.load(open(tmp_path / "summary.json"))
+    assert summary["outcome"]["status"] == "solver_failure"

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from ripplesim import (Graph, ModelError, adjacency_matrix, is_connected,
                        weighted_laplacian)
+from ripplesim.graph import reachable
 from synth import random_connected_graph
 
 
@@ -99,3 +100,11 @@ def test_neighbors_and_degree():
     assert g.neighbors(1) == (0, 2, 3)
     assert g.degree(1) == 3
     assert g.degree(0) == 1
+    assert g.neighbors(3) == (1,)
+
+
+def test_reachable_from_several_sources():
+    g = Graph(node_count=6, edges=((0, 1), (2, 3), (3, 4)))
+    assert reachable(g, (0,)) == {0, 1}
+    assert reachable(g, (4, 0)) == {0, 1, 2, 3, 4}
+    assert reachable(g, ()) == set()

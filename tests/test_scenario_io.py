@@ -143,3 +143,11 @@ def test_pump_direction_survives_label_order():
     sol = solve_network(scenario.u0, scenario.plant.model)
     # boost from "mid" (index 1) into "sink" (index 0): 20 m rise
     assert_allclose(sol.pressures[0] - sol.pressures[1], 20.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0])
+def test_bad_gains_rejected(bad):
+    doc = json.loads(json.dumps(MINIMAL_LINEAR))
+    doc["gains"]["eta2"] = bad
+    with pytest.raises(ScenarioError, match="eta2"):
+        scenario_from_dict(doc)

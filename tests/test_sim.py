@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -5,7 +7,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from ripplesim import (DisruptionEvent, Graph, LinearPlant, PipeLaw,
                        ProtocolGains, PumpLaw, Scenario, ScenarioError,
                        WaterModel, WaterPlant, apply_disruption,
-                       disrupted_setup, message_stats, run, verify_trace)
+                       disrupted_setup, load_scenario, message_stats, run,
+                       verify_trace)
 
 
 def cascade_scenario(u_upper=(0.5, 1.0)):
@@ -231,3 +234,36 @@ def test_solver_failure_outcome_preserves_partial_trace():
     assert outcome.status == "solver_failure"
     assert "synthetic failure" in outcome.detail
     assert len(records) >= 1
+
+
+def test_run_rejects_overflowing_gains_quickly():
+    scenario = cascade_scenario()
+    scenario.gains = ProtocolGains(eta1=np.ones(2), eta2=np.full(2, 1e308),
+                                   eta3=np.full(2, 1e308))
+    t0 = time.perf_counter()
+    with pytest.raises(ScenarioError):
+        run(scenario)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_non_finite_plant_output_is_solver_failure():
+    scenario = cascade_scenario()
+    scenario.plant.offset = np.array([np.nan])
+    outcome, records = run(scenario)
+    assert outcome.status == "solver_failure"
+    assert outcome.rounds == 1
+    assert "round 1" in outcome.detail
+    assert records == []
+
+
+@pytest.mark.parametrize("name, status, rounds, n_records, messages", [
+    ("pjm5", "converged", 1342, 1342, 9286),
+    ("wds10", "converged", 685, 685, 13003),
+    ("twobus", "converged", 1, 1, 0),
+    ("linear_cascade", "converged", 5, 5, 3),
+])
+def test_bundled_runs_are_pinned(name, status, rounds, n_records, messages):
+    outcome, records = run(load_scenario(name))
+    assert (outcome.status, outcome.rounds) == (status, rounds)
+    assert len(records) == n_records
+    assert sum(r.messages for r in records) == messages

@@ -187,8 +187,10 @@ def _write_summary(path, scenario, plant, u0, outcome, records, labels):
             "records": len(records),
         },
     }
+    # strict JSON: NaN and infinities become null
+    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -106,6 +106,37 @@ def max_effort_feasibility(plant: PlantModel, eps_feas: float = EPS_FEAS_DEFAULT
     return bool(np.all(y >= plant.y_lower - eps_feas))
 
 
+def damped_newton(x, residual, jacobian, singular, tol: float, max_iter: int):
+    """Backtracking Newton iteration for the square system F(x) = 0.
+
+    residual(x) returns (F(x), aux); jacobian(x, aux) returns dF/dx. Each
+    iteration solves J step = -F and takes the first of x + step, x +
+    step/2, ..., x + step/1024 that lowers the residual inf-norm, or else
+    the best of them. Runs until the inf-norm is at most tol or for
+    max_iter iterations and returns (x, aux, inf-norm, iterations); a
+    singular J raises singular(iteration).
+    """
+    r, aux = residual(x)
+    rnorm = float(np.abs(r).max()) if r.size else 0.0
+    iters = 0
+    while rnorm > tol and iters < max_iter:
+        try:
+            step = np.linalg.solve(jacobian(x, aux), -r)
+        except np.linalg.LinAlgError as exc:
+            raise singular(iters) from exc
+        for k in range(11):
+            cand = x + step / 2 ** k
+            rc, ac = residual(cand)
+            rcn = float(np.abs(rc).max())
+            if k == 0 or rcn < best[0]:
+                best = (rcn, cand, rc, ac)
+            if rcn < rnorm:
+                break
+        rnorm, x, r, aux = best
+        iters += 1
+    return x, aux, rnorm, iters
+
+
 @dataclass(frozen=True)
 class ProbeResult:
     """Finite-difference sensitivity estimate and a monotonicity verdict."""

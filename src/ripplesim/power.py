@@ -6,7 +6,8 @@ reactive injections satisfy q = diag(v) B v. Buses split into generators
 (voltage magnitude is the control) and loads (reactive injection is the
 control, voltage magnitude is the regulated output). Partitioning B
 accordingly and fixing (q_L, v_G) leaves a quadratic system in the load
-voltages, solved here by damped Newton iteration from a flat start.
+voltages, solved from a flat start by the damped Newton shared with the
+water solver (plant.damped_newton).
 
 The implicit-function Jacobians of the solved map are available in closed
 form through the matrix G = diag(i_L) + diag(v_L) B_LL with
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ModelError, PowerFlowInfeasibleError, SingularJacobianError
 from .graph import Graph, weighted_laplacian
-from .plant import PlantModel
+from .plant import PlantModel, damped_newton
 
 SOLVER_TOL = 1e-8
 MAX_NEWTON_ITER = 50
@@ -31,8 +32,10 @@ class GridModel:
     """Grid data: line graph, per-line susceptances, bus partition.
 
     generators and loads are disjoint bus-index tuples covering the graph.
-    The Laplacian B and its generator/load blocks are derived once at
-    construction; the model is immutable afterwards.
+    The read-only load/generator blocks b_ll, b_lg and b_gg of the
+    Laplacian B are derived once at construction and are all the solvers
+    read; b_matrix rebuilds B on access, so a model never stores B twice.
+    The model is immutable afterwards.
     """
 
     graph: Graph
@@ -51,21 +54,17 @@ class GridModel:
             raise ModelError("bus partition must cover the whole graph")
         if not gens:
             raise ModelError("at least one generator bus is required")
-        b = weighted_laplacian(self.graph, self.susceptances)
-        b.flags.writeable = False
-        object.__setattr__(self, "b_matrix", b)
+        b = self.b_matrix
+        for name, rows, cols in (("b_ll", loads, loads), ("b_lg", loads, gens),
+                                 ("b_gg", gens, gens)):
+            block = b[np.ix_(rows, cols)]
+            block.flags.writeable = False
+            object.__setattr__(self, name, block)
 
     @property
-    def b_ll(self) -> np.ndarray:
-        return self.b_matrix[np.ix_(self.loads, self.loads)]
-
-    @property
-    def b_lg(self) -> np.ndarray:
-        return self.b_matrix[np.ix_(self.loads, self.generators)]
-
-    @property
-    def b_gg(self) -> np.ndarray:
-        return self.b_matrix[np.ix_(self.generators, self.generators)]
+    def b_matrix(self) -> np.ndarray:
+        """The weighted Laplacian B, built afresh on each access."""
+        return weighted_laplacian(self.graph, self.susceptances)
 
 
 @dataclass(frozen=True)
@@ -94,10 +93,9 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
                         max_iter: int = MAX_NEWTON_ITER) -> PowerFlowSolution:
     """Solve diag(v_L)(B_LG v_G + B_LL v_L) = q_L for the load voltages.
 
-    Damped Newton from a flat 1.0 per-unit start (or v0): the step is
-    halved up to 10 times whenever the residual inf-norm fails to
-    decrease. Raises PowerFlowInfeasibleError when no solution emerges
-    within max_iter or the converged root is non-physical (v <= 0), and
+    Runs plant.damped_newton from a flat 1.0 per-unit start (or v0).
+    Raises PowerFlowInfeasibleError when no solution emerges within
+    max_iter or the converged root is non-physical (v <= 0), and
     SingularJacobianError when the iteration matrix degenerates.
     """
     q_load = np.asarray(q_load, dtype=float)
@@ -107,37 +105,17 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
     nl = len(grid.loads)
     if q_load.shape != (nl,) or v_gen.shape != (len(grid.generators),):
         raise ModelError("injection/voltage vectors disagree with partition")
-    b_ll = grid.b_ll
-    b_lg = grid.b_lg
     v = np.ones(nl) if v0 is None else np.asarray(v0, dtype=float).copy()
 
     def residual(vl):
-        il = b_lg @ v_gen + b_ll @ vl
+        il = grid.b_lg @ v_gen + grid.b_ll @ vl
         return vl * il - q_load, il
 
-    r, i_load = residual(v)
-    rnorm = float(np.max(np.abs(r))) if nl else 0.0
-    iters = 0
-    while rnorm > tol and iters < max_iter:
-        g = _gain_matrix(v, i_load, b_ll)
-        try:
-            step = np.linalg.solve(g, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                f"singular iteration matrix at iteration {iters}") from exc
-        scale = 1.0
-        best = None
-        for _ in range(11):
-            cand = v + scale * step
-            rc, ic = residual(cand)
-            rcn = float(np.max(np.abs(rc)))
-            if best is None or rcn < best[0]:
-                best = (rcn, cand, rc, ic)
-            if rcn < rnorm:
-                break
-            scale *= 0.5
-        rnorm, v, r, i_load = best
-        iters += 1
+    v, i_load, rnorm, iters = damped_newton(
+        v, residual, lambda vl, il: _gain_matrix(vl, il, grid.b_ll),
+        lambda k: SingularJacobianError(
+            f"singular iteration matrix at iteration {k}"),
+        tol, max_iter)
     if rnorm > tol:
         raise PowerFlowInfeasibleError(
             f"no load-voltage solution after {iters} iterations "

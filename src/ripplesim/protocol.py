@@ -35,7 +35,7 @@ class ProtocolGains:
 
     def __post_init__(self):
         for name in ("eta1", "eta2", "eta3"):
-            v = np.asarray(getattr(self, name), dtype=float)
+            v = np.array(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(v) & (v > 0)):
                 raise ValueError(f"{name} must be finite and strictly positive")
             v.flags.writeable = False

@@ -343,6 +343,22 @@ class MessageStats:
     first_change: dict
 
 
+def _versus_previous(compare, u, u0):
+    """compare(control, previous control) per (round, agent); the first
+    round compares with u0 and is all False when u0 is None."""
+    first = (np.zeros(u[:1].shape, dtype=bool) if u0 is None
+             else compare(u[:1], np.asarray(u0, dtype=float)))
+    return np.concatenate((first, compare(u[1:], u[:-1])))
+
+
+def _first_rounds(mask, records) -> dict:
+    """{agent: first round whose row of mask is set}, in order of that round."""
+    agents = np.flatnonzero(mask.any(axis=0))
+    first = mask[:, agents].argmax(axis=0)
+    return {int(agents[j]): records[first[j]].round
+            for j in np.argsort(first, kind="stable")}
+
+
 def message_stats(records, comm_graph: Graph, u0=None) -> MessageStats:
     """Message accounting over a trace.
 
@@ -355,22 +371,12 @@ def message_stats(records, comm_graph: Graph, u0=None) -> MessageStats:
     if not records:
         raise ValueError("empty trace")
     per_round = tuple(r.messages for r in records)
-    first_beacon = {}
-    first_change = {}
-    prev_u = np.asarray(u0, dtype=float) if u0 is not None else None
-    for r in records:
-        for k in np.nonzero(r.beacons > 0)[0]:
-            first_beacon.setdefault(int(k), r.round)
-        if prev_u is not None:
-            for k in np.nonzero(r.u != prev_u)[0]:
-                first_change.setdefault(int(k), r.round)
-        prev_u = r.u
-    first_assistance = {}
-    for node in range(comm_graph.node_count):
-        rounds = [first_beacon[nb] for nb in comm_graph.neighbors(node)
-                  if nb in first_beacon]
-        if rounds:
-            first_assistance[node] = min(rounds)
+    u = np.stack([r.u for r in records])
+    beaconing = np.stack([r.beacons for r in records]) > 0
+    first_beacon = _first_rounds(beaconing, records)
+    first_assistance = dict(sorted(_first_rounds(
+        beaconing @ (adjacency_matrix(comm_graph) > 0), records).items()))
+    first_change = _first_rounds(_versus_previous(np.not_equal, u, u0), records)
     return MessageStats(per_round=per_round, total=int(sum(per_round)),
                         first_beacon=first_beacon,
                         first_assistance=first_assistance,
@@ -385,24 +391,28 @@ def verify_trace(records, comm_graph: Graph, u_upper, u0=None) -> list:
     and every round's message count equals the summed degree of its
     beaconing agents (zero when nobody beacons).
     """
-    problems = []
+    if not records:
+        return []
     u_upper = np.asarray(u_upper, dtype=float)
-    prev_u = np.asarray(u0, dtype=float) if u0 is not None else None
-    for r in records:
-        if prev_u is not None and np.any(r.u < prev_u):
-            problems.append(f"round {r.round}: control decreased")
-        prev_u = r.u
-        if np.any(r.u > u_upper):
-            problems.append(f"round {r.round}: control exceeds its ceiling")
-        if np.any(r.beacons < 0):
-            problems.append(f"round {r.round}: negative beacon")
-        for k in np.nonzero(r.beacons > 0)[0]:
-            if r.u[k] != u_upper[k]:
-                problems.append(
-                    f"round {r.round}: beacon at unsaturated agent {k}")
-        expect = sum(comm_graph.degree(int(k))
-                     for k in np.nonzero(r.beacons > 0)[0])
-        if r.messages != expect:
+    u = np.stack([r.u for r in records])
+    beacons = np.stack([r.beacons for r in records])
+    beaconing = beacons > 0
+    expect = beaconing @ adjacency_matrix(comm_graph).sum(axis=1).astype(int)
+    flags = np.column_stack((np.any(_versus_previous(np.less, u, u0), axis=1),
+                             np.any(u > u_upper, axis=1),
+                             np.any(beacons < 0, axis=1)))
+    unsaturated = beaconing & (u != u_upper)
+    messages = np.array([r.messages for r in records])
+    problems = []
+    for i in np.flatnonzero(flags.any(axis=1) | unsaturated.any(axis=1)
+                            | (messages != expect)):
+        r = records[i]
+        problems += [f"round {r.round}: {text}" for text, bad in zip(
+            ("control decreased", "control exceeds its ceiling",
+             "negative beacon"), flags[i]) if bad]
+        problems += [f"round {r.round}: beacon at unsaturated agent {k}"
+                     for k in np.flatnonzero(unsaturated[i])]
+        if r.messages != expect[i]:
             problems.append(
-                f"round {r.round}: {r.messages} messages, expected {expect}")
+                f"round {r.round}: {r.messages} messages, expected {expect[i]}")
     return problems

@@ -11,8 +11,9 @@ design direction and refuse reverse flow.
 The solve treats pressures at non-fixed nodes and pump flows as unknowns:
 pipe flows follow from pressure differences by inverting the friction law,
 pump constraint rows pin the pressure difference across each pump, and
-damped Newton drives the nodal imbalances to zero. At least one node must
-hold a fixed pressure, and every node must reach one through the network.
+the damped Newton shared with the grid solver (plant.damped_newton)
+drives the nodal imbalances to zero. At least one node must hold a fixed
+pressure, and every node must reach one through the network.
 """
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import (HydraulicInfeasibleError, ModelError,
                      PumpReverseFlowError)
 from .graph import Graph, reachable
-from .plant import PlantModel
+from .plant import PlantModel, damped_newton
 
 FLOW_TOL = 1e-9
 MAX_HYDRAULIC_ITER = 100
@@ -79,17 +80,83 @@ def edge_pressure_drop(flow: float, law) -> float:
     return law.coefficient * np.sign(s) * a ** law.exponent
 
 
-def _pipe_flow_from_drop(drop: float, law: PipeLaw):
-    """Invert the (regularized) friction law; returns (flow, dflow/ddrop)."""
-    c, e = law.coefficient, law.exponent
-    lin_slope = 1.0 / (c * LINEAR_FLOW_CUTOFF ** (e - 1.0))
-    drop_cut = c * LINEAR_FLOW_CUTOFF ** e
-    a = abs(drop)
-    if a <= drop_cut:
-        return drop * lin_slope, lin_slope
-    flow = np.sign(drop) * (a / c) ** (1.0 / e)
-    dflow = (a / c) ** (1.0 / e - 1.0) / (c * e)
-    return float(flow), float(dflow)
+class _PipeLaws:
+    """A sequence of PipeLaws as arrays, with the constants of their inverse."""
+
+    def __init__(self, laws):
+        c = np.array([law.coefficient for law in laws])
+        e = np.array([law.exponent for law in laws])
+        self.coefficient, self.ce = c, c * e
+        self.drop_cut = c * np.float_power(LINEAR_FLOW_CUTOFF, e)
+        self.linear_slope = 1.0 / (c * np.float_power(LINEAR_FLOW_CUTOFF, e - 1.0))
+        self.flow_exp = 1.0 / e
+        self.slope_exp = 1.0 / e - 1.0
+
+
+def _pipe_flow_from_drop(drop, pipes: _PipeLaws):
+    """Invert the (regularized) friction laws elementwise.
+
+    drop is an array aligned with pipes; returns the arrays (flow,
+    dflow/ddrop). Powers go through np.float_power, which evaluates libm
+    pow: np.power's SIMD loop can differ from it in the last bit.
+    """
+    a = np.abs(drop)
+    linear = a <= pipes.drop_cut
+    # the linear entries, discarded below, must not raise 0 to a negative power
+    x = np.maximum(a, pipes.drop_cut) / pipes.coefficient
+    flow = np.where(linear, drop * pipes.linear_slope,
+                    np.sign(drop) * np.float_power(x, pipes.flow_exp))
+    slope = np.where(linear, pipes.linear_slope,
+                     np.float_power(x, pipes.slope_exp) / pipes.ce)
+    return flow, slope
+
+
+class _Incidence:
+    """Index structure of a WaterModel, derived once at construction.
+
+    Edges run in law order, pipes then pumps, from tail to head (a pump
+    along its boost). Unknowns are the free pressures, then the pump flows;
+    fixed nodes map to one extra sink row and column that the solver
+    drops. Edge j's flow leaves its tail's row and enters its head's
+    (flow_rows, flow_signs); its four Jacobian entries (jac_rows,
+    jac_cols) carry jac_signs times its slope, dflow/ddrop for a pipe and
+    1 for a pump. Both lists run edge by edge, the order in which the
+    solver accumulates them.
+    """
+
+    def __init__(self, model):
+        g, laws = model.graph, model.edge_laws
+        n = g.node_count
+        fixed = set(model.pressure_nodes)
+        self.unreachable = sorted(set(range(n)) - reachable(g, fixed))
+        # set order on purpose: the start pressure is the mean of the fixed
+        # pressures summed in this order, and its last bit steers the Newton path
+        self.fixed = np.array(list(fixed), dtype=int)
+        self.free = np.array([i for i in range(n) if i not in fixed], dtype=int)
+        pipes = [i for i, law in enumerate(laws) if isinstance(law, PipeLaw)]
+        pumps = [i for i, law in enumerate(laws) if isinstance(law, PumpLaw)]
+        self.n_pipes = len(pipes)
+        self.edges = np.array(pipes + pumps, dtype=int)
+        self.flip = np.array([False] * len(pipes)
+                             + [laws[i].reverse for i in pumps], dtype=bool)
+        ends = np.array([g.edges[i] for i in self.edges], dtype=int).reshape(-1, 2)
+        self.tail, self.head = np.where(self.flip[:, None], ends[:, ::-1], ends).T
+        self.pipe_laws = _PipeLaws([laws[i] for i in pipes])
+        self.gain = np.array([laws[i].gain for i in pumps])
+        nf = len(self.free)
+        self.dim = nf + len(pumps)
+        pos = np.full(n, self.dim)
+        pos[self.free] = np.arange(nf)
+        t, h = pos[self.tail], pos[self.head]
+        self.flow_rows = np.stack((t, h), axis=1).ravel()
+        self.flow_signs = np.tile([-1.0, 1.0], len(t))
+        c = nf + np.arange(len(t)) - len(pipes)  # a pump's column and row
+        pipe = (np.arange(len(t)) < len(pipes))[:, None]
+        self.jac_rows = np.where(pipe, np.stack((t, t, h, h), axis=1),
+                                 np.stack((t, h, c, c), axis=1)).ravel()
+        self.jac_cols = np.where(pipe, np.stack((t, h, t, h), axis=1),
+                                 np.stack((c, c, t, h), axis=1)).ravel()
+        self.jac_signs = np.tile([-1.0, 1.0, 1.0, -1.0], len(t))
 
 
 @dataclass(frozen=True)
@@ -117,6 +184,7 @@ class WaterModel:
             if not 0 <= p < self.graph.node_count:
                 raise ModelError(f"pressure node {p} outside node range")
         object.__setattr__(self, "pressure_nodes", pres)
+        object.__setattr__(self, "_incidence", _Incidence(self))
 
 
 @dataclass(frozen=True)
@@ -144,111 +212,55 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
     would push flow backwards through a pump.
     """
     u = np.asarray(u, dtype=float)
-    g = model.graph
-    n = g.node_count
+    n = model.graph.node_count
     if u.shape != (n,):
         raise ModelError("control vector must hold one entry per node")
-    fixed = set(model.pressure_nodes)
-    missing = sorted(set(range(n)) - reachable(g, fixed))
-    if missing:
+    net = model._incidence
+    if net.unreachable:
         raise ModelError(
-            f"nodes {missing} cannot reach any fixed-pressure node")
+            f"nodes {net.unreachable} cannot reach any fixed-pressure node")
+    free, tail, head, k = net.free, net.tail, net.head, net.n_pipes
+    nf = len(free)
+    start = np.full(n, float(np.mean(u[net.fixed])))
+    start[net.fixed] = u[net.fixed]
+    u_free, sink, pump_slope = u[free], np.zeros(1), np.ones(len(tail) - k)
 
-    free = [i for i in range(n) if i not in fixed]
-    free_pos = {node: k for k, node in enumerate(free)}
-    pipes = [(ei, e) for ei, e in enumerate(g.edges)
-             if isinstance(model.edge_laws[ei], PipeLaw)]
-    pumps = [(ei, e) for ei, e in enumerate(g.edges)
-             if isinstance(model.edge_laws[ei], PumpLaw)]
-    n_free, n_pump = len(free), len(pumps)
-    dim = n_free + n_pump
+    def residual(x):
+        """Conservation at free nodes, then the pump rows; aux carries the
+        pressures, the edge flows and the pipe slopes."""
+        pres = start.copy()
+        pres[free] = x[:nf]
+        flow, dflow = _pipe_flow_from_drop(pres[tail[:k]] - pres[head[:k]],
+                                           net.pipe_laws)
+        q = np.concatenate((flow, x[nf:]))
+        res = np.concatenate(
+            (u_free, pres[tail[k:]] - pres[head[k:]] + net.gain, sink))
+        np.add.at(res, net.flow_rows, q.repeat(2) * net.flow_signs)
+        return res[:-1], (pres, q, dflow)
 
-    pressures = np.zeros(n)
-    ref_mean = float(np.mean([u[p] for p in fixed]))
-    for node in range(n):
-        pressures[node] = u[node] if node in fixed else ref_mean
-    pump_flows = np.zeros(n_pump)
+    def jacobian(x, aux):
+        slope = np.concatenate((aux[2], pump_slope)).repeat(4)
+        jac = np.zeros((net.dim + 1, net.dim + 1))
+        np.add.at(jac, (net.jac_rows, net.jac_cols), slope * net.jac_signs)
+        return jac[:-1, :-1]
 
-    def assemble(pres, pflow):
-        """Residual vector and Jacobian for the current iterate."""
-        res = np.zeros(dim)
-        jac = np.zeros((dim, dim))
-        flows = np.zeros(len(g.edges))
-        # conservation residuals: injection minus net outflow at free nodes
-        for k, node in enumerate(free):
-            res[k] = u[node]
-        for ei, (m, nn) in pipes:
-            law = model.edge_laws[ei]
-            flow, dflow = _pipe_flow_from_drop(pres[m] - pres[nn], law)
-            flows[ei] = flow
-            if m in free_pos:
-                k = free_pos[m]
-                res[k] -= flow
-                jac[k, free_pos[m]] -= dflow
-                if nn in free_pos:
-                    jac[k, free_pos[nn]] += dflow
-            if nn in free_pos:
-                k = free_pos[nn]
-                res[k] += flow
-                jac[k, free_pos[nn]] -= dflow
-                if m in free_pos:
-                    jac[k, free_pos[m]] += dflow
-        for pi, (ei, (m, nn)) in enumerate(pumps):
-            law = model.edge_laws[ei]
-            tail, head = (nn, m) if law.reverse else (m, nn)
-            flows[ei] = -pflow[pi] if law.reverse else pflow[pi]
-            col = n_free + pi
-            if tail in free_pos:
-                res[free_pos[tail]] -= pflow[pi]
-                jac[free_pos[tail], col] -= 1.0
-            if head in free_pos:
-                res[free_pos[head]] += pflow[pi]
-                jac[free_pos[head], col] += 1.0
-            # pump row: pressure rise tail -> head equals the gain
-            row = n_free + pi
-            res[row] = pres[tail] - pres[head] + law.gain
-            if tail in free_pos:
-                jac[row, free_pos[tail]] = 1.0
-            if head in free_pos:
-                jac[row, free_pos[head]] = -1.0
-        return res, jac, flows
-
-    res, jac, flows = assemble(pressures, pump_flows)
-    rnorm = float(np.max(np.abs(res))) if dim else 0.0
-    iters = 0
-    while rnorm > tol and iters < max_iter:
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise HydraulicInfeasibleError(
-                f"singular hydraulic Jacobian at iteration {iters}") from exc
-        scale = 1.0
-        best = None
-        for _ in range(11):
-            cand_p = pressures.copy()
-            for k, node in enumerate(free):
-                cand_p[node] += scale * step[k]
-            cand_f = pump_flows + scale * step[n_free:]
-            rc, jc, fc = assemble(cand_p, cand_f)
-            rcn = float(np.max(np.abs(rc)))
-            if best is None or rcn < best[0]:
-                best = (rcn, cand_p, cand_f, rc, jc, fc)
-            if rcn < rnorm:
-                break
-            scale *= 0.5
-        rnorm, pressures, pump_flows, res, jac, flows = best
-        iters += 1
+    _, (pressures, q, _), rnorm, iters = damped_newton(
+        np.concatenate((start[free], np.zeros(len(tail) - k))),
+        residual, jacobian,
+        lambda it: HydraulicInfeasibleError(
+            f"singular hydraulic Jacobian at iteration {it}"),
+        tol, max_iter)
     if rnorm > tol:
         raise HydraulicInfeasibleError(
             f"hydraulic solve stalled after {iters} iterations "
             f"(residual {rnorm:.3e})")
-    for pi, (ei, (m, nn)) in enumerate(pumps):
-        if pump_flows[pi] < -1e-6:
-            law = model.edge_laws[ei]
-            tail, head = (nn, m) if law.reverse else (m, nn)
-            raise PumpReverseFlowError(
-                f"pump {tail}->{head} would carry reverse flow "
-                f"{pump_flows[pi]:.3f}")
+    backward = k + np.flatnonzero(q[k:] < -1e-6)
+    if backward.size:
+        j = backward[0]
+        raise PumpReverseFlowError(
+            f"pump {tail[j]}->{head[j]} would carry reverse flow {q[j]:.3f}")
+    flows = np.zeros(len(model.graph.edges))
+    flows[net.edges] = np.where(net.flip, -q, q)
     return HydraulicSolution(pressures=pressures, flows=flows,
                              residual=rnorm, iterations=iters)
 
@@ -267,8 +279,7 @@ def check_pressure_ordering(model: WaterModel, u_hi, u_lo,
         raise ValueError("u_hi must dominate u_lo entrywise")
     hi = solve_network(u_hi, model)
     lo = solve_network(u_lo, model)
-    others = [i for i in range(model.graph.node_count)
-              if i not in model.pressure_nodes]
+    others = model._incidence.free
     return bool(np.all(hi.pressures[others] >= lo.pressures[others] - tol))
 
 

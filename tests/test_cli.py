@@ -189,5 +189,12 @@ def test_simulate_non_finite_plant_output_exit(tmp_path):
     path = write_cascade(tmp_path,
                          lambda doc: doc["plant"].update(offset=[float("nan")]))
     assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 3
-    summary = json.load(open(tmp_path / "summary.json"))
+
+    def reject(constant):
+        raise ValueError(f"summary.json holds the non-JSON number {constant}")
+
+    summary = json.loads((tmp_path / "summary.json").read_text(),
+                         parse_constant=reject)
     assert summary["outcome"]["status"] == "solver_failure"
+    assert summary["outcome"]["max_violation"] is None
+    assert summary["terminal_y"] == [None]

@@ -121,6 +121,14 @@ def test_gains_must_be_positive():
             ProtocolGains(eta1=[1.0], eta2=[bad], eta3=[1.0])
 
 
+def test_gains_copy_the_callers_vectors():
+    a = np.ones(3)
+    gains = ProtocolGains(eta1=a, eta2=a, eta3=a)
+    a[0] = 3
+    assert gains.eta1[0] == gains.eta2[0] == gains.eta3[0] == 1.0
+    assert not gains.eta1.flags.writeable
+
+
 def test_gain_condition_two_node_values():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     # hand 2x2: diag(0.25) A has singular values {0.25, 0.25}

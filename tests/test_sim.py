@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from ripplesim import (DisruptionEvent, Graph, LinearPlant, PipeLaw,
                        ProtocolGains, PumpLaw, Scenario, ScenarioError,
-                       WaterModel, WaterPlant, apply_disruption,
+                       TraceRecord, WaterModel, WaterPlant, apply_disruption,
                        disrupted_setup, load_scenario, message_stats, run,
                        verify_trace)
 
@@ -20,6 +20,33 @@ def cascade_scenario(u_upper=(0.5, 1.0)):
                           eta3=np.ones(2))
     return Scenario(plant=plant, comm_graph=graph, u0=np.zeros(2),
                     gains=gains)
+
+
+def test_verify_trace_reports_each_broken_invariant():
+    # path 0-1-2 with ceilings 1: agent 1 saturates in round 2 and beacons
+    # to its two neighbors; each case breaks the last round one way
+    graph = Graph(node_count=3, edges=((0, 1), (1, 2)))
+    u_upper, u0 = np.ones(3), np.zeros(3)
+
+    def trace(u3=(0.6, 1.0, 0.1), b3=(0.0, 0.1, 0.0), m3=2):
+        rows = (((0.2, 0.5, 0.0), (0.0, 0.0, 0.0), 0),
+                ((0.5, 1.0, 0.0), (0.0, 0.2, 0.0), 2), (u3, b3, m3))
+        return [TraceRecord(round=t, u=np.array(u), y=np.zeros(1),
+                            deficit=np.zeros(3), beacons=np.array(b),
+                            messages=m, wall_time=0.0)
+                for t, (u, b, m) in enumerate(rows, start=1)]
+
+    assert verify_trace(trace(), graph, u_upper, u0) == []
+    cases = [
+        (trace(u3=(0.4, 1.0, 0.1)), "round 3: control decreased"),
+        (trace(u3=(0.6, 1.0, 1.5)), "round 3: control exceeds its ceiling"),
+        (trace(b3=(0.0, 0.1, -0.1)), "round 3: negative beacon"),
+        (trace(b3=(0.3, 0.1, 0.0), m3=3),
+         "round 3: beacon at unsaturated agent 0"),
+        (trace(m3=5), "round 3: 5 messages, expected 2"),
+    ]
+    for records, problem in cases:
+        assert verify_trace(records, graph, u_upper, u0) == [problem]
 
 
 def small_water_plant():

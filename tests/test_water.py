@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ripplesim import (Graph, ModelError, PipeLaw, PumpLaw,
+from ripplesim import (Graph, HydraulicInfeasibleError, ModelError,
+                       PipeLaw, PumpLaw,
                        PumpReverseFlowError, WaterModel,
                        check_pressure_ordering, edge_pressure_drop,
                        monotonicity_probe, solve_network)
-from ripplesim.water import WaterPlant, _pipe_flow_from_drop
-from synth import random_water_network
+from ripplesim.water import (LINEAR_FLOW_CUTOFF, WaterPlant, _PipeLaws,
+                             _pipe_flow_from_drop)
+from synth import random_connected_graph, random_water_network
 
 
 def test_drop_quadratic_pipe():
@@ -39,10 +43,37 @@ def test_pipe_law_inverse_consistency():
     rng = np.random.default_rng(8)
     for exp in (2.0, 1.852):
         law = PipeLaw(coefficient=2e-4, exponent=exp)
-        for drop in rng.uniform(-40, 40, size=20):
-            flow, slope = _pipe_flow_from_drop(drop, law)
+        drops = rng.uniform(-40, 40, size=20)
+        flows, slopes = _pipe_flow_from_drop(drops, _PipeLaws([law] * 20))
+        for drop, flow, slope in zip(drops, flows, slopes):
             assert_allclose(edge_pressure_drop(flow, law), drop, rtol=1e-10)
             assert slope > 0
+
+
+def _scalar_flow_from_drop(drop, c, e):
+    """Loop reference: the friction-law inverse for one drop, via libm pow."""
+    if abs(drop) <= c * LINEAR_FLOW_CUTOFF ** e:
+        slope = 1.0 / (c * LINEAR_FLOW_CUTOFF ** (e - 1.0))
+        return drop * slope, slope
+    x = abs(drop) / c
+    return math.copysign(x ** (1.0 / e), drop), x ** (1.0 / e - 1.0) / (c * e)
+
+
+def test_pipe_flow_from_drop_matches_scalar_loop_bit_for_bit():
+    # the array form must reproduce the scalar law exactly, last bit
+    # included, on both sides of the linear cutoff
+    rng = np.random.default_rng(12)
+    m = 2000
+    c = rng.uniform(1e-5, 1e-3, size=m)
+    e = np.where(rng.random(m) < 0.5, 2.0, 1.852)
+    drops = rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(-12, 2, size=m)
+    drops[:3] = 0.0, -0.0, c[2] * LINEAR_FLOW_CUTOFF ** e[2]
+    laws = [PipeLaw(coefficient=ci, exponent=ei) for ci, ei in zip(c, e)]
+    flows, slopes = _pipe_flow_from_drop(drops, _PipeLaws(laws))
+    ref = np.array([_scalar_flow_from_drop(d, ci, ei)
+                    for d, ci, ei in zip(drops, c, e)])
+    assert np.array_equal(flows, ref[:, 0])
+    assert np.array_equal(slopes, ref[:, 1])
 
 
 def test_law_validation():
@@ -100,6 +131,74 @@ def test_solution_satisfies_conservation_and_edge_laws():
             drop = sol.pressures[m] - sol.pressures[n]
             assert abs(drop - edge_pressure_drop(sol.flows[ei],
                                                  model.edge_laws[ei])) <= 1e-6
+
+
+def _tree_oracle(model, u):
+    """Flows from conservation alone, pressures summed from the reference.
+
+    On a pipe-only tree rooted at the single fixed-pressure node, each
+    edge carries the injection of the subtree below it, and each pressure
+    is its parent's minus the drop along the connecting pipe.
+    """
+    g = model.graph
+    root = model.pressure_nodes[0]
+    parent, order = {root: None}, [root]
+    for v in order:
+        for w in g.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    edge_of = {e: i for i, e in enumerate(g.edges)}
+    subtree = u.copy()
+    flows = np.zeros(len(g.edges))
+    for v in reversed(order[1:]):
+        p = parent[v]
+        subtree[p] += subtree[v]
+        # flow along the canonical pair; the subtree's net injection
+        # leaves v toward its parent
+        flows[edge_of[min(p, v), max(p, v)]] = subtree[v] if v < p else -subtree[v]
+    pressures = np.zeros(g.node_count)
+    pressures[root] = u[root]
+    for v in order[1:]:
+        p = parent[v]
+        ei = edge_of[min(p, v), max(p, v)]
+        drop = edge_pressure_drop(flows[ei], model.edge_laws[ei])
+        pressures[v] = pressures[p] - drop if p < v else pressures[p] + drop
+    return pressures, flows
+
+
+# the xfail comes off once the solver converges wherever a solution exists
+@pytest.mark.parametrize("n", [
+    10, 50, 80,
+    pytest.param(200, marks=pytest.mark.xfail(
+        strict=True, raises=HydraulicInfeasibleError,
+        reason="ROADMAP item 3: damped Newton stalls on large trees")),
+])
+def test_tree_networks_match_conservation_oracle(n):
+    rng = np.random.default_rng([7, n])
+    graph = random_connected_graph(rng, n, extra_edges=0)
+    laws = tuple(PipeLaw(coefficient=float(rng.uniform(1e-5, 1e-3)),
+                         exponent=2.0 if rng.random() < 0.7 else 1.852)
+                 for _ in graph.edges)
+    model = WaterModel(graph=graph, edge_laws=laws, pressure_nodes=(0,))
+    u = np.concatenate(([rng.uniform(5.0, 50.0)],
+                        -rng.uniform(5.0, 120.0, size=n - 1)))
+    sol = solve_network(u, model)
+    pressures, flows = _tree_oracle(model, u)
+    assert_allclose(sol.flows, flows, rtol=1e-9, atol=1e-7)
+    assert_allclose(sol.pressures, pressures, rtol=1e-9, atol=1e-6)
+
+
+def test_pump_between_fixed_nodes_is_singular():
+    # neither end of the pump is free, so its constraint row has no
+    # pressure entry and the hydraulic Jacobian is singular
+    g = Graph(node_count=3, edges=((0, 1), (1, 2)))
+    model = WaterModel(graph=g,
+                       edge_laws=(PumpLaw(gain=10.0),
+                                  PipeLaw(coefficient=0.001)),
+                       pressure_nodes=(0, 1))
+    with pytest.raises(HydraulicInfeasibleError, match="singular"):
+        solve_network(np.array([5.0, 5.0, -10.0]), model)
 
 
 def test_pump_chain_boosts_pressure():

@@ -97,8 +97,8 @@ def is_equilibrium(u, beacons, u_next, beacons_next, eps_eq: float = 1e-8) -> bo
         raise ValueError("states disagree in dimension")
     if not len(u):
         return True
-    return float(np.max(np.abs(u_next - u))) <= eps_eq and \
-        float(np.max(np.abs(beacons_next - beacons))) <= eps_eq
+    return bool(abs(u_next - u).max() <= eps_eq
+                and abs(beacons_next - beacons).max() <= eps_eq)
 
 
 def auto_gains(plant, adjacency, u0=None, target_norm: float = 0.5) -> ProtocolGains:

@@ -8,6 +8,7 @@ Power quantities are entered in MVAr against a configured MVA base and
 held per-unit internally; water pressures are meters and injections m^3/hr.
 """
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -63,9 +64,12 @@ def _num(doc, key, where, default=None):
             raise ScenarioError(f"{where}: missing required key '{key}'")
         return float(default)
     try:
-        return float(doc[key])
+        value = float(doc[key])
     except (TypeError, ValueError):
         raise ScenarioError(f"{where}.{key}: expected a number") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}.{key}: expected a finite number")
+    return value
 
 
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:

@@ -227,8 +227,7 @@ def disrupted_setup(scenario: Scenario):
     return plant, u0
 
 
-def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray,
-                  adjacency: np.ndarray):
+def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
     n = plant.control_dim
     if scenario.comm_graph.node_count != n:
         raise ScenarioError("communication graph size disagrees with plant")
@@ -236,6 +235,14 @@ def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray,
         raise ScenarioError("communication graph must be connected")
     if u0.shape != (n,):
         raise ScenarioError("initial control has the wrong length")
+    for name in ("eps_eq", "eps_feas"):
+        if not 0.0 < getattr(scenario, name) < np.inf:
+            raise ScenarioError(f"{name} must be finite and positive")
+    for name, values in (("initial control", u0), ("u_lower", plant.u_lower),
+                         ("u_upper", plant.u_upper),
+                         ("y_lower", plant.y_lower)):
+        if not np.isfinite(values).all():
+            raise ScenarioError(f"{name} must be finite")
     if np.any(u0 < plant.u_lower - scenario.eps_feas) or \
             np.any(u0 > plant.u_upper + scenario.eps_feas):
         raise ScenarioError("initial control violates its box limits")
@@ -248,13 +255,35 @@ def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray,
 
 
 def run(scenario: Scenario):
-    """Execute the scenario; returns (Outcome, list of TraceRecord)."""
+    """Execute the scenario; returns (Outcome, list of TraceRecord).
+
+    Each round solves the plant, computes the deficit and takes one protocol
+    round. The stopping rules are tested in this order, and the first that
+    holds ends the run:
+
+      1. solver_failure: the plant solve raised a SolverError or returned a
+         non-finite reading;
+      2. exact fixed point: neither controls nor beacons changed at all;
+      3. eps_eq with every control pinned: every control sits within eps_eq
+         of its ceiling and nothing moved more than eps_eq;
+      4. eps_eq with the deficit cleared: no deficit is above eps_feas and
+         nothing moved more than eps_eq;
+      5. stall window: every control has been pinned with the same deficit,
+         above eps_feas, for stall_window rounds in a row (status stalled);
+      6. budget: the round budget ran out (status budget_exceeded).
+
+    Rules 2 to 4 end in "converged" when the terminal control passes the
+    feasibility check and in "stalled" otherwise. A state that moved less
+    than eps_eq but is neither pinned nor clear of its deficit keeps going:
+    it may still be crawling toward a feasible point through a weakly
+    coupled agent.
+    """
     try:
         plant, u0 = disrupted_setup(scenario)
     except ModelError as exc:
         raise ScenarioError(f"disruption left an invalid plant: {exc}") from exc
+    _validate_run(scenario, plant, u0)
     adjacency = adjacency_matrix(scenario.comm_graph)
-    _validate_run(scenario, plant, u0, adjacency)
     gains = scenario.gains
     if gains is None:
         gains = auto_gains(plant, adjacency, u0)
@@ -266,6 +295,10 @@ def run(scenario: Scenario):
 
     n = len(u0)
     u, beacons = u0, np.zeros(n)
+    u_upper, y_lower = plant.u_upper, plant.y_lower
+    measured = plant.measured_nodes
+    eps_eq, eps_feas = scenario.eps_eq, scenario.eps_feas
+    pinned = u_upper - eps_eq
     records = []
     start = time.perf_counter()
     keep = max(1, int(scenario.trace_decimation))
@@ -275,9 +308,9 @@ def run(scenario: Scenario):
     def classify(status, rounds, equilibrium, detail=""):
         feas = False
         if status != "solver_failure":
-            feas = feasibility_check(plant, u, scenario.eps_feas)
-        max_v = float(np.max(deficit)) if n else 0.0
-        max_b = float(np.max(beacons)) if n else 0.0
+            feas = feasibility_check(plant, u, eps_feas)
+        max_v = float(deficit.max()) if n else 0.0
+        max_b = float(beacons.max()) if n else 0.0
         if status == "equilibrium":
             status = "converged" if feas else "stalled"
         return Outcome(status=status, rounds=rounds, feasible=feas,
@@ -288,30 +321,26 @@ def run(scenario: Scenario):
     for t in range(1, scenario.budget + 1):
         try:
             y = plant.solve(u)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise SolverError(f"round {t}: plant output is not finite")
         except SolverError as exc:
             outcome = Outcome(status="solver_failure", rounds=t,
                               feasible=False, equilibrium=False,
                               max_violation=float("nan"),
-                              max_beacon=float(np.max(beacons)),
+                              max_beacon=float(beacons.max()),
                               detail=str(exc))
             return outcome, records
-        deficit = violation(y, plant.y_lower, plant.measured_nodes, n)
+        deficit = violation(y, y_lower, measured, n)
         u_next, beacons_next, messages = protocol_round(
-            u, beacons, deficit, gains, adjacency, plant.u_upper)
-        at_ceiling = bool(np.all(u_next >= plant.u_upper - scenario.eps_eq))
-        deficit_cleared = float(np.max(deficit, initial=0.0)) <= scenario.eps_feas
-        # a state that moved less than eps_eq may still be crawling toward a
-        # feasible point through a weakly coupled agent; only stop once the
-        # deficit has cleared, every control is pinned, or nothing moved at
-        # all (an exact fixed point cannot move later)
-        exact_fixed = np.array_equal(u_next, u) and \
-            np.array_equal(beacons_next, beacons)
-        reached_eq = exact_fixed or (
-            is_equilibrium(u, beacons, u_next, beacons_next, scenario.eps_eq)
-            and (deficit_cleared or at_ceiling))
-        if prev_deficit is not None and at_ceiling and \
+            u, beacons, deficit, gains, adjacency, u_upper)
+        at_ceiling = (u_next >= pinned).all()
+        # rules 2 to 4 of the docstring; the eps_eq test runs only when
+        # the pinned or cleared test lets it decide
+        reached_eq = (np.array_equal(u_next, u)
+                      and np.array_equal(beacons_next, beacons)) or (
+            (at_ceiling or deficit.max(initial=0.0) <= eps_feas)
+            and is_equilibrium(u, beacons, u_next, beacons_next, eps_eq))
+        if at_ceiling and prev_deficit is not None and \
                 np.array_equal(deficit, prev_deficit):
             frozen_rounds += 1
         else:
@@ -324,8 +353,7 @@ def run(scenario: Scenario):
                 messages=messages, wall_time=time.perf_counter() - start))
         if reached_eq:
             return classify("equilibrium", t, True), records
-        if frozen_rounds >= scenario.stall_window and \
-                float(np.max(deficit)) > scenario.eps_feas:
+        if frozen_rounds >= scenario.stall_window and deficit.max() > eps_feas:
             return classify("stalled", t, False,
                             detail="controls pinned at the ceiling with a "
                                    "persistent violation"), records
@@ -351,6 +379,14 @@ def _versus_previous(compare, u, u0):
     return np.concatenate((first, compare(u[1:], u[:-1])))
 
 
+def _stacked(records, name):
+    """One field of every record as a (records, agents) array."""
+    rows = [getattr(r, name) for r in records]
+    if len(set(map(len, rows))) > 1:
+        raise ValueError(f"trace records disagree in the length of {name}")
+    return np.concatenate(rows).reshape(len(records), -1)
+
+
 def _first_rounds(mask, records) -> dict:
     """{agent: first round whose row of mask is set}, in order of that round."""
     agents = np.flatnonzero(mask.any(axis=0))
@@ -371,8 +407,8 @@ def message_stats(records, comm_graph: Graph, u0=None) -> MessageStats:
     if not records:
         raise ValueError("empty trace")
     per_round = tuple(r.messages for r in records)
-    u = np.stack([r.u for r in records])
-    beaconing = np.stack([r.beacons for r in records]) > 0
+    u = _stacked(records, "u")
+    beaconing = _stacked(records, "beacons") > 0
     first_beacon = _first_rounds(beaconing, records)
     first_assistance = dict(sorted(_first_rounds(
         beaconing @ (adjacency_matrix(comm_graph) > 0), records).items()))
@@ -394,8 +430,8 @@ def verify_trace(records, comm_graph: Graph, u_upper, u0=None) -> list:
     if not records:
         return []
     u_upper = np.asarray(u_upper, dtype=float)
-    u = np.stack([r.u for r in records])
-    beacons = np.stack([r.beacons for r in records])
+    u = _stacked(records, "u")
+    beacons = _stacked(records, "beacons")
     beaconing = beacons > 0
     expect = beaconing @ adjacency_matrix(comm_graph).sum(axis=1).astype(int)
     flags = np.column_stack((np.any(_versus_previous(np.less, u, u0), axis=1),

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from ripplesim.cli import main
 from ripplesim.scenario_io import bundled_scenario_path
@@ -198,3 +199,19 @@ def test_simulate_non_finite_plant_output_exit(tmp_path):
     assert summary["outcome"]["status"] == "solver_failure"
     assert summary["outcome"]["max_violation"] is None
     assert summary["terminal_y"] == [None]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["initial"].update(u0=[float("nan"), 0.0]),
+    lambda doc: doc["plant"].update(u_upper=[float("nan"), 1.0]),
+    lambda doc: doc["plant"].update(u_upper=[0.5, float("inf")]),
+    lambda doc: doc["plant"].update(u_lower=[-float("inf"), 0.0]),
+    lambda doc: doc["plant"].update(y_lower=[float("nan")]),
+    lambda doc: doc["run"].update(eps_eq=float("nan")),
+    lambda doc: doc["run"].update(eps_eq=-1.0),
+    lambda doc: doc["run"].update(eps_feas=float("nan")),
+], ids=["u0-nan", "u_upper-nan", "u_upper-inf", "u_lower-minus-inf",
+        "y_lower-nan", "eps_eq-nan", "eps_eq-negative", "eps_feas-nan"])
+def test_simulate_rejects_non_finite_run_numbers(tmp_path, edit):
+    path = write_cascade(tmp_path, edit)
+    assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 2

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -47,6 +48,20 @@ def test_verify_trace_reports_each_broken_invariant():
     ]
     for records, problem in cases:
         assert verify_trace(records, graph, u_upper, u0) == [problem]
+
+
+def test_audit_rejects_records_of_different_lengths():
+    # three records of lengths 2, 1 and 3 hold six entries, which would
+    # fill a 3 x 2 array if nobody checked the lengths
+    graph = Graph(node_count=2, edges=((0, 1),))
+    records = [TraceRecord(round=t, u=np.zeros(k), y=np.zeros(1),
+                           deficit=np.zeros(k), beacons=np.zeros(k),
+                           messages=0, wall_time=0.0)
+               for t, k in enumerate((2, 1, 3), start=1)]
+    with pytest.raises(ValueError):
+        verify_trace(records, graph, np.ones(2))
+    with pytest.raises(ValueError):
+        message_stats(records, graph)
 
 
 def small_water_plant():
@@ -294,3 +309,107 @@ def test_bundled_runs_are_pinned(name, status, rounds, n_records, messages):
     assert (outcome.status, outcome.rounds) == (status, rounds)
     assert len(records) == n_records
     assert sum(r.messages for r in records) == messages
+
+
+def single_agent(eta1=0.5, **knobs):
+    """One agent with y = u, a floor of 1 and a ceiling of 2, from u0 = 0."""
+    plant = LinearPlant(sensitivity=[[1.0]], offset=[0.0], u_lower=[0.0],
+                        u_upper=[2.0], y_lower=[1.0], measured_nodes=[0])
+    return Scenario(plant=plant, comm_graph=Graph(node_count=1, edges=()),
+                    u0=np.zeros(1),
+                    gains=ProtocolGains(eta1=[eta1], eta2=[1.0], eta3=[1.0]),
+                    **knobs)
+
+
+def stop(scenario):
+    outcome, records = run(scenario)
+    return (outcome.status, outcome.rounds, outcome.equilibrium), records
+
+
+def test_stop_at_exact_fixed_point():
+    # the step eta1 * deficit is below half an ulp of u = 1e6, so nothing
+    # moves although the deficit (1e-3) stays above eps_feas
+    plant = LinearPlant(sensitivity=[[1.0]], offset=[0.0], u_lower=[0.0],
+                        u_upper=[2e6], y_lower=[1e6 + 1e-3],
+                        measured_nodes=[0])
+    scenario = Scenario(plant=plant, comm_graph=Graph(node_count=1, edges=()),
+                        u0=np.array([1e6]),
+                        gains=ProtocolGains(eta1=[1e-9], eta2=[1.0],
+                                            eta3=[1.0]))
+    result, records = stop(scenario)
+    assert result == ("stalled", 1, True)
+    assert_array_equal(records[-1].u, scenario.u0)
+    assert records[-1].deficit[0] > scenario.eps_feas
+
+
+def test_stop_at_eps_eq_with_the_deficit_cleared():
+    # u_t = 1 - 2^-t: the deficit 2^-(t-1) is below eps_feas = 1e-6 from
+    # round 21, but the step 2^-t stays above eps_eq = 1e-8 until round 27
+    result, records = stop(single_agent())
+    assert result == ("converged", 27, True)
+    assert records[-1].u[0] == 1.0 - 2.0 ** -27
+    assert records[-2].u[0] != records[-1].u[0]
+
+
+def test_stop_at_eps_eq_with_every_control_pinned():
+    # both ceilings are too low; once pinned, the beacons contract toward
+    # (0.4, 0.2) and stop moving by more than eps_eq before they stop
+    # moving at all, while the deficit stays at 0.3
+    scenario = cascade_scenario(u_upper=(0.3, 0.4))
+    result, records = stop(scenario)
+    assert result == ("stalled", 28, True)
+    assert_array_equal(records[-1].u, [0.3, 0.4])
+    assert not np.array_equal(records[-1].beacons, records[-2].beacons)
+    assert_allclose(records[-1].beacons, [0.4, 0.2], atol=1e-8)
+    assert records[-1].deficit[0] > scenario.eps_feas
+
+
+def test_stop_at_the_stall_window():
+    # eta2 = 2 makes the beacon relay expand (gain norm 2, hence the
+    # override): beacons grow without end at a pinned state whose deficit
+    # is 0.3 from round 3 on, so the frozen count reaches 100 in round 103
+    scenario = cascade_scenario(u_upper=(0.3, 0.4))
+    scenario.gains = ProtocolGains(eta1=np.ones(2), eta2=np.full(2, 2.0),
+                                   eta3=np.ones(2))
+    scenario.override_gain_check = True
+    result, records = stop(scenario)
+    assert result == ("stalled", 103, False)
+    assert records[-1].beacons[0] > records[-2].beacons[0] > 1e20
+
+
+def test_stop_at_the_budget():
+    result, records = stop(single_agent(budget=5))
+    assert result == ("budget_exceeded", 5, False)
+    assert len(records) == 5
+
+
+def test_crawl_below_eps_eq_keeps_running():
+    # every step (at most eta1 = 0.005) is below eps_eq = 1e-2, but the
+    # agent is neither pinned nor clear of its deficit 0.995^(t-1) until
+    # that deficit drops below eps_feas
+    scenario = single_agent(eta1=0.005, eps_eq=1e-2)
+    result, records = stop(scenario)
+    rounds = 1 + math.ceil(math.log(scenario.eps_feas) / math.log(0.995))
+    assert rounds == 2758
+    assert result == ("converged", rounds, True)
+    assert records[-2].deficit[0] > scenario.eps_feas
+
+
+@pytest.mark.parametrize("field, value", [
+    ("u0", np.array([np.nan, 0.0])),
+    ("u_lower", np.array([-np.inf, 0.0])),
+    ("u_upper", np.array([0.5, np.inf])),
+    ("y_lower", np.array([np.nan])),
+    ("eps_eq", np.nan),
+    ("eps_eq", -1.0),
+    ("eps_feas", np.inf),
+    ("eps_feas", 0.0),
+])
+def test_run_rejects_non_finite_run_numbers(field, value):
+    scenario = cascade_scenario()
+    owner = scenario.plant if field in ("u_lower", "u_upper", "y_lower") \
+        else scenario
+    setattr(owner, field, value)
+    with pytest.raises(ScenarioError, match=field if field.startswith("eps")
+                       else "finite"):
+        run(scenario)

@@ -24,9 +24,17 @@ class PlantModel(abc.ABC):
         measured_nodes:   sorted node indices carrying output sensors
         y_lower:          output floors aligned with measured_nodes
         solve(u):         outputs over measured_nodes for control u
+        solve_from(u, start=None) -> (y, state):
+                          the same outputs, solved from the state a previous
+                          solve_from returned (None: the cold start of solve)
 
     solve must be a pure function of u (same input, same output) and must
     not keep mutable state across calls, so concurrent read-only use is safe.
+    The state is the plant's own solver unknowns at the solution, opaque to
+    callers; an iteratively solved plant passes it to its next solve as the
+    starting point, so a control that moved little converges in few steps.
+    A warm solve agrees with the cold one to within the solver tolerance. The
+    default has no state to reuse: it returns (solve(u), None).
     """
 
     u_lower: np.ndarray
@@ -41,6 +49,10 @@ class PlantModel(abc.ABC):
     @abc.abstractmethod
     def solve(self, u: np.ndarray) -> np.ndarray:
         """Return outputs over measured_nodes for control vector u."""
+
+    def solve_from(self, u: np.ndarray, start=None):
+        """Return (outputs, state), solving from start, a previous state."""
+        return self.solve(u), None
 
     def _check_limit_shapes(self):
         if self.u_lower.shape != self.u_upper.shape:

@@ -202,7 +202,13 @@ class GridPlant(PlantModel):
         self._check_limit_shapes()
 
     def solve(self, u):
+        return self.solve_from(u)[0]
+
+    def solve_from(self, u, start=None):
+        """Load voltages solved from start, previous load voltages (None:
+        flat); they are both the outputs and the state."""
         u = np.asarray(u, dtype=float)
         q_load = u[list(self.grid.loads)]
         v_gen = u[list(self.grid.generators)]
-        return solve_load_voltages(q_load, v_gen, self.grid).v_load
+        v_load = solve_load_voltages(q_load, v_gen, self.grid, start).v_load
+        return v_load, v_load

@@ -72,6 +72,29 @@ def _num(doc, key, where, default=None):
     return value
 
 
+def _int(doc, key, where, default):
+    """An integer knob: a finite number without a fractional part."""
+    value = doc.get(key, default)
+    if isinstance(value, int):
+        return int(value)
+    value = _num(doc, key, where, default)
+    if not value.is_integer():
+        raise ScenarioError(f"{where}.{key}: expected an integer")
+    return int(value)
+
+
+def _finite_array(value, where):
+    """value as a float array; raises ScenarioError unless every entry is a
+    finite number."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{where}: expected numbers") from None
+    if not np.isfinite(arr).all():
+        raise ScenarioError(f"{where}: expected finite numbers")
+    return arr
+
+
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(f"{source}: scenario document must be an object")
@@ -100,12 +123,13 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     if "u0" in init_doc:
         raw = init_doc["u0"]
         if isinstance(raw, dict):
-            for lab, val in raw.items():
-                u0[_resolve(index, lab, "initial.u0")] = float(val)
+            for lab in raw:
+                u0[_resolve(index, lab, "initial.u0")] = _num(
+                    raw, lab, "initial.u0")
         else:
             if len(raw) != len(labels):
                 raise ScenarioError("initial.u0: wrong length")
-            u0 = np.asarray(raw, dtype=float)
+            u0 = _finite_array(raw, "initial.u0")
 
     gains = _gains(doc.get("gains", "auto"), len(labels))
     disruptions = tuple(_event(ev, index, i)
@@ -118,13 +142,13 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
         u0=u0,
         gains=gains,
         disruptions=disruptions,
-        budget=int(run_doc.get("budget", 100_000)),
+        budget=_int(run_doc, "budget", "run", 100_000),
         eps_eq=_num(run_doc, "eps_eq", "run", 1e-8),
         eps_feas=_num(run_doc, "eps_feas", "run", 1e-6),
-        stall_window=int(run_doc.get("stall_window", 100)),
-        trace_decimation=int(run_doc.get("trace_decimation", 1)),
+        stall_window=_int(run_doc, "stall_window", "run", 100),
+        trace_decimation=_int(run_doc, "trace_decimation", "run", 1),
         override_gain_check=bool(run_doc.get("override_gain_check", False)),
-        seed=int(run_doc.get("seed", 0)),
+        seed=_int(run_doc, "seed", "run", 0),
         labels=tuple(labels),
     )
     scenario.raw = _normalized(doc)
@@ -178,11 +202,11 @@ def _event(ev, index, i):
     elif kind == "demand_change":
         params["node"] = _resolve(index, _need(ev, "node", where), where)
         if "set" in ev:
-            params["set"] = float(ev["set"])
+            params["set"] = _num(ev, "set", where)
         if "scale" in ev:
-            params["scale"] = float(ev["scale"])
+            params["scale"] = _num(ev, "scale", where)
         if "flexibility" in ev:
-            params["flexibility"] = float(ev["flexibility"])
+            params["flexibility"] = _num(ev, "flexibility", where)
         if "set" not in params and "scale" not in params:
             raise ScenarioError(f"{where}: demand_change needs 'set' or 'scale'")
     elif kind == "parameter_change":
@@ -191,9 +215,10 @@ def _event(ev, index, i):
             params["edge"] = (_resolve(index, pair[0], where),
                               _resolve(index, pair[1], where))
         if "susceptance" in ev:
-            params["susceptance"] = float(ev["susceptance"])
+            params["susceptance"] = _num(ev, "susceptance", where)
         if "offset" in ev:
-            params["offset"] = tuple(float(x) for x in ev["offset"])
+            offset = _finite_array(ev["offset"], f"{where}.offset")
+            params["offset"] = tuple(offset.ravel().tolist())
     else:
         raise ScenarioError(f"{where}: unknown disruption kind '{kind}'")
     return DisruptionEvent(kind=kind, params=params)
@@ -331,15 +356,16 @@ def _align_laws(declared_edges, laws, graph: Graph):
 
 
 def _linear_plant(doc):
-    sens = np.asarray(_need(doc, "sensitivity", "plant"), dtype=float)
+    sens = _finite_array(_need(doc, "sensitivity", "plant"),
+                         "plant.sensitivity")
     if sens.ndim != 2:
         raise ScenarioError("plant.sensitivity: expected a matrix")
     m, n = sens.shape
     labels = [str(x) for x in doc.get("labels", [str(i + 1) for i in range(n)])]
-    offset = np.asarray(doc.get("offset", np.zeros(m)), dtype=float)
-    u_lower = np.asarray(_need(doc, "u_lower", "plant"), dtype=float)
-    u_upper = np.asarray(_need(doc, "u_upper", "plant"), dtype=float)
-    y_lower = np.asarray(_need(doc, "y_lower", "plant"), dtype=float)
+    offset = _finite_array(doc.get("offset", np.zeros(m)), "plant.offset")
+    u_lower, u_upper, y_lower = (_finite_array(_need(doc, key, "plant"),
+                                               f"plant.{key}")
+                                 for key in ("u_lower", "u_upper", "y_lower"))
     index = {lab: i for i, lab in enumerate(labels)}
     measured = tuple(_resolve(index, lab, "plant.measured")
                      for lab in _need(doc, "measured", "plant"))

@@ -2,8 +2,10 @@
 
 A run applies the scenario's disruption events to the plant, then loops
 plant solve -> protocol round until the state stops moving or the round
-budget runs out. Each retained round yields a TraceRecord; the terminal
-state is classified into an Outcome. Runs are single-threaded and
+budget runs out. Each round's plant solve is warm-started from the
+previous round's solution (PlantModel.solve_from), since the control moves
+little from round to round. Each retained round yields a TraceRecord; the
+terminal state is classified into an Outcome. Runs are single-threaded and
 deterministic: the same scenario yields bit-identical traces.
 """
 import time
@@ -228,6 +230,7 @@ def disrupted_setup(scenario: Scenario):
 
 
 def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
+    """Reject a run that cannot start; returns the plant's solve state at u0."""
     n = plant.control_dim
     if scenario.comm_graph.node_count != n:
         raise ScenarioError("communication graph size disagrees with plant")
@@ -247,7 +250,7 @@ def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
             np.any(u0 > plant.u_upper + scenario.eps_feas):
         raise ScenarioError("initial control violates its box limits")
     try:
-        plant.solve(u0)
+        return plant.solve_from(u0)[1]
     except (SolverError, ModelError) as exc:
         raise ScenarioError(
             f"disrupted plant is not solvable at the initial control: {exc}"
@@ -258,11 +261,14 @@ def run(scenario: Scenario):
     """Execute the scenario; returns (Outcome, list of TraceRecord).
 
     Each round solves the plant, computes the deficit and takes one protocol
-    round. The stopping rules are tested in this order, and the first that
-    holds ends the run:
+    round. The solve is warm-started from the previous round's solution (the
+    first round from the solve at u0 that validates the run); a warm solve
+    that raises a SolverError is retried once from the cold start, so a warm
+    start never fails a round that the cold solve passes. The stopping rules
+    are tested in this order, and the first that holds ends the run:
 
-      1. solver_failure: the plant solve raised a SolverError or returned a
-         non-finite reading;
+      1. solver_failure: the plant solve (the cold retry, after a warm
+         start) raised a SolverError or returned a non-finite reading;
       2. exact fixed point: neither controls nor beacons changed at all;
       3. eps_eq with every control pinned: every control sits within eps_eq
          of its ceiling and nothing moved more than eps_eq;
@@ -282,7 +288,7 @@ def run(scenario: Scenario):
         plant, u0 = disrupted_setup(scenario)
     except ModelError as exc:
         raise ScenarioError(f"disruption left an invalid plant: {exc}") from exc
-    _validate_run(scenario, plant, u0)
+    state = _validate_run(scenario, plant, u0)
     adjacency = adjacency_matrix(scenario.comm_graph)
     gains = scenario.gains
     if gains is None:
@@ -320,7 +326,12 @@ def run(scenario: Scenario):
     deficit = np.zeros(n)
     for t in range(1, scenario.budget + 1):
         try:
-            y = plant.solve(u)
+            try:
+                y, state = plant.solve_from(u, state)
+            except SolverError:
+                if state is None:
+                    raise
+                y, state = plant.solve_from(u)
             if not np.isfinite(y).all():
                 raise SolverError(f"round {t}: plant output is not finite")
         except SolverError as exc:
@@ -336,12 +347,12 @@ def run(scenario: Scenario):
         at_ceiling = (u_next >= pinned).all()
         # rules 2 to 4 of the docstring; the eps_eq test runs only when
         # the pinned or cleared test lets it decide
-        reached_eq = (np.array_equal(u_next, u)
-                      and np.array_equal(beacons_next, beacons)) or (
+        reached_eq = ((u_next == u).all()
+                      and (beacons_next == beacons).all()) or (
             (at_ceiling or deficit.max(initial=0.0) <= eps_feas)
             and is_equilibrium(u, beacons, u_next, beacons_next, eps_eq))
         if at_ceiling and prev_deficit is not None and \
-                np.array_equal(deficit, prev_deficit):
+                (deficit == prev_deficit).all():
             frozen_rounds += 1
         else:
             frozen_rounds = 0

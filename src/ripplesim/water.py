@@ -158,6 +158,12 @@ class _Incidence:
                                  np.stack((c, c, t, h), axis=1)).ravel()
         self.jac_signs = np.tile([-1.0, 1.0, 1.0, -1.0], len(t))
 
+    def unknowns(self, sol):
+        """The Newton unknowns at a solution: free pressures, then pump flows."""
+        q = sol.flows[self.edges[self.n_pipes:]]
+        return np.concatenate((sol.pressures[self.free],
+                               np.where(self.flip[self.n_pipes:], -q, q)))
+
 
 @dataclass(frozen=True)
 class WaterModel:
@@ -202,14 +208,19 @@ class HydraulicSolution:
 
 
 def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
-                  max_iter: int = MAX_HYDRAULIC_ITER) -> HydraulicSolution:
+                  max_iter: int = MAX_HYDRAULIC_ITER,
+                  x0=None) -> HydraulicSolution:
     """Solve for nodal pressures and edge flows given the control vector.
 
     u holds one entry per node: pressure (m) at fixed-pressure nodes,
-    injection (m^3/hr) everywhere else. Raises ModelError when some node
-    cannot reach a fixed-pressure node, HydraulicInfeasibleError when the
-    Newton iteration fails, and PumpReverseFlowError when the solution
-    would push flow backwards through a pump.
+    injection (m^3/hr) everywhere else. The Newton iteration starts from x0,
+    the free pressures then the pump flows in law order (as returned by
+    model._incidence.unknowns), or, when x0 is None, from every free
+    pressure at the mean fixed pressure and no pump flow. Raises ModelError
+    when some node cannot reach a fixed-pressure node or x0 has the wrong
+    length, HydraulicInfeasibleError when the Newton iteration fails, and
+    PumpReverseFlowError when the solution would push flow backwards
+    through a pump.
     """
     u = np.asarray(u, dtype=float)
     n = model.graph.node_count
@@ -244,9 +255,13 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
         np.add.at(jac, (net.jac_rows, net.jac_cols), slope * net.jac_signs)
         return jac[:-1, :-1]
 
+    if x0 is None:
+        x0 = np.concatenate((start[free], np.zeros(len(tail) - k)))
+    elif np.shape(x0) != (net.dim,):
+        raise ModelError("start vector must hold the free pressures and "
+                         "the pump flows")
     _, (pressures, q, _), rnorm, iters = damped_newton(
-        np.concatenate((start[free], np.zeros(len(tail) - k))),
-        residual, jacobian,
+        np.asarray(x0, dtype=float), residual, jacobian,
         lambda it: HydraulicInfeasibleError(
             f"singular hydraulic Jacobian at iteration {it}"),
         tol, max_iter)
@@ -303,5 +318,11 @@ class WaterPlant(PlantModel):
         self._check_limit_shapes()
 
     def solve(self, u):
-        sol = solve_network(np.asarray(u, dtype=float), self.model)
-        return sol.pressures[list(self.measured_nodes)]
+        return self.solve_from(u)[0]
+
+    def solve_from(self, u, start=None):
+        """Measured pressures solved from start, a previous state (None:
+        cold); the state is the converged Newton unknown vector."""
+        sol = solve_network(np.asarray(u, dtype=float), self.model, x0=start)
+        return (sol.pressures[list(self.measured_nodes)],
+                self.model._incidence.unknowns(sol))

@@ -186,9 +186,12 @@ def test_check_gains_overflowing_gains_fail(tmp_path, capsys):
     assert "inf -> fail" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_simulate_non_finite_plant_output_exit(tmp_path):
-    path = write_cascade(tmp_path,
-                         lambda doc: doc["plant"].update(offset=[float("nan")]))
+    # finite inputs whose reading overflows: 1.7e308 * (0.5 + 1.0) is inf
+    path = write_cascade(tmp_path, lambda doc: (
+        doc["plant"].update(sensitivity=[[1.7e308, 1.7e308]]),
+        doc["initial"].update(u0=[0.5, 1.0])))
     assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 3
 
     def reject(constant):
@@ -215,3 +218,26 @@ def test_simulate_non_finite_plant_output_exit(tmp_path):
 def test_simulate_rejects_non_finite_run_numbers(tmp_path, edit):
     path = write_cascade(tmp_path, edit)
     assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("knob, value", [
+    ("budget", float("nan")), ("budget", 2.5), ("stall_window", "x"),
+    ("trace_decimation", float("inf")), ("seed", [1]),
+])
+def test_simulate_rejects_malformed_integer_knobs(tmp_path, knob, value):
+    path = write_cascade(tmp_path, lambda doc: doc["run"].update({knob: value}))
+    assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "feasibility", "check-gains",
+                                     "check-monotonicity"])
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["plant"].update(u_upper=[0.5, float("inf")]),
+    lambda doc: doc["plant"].update(y_lower=[float("nan")]),
+], ids=["u_upper-inf", "y_lower-nan"])
+def test_non_finite_linear_plant_is_rejected_by_every_command(tmp_path,
+                                                              command, edit):
+    argv = [command, write_cascade(tmp_path, edit)]
+    if command == "simulate":
+        argv += ["--output-dir", str(tmp_path)]
+    assert main(argv) == 2

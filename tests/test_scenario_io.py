@@ -151,3 +151,46 @@ def test_bad_gains_rejected(bad):
     doc["gains"]["eta2"] = bad
     with pytest.raises(ScenarioError, match="eta2"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("plant", "sensitivity", [[1.0, float("nan")]]),
+    ("plant", "offset", [float("inf")]),
+    ("plant", "u_lower", [0.0, -float("inf")]),
+    ("plant", "u_upper", [0.5, float("inf")]),
+    ("plant", "u_upper", [0.5, "x"]),
+    ("plant", "y_lower", [float("nan")]),
+    ("initial", "u0", [float("nan"), 0.0]),
+    ("initial", "u0", {"b": float("inf")}),
+])
+def test_non_finite_linear_numbers_rejected(section, key, value):
+    doc = json.loads(json.dumps(MINIMAL_LINEAR))
+    doc[section][key] = value
+    with pytest.raises(ScenarioError, match=f"{section}.{key}"):
+        scenario_from_dict(doc)
+
+
+def test_non_finite_offset_event_rejected():
+    doc = json.loads(json.dumps(MINIMAL_LINEAR))
+    doc["disruption"] = [{"kind": "parameter_change",
+                          "offset": [float("nan")]}]
+    with pytest.raises(ScenarioError, match=r"disruption\[0\]\.offset"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, "x",
+                                   None, [3]])
+def test_integer_knobs_must_be_integral(value):
+    doc = json.loads(json.dumps(MINIMAL_LINEAR))
+    doc["run"]["stall_window"] = value
+    with pytest.raises(ScenarioError, match="run.stall_window"):
+        scenario_from_dict(doc)
+
+
+def test_integer_knobs_accept_integral_numbers():
+    doc = json.loads(json.dumps(MINIMAL_LINEAR))
+    doc["run"].update(budget=7.0, stall_window=9, seed=2 ** 70)
+    scenario = scenario_from_dict(doc)
+    assert (scenario.budget, scenario.stall_window, scenario.seed) == \
+        (7, 9, 2 ** 70)
+    assert type(scenario.budget) is int

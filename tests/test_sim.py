@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ripplesim import (DisruptionEvent, Graph, LinearPlant, PipeLaw,
-                       ProtocolGains, PumpLaw, Scenario, ScenarioError,
-                       TraceRecord, WaterModel, WaterPlant, apply_disruption,
-                       disrupted_setup, load_scenario, message_stats, run,
-                       verify_trace)
+from ripplesim import (DisruptionEvent, GridPlant, Graph, LinearPlant,
+                       PipeLaw, ProtocolGains, PumpLaw, Scenario,
+                       ScenarioError, SolverError, TraceRecord, WaterModel,
+                       WaterPlant, apply_disruption, disrupted_setup,
+                       load_scenario, message_stats, run, solve_load_voltages,
+                       solve_network, verify_trace)
 
 
 def cascade_scenario(u_upper=(0.5, 1.0)):
@@ -413,3 +414,64 @@ def test_run_rejects_non_finite_run_numbers(field, value):
     with pytest.raises(ScenarioError, match=field if field.startswith("eps")
                        else "finite"):
         run(scenario)
+
+
+def tight_cold_reading(plant, u):
+    """The plant reading at u, solved from the flat start to a tolerance
+    far below the solvers' own."""
+    if isinstance(plant, GridPlant):
+        grid = plant.grid
+        return solve_load_voltages(u[list(grid.loads)],
+                                   u[list(grid.generators)], grid,
+                                   tol=1e-13).v_load
+    sol = solve_network(u, plant.model, tol=1e-12)
+    return sol.pressures[list(plant.measured_nodes)]
+
+
+@pytest.mark.parametrize("name", ["pjm5", "wds10"])
+def test_warm_started_readings_match_a_tight_cold_solve(name):
+    scenario = load_scenario(name)
+    plant, u_prev = disrupted_setup(scenario)
+    _, records = run(scenario)
+    # record t holds the reading at the control before its own update
+    for r in records:
+        assert_allclose(r.y, tight_cold_reading(plant, u_prev),
+                        rtol=0, atol=1e-9)
+        u_prev = r.u
+
+
+@pytest.mark.parametrize("name", ["pjm5", "wds10"])
+def test_warm_start_at_the_solution_reproduces_the_cold_reading(name):
+    plant, u0 = disrupted_setup(load_scenario(name))
+    u1 = u0 + 0.01 * (plant.u_upper - plant.u_lower)
+    for u in (u0, u1):
+        y, state = plant.solve_from(u)
+        assert y.tobytes() == plant.solve(u).tobytes()
+        y_warm, state_warm = plant.solve_from(u, state)
+        assert y_warm.tobytes() == y.tobytes()
+        assert state_warm.tobytes() == state.tobytes()
+
+
+def test_failed_warm_start_falls_back_to_the_cold_solve():
+    scenario = load_scenario("pjm5")
+    plant, u0 = disrupted_setup(scenario)
+    _, v_load = plant.solve_from(u0)
+    with pytest.raises(SolverError):
+        plant.solve_from(u0, -v_load)
+
+    class Misled(GridPlant):
+        """Hands every warm solve negative load voltages as its start."""
+
+        def solve_from(self, u, start=None):
+            y, state = super().solve_from(u, start)
+            return y, -state
+
+    misled = Misled(plant.grid, plant.u_lower, plant.u_upper, plant.y_lower)
+    outcome, records = run(Scenario(
+        plant=misled, comm_graph=scenario.comm_graph, u0=u0,
+        gains=scenario.gains, budget=40))
+    assert (outcome.status, outcome.rounds) == ("budget_exceeded", 40)
+    u_prev = u0
+    for r in records:
+        assert r.y.tobytes() == plant.solve(u_prev).tobytes()
+        u_prev = r.u

@@ -52,13 +52,6 @@ class Graph:
             adj[n].append(m)
         return tuple(tuple(sorted(a)) for a in adj)
 
-    def neighbors(self, node):
-        """Adjacent node indices, ascending."""
-        return self._neighbor_lists[node]
-
-    def degree(self, node):
-        return len(self._neighbor_lists[node])
-
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix with zero diagonal."""

@@ -8,7 +8,6 @@ little from round to round. Each retained round yields a TraceRecord; the
 terminal state is classified into an Outcome. Runs are single-threaded and
 deterministic: the same scenario yields bit-identical traces.
 """
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +76,6 @@ class TraceRecord:
     deficit: np.ndarray
     beacons: np.ndarray
     messages: int
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -306,7 +304,6 @@ def run(scenario: Scenario):
     eps_eq, eps_feas = scenario.eps_eq, scenario.eps_feas
     pinned = u_upper - eps_eq
     records = []
-    start = time.perf_counter()
     keep = max(1, int(scenario.trace_decimation))
     prev_deficit = None
     frozen_rounds = 0
@@ -361,7 +358,7 @@ def run(scenario: Scenario):
         if t % keep == 0 or t == 1 or reached_eq:
             records.append(TraceRecord(
                 round=t, u=u, y=y, deficit=deficit, beacons=beacons,
-                messages=messages, wall_time=time.perf_counter() - start))
+                messages=messages))
         if reached_eq:
             return classify("equilibrium", t, True), records
         if frozen_rounds >= scenario.stall_window and deficit.max() > eps_feas:

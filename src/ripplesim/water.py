@@ -8,12 +8,16 @@ segment below a small cutoff flow so the slope neither vanishes nor blows
 up at zero. Fixed-speed pumps add a constant pressure gain along their
 design direction and refuse reverse flow.
 
-The solve treats pressures at non-fixed nodes and pump flows as unknowns:
-pipe flows follow from pressure differences by inverting the friction law,
-pump constraint rows pin the pressure difference across each pump, and
-the damped Newton shared with the grid solver (plant.damped_newton)
-drives the nodal imbalances to zero. At least one node must hold a fixed
-pressure, and every node must reach one through the network.
+The solve is the global gradient method of Todini & Pilati (1988). Its
+unknowns are the edge flows and the pressures at non-fixed nodes: one row
+per pipe matches the friction drop of its flow to the pressure difference
+across it, one row per pump matches that difference to the pump's gain,
+and one row per non-fixed node conserves flow. The damped Newton shared
+with the grid solver (plant.damped_newton) solves this system with its
+full saddle-point Jacobian. Only the forward friction law is evaluated,
+and the linear segment bounds its slope below, so no pipe row degenerates.
+At least one node must hold a fixed pressure, and every node must reach
+one through the network.
 """
 from dataclasses import dataclass
 
@@ -63,6 +67,19 @@ class PumpLaw:
             raise ModelError("pump gain must be positive")
 
 
+def _friction(flow, coefficient, exponent):
+    """The regularized friction law, elementwise: (drop, d drop / d flow).
+
+    drop = coefficient * max(|flow|, cutoff)^(exponent - 1) * flow, which
+    is coefficient * sign(flow) * |flow|^exponent beyond the linear cutoff
+    and the linear segment through zero within it.
+    """
+    beyond = np.abs(flow) > LINEAR_FLOW_CUTOFF
+    r = coefficient * np.maximum(np.abs(flow),
+                                 LINEAR_FLOW_CUTOFF) ** (exponent - 1.0)
+    return r * flow, np.where(beyond, r * exponent, r)
+
+
 def edge_pressure_drop(flow: float, law) -> float:
     """Pressure drop for a given flow, measured along the law's own direction.
 
@@ -73,66 +90,28 @@ def edge_pressure_drop(flow: float, law) -> float:
     """
     if isinstance(law, PumpLaw):
         return -law.gain
-    s = float(flow)
-    a = abs(s)
-    if a <= LINEAR_FLOW_CUTOFF:
-        return law.coefficient * LINEAR_FLOW_CUTOFF ** (law.exponent - 1.0) * s
-    return law.coefficient * np.sign(s) * a ** law.exponent
-
-
-class _PipeLaws:
-    """A sequence of PipeLaws as arrays, with the constants of their inverse."""
-
-    def __init__(self, laws):
-        c = np.array([law.coefficient for law in laws])
-        e = np.array([law.exponent for law in laws])
-        self.coefficient, self.ce = c, c * e
-        self.drop_cut = c * np.float_power(LINEAR_FLOW_CUTOFF, e)
-        self.linear_slope = 1.0 / (c * np.float_power(LINEAR_FLOW_CUTOFF, e - 1.0))
-        self.flow_exp = 1.0 / e
-        self.slope_exp = 1.0 / e - 1.0
-
-
-def _pipe_flow_from_drop(drop, pipes: _PipeLaws):
-    """Invert the (regularized) friction laws elementwise.
-
-    drop is an array aligned with pipes; returns the arrays (flow,
-    dflow/ddrop). Powers go through np.float_power, which evaluates libm
-    pow: np.power's SIMD loop can differ from it in the last bit.
-    """
-    a = np.abs(drop)
-    linear = a <= pipes.drop_cut
-    # the linear entries, discarded below, must not raise 0 to a negative power
-    x = np.maximum(a, pipes.drop_cut) / pipes.coefficient
-    flow = np.where(linear, drop * pipes.linear_slope,
-                    np.sign(drop) * np.float_power(x, pipes.flow_exp))
-    slope = np.where(linear, pipes.linear_slope,
-                     np.float_power(x, pipes.slope_exp) / pipes.ce)
-    return flow, slope
+    return float(_friction(float(flow), law.coefficient, law.exponent)[0])
 
 
 class _Incidence:
-    """Index structure of a WaterModel, derived once at construction.
+    """Index and parameter arrays of a WaterModel, derived at construction.
 
     Edges run in law order, pipes then pumps, from tail to head (a pump
-    along its boost). Unknowns are the free pressures, then the pump flows;
-    fixed nodes map to one extra sink row and column that the solver
-    drops. Edge j's flow leaves its tail's row and enters its head's
-    (flow_rows, flow_signs); its four Jacobian entries (jac_rows,
-    jac_cols) carry jac_signs times its slope, dflow/ddrop for a pipe and
-    1 for a pump. Both lists run edge by edge, the order in which the
-    solver accumulates them.
+    along its boost). The Newton unknowns are the edge flows in that order
+    and orientation, then the free pressures. The edge by free node
+    incidence matrix A_f holds a_vals at (a_rows, a_cols): +1 where an
+    edge leaves a free node, -1 where it enters one.
     """
 
     def __init__(self, model):
         g, laws = model.graph, model.edge_laws
         n = g.node_count
-        fixed = set(model.pressure_nodes)
-        self.unreachable = sorted(set(range(n)) - reachable(g, fixed))
-        # set order on purpose: the start pressure is the mean of the fixed
-        # pressures summed in this order, and its last bit steers the Newton path
-        self.fixed = np.array(list(fixed), dtype=int)
-        self.free = np.array([i for i in range(n) if i not in fixed], dtype=int)
+        self.unreachable = sorted(set(range(n))
+                                  - reachable(g, model.pressure_nodes))
+        self.fixed = np.array(model.pressure_nodes, dtype=int)
+        is_free = np.ones(n, dtype=bool)
+        is_free[self.fixed] = False
+        self.free = np.flatnonzero(is_free)
         pipes = [i for i, law in enumerate(laws) if isinstance(law, PipeLaw)]
         pumps = [i for i, law in enumerate(laws) if isinstance(law, PumpLaw)]
         self.n_pipes = len(pipes)
@@ -141,28 +120,21 @@ class _Incidence:
                              + [laws[i].reverse for i in pumps], dtype=bool)
         ends = np.array([g.edges[i] for i in self.edges], dtype=int).reshape(-1, 2)
         self.tail, self.head = np.where(self.flip[:, None], ends[:, ::-1], ends).T
-        self.pipe_laws = _PipeLaws([laws[i] for i in pipes])
+        self.coefficient = np.array([laws[i].coefficient for i in pipes])
+        self.exponent = np.array([laws[i].exponent for i in pipes])
         self.gain = np.array([laws[i].gain for i in pumps])
-        nf = len(self.free)
-        self.dim = nf + len(pumps)
-        pos = np.full(n, self.dim)
-        pos[self.free] = np.arange(nf)
-        t, h = pos[self.tail], pos[self.head]
-        self.flow_rows = np.stack((t, h), axis=1).ravel()
-        self.flow_signs = np.tile([-1.0, 1.0], len(t))
-        c = nf + np.arange(len(t)) - len(pipes)  # a pump's column and row
-        pipe = (np.arange(len(t)) < len(pipes))[:, None]
-        self.jac_rows = np.where(pipe, np.stack((t, t, h, h), axis=1),
-                                 np.stack((t, h, c, c), axis=1)).ravel()
-        self.jac_cols = np.where(pipe, np.stack((t, h, t, h), axis=1),
-                                 np.stack((c, c, t, h), axis=1)).ravel()
-        self.jac_signs = np.tile([-1.0, 1.0, 1.0, -1.0], len(t))
+        pos = np.cumsum(is_free) - 1  # a free node's column in A_f
+        out = np.flatnonzero(is_free[self.tail])
+        into = np.flatnonzero(is_free[self.head])
+        self.a_rows = np.concatenate((out, into))
+        self.a_cols = pos[np.concatenate((self.tail[out], self.head[into]))]
+        self.a_vals = np.repeat([1.0, -1.0], [len(out), len(into)])
 
     def unknowns(self, sol):
-        """The Newton unknowns at a solution: free pressures, then pump flows."""
-        q = sol.flows[self.edges[self.n_pipes:]]
-        return np.concatenate((sol.pressures[self.free],
-                               np.where(self.flip[self.n_pipes:], -q, q)))
+        """Newton unknowns at a solution: edge flows, then free pressures."""
+        q = sol.flows[self.edges]
+        return np.concatenate((np.where(self.flip, -q, q),
+                               sol.pressures[self.free]))
 
 
 @dataclass(frozen=True)
@@ -214,11 +186,13 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
 
     u holds one entry per node: pressure (m) at fixed-pressure nodes,
     injection (m^3/hr) everywhere else. The Newton iteration starts from x0,
-    the free pressures then the pump flows in law order (as returned by
-    model._incidence.unknowns), or, when x0 is None, from every free
-    pressure at the mean fixed pressure and no pump flow. Raises ModelError
-    when some node cannot reach a fixed-pressure node or x0 has the wrong
-    length, HydraulicInfeasibleError when the Newton iteration fails, and
+    the edge flows in law order (pipes then pumps, each pump along its
+    boost) then the free pressures, as returned by
+    model._incidence.unknowns; when x0 is None it starts from the
+    minimum-norm flows that conserve the injections and every free
+    pressure at the mean fixed pressure. Raises ModelError when some node
+    cannot reach a fixed-pressure node or x0 has the wrong length,
+    HydraulicInfeasibleError when the Newton iteration fails, and
     PumpReverseFlowError when the solution would push flow backwards
     through a pump.
     """
@@ -231,36 +205,39 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
         raise ModelError(
             f"nodes {net.unreachable} cannot reach any fixed-pressure node")
     free, tail, head, k = net.free, net.tail, net.head, net.n_pipes
-    nf = len(free)
-    start = np.full(n, float(np.mean(u[net.fixed])))
-    start[net.fixed] = u[net.fixed]
-    u_free, sink, pump_slope = u[free], np.zeros(1), np.ones(len(tail) - k)
+    m, nf = len(tail), len(free)
+    u_free = u[free]
+    a_f = np.zeros((m, nf))
+    a_f[net.a_rows, net.a_cols] = net.a_vals
+    # rows: pipe laws, pump gains, conservation; columns: flows, free pressures
+    jac = np.zeros((m + nf, m + nf))
+    jac[:k, m:] = -a_f[:k]
+    jac[k:m, m:] = a_f[k:]
+    jac[m:, :m] = a_f.T
+    pipes = np.arange(k)
 
     def residual(x):
-        """Conservation at free nodes, then the pump rows; aux carries the
-        pressures, the edge flows and the pipe slopes."""
-        pres = start.copy()
-        pres[free] = x[:nf]
-        flow, dflow = _pipe_flow_from_drop(pres[tail[:k]] - pres[head[:k]],
-                                           net.pipe_laws)
-        q = np.concatenate((flow, x[nf:]))
-        res = np.concatenate(
-            (u_free, pres[tail[k:]] - pres[head[k:]] + net.gain, sink))
-        np.add.at(res, net.flow_rows, q.repeat(2) * net.flow_signs)
-        return res[:-1], (pres, q, dflow)
+        """Pipe drop minus pressure difference, pressure difference plus
+        pump gain, then net outflow minus injection at free nodes; aux
+        carries the pressures and the pipe slopes."""
+        pres = u.copy()
+        pres[free] = x[m:]
+        diff = pres[tail] - pres[head]
+        drop, slope = _friction(x[:k], net.coefficient, net.exponent)
+        return np.concatenate((drop - diff[:k], diff[k:] + net.gain,
+                               a_f.T @ x[:m] - u_free)), (pres, slope)
 
     def jacobian(x, aux):
-        slope = np.concatenate((aux[2], pump_slope)).repeat(4)
-        jac = np.zeros((net.dim + 1, net.dim + 1))
-        np.add.at(jac, (net.jac_rows, net.jac_cols), slope * net.jac_signs)
-        return jac[:-1, :-1]
+        jac[pipes, pipes] = aux[1]
+        return jac
 
     if x0 is None:
-        x0 = np.concatenate((start[free], np.zeros(len(tail) - k)))
-    elif np.shape(x0) != (net.dim,):
-        raise ModelError("start vector must hold the free pressures and "
-                         "the pump flows")
-    _, (pressures, q, _), rnorm, iters = damped_newton(
+        x0 = np.concatenate((a_f @ np.linalg.solve(a_f.T @ a_f, u_free),
+                             np.full(nf, np.mean(u[net.fixed]))))
+    elif np.shape(x0) != (m + nf,):
+        raise ModelError("start vector must hold the edge flows and the "
+                         "free pressures")
+    x, (pressures, _), rnorm, iters = damped_newton(
         np.asarray(x0, dtype=float), residual, jacobian,
         lambda it: HydraulicInfeasibleError(
             f"singular hydraulic Jacobian at iteration {it}"),
@@ -269,6 +246,7 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
         raise HydraulicInfeasibleError(
             f"hydraulic solve stalled after {iters} iterations "
             f"(residual {rnorm:.3e})")
+    q = x[:m]
     backward = k + np.flatnonzero(q[k:] < -1e-6)
     if backward.size:
         j = backward[0]

@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from ripplesim import (DisruptionEvent, GridPlant, Graph, LinearPlant,
                        PipeLaw, ProtocolGains, PumpLaw, Scenario,
                        ScenarioError, SolverError, TraceRecord, WaterModel,
-                       WaterPlant, apply_disruption, disrupted_setup,
-                       load_scenario, message_stats, run, solve_load_voltages,
-                       solve_network, verify_trace)
+                       WaterPlant, adjacency_matrix, apply_disruption,
+                       disrupted_setup, load_scenario, message_stats, run,
+                       solve_load_voltages, solve_network, verify_trace)
 
 
 def cascade_scenario(u_upper=(0.5, 1.0)):
@@ -35,7 +35,7 @@ def test_verify_trace_reports_each_broken_invariant():
                 ((0.5, 1.0, 0.0), (0.0, 0.2, 0.0), 2), (u3, b3, m3))
         return [TraceRecord(round=t, u=np.array(u), y=np.zeros(1),
                             deficit=np.zeros(3), beacons=np.array(b),
-                            messages=m, wall_time=0.0)
+                            messages=m)
                 for t, (u, b, m) in enumerate(rows, start=1)]
 
     assert verify_trace(trace(), graph, u_upper, u0) == []
@@ -57,7 +57,7 @@ def test_audit_rejects_records_of_different_lengths():
     graph = Graph(node_count=2, edges=((0, 1),))
     records = [TraceRecord(round=t, u=np.zeros(k), y=np.zeros(1),
                            deficit=np.zeros(k), beacons=np.zeros(k),
-                           messages=0, wall_time=0.0)
+                           messages=0)
                for t, k in enumerate((2, 1, 3), start=1)]
     with pytest.raises(ValueError):
         verify_trace(records, graph, np.ones(2))
@@ -187,8 +187,8 @@ def test_message_stats_cascade_activation():
     assert stats.first_change[1] == 2          # strictly after the beacon
     assert stats.total == sum(r.messages for r in records)
     # cumulative count equals summed degrees of beaconing agents
-    expect = sum(scenario.comm_graph.degree(k)
-                 for r in records for k in np.nonzero(r.beacons > 0)[0])
+    degree = adjacency_matrix(scenario.comm_graph).sum(axis=1)
+    expect = sum(degree[r.beacons > 0].sum() for r in records)
     assert stats.total == expect
 
 

@@ -27,7 +27,7 @@ from .plant import max_effort_feasibility, monotonicity_probe
 from .power import GridPlant, monotonicity_margin, solve_load_voltages, loadability_sweep
 from .protocol import auto_gains, gain_condition
 from .scenario_io import load_scenario
-from .sim import disrupted_setup, message_stats, run
+from .sim import disrupted_setup, message_stats, run, stacked
 
 
 def entry():
@@ -122,34 +122,37 @@ def cmd_simulate(args) -> int:
 
 
 def _write_trace(path, records, labels, measured_labels):
+    """One row per record: round, u, y, deficit, beacons, messages."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        header = (["round"]
-                  + [f"u_{lab}" for lab in labels]
-                  + [f"y_{lab}" for lab in measured_labels]
-                  + [f"f_{lab}" for lab in labels]
-                  + [f"lambda_{lab}" for lab in labels]
-                  + ["messages"])
-        w.writerow(header)
-        for r in records:
-            w.writerow([r.round]
-                       + [repr(float(x)) for x in r.u]
-                       + [repr(float(x)) for x in r.y]
-                       + [repr(float(x)) for x in r.deficit]
-                       + [repr(float(x)) for x in r.beacons]
-                       + [r.messages])
+        csv.writer(fh).writerow(
+            ["round"] + [f"u_{lab}" for lab in labels]
+            + [f"y_{lab}" for lab in measured_labels]
+            + [f"f_{lab}" for lab in labels]
+            + [f"lambda_{lab}" for lab in labels] + ["messages"])
+        if not records:
+            return
+        values = np.hstack([stacked(records, name) for name in
+                            ("u", "y", "deficit", "beacons")])
+        # the line csv.writer writes: repr floats and ints need no quoting
+        for r, row in zip(records, values):
+            fh.write(",".join([str(r.round), *map(repr, row.tolist()),
+                               str(r.messages)]) + "\r\n")
 
 
 def _write_effort(path, records, labels, u0, u_upper):
     """Normalized control effort (u(t)-u(0))/(ceiling-u(0)) per flexible agent."""
-    headroom = np.asarray(u_upper, float) - np.asarray(u0, float)
-    cols = [i for i, h in enumerate(headroom) if h > 1e-12]
+    u0 = np.asarray(u0, float)
+    headroom = np.asarray(u_upper, float) - u0
+    cols = np.flatnonzero(headroom > 1e-12)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round"] + [f"effort_{labels[i]}" for i in cols])
-        for r in records:
-            w.writerow([r.round] + [repr(float((r.u[i] - u0[i]) / headroom[i]))
-                                    for i in cols])
+        csv.writer(fh).writerow(["round"]
+                                + [f"effort_{labels[i]}" for i in cols])
+        if not records:
+            return
+        effort = (stacked(records, "u")[:, cols] - u0[cols]) / headroom[cols]
+        for r, row in zip(records, effort):
+            fh.write(",".join([str(r.round), *map(repr, row.tolist())])
+                     + "\r\n")
 
 
 def _write_summary(path, scenario, plant, u0, outcome, records, labels):

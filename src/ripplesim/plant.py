@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PlantSolveError, SolverError
+from .errors import ModelError, PlantSolveError, SolverError
 
 EPS_FEAS_DEFAULT = 1e-6
 MONOTONE_TOL_DEFAULT = 1e-7
@@ -56,11 +56,11 @@ class PlantModel(abc.ABC):
 
     def _check_limit_shapes(self):
         if self.u_lower.shape != self.u_upper.shape:
-            raise ValueError("control limit vectors disagree in shape")
+            raise ModelError("control limit vectors disagree in shape")
         if np.any(self.u_lower > self.u_upper):
-            raise ValueError("u_lower exceeds u_upper")
+            raise ModelError("u_lower exceeds u_upper")
         if len(self.y_lower) != len(self.measured_nodes):
-            raise ValueError("y_lower must align with measured_nodes")
+            raise ModelError("y_lower must align with measured_nodes")
 
 
 class LinearPlant(PlantModel):
@@ -80,7 +80,7 @@ class LinearPlant(PlantModel):
         self.measured_nodes = tuple(int(i) for i in measured_nodes)
         m, n = self.sensitivity.shape
         if m != len(self.measured_nodes) or n != len(self.u_upper):
-            raise ValueError("sensitivity shape disagrees with limits")
+            raise ModelError("sensitivity shape disagrees with limits")
         self._check_limit_shapes()
 
     def solve(self, u):

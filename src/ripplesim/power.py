@@ -85,7 +85,11 @@ def reactive_injections(v, b_matrix) -> np.ndarray:
 
 
 def _gain_matrix(v_load, i_load, b_ll) -> np.ndarray:
-    return np.diag(i_load) + np.diag(v_load) @ b_ll
+    """G = diag(i_L) + diag(v_L) B_LL, formed in O(n^2): each row of B_LL
+    scaled by its load voltage, then i_L added on the diagonal."""
+    g = b_ll * v_load[:, None]
+    g.ravel()[::len(v_load) + 1] += i_load
+    return g
 
 
 def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
@@ -100,15 +104,16 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
     """
     q_load = np.asarray(q_load, dtype=float)
     v_gen = np.asarray(v_gen, dtype=float)
-    if np.any(v_gen <= 0):
+    if (v_gen <= 0).any():
         raise ModelError("generator voltages must be positive")
     nl = len(grid.loads)
     if q_load.shape != (nl,) or v_gen.shape != (len(grid.generators),):
         raise ModelError("injection/voltage vectors disagree with partition")
     v = np.ones(nl) if v0 is None else np.asarray(v0, dtype=float).copy()
+    i_gen = grid.b_lg @ v_gen
 
     def residual(vl):
-        il = grid.b_lg @ v_gen + grid.b_ll @ vl
+        il = i_gen + grid.b_ll @ vl
         return vl * il - q_load, il
 
     v, i_load, rnorm, iters = damped_newton(
@@ -116,11 +121,11 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
         lambda k: SingularJacobianError(
             f"singular iteration matrix at iteration {k}"),
         tol, max_iter)
-    if rnorm > tol:
+    if not rnorm <= tol:  # a NaN residual is no solution
         raise PowerFlowInfeasibleError(
             f"no load-voltage solution after {iters} iterations "
             f"(residual {rnorm:.3e})")
-    if np.any(v <= 0):
+    if (v <= 0).any():
         raise PowerFlowInfeasibleError("converged to non-physical voltages")
     q_gen = v_gen * (grid.b_gg @ v_gen + grid.b_lg.T @ v)
     return PowerFlowSolution(v_load=v, q_gen=q_gen, i_load=i_load,
@@ -188,11 +193,14 @@ class GridPlant(PlantModel):
 
     The control vector holds one entry per bus: voltage set point at
     generator buses, reactive injection at load buses (all per-unit).
-    Outputs are the load-bus voltages, which carry the lower limits.
+    Outputs are the load-bus voltages, which carry the lower limits. The
+    load and generator index arrays that split u are built once, here.
     """
 
     def __init__(self, grid: GridModel, u_lower, u_upper, y_lower):
         self.grid = grid
+        self._loads = np.array(grid.loads, dtype=int)
+        self._gens = np.array(grid.generators, dtype=int)
         self.u_lower = np.asarray(u_lower, dtype=float)
         self.u_upper = np.asarray(u_upper, dtype=float)
         self.y_lower = np.asarray(y_lower, dtype=float)
@@ -208,7 +216,6 @@ class GridPlant(PlantModel):
         """Load voltages solved from start, previous load voltages (None:
         flat); they are both the outputs and the state."""
         u = np.asarray(u, dtype=float)
-        q_load = u[list(self.grid.loads)]
-        v_gen = u[list(self.grid.generators)]
-        v_load = solve_load_voltages(q_load, v_gen, self.grid, start).v_load
+        v_load = solve_load_voltages(u[self._loads], u[self._gens], self.grid,
+                                     start).v_load
         return v_load, v_load

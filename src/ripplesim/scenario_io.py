@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ModelError, ScenarioError
 from .graph import Graph
 from .plant import LinearPlant
 from .power import GridModel, GridPlant
@@ -52,90 +52,97 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(doc, source=str(path))
 
 
-def _need(doc, key, where):
-    if key not in doc:
+def _need(doc, key, where, default=None, kind=object):
+    """doc[key], or default when the key is missing and a default is given;
+    doc must be a JSON object and the value an instance of kind."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    if key not in doc and default is None:
         raise ScenarioError(f"{where}: missing required key '{key}'")
-    return doc[key]
+    value = doc.get(key, default)
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{where}.{key}: expected a {kind.__name__}")
+    return value
 
 
 def _num(doc, key, where, default=None):
-    if key not in doc:
-        if default is None:
-            raise ScenarioError(f"{where}: missing required key '{key}'")
-        return float(default)
+    raw = _need(doc, key, where, default)
     try:
-        value = float(doc[key])
+        value = float(raw)
     except (TypeError, ValueError):
-        raise ScenarioError(f"{where}.{key}: expected a number") from None
+        value = None
+    if value is None or isinstance(raw, bool):
+        raise ScenarioError(f"{where}.{key}: expected a number")
     if not math.isfinite(value):
         raise ScenarioError(f"{where}.{key}: expected a finite number")
     return value
 
 
 def _int(doc, key, where, default):
-    """An integer knob: a finite number without a fractional part."""
-    value = doc.get(key, default)
-    if isinstance(value, int):
-        return int(value)
-    value = _num(doc, key, where, default)
-    if not value.is_integer():
-        raise ScenarioError(f"{where}.{key}: expected an integer")
+    """A non-negative integer knob: a finite integral number, not a bool."""
+    value = _need(doc, key, where, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        value = _num(doc, key, where, default)
+    if value < 0 or value != int(value):
+        raise ScenarioError(f"{where}.{key}: expected a non-negative integer")
     return int(value)
 
 
-def _finite_array(value, where):
+def _finite_array(value, where, length=None):
     """value as a float array; raises ScenarioError unless every entry is a
-    finite number."""
+    finite number and, given a length, it is a list of that many."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ScenarioError(f"{where}: expected numbers") from None
     if not np.isfinite(arr).all():
         raise ScenarioError(f"{where}: expected finite numbers")
+    if length is not None and arr.shape != (length,):
+        raise ScenarioError(f"{where}: expected {length} numbers")
     return arr
 
 
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
+    """Validate a scenario document; every defect raises ScenarioError."""
+    try:
+        return _scenario(doc, source)
+    except ModelError as exc:  # a model or plant rejected its data
+        raise ScenarioError(f"{source}: {exc}") from exc
+
+
+def _scenario(doc, source):
     if not isinstance(doc, dict):
         raise ScenarioError(f"{source}: scenario document must be an object")
     if doc.get("schema") != SCHEMA:
         raise ScenarioError(
             f"{source}: schema must be '{SCHEMA}', got {doc.get('schema')!r}")
-    plant_doc = _need(doc, "plant", source)
-    kind = _need(plant_doc, "type", "plant")
-    if kind == "power":
-        plant, labels, u0 = _power_plant(plant_doc)
-    elif kind == "water":
-        plant, labels, u0 = _water_plant(plant_doc)
-    elif kind == "linear":
-        plant, labels, u0 = _linear_plant(plant_doc)
-    else:
+    plant_doc = _need(doc, "plant", source, kind=dict)
+    kind = _need(plant_doc, "type", "plant", kind=str)
+    build = {"power": _power_plant, "water": _water_plant,
+             "linear": _linear_plant}.get(kind)
+    if build is None:
         raise ScenarioError(f"plant.type: unknown plant type '{kind}'")
+    plant, labels, u0 = build(plant_doc)
     index = {lab: i for i, lab in enumerate(labels)}
 
     comm_doc = _need(doc, "comm_graph", source)
-    comm_edges = [( _resolve(index, a, "comm_graph"),
-                    _resolve(index, b, "comm_graph"))
-                  for a, b in _need(comm_doc, "edges", "comm_graph")]
+    comm_edges = [_pair(index, pair, "comm_graph.edges") for pair in
+                  _need(comm_doc, "edges", "comm_graph", kind=list)]
     comm_graph = Graph(node_count=len(labels), edges=tuple(comm_edges))
 
-    init_doc = doc.get("initial", {})
-    if "u0" in init_doc:
-        raw = init_doc["u0"]
-        if isinstance(raw, dict):
-            for lab in raw:
-                u0[_resolve(index, lab, "initial.u0")] = _num(
-                    raw, lab, "initial.u0")
-        else:
-            if len(raw) != len(labels):
-                raise ScenarioError("initial.u0: wrong length")
-            u0 = _finite_array(raw, "initial.u0")
+    raw = _need(_need(doc, "initial", source, {}), "u0", "initial", u0)
+    if isinstance(raw, dict):
+        for lab in raw:
+            u0[_resolve(index, lab, "initial.u0")] = _num(raw, lab,
+                                                          "initial.u0")
+    else:
+        u0 = _finite_array(raw, "initial.u0", len(labels))
 
     gains = _gains(doc.get("gains", "auto"), len(labels))
     disruptions = tuple(_event(ev, index, i)
                         for i, ev in enumerate(_event_list(doc)))
 
-    run_doc = doc.get("run", {})
+    run_doc = _need(doc, "run", source, {})
     scenario = Scenario(
         plant=plant,
         comm_graph=comm_graph,
@@ -147,7 +154,8 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
         eps_feas=_num(run_doc, "eps_feas", "run", 1e-6),
         stall_window=_int(run_doc, "stall_window", "run", 100),
         trace_decimation=_int(run_doc, "trace_decimation", "run", 1),
-        override_gain_check=bool(run_doc.get("override_gain_check", False)),
+        override_gain_check=bool(_need(run_doc, "override_gain_check", "run",
+                                       False)),
         seed=_int(run_doc, "seed", "run", 0),
         labels=tuple(labels),
     )
@@ -157,9 +165,16 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
 
 def _event_list(doc):
     ev = doc.get("disruption", [])
-    if isinstance(ev, dict):
-        return [ev]
-    return list(ev)
+    if not isinstance(ev, (dict, list)):
+        raise ScenarioError("disruption: expected an event or a list of them")
+    return [ev] if isinstance(ev, dict) else ev
+
+
+def _pair(index, pair, where):
+    """The node indices of a [from, to] label pair."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ScenarioError(f"{where}: expected [from, to] label pairs")
+    return _resolve(index, pair[0], where), _resolve(index, pair[1], where)
 
 
 def _resolve(index, label, where):
@@ -173,11 +188,11 @@ def _gains(doc, n):
     if doc == "auto" or doc is None:
         return None
     def vec(key):
-        v = doc.get(key, "auto")
+        v = _need(doc, key, "gains", "auto")
         if v == "auto":
             raise ScenarioError(
                 f"gains.{key}: mixing auto and explicit gains is not supported")
-        arr = np.asarray(v, dtype=float)
+        arr = _finite_array(v, f"gains.{key}")
         if arr.ndim == 0:
             arr = np.full(n, float(arr))
         if arr.shape != (n,):
@@ -211,9 +226,8 @@ def _event(ev, index, i):
             raise ScenarioError(f"{where}: demand_change needs 'set' or 'scale'")
     elif kind == "parameter_change":
         if "edge" in ev or ("from" in ev and "to" in ev):
-            pair = ev.get("edge") or (ev["from"], ev["to"])
-            params["edge"] = (_resolve(index, pair[0], where),
-                              _resolve(index, pair[1], where))
+            params["edge"] = _pair(index, ev["edge"] if "edge" in ev
+                                   else [ev["from"], ev["to"]], where)
         if "susceptance" in ev:
             params["susceptance"] = _num(ev, "susceptance", where)
         if "offset" in ev:
@@ -225,7 +239,7 @@ def _event(ev, index, i):
 
 
 def _power_plant(doc):
-    buses = _need(doc, "buses", "plant")
+    buses = _need(doc, "buses", "plant", kind=list)
     base_mva = _num(doc, "base_mva", "plant", 100.0)
     labels = [str(_need(b, "label", f"plant.buses[{i}]"))
               for i, b in enumerate(buses)]
@@ -257,7 +271,7 @@ def _power_plant(doc):
             y_lower.append(_num(b, "v_min", where))
         else:
             raise ScenarioError(f"{where}.kind: expected generator or load")
-    lines = _need(doc, "lines", "plant")
+    lines = _need(doc, "lines", "plant", kind=list)
     edges, sus = [], []
     for i, ln in enumerate(lines):
         where = f"plant.lines[{i}]"
@@ -273,7 +287,7 @@ def _power_plant(doc):
 
 
 def _water_plant(doc):
-    nodes = _need(doc, "nodes", "plant")
+    nodes = _need(doc, "nodes", "plant", kind=list)
     labels = [str(_need(nd, "label", f"plant.nodes[{i}]"))
               for i, nd in enumerate(nodes)]
     if len(set(labels)) != len(labels):
@@ -312,7 +326,7 @@ def _water_plant(doc):
         if "pressure_min" in nd:
             measured.append(i)
             y_lower.append(_num(nd, "pressure_min", where))
-    edges_doc = _need(doc, "edges", "plant")
+    edges_doc = _need(doc, "edges", "plant", kind=list)
     edges, laws = [], []
     for i, ed in enumerate(edges_doc):
         where = f"plant.edges[{i}]"
@@ -361,14 +375,17 @@ def _linear_plant(doc):
     if sens.ndim != 2:
         raise ScenarioError("plant.sensitivity: expected a matrix")
     m, n = sens.shape
-    labels = [str(x) for x in doc.get("labels", [str(i + 1) for i in range(n)])]
-    offset = _finite_array(doc.get("offset", np.zeros(m)), "plant.offset")
-    u_lower, u_upper, y_lower = (_finite_array(_need(doc, key, "plant"),
-                                               f"plant.{key}")
-                                 for key in ("u_lower", "u_upper", "y_lower"))
+    labels = [str(x) for x in _need(doc, "labels", "plant",
+                                    list(range(1, n + 1)), kind=list)]
+    if len(labels) != n:
+        raise ScenarioError(f"plant.labels: expected {n} labels")
+    offset = _finite_array(doc.get("offset", np.zeros(m)), "plant.offset", m)
+    u_lower, u_upper, y_lower = (
+        _finite_array(_need(doc, key, "plant"), f"plant.{key}", size)
+        for key, size in (("u_lower", n), ("u_upper", n), ("y_lower", m)))
     index = {lab: i for i, lab in enumerate(labels)}
     measured = tuple(_resolve(index, lab, "plant.measured")
-                     for lab in _need(doc, "measured", "plant"))
+                     for lab in _need(doc, "measured", "plant", kind=list))
     plant = LinearPlant(sensitivity=sens, offset=offset, u_lower=u_lower,
                         u_upper=u_upper, y_lower=y_lower,
                         measured_nodes=measured)

@@ -239,6 +239,10 @@ def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
     for name in ("eps_eq", "eps_feas"):
         if not 0.0 < getattr(scenario, name) < np.inf:
             raise ScenarioError(f"{name} must be finite and positive")
+    for name in ("budget", "stall_window", "trace_decimation"):
+        value = getattr(scenario, name)
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
     for name, values in (("initial control", u0), ("u_lower", plant.u_lower),
                          ("u_upper", plant.u_upper),
                          ("y_lower", plant.y_lower)):
@@ -300,11 +304,11 @@ def run(scenario: Scenario):
     n = len(u0)
     u, beacons = u0, np.zeros(n)
     u_upper, y_lower = plant.u_upper, plant.y_lower
-    measured = plant.measured_nodes
+    measured = np.array(plant.measured_nodes, dtype=int)
     eps_eq, eps_feas = scenario.eps_eq, scenario.eps_feas
     pinned = u_upper - eps_eq
     records = []
-    keep = max(1, int(scenario.trace_decimation))
+    keep = scenario.trace_decimation
     prev_deficit = None
     frozen_rounds = 0
 
@@ -387,7 +391,7 @@ def _versus_previous(compare, u, u0):
     return np.concatenate((first, compare(u[1:], u[:-1])))
 
 
-def _stacked(records, name):
+def stacked(records, name):
     """One field of every record as a (records, agents) array."""
     rows = [getattr(r, name) for r in records]
     if len(set(map(len, rows))) > 1:
@@ -415,8 +419,8 @@ def message_stats(records, comm_graph: Graph, u0=None) -> MessageStats:
     if not records:
         raise ValueError("empty trace")
     per_round = tuple(r.messages for r in records)
-    u = _stacked(records, "u")
-    beaconing = _stacked(records, "beacons") > 0
+    u = stacked(records, "u")
+    beaconing = stacked(records, "beacons") > 0
     first_beacon = _first_rounds(beaconing, records)
     first_assistance = dict(sorted(_first_rounds(
         beaconing @ (adjacency_matrix(comm_graph) > 0), records).items()))
@@ -438,8 +442,8 @@ def verify_trace(records, comm_graph: Graph, u_upper, u0=None) -> list:
     if not records:
         return []
     u_upper = np.asarray(u_upper, dtype=float)
-    u = _stacked(records, "u")
-    beacons = _stacked(records, "beacons")
+    u = stacked(records, "u")
+    beacons = stacked(records, "beacons")
     beaconing = beacons > 0
     expect = beaconing @ adjacency_matrix(comm_graph).sum(axis=1).astype(int)
     flags = np.column_stack((np.any(_versus_previous(np.less, u, u0), axis=1),

@@ -74,10 +74,9 @@ def _friction(flow, coefficient, exponent):
     is coefficient * sign(flow) * |flow|^exponent beyond the linear cutoff
     and the linear segment through zero within it.
     """
-    beyond = np.abs(flow) > LINEAR_FLOW_CUTOFF
-    r = coefficient * np.maximum(np.abs(flow),
-                                 LINEAR_FLOW_CUTOFF) ** (exponent - 1.0)
-    return r * flow, np.where(beyond, r * exponent, r)
+    size = np.abs(flow)
+    r = coefficient * np.maximum(size, LINEAR_FLOW_CUTOFF) ** (exponent - 1.0)
+    return r * flow, np.where(size > LINEAR_FLOW_CUTOFF, r * exponent, r)
 
 
 def edge_pressure_drop(flow: float, law) -> float:
@@ -130,12 +129,6 @@ class _Incidence:
         self.a_cols = pos[np.concatenate((self.tail[out], self.head[into]))]
         self.a_vals = np.repeat([1.0, -1.0], [len(out), len(into)])
 
-    def unknowns(self, sol):
-        """Newton unknowns at a solution: edge flows, then free pressures."""
-        q = sol.flows[self.edges]
-        return np.concatenate((np.where(self.flip, -q, q),
-                               sol.pressures[self.free]))
-
 
 @dataclass(frozen=True)
 class WaterModel:
@@ -170,13 +163,15 @@ class HydraulicSolution:
     """Nodal pressures, per-edge flows, and solver bookkeeping.
 
     Flows are oriented along each edge's canonical (low, high) direction;
-    the reverse flow is the negation.
+    the reverse flow is the negation. unknowns is the converged Newton
+    vector (law-order edge flows, free pressures): a later solve's x0.
     """
 
     pressures: np.ndarray
     flows: np.ndarray
     residual: float
     iterations: int
+    unknowns: np.ndarray | None = None
 
 
 def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
@@ -187,10 +182,9 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
     u holds one entry per node: pressure (m) at fixed-pressure nodes,
     injection (m^3/hr) everywhere else. The Newton iteration starts from x0,
     the edge flows in law order (pipes then pumps, each pump along its
-    boost) then the free pressures, as returned by
-    model._incidence.unknowns; when x0 is None it starts from the
-    minimum-norm flows that conserve the injections and every free
-    pressure at the mean fixed pressure. Raises ModelError when some node
+    boost) then the free pressures, as in HydraulicSolution.unknowns; when
+    x0 is None it starts from the minimum-norm flows that conserve the
+    injections and every free pressure at the mean fixed pressure. Raises ModelError when some node
     cannot reach a fixed-pressure node or x0 has the wrong length,
     HydraulicInfeasibleError when the Newton iteration fails, and
     PumpReverseFlowError when the solution would push flow backwards
@@ -242,20 +236,20 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
         lambda it: HydraulicInfeasibleError(
             f"singular hydraulic Jacobian at iteration {it}"),
         tol, max_iter)
-    if rnorm > tol:
+    if not rnorm <= tol:  # a NaN residual is no solution
         raise HydraulicInfeasibleError(
             f"hydraulic solve stalled after {iters} iterations "
             f"(residual {rnorm:.3e})")
     q = x[:m]
-    backward = k + np.flatnonzero(q[k:] < -1e-6)
-    if backward.size:
-        j = backward[0]
+    backward = q[k:] < -1e-6
+    if backward.any():
+        j = k + backward.argmax()
         raise PumpReverseFlowError(
             f"pump {tail[j]}->{head[j]} would carry reverse flow {q[j]:.3f}")
     flows = np.zeros(len(model.graph.edges))
     flows[net.edges] = np.where(net.flip, -q, q)
     return HydraulicSolution(pressures=pressures, flows=flows,
-                             residual=rnorm, iterations=iters)
+                             residual=rnorm, iterations=iters, unknowns=x)
 
 
 def check_pressure_ordering(model: WaterModel, u_hi, u_lo,
@@ -281,7 +275,8 @@ class WaterPlant(PlantModel):
 
     The control vector holds pressure set points at fixed-pressure nodes
     and injections elsewhere; outputs are the pressures at the measured
-    nodes, which carry the minimum-pressure requirements.
+    nodes, which carry the minimum-pressure requirements. The measured-node
+    index array that picks them out is built once, here.
     """
 
     def __init__(self, model: WaterModel, u_lower, u_upper, y_lower,
@@ -291,6 +286,7 @@ class WaterPlant(PlantModel):
         self.u_upper = np.asarray(u_upper, dtype=float)
         self.y_lower = np.asarray(y_lower, dtype=float)
         self.measured_nodes = tuple(int(i) for i in measured_nodes)
+        self._measured = np.array(self.measured_nodes, dtype=int)
         if len(self.u_upper) != model.graph.node_count:
             raise ModelError("control limits must cover every node")
         self._check_limit_shapes()
@@ -302,5 +298,4 @@ class WaterPlant(PlantModel):
         """Measured pressures solved from start, a previous state (None:
         cold); the state is the converged Newton unknown vector."""
         sol = solve_network(np.asarray(u, dtype=float), self.model, x0=start)
-        return (sol.pressures[list(self.measured_nodes)],
-                self.model._incidence.unknowns(sol))
+        return sol.pressures[self._measured], sol.unknowns

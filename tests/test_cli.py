@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from ripplesim.cli import main
-from ripplesim.scenario_io import bundled_scenario_path
+from ripplesim.scenario_io import bundled_scenario_path, load_scenario
+from ripplesim.sim import disrupted_setup, run
 
 
 def read_csv(path):
@@ -223,10 +224,27 @@ def test_simulate_rejects_non_finite_run_numbers(tmp_path, edit):
 @pytest.mark.parametrize("knob, value", [
     ("budget", float("nan")), ("budget", 2.5), ("stall_window", "x"),
     ("trace_decimation", float("inf")), ("seed", [1]),
+    ("budget", 0), ("stall_window", 0), ("trace_decimation", -2),
+    ("budget", True), ("stall_window", False),
 ])
 def test_simulate_rejects_malformed_integer_knobs(tmp_path, knob, value):
     path = write_cascade(tmp_path, lambda doc: doc["run"].update({knob: value}))
     assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 2
+
+
+def test_check_monotonicity_rejects_a_negative_seed(tmp_path):
+    # the seed feeds np.random.default_rng, which raises on negative seeds
+    path = write_cascade(tmp_path, lambda doc: doc["run"].update(seed=-1))
+    assert main(["check-monotonicity", path]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--budget", "-5"], ["--budget", "0"],
+                                   ["--decimate", "0"], ["--decimate", "-2"]])
+def test_simulate_rejects_command_line_knobs_below_one(tmp_path, capsys,
+                                                        flags):
+    assert main(["simulate", "linear_cascade", "--output-dir", str(tmp_path)]
+                + flags) == 2
+    assert "must be an integer >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "feasibility", "check-gains",
@@ -241,3 +259,58 @@ def test_non_finite_linear_plant_is_rejected_by_every_command(tmp_path,
     if command == "simulate":
         argv += ["--output-dir", str(tmp_path)]
     assert main(argv) == 2
+
+
+def reference_trace_and_effort(outdir, scenario, records):
+    """trace.csv and effort.csv as written cell by cell through csv.writer,
+    the form the column writers must reproduce byte for byte."""
+    plant, u0 = disrupted_setup(scenario)
+    labels = [scenario.node_label(i) for i in range(plant.control_dim)]
+    measured = [scenario.node_label(i) for i in plant.measured_nodes]
+    with open(outdir / "trace.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["round"] + [f"u_{lab}" for lab in labels]
+                   + [f"y_{lab}" for lab in measured]
+                   + [f"f_{lab}" for lab in labels]
+                   + [f"lambda_{lab}" for lab in labels] + ["messages"])
+        for r in records:
+            w.writerow([r.round]
+                       + [repr(float(x)) for x in r.u]
+                       + [repr(float(x)) for x in r.y]
+                       + [repr(float(x)) for x in r.deficit]
+                       + [repr(float(x)) for x in r.beacons]
+                       + [r.messages])
+    headroom = plant.u_upper - u0
+    cols = [i for i, h in enumerate(headroom) if h > 1e-12]
+    with open(outdir / "effort.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["round"] + [f"effort_{labels[i]}" for i in cols])
+        for r in records:
+            w.writerow([r.round] + [repr(float((r.u[i] - u0[i]) / headroom[i]))
+                                    for i in cols])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", ["pjm5", "wds10", "linear_cascade-decimate-3",
+                                  "non-finite-empty-trace"])
+def test_trace_writers_match_the_csv_writer_reference(tmp_path, case):
+    args = []
+    if case == "non-finite-empty-trace":
+        source = write_cascade(tmp_path, lambda doc: (
+            doc["plant"].update(sensitivity=[[1.7e308, 1.7e308]]),
+            doc["initial"].update(u0=[0.5, 1.0])))
+    else:
+        source = case.split("-")[0]
+        if case.endswith("decimate-3"):
+            args = ["--decimate", "3"]
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    ref.mkdir()
+    main(["simulate", source, "--output-dir", str(out)] + args)
+    scenario = load_scenario(source)
+    if args:
+        scenario.trace_decimation = 3
+    outcome, records = run(scenario)
+    assert (len(records) == 0) == (case == "non-finite-empty-trace")
+    reference_trace_and_effort(ref, scenario, records)
+    for name in ("trace.csv", "effort.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()

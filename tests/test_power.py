@@ -9,6 +9,7 @@ from ripplesim import (Graph, GridModel, ModelError,
                        loadability_sweep, monotonicity_margin,
                        reactive_injections, solve_load_voltages,
                        weighted_laplacian)
+from ripplesim.power import PowerFlowSolution, _gain_matrix
 from synth import random_grid
 
 
@@ -203,3 +204,28 @@ def test_grid_model_validation():
         GridModel(graph=g, susceptances=(10.0,), generators=(), loads=(0, 1))
     with pytest.raises(ModelError):
         GridModel(graph=g, susceptances=(-1.0,), generators=(0,), loads=(1,))
+
+
+@pytest.mark.parametrize("n", [5, 50, 200])
+def test_gain_matrix_matches_the_dense_product_bit_for_bit(n):
+    # the reference is the dense form diag(i) + diag(v) @ B_LL; the row
+    # scaling must give the same bits, and so must both sensitivities
+    rng = np.random.default_rng([7, n])
+    grid, q_load, v_gen = random_grid(rng, n)
+    i_gen = grid.b_lg @ v_gen
+    points = [rng.uniform(0.9, 1.1, size=len(grid.loads))]
+    try:
+        points.append(solve_load_voltages(q_load, v_gen, grid).v_load)
+    except PowerFlowInfeasibleError:
+        pass
+    for v in points:
+        i = i_gen + grid.b_ll @ v
+        reference = np.diag(i) + np.diag(v) @ grid.b_ll
+        g = _gain_matrix(v, i, grid.b_ll)
+        assert g.tobytes() == reference.tobytes()
+        sol = PowerFlowSolution(v_load=v, q_gen=np.zeros(len(v_gen)),
+                                i_load=i, iterations=0, residual=0.0)
+        assert dvl_dql(sol, grid).tobytes() == \
+            np.linalg.inv(reference).tobytes()
+        assert dvl_dvg(sol, grid).tobytes() == np.linalg.solve(
+            reference, -np.diag(v) @ grid.b_lg).tobytes()

@@ -179,7 +179,7 @@ def test_non_finite_offset_event_rejected():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, "x",
-                                   None, [3]])
+                                   None, [3], True, False, -1])
 def test_integer_knobs_must_be_integral(value):
     doc = json.loads(json.dumps(MINIMAL_LINEAR))
     doc["run"]["stall_window"] = value

@@ -168,6 +168,42 @@ def test_trace_decimation_keeps_last_round():
                                        if r.round % 7 == 0}
 
 
+@pytest.mark.parametrize("knob", ["budget", "stall_window",
+                                  "trace_decimation"])
+@pytest.mark.parametrize("value", [0, -2, 2.5])
+def test_run_rejects_run_knobs_below_one(knob, value):
+    scenario = cascade_scenario()
+    setattr(scenario, knob, value)
+    with pytest.raises(ScenarioError, match=knob):
+        run(scenario)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_controls_end_the_run_as_a_solver_failure():
+    # a floor of 1e308 makes eta1 * deficit overflow, so the controls turn
+    # NaN; both solvers must refuse a NaN residual instead of returning
+    # their start (the warm state) as a reading
+    scenario = load_scenario("wds10")
+    plant, u0 = disrupted_setup(scenario)
+    y_lower = plant.y_lower.copy()
+    y_lower[0] = 1e308
+    scenario.plant = WaterPlant(model=scenario.plant.model,
+                                u_lower=scenario.plant.u_lower,
+                                u_upper=scenario.plant.u_upper,
+                                y_lower=y_lower,
+                                measured_nodes=scenario.plant.measured_nodes)
+    outcome, records = run(scenario)
+    assert (outcome.status, outcome.rounds) == ("solver_failure", 3)
+    assert "residual nan" in outcome.detail
+    grid = load_scenario("pjm5").plant
+    with pytest.raises(SolverError, match="residual nan"):
+        solve_load_voltages([np.nan] * len(grid.grid.loads),
+                            [1.0] * len(grid.grid.generators), grid.grid)
+    u0[1] = np.nan
+    with pytest.raises(SolverError, match="residual nan"):
+        solve_network(u0, plant.model)
+
+
 def test_message_stats_zero_trace():
     scenario = cascade_scenario(u_upper=(1.0, 1.0))
     scenario.u0 = np.array([0.6, 0.6])

@@ -123,10 +123,10 @@ def damped_newton(x, residual, jacobian, singular, tol: float, max_iter: int):
 
     residual(x) returns (F(x), aux); jacobian(x, aux) returns dF/dx. Each
     iteration solves J step = -F and takes the first of x + step, x +
-    step/2, ..., x + step/1024 that lowers the residual inf-norm, or else
-    the best of them. Runs until the inf-norm is at most tol or for
-    max_iter iterations and returns (x, aux, inf-norm, iterations); a
-    singular J raises singular(iteration).
+    step/2, ..., x + step/1024 that lowers the residual inf-norm. Stops at
+    inf-norm <= tol, after max_iter iterations, or where no step lowers it
+    (iterations < max_iter), at the lowest residual reached. Returns (x,
+    aux, inf-norm, iterations); a singular J raises singular(iteration).
     """
     r, aux = residual(x)
     rnorm = float(np.abs(r).max()) if r.size else 0.0
@@ -139,14 +139,21 @@ def damped_newton(x, residual, jacobian, singular, tol: float, max_iter: int):
         for k in range(11):
             cand = x + step / 2 ** k
             rc, ac = residual(cand)
-            rcn = float(np.abs(rc).max())
-            if k == 0 or rcn < best[0]:
-                best = (rcn, cand, rc, ac)
-            if rcn < rnorm:
+            if (rcn := float(np.abs(rc).max())) < rnorm:
                 break
-        rnorm, x, r, aux = best
+        else:
+            break
+        rnorm, x, r, aux = rcn, cand, rc, ac
         iters += 1
     return x, aux, rnorm, iters
+
+
+def newton_failure(rnorm: float, iters: int, max_iter: int) -> str:
+    """Which stop ended an unconverged damped_newton run, and where."""
+    if iters < max_iter:
+        return (f"no step along the Newton direction lowers the residual "
+                f"at iteration {iters} (residual {rnorm:.3e})")
+    return f"iteration cap {max_iter} reached (residual {rnorm:.3e})"
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ModelError, PowerFlowInfeasibleError, SingularJacobianError
 from .graph import Graph, weighted_laplacian
-from .plant import PlantModel, damped_newton
+from .plant import PlantModel, damped_newton, newton_failure
 
 SOLVER_TOL = 1e-8
 MAX_NEWTON_ITER = 50
@@ -98,9 +98,10 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
     """Solve diag(v_L)(B_LG v_G + B_LL v_L) = q_L for the load voltages.
 
     Runs plant.damped_newton from a flat 1.0 per-unit start (or v0).
-    Raises PowerFlowInfeasibleError when no solution emerges within
-    max_iter or the converged root is non-physical (v <= 0), and
-    SingularJacobianError when the iteration matrix degenerates.
+    Raises PowerFlowInfeasibleError when the iteration stops unconverged
+    (the message names the stop) or the converged root is non-physical
+    (v <= 0), and SingularJacobianError when the iteration matrix
+    degenerates.
     """
     q_load = np.asarray(q_load, dtype=float)
     v_gen = np.asarray(v_gen, dtype=float)
@@ -123,8 +124,8 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
         tol, max_iter)
     if not rnorm <= tol:  # a NaN residual is no solution
         raise PowerFlowInfeasibleError(
-            f"no load-voltage solution after {iters} iterations "
-            f"(residual {rnorm:.3e})")
+            "no load-voltage solution: "
+            + newton_failure(rnorm, iters, max_iter))
     if (v <= 0).any():
         raise PowerFlowInfeasibleError("converged to non-physical voltages")
     q_gen = v_gen * (grid.b_gg @ v_gen + grid.b_lg.T @ v)

@@ -65,14 +65,19 @@ def _need(doc, key, where, default=None, kind=object):
     return value
 
 
+def _is_number(x):
+    """A JSON number: an int or a float, not a bool or a numeric string."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _num(doc, key, where, default=None):
     raw = _need(doc, key, where, default)
+    if not _is_number(raw):
+        raise ScenarioError(f"{where}.{key}: expected a number")
     try:
         value = float(raw)
-    except (TypeError, ValueError):
-        value = None
-    if value is None or isinstance(raw, bool):
-        raise ScenarioError(f"{where}.{key}: expected a number")
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(f"{where}.{key}: expected a finite number")
     return value
@@ -90,11 +95,15 @@ def _int(doc, key, where, default):
 
 def _finite_array(value, where, length=None):
     """value as a float array; raises ScenarioError unless every entry is a
-    finite number and, given a length, it is a list of that many."""
+    finite number (not a bool or a numeric string) and, given a length, it
+    is a list of that many."""
+    cells = np.asarray(value, dtype=object)
+    if not all(map(_is_number, cells.ravel())):
+        raise ScenarioError(f"{where}: expected numbers")
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where}: expected numbers") from None
+        arr = cells.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        raise ScenarioError(f"{where}: expected finite numbers") from None
     if not np.isfinite(arr).all():
         raise ScenarioError(f"{where}: expected finite numbers")
     if length is not None and arr.shape != (length,):

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (HydraulicInfeasibleError, ModelError,
                      PumpReverseFlowError)
 from .graph import Graph, reachable
-from .plant import PlantModel, damped_newton
+from .plant import PlantModel, damped_newton, newton_failure
 
 FLOW_TOL = 1e-9
 MAX_HYDRAULIC_ITER = 100
@@ -186,7 +186,8 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
     x0 is None it starts from the minimum-norm flows that conserve the
     injections and every free pressure at the mean fixed pressure. Raises ModelError when some node
     cannot reach a fixed-pressure node or x0 has the wrong length,
-    HydraulicInfeasibleError when the Newton iteration fails, and
+    HydraulicInfeasibleError when the Newton iteration stops unconverged
+    (the message names the stop), and
     PumpReverseFlowError when the solution would push flow backwards
     through a pump.
     """
@@ -238,8 +239,7 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
         tol, max_iter)
     if not rnorm <= tol:  # a NaN residual is no solution
         raise HydraulicInfeasibleError(
-            f"hydraulic solve stalled after {iters} iterations "
-            f"(residual {rnorm:.3e})")
+            "no hydraulic solution: " + newton_failure(rnorm, iters, max_iter))
     q = x[:m]
     backward = q[k:] < -1e-6
     if backward.any():

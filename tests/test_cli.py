@@ -214,8 +214,13 @@ def test_simulate_non_finite_plant_output_exit(tmp_path):
     lambda doc: doc["run"].update(eps_eq=float("nan")),
     lambda doc: doc["run"].update(eps_eq=-1.0),
     lambda doc: doc["run"].update(eps_feas=float("nan")),
+    lambda doc: doc["run"].update(eps_eq="1e-8"),
+    lambda doc: doc["run"].update(budget="5"),
+    lambda doc: doc["plant"].update(
+        u_upper=[str(x) for x in doc["plant"]["u_upper"]]),
 ], ids=["u0-nan", "u_upper-nan", "u_upper-inf", "u_lower-minus-inf",
-        "y_lower-nan", "eps_eq-nan", "eps_eq-negative", "eps_feas-nan"])
+        "y_lower-nan", "eps_eq-nan", "eps_eq-negative", "eps_feas-nan",
+        "eps_eq-string", "budget-string", "u_upper-strings"])
 def test_simulate_rejects_non_finite_run_numbers(tmp_path, edit):
     path = write_cascade(tmp_path, edit)
     assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 2

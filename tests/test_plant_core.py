@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from ripplesim import (Graph, GridModel, LinearPlant, PlantSolveError,
                        feasibility_check, max_effort_feasibility,
                        monotonicity_probe)
+from ripplesim.plant import damped_newton, newton_failure
 from ripplesim.power import GridPlant
 from synth import random_monotone_linear_plant
 
@@ -120,3 +121,45 @@ def test_solver_failure_carries_control():
     with pytest.raises(PlantSolveError) as err:
         monotonicity_probe(plant, np.array([1.0]))
     assert err.value.direction == 0
+
+
+def _singular(k):
+    return AssertionError(f"unexpected singular Jacobian at iteration {k}")
+
+
+def test_damped_newton_stops_at_its_first_exhausted_line_search():
+    # F(x) = x^2 + 1 has no root; its residual bottoms out at 1 (x = 0),
+    # where no Newton step can lower it
+    x, _, rnorm, iters = damped_newton(
+        np.array([0.5]), lambda x: (x * x + 1.0, None),
+        lambda x, _: np.diag(2.0 * x), _singular, tol=1e-8, max_iter=50)
+    assert iters < 5
+    assert 1.0 <= rnorm < 1.25  # lowered from the start's 1.25, not zero
+    assert rnorm == float(x[0] ** 2 + 1.0)
+    assert newton_failure(rnorm, iters, 50).startswith(
+        f"no step along the Newton direction lowers the residual at "
+        f"iteration {iters}")
+
+
+def test_damped_newton_reports_the_iteration_cap():
+    # F(x) = x - 1 with a Jacobian four times too steep: every full step
+    # lowers the residual by a quarter, so only the cap stops the loop
+    x, _, rnorm, iters = damped_newton(
+        np.array([0.0]), lambda x: (x - 1.0, None),
+        lambda x, _: np.array([[4.0]]), _singular, tol=1e-8, max_iter=5)
+    assert iters == 5
+    assert x[0] == 1.0 - 0.75 ** 5 and rnorm == 0.75 ** 5
+    assert newton_failure(rnorm, iters, 5) == \
+        f"iteration cap 5 reached (residual {0.75 ** 5:.3e})"
+
+
+def test_damped_newton_takes_a_halved_step_past_a_nan_residual():
+    # F(x) = x - 1 is undefined (NaN) beyond x = 1.5; a Jacobian of 1/2
+    # makes the full step from 0 land on 2, so the half step must be taken
+    def residual(x):
+        return np.where(x > 1.5, np.nan, x - 1.0), None
+
+    x, _, rnorm, iters = damped_newton(
+        np.array([0.0]), residual, lambda x, _: np.array([[0.5]]),
+        _singular, tol=1e-8, max_iter=50)
+    assert (x[0], rnorm, iters) == (1.0, 0.0, 1)

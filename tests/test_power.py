@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from ripplesim import (Graph, GridModel, ModelError,
                        loadability_sweep, monotonicity_margin,
                        reactive_injections, solve_load_voltages,
                        weighted_laplacian)
-from ripplesim.power import PowerFlowSolution, _gain_matrix
+from ripplesim.power import (MAX_NEWTON_ITER, SOLVER_TOL, PowerFlowSolution,
+                             _gain_matrix)
 from synth import random_grid
 
 
@@ -69,6 +71,50 @@ def test_solve_infeasible_past_discriminant(twobus):
     # 10 v (v-1) = -2.6 has discriminant 1 - 4*0.26 < 0
     with pytest.raises(PowerFlowInfeasibleError):
         solve_load_voltages(np.array([-2.6]), np.array([1.0]), twobus)
+
+
+STALL = "no step along the Newton direction lowers the residual"
+
+
+@pytest.mark.parametrize("f", [1 - 1e-6, 0.999])
+def test_solve_just_below_the_nose(twobus, f):
+    # a load f * b * v_G^2 / 4 with f < 1 has the high root (1 + sqrt(1 - f)) / 2
+    # (v_G = 1); near the nose G = b (2v - 1) is small, and a residual of at
+    # most SOLVER_TOL leaves a voltage error of about SOLVER_TOL / G
+    q = -f * 10.0 / 4
+    sol = solve_load_voltages(np.array([q]), np.array([1.0]), twobus)
+    v = twobus_voltage(q)
+    assert abs(sol.v_load[0] - v) <= 2 * SOLVER_TOL / (10.0 * (2 * v - 1))
+
+
+@pytest.mark.parametrize("f", [1.001, 1.01, 1.1])
+def test_solve_past_the_nose_stops_at_a_stalled_line_search(twobus, f):
+    # past the nose the lowest residual b v (v - 1) - q is the load beyond
+    # the nose, (f - 1) b v_G^2 / 4, at v = v_G / 2
+    with pytest.raises(PowerFlowInfeasibleError, match=STALL) as err:
+        solve_load_voltages(np.array([-f * 10.0 / 4]), np.array([1.0]), twobus)
+    m = re.search(r"at iteration (\d+) \(residual (\S+)\)", str(err.value))
+    assert int(m[1]) < 20
+    assert float(m[2]) == pytest.approx((f - 1) * 10.0 / 4, rel=1e-3)
+
+
+def test_every_solve_sweep_grid_failure_stops_at_a_stalled_line_search():
+    # the grid population of perfbench's solve_sweep workload, at its
+    # population and held-out seeds; a load-scale continuation finds a
+    # voltage-collapse fold below full load on every grid that fails
+    for seed, expected in ((2024, 24), (3, 18)):
+        failures = 0
+        for n in range(20, 201, 20):
+            rng = np.random.default_rng([seed, 1, n])
+            for _ in range(8):
+                grid, q_load, v_gen = random_grid(rng, n)
+                try:
+                    solve_load_voltages(q_load, v_gen, grid)
+                except PowerFlowInfeasibleError as exc:
+                    m = re.search(STALL + r" at iteration (\d+)", str(exc))
+                    assert m and int(m[1]) < MAX_NEWTON_ITER
+                    failures += 1
+        assert failures == expected
 
 
 def test_residual_invariant_on_random_grids():

@@ -162,6 +162,17 @@ def test_bad_gains_rejected(bad):
     ("plant", "y_lower", [float("nan")]),
     ("initial", "u0", [float("nan"), 0.0]),
     ("initial", "u0", {"b": float("inf")}),
+    # a quoted number, a bool or an integer beyond the float range is not
+    # a finite JSON number, alone or as an array entry
+    ("run", "eps_eq", "1e-8"),
+    ("run", "budget", "5"),
+    pytest.param("run", "eps_feas", 10 ** 400, id="run-eps_feas-huge-int"),
+    ("gains", "eta1", "1.0"),
+    ("plant", "u_upper", ["0.5", "1.0"]),
+    ("plant", "sensitivity", [[1.0, "1"]]),
+    ("plant", "offset", [True]),
+    pytest.param("plant", "y_lower", [10 ** 400], id="plant-y_lower-huge-int"),
+    ("initial", "u0", {"a": "0"}),
 ])
 def test_non_finite_linear_numbers_rejected(section, key, value):
     doc = json.loads(json.dumps(MINIMAL_LINEAR))

@@ -118,22 +118,25 @@ def max_effort_feasibility(plant: PlantModel, eps_feas: float = EPS_FEAS_DEFAULT
     return bool(np.all(y >= plant.y_lower - eps_feas))
 
 
-def damped_newton(x, residual, jacobian, singular, tol: float, max_iter: int):
+def damped_newton(x, residual, direction, singular, tol: float,
+                  max_iter: int):
     """Backtracking Newton iteration for the square system F(x) = 0.
 
-    residual(x) returns (F(x), aux); jacobian(x, aux) returns dF/dx. Each
-    iteration solves J step = -F and takes the first of x + step, x +
+    residual(x) returns (F(x), aux); direction(x, F(x), aux) returns the
+    Newton step, the solution of J step = -F with J = dF/dx, however the
+    caller solves it. Each iteration takes the first of x + step, x +
     step/2, ..., x + step/1024 that lowers the residual inf-norm. Stops at
     inf-norm <= tol, after max_iter iterations, or where no step lowers it
     (iterations < max_iter), at the lowest residual reached. Returns (x,
-    aux, inf-norm, iterations); a singular J raises singular(iteration).
+    aux, inf-norm, iterations); a LinAlgError from direction (a singular J)
+    raises singular(iteration).
     """
     r, aux = residual(x)
     rnorm = float(np.abs(r).max()) if r.size else 0.0
     iters = 0
     while rnorm > tol and iters < max_iter:
         try:
-            step = np.linalg.solve(jacobian(x, aux), -r)
+            step = direction(x, r, aux)
         except np.linalg.LinAlgError as exc:
             raise singular(iters) from exc
         for k in range(11):
@@ -149,7 +152,14 @@ def damped_newton(x, residual, jacobian, singular, tol: float, max_iter: int):
 
 
 def newton_failure(rnorm: float, iters: int, max_iter: int) -> str:
-    """Which stop ended an unconverged damped_newton run, and where."""
+    """Which stop ended an unconverged damped_newton run, and where.
+
+    Every accepted step lowers the residual, so a non-finite one can only
+    be the starting point's, where no line search ran.
+    """
+    if not np.isfinite(rnorm):
+        return (f"the residual at the starting point is not finite "
+                f"(residual {rnorm:.3e})")
     if iters < max_iter:
         return (f"no step along the Newton direction lowers the residual "
                 f"at iteration {iters} (residual {rnorm:.3e})")

@@ -118,7 +118,8 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
         return vl * il - q_load, il
 
     v, i_load, rnorm, iters = damped_newton(
-        v, residual, lambda vl, il: _gain_matrix(vl, il, grid.b_ll),
+        v, residual,
+        lambda vl, r, il: np.linalg.solve(_gain_matrix(vl, il, grid.b_ll), -r),
         lambda k: SingularJacobianError(
             f"singular iteration matrix at iteration {k}"),
         tol, max_iter)

@@ -13,11 +13,20 @@ unknowns are the edge flows and the pressures at non-fixed nodes: one row
 per pipe matches the friction drop of its flow to the pressure difference
 across it, one row per pump matches that difference to the pump's gain,
 and one row per non-fixed node conserves flow. The damped Newton shared
-with the grid solver (plant.damped_newton) solves this system with its
-full saddle-point Jacobian. Only the forward friction law is evaluated,
-and the linear segment bounds its slope below, so no pipe row degenerates.
-At least one node must hold a fixed pressure, and every node must reach
-one through the network.
+with the grid solver (plant.damped_newton) solves this system. Only the
+forward friction law is evaluated, and the linear segment bounds its
+slope below, so the pipe slopes D are positive and each step can
+eliminate the pipe flows first: with A_p and A_u the pipe and pump rows
+of the edge by free node incidence, W = D^-1 and r the residual (pipe,
+pump, conservation rows), the step solves the nodal system
+
+    [[A_p^T W A_p, A_u^T], [A_u, 0]] [dp; dq_pump]
+        = [A_p^T W r_pipe - r_cons; -r_pump]
+
+with one row per free node and per pump, then sets dq_pipe = W (A_p dp -
+r_pipe). That is the step of the full saddle-point Jacobian, which is
+singular exactly when this matrix is. At least one node must hold a fixed
+pressure, and every node must reach one through the network.
 """
 from dataclasses import dataclass
 
@@ -99,7 +108,14 @@ class _Incidence:
     along its boost). The Newton unknowns are the edge flows in that order
     and orientation, then the free pressures. The edge by free node
     incidence matrix A_f holds a_vals at (a_rows, a_cols): +1 where an
-    edge leaves a free node, -1 where it enters one.
+    edge leaves a free node, -1 where it enters one; p_rows and p_vals
+    are the rows and values of its pipe entries. lap_at and lap_sign
+    scatter A_f^T A_f into a flat free by free array. k_at scatters the
+    step matrix of the module docstring and its right-hand side, as a
+    last column, into a flat array of (free nodes + pumps) rows: first the
+    pipe entries, A_f^T A_f's at edges k_edge with signs k_sign (each to
+    be weighted by its pipe's 1/slope), then the constant pump border
+    k_border, then the right-hand side. Every array is built in O(edges).
     """
 
     def __init__(self, model):
@@ -128,6 +144,47 @@ class _Incidence:
         self.a_rows = np.concatenate((out, into))
         self.a_cols = pos[np.concatenate((self.tail[out], self.head[into]))]
         self.a_vals = np.repeat([1.0, -1.0], [len(out), len(into)])
+        # the entries of A_f^T A_f, each from one edge: a +1 on the
+        # diagonal per incidence entry, and a -1 on both sides of it for
+        # an edge between two free nodes
+        both = np.flatnonzero(is_free[self.tail] & is_free[self.head])
+        tails, heads = pos[self.tail[both]], pos[self.head[both]]
+        rows = np.concatenate((self.a_cols, tails, heads))
+        cols = np.concatenate((self.a_cols, heads, tails))
+        edge = np.concatenate((self.a_rows, both, both))
+        sign = np.repeat([1.0, -1.0], [len(self.a_rows), 2 * len(both)])
+        nf = len(self.free)
+        self.lap_at, self.lap_sign = rows * nf + cols, sign
+        # the step matrix, with its right-hand side as one more column:
+        # the pipe entries of A_f^T A_f, pump j's incidence row as row and
+        # column nf + j, then the right-hand side's pipe incidence entries,
+        # pump rows and free-node rows
+        size = nf + len(pumps)
+        width = size + 1
+        pipe = edge < self.n_pipes
+        pump = np.flatnonzero(self.a_rows >= self.n_pipes)
+        border = nf + self.a_rows[pump] - self.n_pipes, self.a_cols[pump]
+        pipe_entry = np.flatnonzero(self.a_rows < self.n_pipes)
+        rhs = np.concatenate((self.a_cols[pipe_entry],
+                              nf + np.arange(len(pumps)), np.arange(nf)))
+        self.k_at = np.concatenate((rows[pipe] * width + cols[pipe],
+                                    border[0] * width + border[1],
+                                    border[1] * width + border[0],
+                                    rhs * width + size))
+        self.k_edge, self.k_sign = edge[pipe], sign[pipe]
+        self.k_border = np.tile(self.a_vals[pump], 2)
+        self.p_rows = self.a_rows[pipe_entry]
+        self.p_vals = self.a_vals[pipe_entry]
+
+    def across(self, y):
+        """A_f y: the difference of free-node values y across each edge."""
+        return np.bincount(self.a_rows, self.a_vals * y[self.a_cols],
+                           len(self.tail))
+
+    def outflow(self, q):
+        """A_f^T q: the net outflow of edge flows q at each free node."""
+        return np.bincount(self.a_cols, self.a_vals * q[self.a_rows],
+                           len(self.free))
 
 
 @dataclass(frozen=True)
@@ -174,6 +231,24 @@ class HydraulicSolution:
     unknowns: np.ndarray | None = None
 
 
+def _newton_step(net: _Incidence, r, slope):
+    """The Newton step of solve_network's system at residual r and pipe
+    slopes slope, through the nodal system of the module docstring; a
+    singular one raises LinAlgError."""
+    k, nf = net.n_pipes, len(net.free)
+    size = nf + len(net.gain)
+    w = 1.0 / slope
+    w_r = w * r[:k]
+    # the step matrix, with the right-hand side as its last column
+    system = np.bincount(net.k_at, np.concatenate((
+        net.k_sign * w[net.k_edge], net.k_border,
+        net.p_vals * w_r[net.p_rows], -r[k:])), size * (size + 1))
+    system = system.reshape(size, size + 1)
+    sol = np.linalg.solve(system[:, :size], system[:, size])
+    dp = sol[:nf]
+    return np.concatenate((w * net.across(dp)[:k] - w_r, sol[nf:], dp))
+
+
 def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
                   max_iter: int = MAX_HYDRAULIC_ITER,
                   x0=None) -> HydraulicSolution:
@@ -202,14 +277,6 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
     free, tail, head, k = net.free, net.tail, net.head, net.n_pipes
     m, nf = len(tail), len(free)
     u_free = u[free]
-    a_f = np.zeros((m, nf))
-    a_f[net.a_rows, net.a_cols] = net.a_vals
-    # rows: pipe laws, pump gains, conservation; columns: flows, free pressures
-    jac = np.zeros((m + nf, m + nf))
-    jac[:k, m:] = -a_f[:k]
-    jac[k:m, m:] = a_f[k:]
-    jac[m:, :m] = a_f.T
-    pipes = np.arange(k)
 
     def residual(x):
         """Pipe drop minus pressure difference, pressure difference plus
@@ -220,20 +287,18 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
         diff = pres[tail] - pres[head]
         drop, slope = _friction(x[:k], net.coefficient, net.exponent)
         return np.concatenate((drop - diff[:k], diff[k:] + net.gain,
-                               a_f.T @ x[:m] - u_free)), (pres, slope)
-
-    def jacobian(x, aux):
-        jac[pipes, pipes] = aux[1]
-        return jac
+                               net.outflow(x[:m]) - u_free)), (pres, slope)
 
     if x0 is None:
-        x0 = np.concatenate((a_f @ np.linalg.solve(a_f.T @ a_f, u_free),
+        lap = np.bincount(net.lap_at, net.lap_sign, nf * nf).reshape(nf, nf)
+        x0 = np.concatenate((net.across(np.linalg.solve(lap, u_free)),
                              np.full(nf, np.mean(u[net.fixed]))))
     elif np.shape(x0) != (m + nf,):
         raise ModelError("start vector must hold the edge flows and the "
                          "free pressures")
     x, (pressures, _), rnorm, iters = damped_newton(
-        np.asarray(x0, dtype=float), residual, jacobian,
+        np.asarray(x0, dtype=float), residual,
+        lambda x, r, aux: _newton_step(net, r, aux[1]),
         lambda it: HydraulicInfeasibleError(
             f"singular hydraulic Jacobian at iteration {it}"),
         tol, max_iter)

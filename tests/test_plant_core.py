@@ -132,7 +132,8 @@ def test_damped_newton_stops_at_its_first_exhausted_line_search():
     # where no Newton step can lower it
     x, _, rnorm, iters = damped_newton(
         np.array([0.5]), lambda x: (x * x + 1.0, None),
-        lambda x, _: np.diag(2.0 * x), _singular, tol=1e-8, max_iter=50)
+        lambda x, r, _: np.linalg.solve(np.diag(2.0 * x), -r), _singular,
+        tol=1e-8, max_iter=50)
     assert iters < 5
     assert 1.0 <= rnorm < 1.25  # lowered from the start's 1.25, not zero
     assert rnorm == float(x[0] ** 2 + 1.0)
@@ -146,7 +147,8 @@ def test_damped_newton_reports_the_iteration_cap():
     # lowers the residual by a quarter, so only the cap stops the loop
     x, _, rnorm, iters = damped_newton(
         np.array([0.0]), lambda x: (x - 1.0, None),
-        lambda x, _: np.array([[4.0]]), _singular, tol=1e-8, max_iter=5)
+        lambda x, r, _: np.linalg.solve(np.array([[4.0]]), -r), _singular,
+        tol=1e-8, max_iter=5)
     assert iters == 5
     assert x[0] == 1.0 - 0.75 ** 5 and rnorm == 0.75 ** 5
     assert newton_failure(rnorm, iters, 5) == \
@@ -160,6 +162,7 @@ def test_damped_newton_takes_a_halved_step_past_a_nan_residual():
         return np.where(x > 1.5, np.nan, x - 1.0), None
 
     x, _, rnorm, iters = damped_newton(
-        np.array([0.0]), residual, lambda x, _: np.array([[0.5]]),
+        np.array([0.0]), residual,
+        lambda x, r, _: np.linalg.solve(np.array([[0.5]]), -r),
         _singular, tol=1e-8, max_iter=50)
     assert (x[0], rnorm, iters) == (1.0, 0.0, 1)

@@ -98,6 +98,19 @@ def test_solve_past_the_nose_stops_at_a_stalled_line_search(twobus, f):
     assert float(m[2]) == pytest.approx((f - 1) * 10.0 / 4, rel=1e-3)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("q, v0, shown", [(np.nan, None, "nan"),
+                                          (-0.1, np.inf, "inf")])
+def test_solve_from_a_non_finite_start_says_so(twobus, q, v0, shown):
+    # no step lowers a non-finite residual, so no line search stalled
+    with pytest.raises(PowerFlowInfeasibleError) as err:
+        solve_load_voltages(np.array([q]), np.array([1.0]), twobus,
+                            v0=None if v0 is None else np.array([v0]))
+    assert str(err.value) == (
+        "no load-voltage solution: the residual at the starting point is "
+        f"not finite (residual {shown})")
+
+
 def test_every_solve_sweep_grid_failure_stops_at_a_stalled_line_search():
     # the grid population of perfbench's solve_sweep workload, at its
     # population and held-out seeds; a load-scale continuation finds a

@@ -9,7 +9,10 @@ from ripplesim import (Graph, HydraulicInfeasibleError, ModelError,
                        PumpReverseFlowError, WaterModel, adjacency_matrix,
                        check_pressure_ordering, edge_pressure_drop,
                        monotonicity_probe, solve_network)
-from ripplesim.water import LINEAR_FLOW_CUTOFF, WaterPlant, _friction
+from ripplesim.scenario_io import load_scenario
+from ripplesim.sim import disrupted_setup
+from ripplesim.water import (LINEAR_FLOW_CUTOFF, WaterPlant, _friction,
+                             _newton_step)
 from synth import random_connected_graph, random_water_network
 
 
@@ -134,8 +137,76 @@ def test_every_solve_sweep_water_instance_solves():
             rng = np.random.default_rng([seed, 2, n])
             for _ in range(4):
                 model, u = random_water_network(rng, n)
-                _assert_conserves_and_obeys_laws(
-                    model, u, solve_network(u, model), 1e-7)
+                sol = solve_network(u, model)
+                _assert_conserves_and_obeys_laws(model, u, sol, 1e-7)
+                assert sol.iterations <= 5
+
+
+def _dense_incidence(net):
+    a_f = np.zeros((len(net.tail), len(net.free)))
+    a_f[net.a_rows, net.a_cols] = net.a_vals
+    return a_f
+
+
+def _saddle_point_step(model, u, x):
+    """The Newton step at x from the full saddle-point Jacobian, and the
+    residual and pipe slopes it was taken at, assembled densely: the
+    reference for solve_network's reduced step.
+
+    Rows: pipe laws, pump gains, conservation at free nodes; columns:
+    law-order edge flows, free pressures.
+    """
+    net = model._incidence
+    k, m, nf = net.n_pipes, len(net.tail), len(net.free)
+    a_f = _dense_incidence(net)
+    pres = u.copy()
+    pres[net.free] = x[m:]
+    diff = pres[net.tail] - pres[net.head]
+    drop, slope = _friction(x[:k], net.coefficient, net.exponent)
+    r = np.concatenate((drop - diff[:k], diff[k:] + net.gain,
+                        a_f.T @ x[:m] - u[net.free]))
+    jac = np.zeros((m + nf, m + nf))
+    jac[:k, :k] = np.diag(slope)
+    jac[:k, m:] = -a_f[:k]
+    jac[k:m, m:] = a_f[k:]
+    jac[m:, :m] = a_f.T
+    return np.linalg.solve(jac, -r), r, slope
+
+
+def _cold_start(model, u):
+    """Minimum-norm flows that conserve the free injections, and every free
+    pressure at the mean fixed pressure."""
+    net = model._incidence
+    return np.concatenate((np.linalg.pinv(_dense_incidence(net).T)
+                           @ u[net.free],
+                           np.full(len(net.free),
+                                   np.mean(u[net.fixed]))))
+
+
+def _assert_reduced_step_matches(model, u, x):
+    full, r, slope = _saddle_point_step(model, u, x)
+    step = _newton_step(model._incidence, r, slope)
+    assert_allclose(step, full, rtol=0.0, atol=1e-9 * np.abs(full).max())
+
+
+def test_reduced_newton_step_matches_the_saddle_point_step():
+    rng = np.random.default_rng(53)
+    for _ in range(10):
+        model, u = random_water_network(rng, int(rng.integers(5, 120)))
+        _assert_reduced_step_matches(model, u, _cold_start(model, u))
+
+
+def test_reduced_newton_step_matches_with_a_pump_border():
+    # the disrupted wds10 has two pumps, so the step's nodal system keeps
+    # its pump rows and columns
+    plant, u = disrupted_setup(load_scenario("wds10"))
+    model = plant.model
+    assert model._incidence.n_pipes < len(model._incidence.tail)
+    x = solve_network(u, model).unknowns
+    rng = np.random.default_rng(59)
+    for state in (_cold_start(model, u),
+                  x + rng.normal(scale=1.0 + np.abs(x), size=len(x))):
+        _assert_reduced_step_matches(model, u, state)
 
 
 def _tree_oracle(model, u):
@@ -187,6 +258,20 @@ def test_tree_networks_match_conservation_oracle(n):
     pressures, flows = _tree_oracle(model, u)
     assert_allclose(sol.flows, flows, rtol=1e-9, atol=1e-7)
     assert_allclose(sol.pressures, pressures, rtol=1e-9, atol=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("node", [0, 1])
+def test_solve_from_a_non_finite_start_says_so(single_pipe, node):
+    # a NaN source pressure or injection makes the starting residual NaN,
+    # where no line search runs
+    u = np.array([5.0, -100.0])
+    u[node] = np.nan
+    with pytest.raises(HydraulicInfeasibleError) as err:
+        solve_network(u, single_pipe)
+    assert str(err.value) == (
+        "no hydraulic solution: the residual at the starting point is not "
+        "finite (residual nan)")
 
 
 def test_pump_between_fixed_nodes_is_singular():

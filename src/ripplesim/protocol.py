@@ -76,19 +76,25 @@ def gain_condition(eta2, eta3, adjacency) -> float:
 
 def protocol_round(u, beacons, deficit, gains: ProtocolGains, adjacency,
                    u_upper):
-    """Advance one synchronous round; returns (u_next, beacons_next, messages).
+    """Advance one synchronous round; returns (u_next, beacons_next).
 
     deficit is the violation of the reading taken at controls u. beacons are
     the ones computed last round (they arrive one round late by
-    construction). Every agent whose new beacon is positive sends one
-    message per communication neighbor, so messages is the summed overlay
-    degree of the beaconing agents.
+    construction). message_counts(beacons_next, adjacency) is the number of
+    messages the round sends.
     """
     target = u + gains.eta1 * deficit + gains.eta2 * (adjacency @ beacons)
     beacons_next = np.maximum(0.0, gains.eta3 * (target - u_upper))
-    u_next = np.minimum(target, u_upper)
-    messages = int(np.count_nonzero(adjacency[beacons_next > 0.0]))
-    return u_next, beacons_next, messages
+    return np.minimum(target, u_upper), beacons_next
+
+
+def message_counts(beacons, adjacency):
+    """Messages sent with these beacons: the summed overlay degree of the
+    agents whose beacon is positive (each sends one message per
+    communication neighbor). beacons is one round's row, giving one count,
+    or a (rounds, n) stack, giving one count per row.
+    """
+    return (np.asarray(beacons) > 0.0) @ np.count_nonzero(adjacency, axis=1)
 
 
 def is_equilibrium(u, beacons, u_next, beacons_next, eps_eq: float = 1e-8) -> bool:

@@ -9,6 +9,7 @@ terminal state is classified into an Outcome. Runs are single-threaded and
 deterministic: the same scenario yields bit-identical traces.
 """
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .plant import (EPS_FEAS_DEFAULT, LinearPlant, PlantModel,
                     feasibility_check)
 from .power import GridModel, GridPlant
 from .protocol import (ProtocolGains, auto_gains, gain_condition,
-                       is_equilibrium, protocol_round, violation)
+                       message_counts, protocol_round, violation)
 from .water import WaterModel, WaterPlant
 
 
@@ -66,8 +67,7 @@ class Scenario:
         return str(index + 1)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Snapshot taken at the end of one protocol round."""
 
     round: int
@@ -284,7 +284,10 @@ def run(scenario: Scenario):
     feasibility check and in "stalled" otherwise. A state that moved less
     than eps_eq but is neither pinned nor clear of its deficit keeps going:
     it may still be crawling toward a feasible point through a weakly
-    coupled agent.
+    coupled agent. A NaN passes none of rules 2 to 5. When the solve fails
+    at non-finite controls, the detail says that the protocol update
+    overflowed. Each record's messages are message_counts of its beacons,
+    counted for the whole trace when the run ends.
     """
     try:
         plant, u0 = disrupted_setup(scenario)
@@ -307,10 +310,19 @@ def run(scenario: Scenario):
     measured = np.array(plant.measured_nodes, dtype=int)
     eps_eq, eps_feas = scenario.eps_eq, scenario.eps_feas
     pinned = u_upper - eps_eq
-    records = []
-    keep = scenario.trace_decimation
+    rows = []
+    keep, window = scenario.trace_decimation, scenario.stall_window
     prev_deficit = None
     frozen_rounds = 0
+    count = np.count_nonzero
+
+    def trace():
+        """The retained rounds as TraceRecords; one count for all messages."""
+        if not rows:
+            return []
+        messages = message_counts([row[4] for row in rows], adjacency)
+        return [TraceRecord._make((*row, m))
+                for row, m in zip(rows, messages.tolist())]
 
     def classify(status, rounds, equilibrium, detail=""):
         feas = False
@@ -333,43 +345,49 @@ def run(scenario: Scenario):
                 if state is None:
                     raise
                 y, state = plant.solve_from(u)
-            if not np.isfinite(y).all():
+            if count(np.isfinite(y)) != len(y):
                 raise SolverError(f"round {t}: plant output is not finite")
         except SolverError as exc:
+            detail = str(exc)
+            if count(np.isfinite(u)) != n:
+                # u0 is finite, so the update of the round before overflowed
+                detail = (f"controls are not finite: the protocol update of "
+                          f"round {t - 1} overflowed (a gain times a deficit "
+                          f"or a beacon); {detail}")
             outcome = Outcome(status="solver_failure", rounds=t,
                               feasible=False, equilibrium=False,
                               max_violation=float("nan"),
-                              max_beacon=float(beacons.max()),
-                              detail=str(exc))
-            return outcome, records
+                              max_beacon=float(beacons.max()), detail=detail)
+            return outcome, trace()
         deficit = violation(y, y_lower, measured, n)
-        u_next, beacons_next, messages = protocol_round(
-            u, beacons, deficit, gains, adjacency, u_upper)
-        at_ceiling = (u_next >= pinned).all()
-        # rules 2 to 4 of the docstring; the eps_eq test runs only when
-        # the pinned or cleared test lets it decide
-        reached_eq = ((u_next == u).all()
-                      and (beacons_next == beacons).all()) or (
-            (at_ceiling or deficit.max(initial=0.0) <= eps_feas)
-            and is_equilibrium(u, beacons, u_next, beacons_next, eps_eq))
+        u_next, beacons_next = protocol_round(u, beacons, deficit, gains,
+                                              adjacency, u_upper)
+        # Rules 2 to 4 of the docstring; the eps_eq test runs only when the
+        # pinned or cleared test lets it decide. Each test counts the entries
+        # that pass it, so a NaN fails it.
+        at_ceiling = count(u_next >= pinned) == n
+        reached_eq = (not count(u_next != u)
+                      and not count(beacons_next != beacons)) or (
+            (at_ceiling or count(deficit <= eps_feas) == n)
+            and count(abs(u_next - u) <= eps_eq) == n
+            and count(abs(beacons_next - beacons) <= eps_eq) == n)
         if at_ceiling and prev_deficit is not None and \
-                (deficit == prev_deficit).all():
+                count(deficit == prev_deficit) == n:
             frozen_rounds += 1
         else:
             frozen_rounds = 0
         prev_deficit = deficit
         u, beacons = u_next, beacons_next
         if t % keep == 0 or t == 1 or reached_eq:
-            records.append(TraceRecord(
-                round=t, u=u, y=y, deficit=deficit, beacons=beacons,
-                messages=messages))
+            rows.append((t, u, y, deficit, beacons))
         if reached_eq:
-            return classify("equilibrium", t, True), records
-        if frozen_rounds >= scenario.stall_window and deficit.max() > eps_feas:
+            return classify("equilibrium", t, True), trace()
+        # a NaN deficit has reset frozen_rounds, so it cannot stall the run
+        if frozen_rounds >= window and count(deficit > eps_feas):
             return classify("stalled", t, False,
                             detail="controls pinned at the ceiling with a "
-                                   "persistent violation"), records
-    return classify("budget_exceeded", scenario.budget, False), records
+                                   "persistent violation"), trace()
+    return classify("budget_exceeded", scenario.budget, False), trace()
 
 
 @dataclass(frozen=True)
@@ -393,10 +411,14 @@ def _versus_previous(compare, u, u0):
 
 def stacked(records, name):
     """One field of every record as a (records, agents) array."""
-    rows = [getattr(r, name) for r in records]
+    return _stack([getattr(r, name) for r in records], name)
+
+
+def _stack(rows, name):
+    """rows (one field of every record) as a (records, agents) array."""
     if len(set(map(len, rows))) > 1:
         raise ValueError(f"trace records disagree in the length of {name}")
-    return np.concatenate(rows).reshape(len(records), -1)
+    return np.concatenate(rows).reshape(len(rows), -1)
 
 
 def _first_rounds(mask, records) -> dict:
@@ -436,30 +458,44 @@ def verify_trace(records, comm_graph: Graph, u_upper, u0=None) -> list:
 
     Checks: controls never decrease and never exceed the ceiling, beacons
     stay nonnegative, a positive beacon always sits on a saturated control,
-    and every round's message count equals the summed degree of its
-    beaconing agents (zero when nobody beacons).
+    every round's message count equals the summed degree of its beaconing
+    agents (zero when nobody beacons), and locality: a control rises only if
+    its own deficit is positive or a neighbor beaconed in the round before.
+    Locality compares a record with the one before it (the first record of
+    round 1 with u0 and no beacons), so it skips every record whose round
+    does not directly follow the previous record's, as in a decimated trace.
     """
     if not records:
         return []
     u_upper = np.asarray(u_upper, dtype=float)
-    u = stacked(records, "u")
-    beacons = stacked(records, "beacons")
+    adjacency = adjacency_matrix(comm_graph)
+    rounds, u, _, deficit, beacons, messages = zip(*records)
+    u, beacons = _stack(u, "u"), _stack(beacons, "beacons")
     beaconing = beacons > 0
-    expect = beaconing @ adjacency_matrix(comm_graph).sum(axis=1).astype(int)
+    expect = message_counts(beaconing, adjacency)
+    # who beaconed in the round before each record; nobody before round 1
+    before = np.vstack((np.zeros_like(beaconing[:1]), beaconing[:-1]))
+    unprompted = (_versus_previous(np.greater, u, u0)
+                  & ~((_stack(deficit, "deficit") > 0)
+                      | (before @ adjacency > 0))
+                  & (np.diff(rounds, prepend=0) == 1)[:, None])
     flags = np.column_stack((np.any(_versus_previous(np.less, u, u0), axis=1),
                              np.any(u > u_upper, axis=1),
                              np.any(beacons < 0, axis=1)))
     unsaturated = beaconing & (u != u_upper)
-    messages = np.array([r.messages for r in records])
     problems = []
     for i in np.flatnonzero(flags.any(axis=1) | unsaturated.any(axis=1)
-                            | (messages != expect)):
+                            | unprompted.any(axis=1)
+                            | (np.array(messages) != expect)):
         r = records[i]
         problems += [f"round {r.round}: {text}" for text, bad in zip(
             ("control decreased", "control exceeds its ceiling",
              "negative beacon"), flags[i]) if bad]
         problems += [f"round {r.round}: beacon at unsaturated agent {k}"
                      for k in np.flatnonzero(unsaturated[i])]
+        problems += [f"round {r.round}: control {k} rose without a deficit "
+                     "or a neighbor's beacon"
+                     for k in np.flatnonzero(unprompted[i])]
         if r.messages != expect[i]:
             problems.append(
                 f"round {r.round}: {r.messages} messages, expected {expect[i]}")

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from ripplesim import (Graph, LinearPlant, ProtocolGains, adjacency_matrix,
                        auto_gains, gain_condition, is_equilibrium,
-                       protocol_round, spectral_norm, violation)
+                       message_counts, protocol_round, spectral_norm,
+                       violation)
 
 
 def unit_gains(n):
@@ -64,7 +65,7 @@ def test_violation_matches_loop_reference():
 def test_target_adds_scaled_deficit():
     # the ceiling sits far above, so the target is the implemented control
     gains = ProtocolGains(eta1=[0.1], eta2=[1.0], eta3=[1.0])
-    u_next, beacons, _ = single_round([1.0], [0.04], [0.0], gains, [9.0])
+    u_next, beacons = single_round([1.0], [0.04], [0.0], gains, [9.0])
     assert_allclose(u_next, [1.004])
     assert_array_equal(beacons, [0.0])
 
@@ -72,18 +73,18 @@ def test_target_adds_scaled_deficit():
 def test_target_fixed_point_without_inputs():
     gains = unit_gains(3)
     u = np.array([0.3, -1.0, 2.0])
-    u_next, beacons, messages = single_round(u, np.zeros(3), np.zeros(3),
-                                             gains, np.full(3, 9.0))
+    u_next, beacons = single_round(u, np.zeros(3), np.zeros(3), gains,
+                                   np.full(3, 9.0))
     assert_array_equal(u_next, u)
     assert_array_equal(beacons, np.zeros(3))
-    assert messages == 0
+    assert message_counts(beacons, np.zeros((3, 3))) == 0
 
 
 def test_target_adds_neighbor_beacons():
     # agent 0 receives the 0.05 beacon of agent 1 over their edge
     gains = ProtocolGains(eta1=[1.0, 1.0], eta2=[0.2, 0.2], eta3=[1.0, 1.0])
-    u_next, _, _ = single_round([0.5, 0.0], [0.0, 0.0], [0.0, 0.05], gains,
-                                [9.0, 9.0], [[0.0, 1.0], [1.0, 0.0]])
+    u_next, _ = single_round([0.5, 0.0], [0.0, 0.0], [0.0, 0.05], gains,
+                             [9.0, 9.0], [[0.0, 1.0], [1.0, 0.0]])
     assert_allclose(u_next, [0.51, 0.0])
 
 
@@ -166,11 +167,11 @@ def test_round_single_agent_first_step():
     plant = LinearPlant(sensitivity=[[1.0]], offset=[0.0], u_lower=[0.0],
                         u_upper=[2.0], y_lower=[1.0], measured_nodes=[0])
     gains = ProtocolGains(eta1=[0.5], eta2=[1.0], eta3=[1.0])
-    u, beacons, messages = plant_round(plant, np.zeros(1), np.zeros(1),
-                                       gains, np.zeros((1, 1)))
+    u, beacons = plant_round(plant, np.zeros(1), np.zeros(1), gains,
+                             np.zeros((1, 1)))
     assert_allclose(u, [0.5])
     assert_array_equal(beacons, [0.0])
-    assert messages == 0
+    assert message_counts(beacons, np.zeros((1, 1))) == 0
 
 
 def test_round_two_agent_cascade_oracle():
@@ -182,18 +183,17 @@ def test_round_two_agent_cascade_oracle():
     a = adjacency_matrix(Graph(node_count=2, edges=((0, 1),)))
     gains = unit_gains(2)
 
-    u1, beacons1, messages1 = plant_round(plant, np.zeros(2), np.zeros(2),
-                                          gains, a)
+    u1, beacons1 = plant_round(plant, np.zeros(2), np.zeros(2), gains, a)
     assert_allclose(u1, [0.5, 0.0])
     assert_allclose(beacons1, [0.5, 0.0])
     # one message: agent 0 beacons 0.5 and agent 1 receives it
-    assert messages1 == 1
+    assert message_counts(beacons1, a) == 1
     assert_array_equal(a @ beacons1, [0.0, 0.5])
 
-    u2, beacons2, messages2 = plant_round(plant, u1, beacons1, gains, a)
+    u2, beacons2 = plant_round(plant, u1, beacons1, gains, a)
     assert_allclose(u2, [0.5, 0.5])
     assert beacons2[0] > 0
-    assert messages2 == 1
+    assert message_counts(beacons2, a) == 1
 
 
 def test_round_equilibrium_is_fixed_point():
@@ -202,11 +202,10 @@ def test_round_equilibrium_is_fixed_point():
                         y_lower=[1.0], measured_nodes=[0])
     a = adjacency_matrix(Graph(node_count=2, edges=((0, 1),)))
     u = np.array([1.5, 0.5])
-    u_next, beacons, messages = plant_round(plant, u, np.zeros(2),
-                                            unit_gains(2), a)
+    u_next, beacons = plant_round(plant, u, np.zeros(2), unit_gains(2), a)
     assert_array_equal(u_next, u)
     assert_array_equal(beacons, np.zeros(2))
-    assert messages == 0
+    assert message_counts(beacons, a) == 0
 
 
 def test_round_monotone_and_bounded_random():
@@ -222,8 +221,7 @@ def test_round_monotone_and_bounded_random():
                               eta3=rng.uniform(0.1, 1.0, n))
         u, beacons = u0, np.zeros(n)
         for _ in range(30):
-            u_next, beacons, messages = plant_round(plant, u, beacons,
-                                                    gains, a)
+            u_next, beacons = plant_round(plant, u, beacons, gains, a)
             assert np.all(u_next >= u)                # exactly nondecreasing
             assert np.all(u_next <= plant.u_upper)    # exactly bounded
             assert np.all(beacons >= 0)
@@ -231,8 +229,25 @@ def test_round_monotone_and_bounded_random():
                 assert u_next[k] == plant.u_upper[k]  # beacon => saturated
             expected = sum(int(a[k].sum())
                            for k in np.nonzero(beacons > 0)[0])
-            assert messages == expected
+            assert message_counts(beacons, a) == expected
             u = u_next
+
+
+def test_message_counts_match_the_rows_of_the_beaconing_agents():
+    # oracle: the nonzero overlay entries in the rows of the beaconing
+    # agents, one message per neighbor
+    rng = np.random.default_rng(33)
+    from synth import random_connected_graph
+    for _ in range(30):
+        n = int(rng.integers(2, 13))
+        a = adjacency_matrix(random_connected_graph(rng, n))
+        stack = np.where(rng.random((6, n)) < 0.4,
+                         rng.uniform(-0.5, 2.0, (6, n)), 0.0)
+        stack[0] = 0.0
+        stack[1, 0] = np.nan
+        expect = [int(np.count_nonzero(a[row > 0.0])) for row in stack]
+        assert [message_counts(row, a) for row in stack] == expect
+        assert message_counts(stack, a).tolist() == expect
 
 
 def test_is_equilibrium_cases():
@@ -248,8 +263,8 @@ def test_single_agent_geometric_convergence():
     gains = ProtocolGains(eta1=[0.5], eta2=[1.0], eta3=[1.0])
     u, beacons = np.zeros(1), np.zeros(1)
     for _ in range(200):
-        u_next, beacons_next, _ = plant_round(plant, u, beacons, gains,
-                                              np.zeros((1, 1)))
+        u_next, beacons_next = plant_round(plant, u, beacons, gains,
+                                           np.zeros((1, 1)))
         if is_equilibrium(u, beacons, u_next, beacons_next, 1e-8):
             break
         u, beacons = u_next, beacons_next

@@ -1,5 +1,6 @@
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from ripplesim import (DisruptionEvent, GridPlant, Graph, LinearPlant,
                        PipeLaw, ProtocolGains, PumpLaw, Scenario,
                        ScenarioError, SolverError, TraceRecord, WaterModel,
                        WaterPlant, adjacency_matrix, apply_disruption,
-                       disrupted_setup, load_scenario, message_stats, run,
-                       solve_load_voltages, solve_network, verify_trace)
+                       disrupted_setup, load_scenario, message_stats,
+                       protocol_round, run, solve_load_voltages,
+                       solve_network, verify_trace)
 
 
 def cascade_scenario(u_upper=(0.5, 1.0)):
@@ -25,18 +27,20 @@ def cascade_scenario(u_upper=(0.5, 1.0)):
 
 
 def test_verify_trace_reports_each_broken_invariant():
-    # path 0-1-2 with ceilings 1: agent 1 saturates in round 2 and beacons
-    # to its two neighbors; each case breaks the last round one way
+    # path 0-1-2 with ceilings 1: agents 0 and 1 have a deficit, agent 1
+    # saturates in round 2 and beacons to its two neighbors, so agent 2
+    # (no deficit) rises in round 3; each case breaks the trace one way
     graph = Graph(node_count=3, edges=((0, 1), (1, 2)))
     u_upper, u0 = np.ones(3), np.zeros(3)
 
-    def trace(u3=(0.6, 1.0, 0.1), b3=(0.0, 0.1, 0.0), m3=2):
+    def trace(u3=(0.6, 1.0, 0.1), b3=(0.0, 0.1, 0.0), m3=2,
+              b2=(0.0, 0.2, 0.0), m2=2, rounds=(1, 2, 3)):
         rows = (((0.2, 0.5, 0.0), (0.0, 0.0, 0.0), 0),
-                ((0.5, 1.0, 0.0), (0.0, 0.2, 0.0), 2), (u3, b3, m3))
+                ((0.5, 1.0, 0.0), b2, m2), (u3, b3, m3))
         return [TraceRecord(round=t, u=np.array(u), y=np.zeros(1),
-                            deficit=np.zeros(3), beacons=np.array(b),
-                            messages=m)
-                for t, (u, b, m) in enumerate(rows, start=1)]
+                            deficit=np.array([1.0, 1.0, 0.0]),
+                            beacons=np.array(b), messages=m)
+                for t, (u, b, m) in zip(rounds, rows)]
 
     assert verify_trace(trace(), graph, u_upper, u0) == []
     cases = [
@@ -46,9 +50,16 @@ def test_verify_trace_reports_each_broken_invariant():
         (trace(b3=(0.3, 0.1, 0.0), m3=3),
          "round 3: beacon at unsaturated agent 0"),
         (trace(m3=5), "round 3: 5 messages, expected 2"),
+        # agent 1 is saturated but silent in round 2, so nothing pushes
+        # agent 2 up in round 3; every other invariant still holds
+        (trace(b2=(0.0, 0.0, 0.0), m2=0),
+         "round 3: control 2 rose without a deficit or a neighbor's beacon"),
     ]
     for records, problem in cases:
         assert verify_trace(records, graph, u_upper, u0) == [problem]
+    # locality compares only records of consecutive rounds
+    assert verify_trace(trace(b2=(0.0, 0.0, 0.0), m2=0, rounds=(1, 2, 4)),
+                        graph, u_upper, u0) == []
 
 
 def test_audit_rejects_records_of_different_lengths():
@@ -204,6 +215,57 @@ def test_non_finite_controls_end_the_run_as_a_solver_failure():
         solve_network(u0, plant.model)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowed_controls_are_named_in_the_failure_detail():
+    # a floor of 1e308 makes eta1 * deficit overflow in round 1; the inf
+    # beacon turns agent 0's control NaN in round 2 (0 * inf in A @ beacons)
+    # and the plant solve of round 3 fails on it
+    scenario = cascade_scenario()
+    scenario.plant.y_lower = np.array([1e308])
+    scenario.gains = ProtocolGains(eta1=np.full(2, 10.0),
+                                   eta2=np.full(2, 0.5), eta3=np.ones(2))
+    outcome, records = run(scenario)
+    assert (outcome.status, outcome.rounds) == ("solver_failure", 3)
+    assert outcome.detail == (
+        "controls are not finite: the protocol update of round 2 overflowed "
+        "(a gain times a deficit or a beacon); round 3: plant output is not "
+        "finite")
+    assert np.isnan(records[-1].u[0])
+    # the same on the bundled water scenario, whose solver names the NaN
+    scenario = load_scenario("wds10")
+    plant, _ = disrupted_setup(scenario)
+    y_lower = plant.y_lower.copy()
+    y_lower[0] = 1e308
+    scenario.plant = WaterPlant(model=scenario.plant.model,
+                                u_lower=scenario.plant.u_lower,
+                                u_upper=scenario.plant.u_upper,
+                                y_lower=y_lower,
+                                measured_nodes=scenario.plant.measured_nodes)
+    outcome, _ = run(scenario)
+    assert outcome.detail.startswith(
+        "controls are not finite: the protocol update of round 2 overflowed")
+    assert outcome.detail.endswith("(residual nan)")
+
+
+class FlakyLinear(LinearPlant):
+    """An affine plant whose solve fails once agent 1 rises above 0.2."""
+
+    def solve(self, u):
+        if u[1] > 0.2:
+            raise SolverError("synthetic failure")
+        return super().solve(u)
+
+
+def test_a_failure_at_finite_controls_blames_the_plant_alone():
+    scenario = cascade_scenario()
+    scenario.plant = FlakyLinear(sensitivity=[[1.0, 1.0]], offset=[0.0],
+                                 u_lower=[0.0, 0.0], u_upper=[0.5, 1.0],
+                                 y_lower=[1.0], measured_nodes=[0])
+    outcome, _ = run(scenario)
+    assert outcome.status == "solver_failure"
+    assert outcome.detail == "synthetic failure"
+
+
 def test_message_stats_zero_trace():
     scenario = cascade_scenario(u_upper=(1.0, 1.0))
     scenario.u0 = np.array([0.6, 0.6])
@@ -335,6 +397,20 @@ def test_non_finite_plant_output_is_solver_failure():
     assert records == []
 
 
+def test_one_non_finite_output_is_solver_failure():
+    plant = LinearPlant(sensitivity=np.eye(2), offset=[0.0, np.inf],
+                        u_lower=[0.0, 0.0], u_upper=[1.0, 1.0],
+                        y_lower=[0.5, 0.5], measured_nodes=[0, 1])
+    outcome, records = run(Scenario(
+        plant=plant, comm_graph=Graph(node_count=2, edges=((0, 1),)),
+        u0=np.zeros(2), gains=ProtocolGains(eta1=np.ones(2),
+                                            eta2=np.full(2, 0.5),
+                                            eta3=np.ones(2))))
+    assert (outcome.status, outcome.rounds) == ("solver_failure", 1)
+    assert outcome.detail == "round 1: plant output is not finite"
+    assert records == []
+
+
 @pytest.mark.parametrize("name, status, rounds, n_records, messages", [
     ("pjm5", "converged", 1342, 1342, 9286),
     ("wds10", "converged", 685, 685, 13003),
@@ -363,16 +439,27 @@ def stop(scenario):
     return (outcome.status, outcome.rounds, outcome.equilibrium), records
 
 
-def test_stop_at_exact_fixed_point():
-    # the step eta1 * deficit is below half an ulp of u = 1e6, so nothing
-    # moves although the deficit (1e-3) stays above eps_feas
+def exact_fixed_point():
     plant = LinearPlant(sensitivity=[[1.0]], offset=[0.0], u_lower=[0.0],
                         u_upper=[2e6], y_lower=[1e6 + 1e-3],
                         measured_nodes=[0])
-    scenario = Scenario(plant=plant, comm_graph=Graph(node_count=1, edges=()),
-                        u0=np.array([1e6]),
-                        gains=ProtocolGains(eta1=[1e-9], eta2=[1.0],
-                                            eta3=[1.0]))
+    return Scenario(plant=plant, comm_graph=Graph(node_count=1, edges=()),
+                    u0=np.array([1e6]),
+                    gains=ProtocolGains(eta1=[1e-9], eta2=[1.0], eta3=[1.0]))
+
+
+def expanding_stall():
+    scenario = cascade_scenario(u_upper=(0.3, 0.4))
+    scenario.gains = ProtocolGains(eta1=np.ones(2), eta2=np.full(2, 2.0),
+                                   eta3=np.ones(2))
+    scenario.override_gain_check = True
+    return scenario
+
+
+def test_stop_at_exact_fixed_point():
+    # the step eta1 * deficit is below half an ulp of u = 1e6, so nothing
+    # moves although the deficit (1e-3) stays above eps_feas
+    scenario = exact_fixed_point()
     result, records = stop(scenario)
     assert result == ("stalled", 1, True)
     assert_array_equal(records[-1].u, scenario.u0)
@@ -405,11 +492,7 @@ def test_stop_at_the_stall_window():
     # eta2 = 2 makes the beacon relay expand (gain norm 2, hence the
     # override): beacons grow without end at a pinned state whose deficit
     # is 0.3 from round 3 on, so the frozen count reaches 100 in round 103
-    scenario = cascade_scenario(u_upper=(0.3, 0.4))
-    scenario.gains = ProtocolGains(eta1=np.ones(2), eta2=np.full(2, 2.0),
-                                   eta3=np.ones(2))
-    scenario.override_gain_check = True
-    result, records = stop(scenario)
+    result, records = stop(expanding_stall())
     assert result == ("stalled", 103, False)
     assert records[-1].beacons[0] > records[-2].beacons[0] > 1e20
 
@@ -430,6 +513,79 @@ def test_crawl_below_eps_eq_keeps_running():
     assert rounds == 2758
     assert result == ("converged", rounds, True)
     assert records[-2].deficit[0] > scenario.eps_feas
+
+
+def degree_sums(records, graph):
+    """The summed overlay degree of each record's beaconing agents."""
+    degree = adjacency_matrix(graph).sum(axis=1)
+    return [int(degree[r.beacons > 0].sum()) for r in records]
+
+
+def message_exit_cases():
+    budget = cascade_scenario(u_upper=(0.3, 0.4))
+    budget.budget = 6
+    flaky = cascade_scenario()
+    flaky.plant = FlakyLinear(sensitivity=[[1.0, 1.0]], offset=[0.0],
+                              u_lower=[0.0, 0.0], u_upper=[0.5, 1.0],
+                              y_lower=[1.0], measured_nodes=[0])
+    decimated = load_scenario("pjm5")
+    decimated.trace_decimation = 3
+    return [("converged", load_scenario("linear_cascade")),
+            ("stalled", cascade_scenario(u_upper=(0.3, 0.4))),
+            ("stalled", expanding_stall()),
+            ("budget_exceeded", budget),
+            ("solver_failure", flaky),
+            ("converged", decimated)]
+
+
+@pytest.mark.parametrize("status, scenario", message_exit_cases())
+def test_record_messages_are_the_degrees_of_the_beaconing_agents(status,
+                                                                  scenario):
+    outcome, records = run(scenario)
+    assert outcome.status == status
+    assert any(r.messages for r in records)
+    assert [r.messages for r in records] == degree_sums(records,
+                                                        scenario.comm_graph)
+    assert {type(r.messages) for r in records} == {int}
+
+
+def nan_after_round(monkeypatch, field, at):
+    """Put a NaN in entry 0 of the u_next, beacons_next or deficit (field
+    "u", "beacons" or "deficit") of round `at` of the next run."""
+    calls = []
+
+    def poisoned(u, beacons, deficit, *rest):
+        u_next, beacons_next = protocol_round(u, beacons, deficit, *rest)
+        calls.append(None)
+        if len(calls) == at:
+            {"u": u_next, "beacons": beacons_next,
+             "deficit": deficit}[field][0] = np.nan
+        return u_next, beacons_next
+
+    monkeypatch.setattr("ripplesim.sim.protocol_round", poisoned)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("make, rule_round, field", [
+    (exact_fixed_point, 1, "u"),
+    (exact_fixed_point, 1, "beacons"),
+    (partial(cascade_scenario, u_upper=(0.3, 0.4)), 28, "u"),
+    (partial(cascade_scenario, u_upper=(0.3, 0.4)), 28, "beacons"),
+    (single_agent, 27, "u"),
+    (single_agent, 27, "beacons"),
+    (single_agent, 27, "deficit"),
+    (expanding_stall, 103, "u"),
+    (expanding_stall, 103, "deficit"),
+])
+def test_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field):
+    # each scenario stops by one rule in rule_round (rules 2, 3, 4 and 5 in
+    # turn, see the test_stop_* tests); a NaN in any array that rule reads
+    # must keep it from firing in that round
+    assert run(make())[0].rounds == rule_round
+    nan_after_round(monkeypatch, field, rule_round)
+    outcome, records = run(make())
+    assert outcome.rounds > rule_round
+    assert np.isnan(getattr(records[rule_round - 1], field)[0])
 
 
 @pytest.mark.parametrize("field, value", [

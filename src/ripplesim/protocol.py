@@ -98,13 +98,13 @@ def message_counts(beacons, adjacency):
 
 
 def is_equilibrium(u, beacons, u_next, beacons_next, eps_eq: float = 1e-8) -> bool:
-    """True when neither controls nor beacons moved more than eps_eq (inf-norm)."""
+    """True when neither controls nor beacons moved more than eps_eq
+    (inf-norm); a NaN counts as moved."""
     if np.shape(u) != np.shape(u_next):
         raise ValueError("states disagree in dimension")
-    if not len(u):
-        return True
-    return bool(abs(u_next - u).max() <= eps_eq
-                and abs(beacons_next - beacons).max() <= eps_eq)
+    n = len(u)
+    return (np.count_nonzero(abs(u_next - u) <= eps_eq) == n
+            and np.count_nonzero(abs(beacons_next - beacons) <= eps_eq) == n)
 
 
 def auto_gains(plant, adjacency, u0=None, target_norm: float = 0.5) -> ProtocolGains:

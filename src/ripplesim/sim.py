@@ -19,7 +19,8 @@ from .plant import (EPS_FEAS_DEFAULT, LinearPlant, PlantModel,
                     feasibility_check)
 from .power import GridModel, GridPlant
 from .protocol import (ProtocolGains, auto_gains, gain_condition,
-                       message_counts, protocol_round, violation)
+                       is_equilibrium, message_counts, protocol_round,
+                       violation)
 from .water import WaterModel, WaterPlant
 
 
@@ -286,8 +287,7 @@ def run(scenario: Scenario):
     it may still be crawling toward a feasible point through a weakly
     coupled agent. A NaN passes none of rules 2 to 5. When the solve fails
     at non-finite controls, the detail says that the protocol update
-    overflowed. Each record's messages are message_counts of its beacons,
-    counted for the whole trace when the run ends.
+    overflowed.
     """
     try:
         plant, u0 = disrupted_setup(scenario)
@@ -317,12 +317,10 @@ def run(scenario: Scenario):
     count = np.count_nonzero
 
     def trace():
-        """The retained rounds as TraceRecords; one count for all messages."""
-        if not rows:
-            return []
-        messages = message_counts([row[4] for row in rows], adjacency)
-        return [TraceRecord._make((*row, m))
-                for row, m in zip(rows, messages.tolist())]
+        """The kept rounds as TraceRecords, their messages counted at once."""
+        sent = (message_counts([r[4] for r in rows], adjacency).tolist()
+                if rows else [])
+        return [TraceRecord._make((*row, m)) for row, m in zip(rows, sent)]
 
     def classify(status, rounds, equilibrium, detail=""):
         feas = False
@@ -369,8 +367,7 @@ def run(scenario: Scenario):
         reached_eq = (not count(u_next != u)
                       and not count(beacons_next != beacons)) or (
             (at_ceiling or count(deficit <= eps_feas) == n)
-            and count(abs(u_next - u) <= eps_eq) == n
-            and count(abs(beacons_next - beacons) <= eps_eq) == n)
+            and is_equilibrium(u, beacons, u_next, beacons_next, eps_eq))
         if at_ceiling and prev_deficit is not None and \
                 count(deficit == prev_deficit) == n:
             frozen_rounds += 1
@@ -411,14 +408,10 @@ def _versus_previous(compare, u, u0):
 
 def stacked(records, name):
     """One field of every record as a (records, agents) array."""
-    return _stack([getattr(r, name) for r in records], name)
-
-
-def _stack(rows, name):
-    """rows (one field of every record) as a (records, agents) array."""
+    rows = [getattr(r, name) for r in records]
     if len(set(map(len, rows))) > 1:
         raise ValueError(f"trace records disagree in the length of {name}")
-    return np.concatenate(rows).reshape(len(rows), -1)
+    return np.concatenate(rows).reshape(len(records), -1)
 
 
 def _first_rounds(mask, records) -> dict:
@@ -469,24 +462,25 @@ def verify_trace(records, comm_graph: Graph, u_upper, u0=None) -> list:
         return []
     u_upper = np.asarray(u_upper, dtype=float)
     adjacency = adjacency_matrix(comm_graph)
-    rounds, u, _, deficit, beacons, messages = zip(*records)
-    u, beacons = _stack(u, "u"), _stack(beacons, "beacons")
+    u = stacked(records, "u")
+    beacons = stacked(records, "beacons")
     beaconing = beacons > 0
-    expect = message_counts(beaconing, adjacency)
+    expect = beaconing @ adjacency.sum(axis=1).astype(int)
     # who beaconed in the round before each record; nobody before round 1
     before = np.vstack((np.zeros_like(beaconing[:1]), beaconing[:-1]))
-    unprompted = (_versus_previous(np.greater, u, u0)
-                  & ~((_stack(deficit, "deficit") > 0)
-                      | (before @ adjacency > 0))
-                  & (np.diff(rounds, prepend=0) == 1)[:, None])
+    prompted = (stacked(records, "deficit") > 0) | (before @ adjacency > 0)
+    follows = np.diff([r.round for r in records], prepend=0) == 1
+    unprompted = (_versus_previous(np.greater, u, u0) & ~prompted
+                  & follows[:, None])
     flags = np.column_stack((np.any(_versus_previous(np.less, u, u0), axis=1),
                              np.any(u > u_upper, axis=1),
                              np.any(beacons < 0, axis=1)))
     unsaturated = beaconing & (u != u_upper)
+    messages = np.array([r.messages for r in records])
     problems = []
     for i in np.flatnonzero(flags.any(axis=1) | unsaturated.any(axis=1)
                             | unprompted.any(axis=1)
-                            | (np.array(messages) != expect)):
+                            | (messages != expect)):
         r = records[i]
         problems += [f"round {r.round}: {text}" for text, bad in zip(
             ("control decreased", "control exceeds its ceiling",

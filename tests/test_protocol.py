@@ -255,6 +255,13 @@ def test_is_equilibrium_cases():
     assert is_equilibrium(u, beacons, u, beacons, 1e-8)
     moved = np.array([1.0, 2.0 + 2e-8])
     assert not is_equilibrium(u, beacons, moved, beacons, 1e-8)
+    # a NaN counts as moved, in the controls and in the beacons
+    nan = np.array([1.0, np.nan])
+    assert not is_equilibrium(u, beacons, nan, beacons, 1e-8)
+    assert not is_equilibrium(u, beacons, u, nan - 1.0, 1e-8)
+    assert not is_equilibrium(nan, beacons, nan, beacons, 1e-8)
+    empty = np.zeros(0)
+    assert is_equilibrium(empty, empty, empty, empty, 1e-8)
 
 
 def test_single_agent_geometric_convergence():

@@ -19,11 +19,10 @@ from .protocol import (ProtocolGains, auto_gains, gain_condition,
                        is_equilibrium, message_counts, protocol_round,
                        spectral_norm, violation)
 from .scenario_io import (bundled_scenario_path, load_scenario,
-                          save_scenario, scenario_from_dict,
-                          scenario_to_dict)
+                          scenario_from_dict)
 from .sim import (DisruptionEvent, MessageStats, Outcome, Scenario,
-                  TraceRecord, apply_disruption, disrupted_setup,
-                  message_stats, run, verify_trace)
+                  TraceRecord, disrupted_setup, message_stats, run,
+                  verify_trace)
 from .water import (HydraulicSolution, PipeLaw, PumpLaw, WaterModel,
                     WaterPlant, check_pressure_ordering, edge_pressure_drop,
                     solve_network)

@@ -121,22 +121,30 @@ def cmd_simulate(args) -> int:
     return 1
 
 
-def _write_trace(path, records, labels, measured_labels):
-    """One row per record: round, u, y, deficit, beacons, messages."""
+def _write_rows(path, header, records, stack, messages=False):
+    """CSV of the header, then one line per record: its round, the repr of
+    each entry of its row of stack(records) and, with messages, its message
+    count."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(
-            ["round"] + [f"u_{lab}" for lab in labels]
-            + [f"y_{lab}" for lab in measured_labels]
-            + [f"f_{lab}" for lab in labels]
-            + [f"lambda_{lab}" for lab in labels] + ["messages"])
+        csv.writer(fh).writerow(header)
         if not records:
             return
-        values = np.hstack([stacked(records, name) for name in
-                            ("u", "y", "deficit", "beacons")])
         # the line csv.writer writes: repr floats and ints need no quoting
-        for r, row in zip(records, values):
-            fh.write(",".join([str(r.round), *map(repr, row.tolist()),
-                               str(r.messages)]) + "\r\n")
+        for r, row in zip(records, stack(records)):
+            tail = [str(r.messages)] if messages else []
+            fh.write(",".join([str(r.round), *map(repr, row.tolist()), *tail])
+                     + "\r\n")
+
+
+def _write_trace(path, records, labels, measured_labels):
+    """One row per record: round, u, y, deficit, beacons, messages."""
+    _write_rows(path, ["round"] + [f"u_{lab}" for lab in labels]
+                + [f"y_{lab}" for lab in measured_labels]
+                + [f"f_{lab}" for lab in labels]
+                + [f"lambda_{lab}" for lab in labels] + ["messages"], records,
+                lambda rs: np.hstack([stacked(rs, name) for name in
+                                      ("u", "y", "deficit", "beacons")]),
+                messages=True)
 
 
 def _write_effort(path, records, labels, u0, u_upper):
@@ -144,20 +152,12 @@ def _write_effort(path, records, labels, u0, u_upper):
     u0 = np.asarray(u0, float)
     headroom = np.asarray(u_upper, float) - u0
     cols = np.flatnonzero(headroom > 1e-12)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["round"]
-                                + [f"effort_{labels[i]}" for i in cols])
-        if not records:
-            return
-        effort = (stacked(records, "u")[:, cols] - u0[cols]) / headroom[cols]
-        for r, row in zip(records, effort):
-            fh.write(",".join([str(r.round), *map(repr, row.tolist())])
-                     + "\r\n")
+    _write_rows(path, ["round"] + [f"effort_{labels[i]}" for i in cols],
+                records, lambda rs: (stacked(rs, "u")[:, cols] - u0[cols])
+                / headroom[cols])
 
 
 def _write_summary(path, scenario, plant, u0, outcome, records, labels):
-    adjacency = adjacency_matrix(scenario.comm_graph)
-    gains = scenario.gains or auto_gains(plant, adjacency, u0)
     stats = message_stats(records, scenario.comm_graph, u0) if records else None
     terminal_u = records[-1].u if records else u0
     try:
@@ -175,7 +175,7 @@ def _write_summary(path, scenario, plant, u0, outcome, records, labels):
             "max_beacon": outcome.max_beacon,
             "detail": outcome.detail,
         },
-        "gain_condition": gain_condition(gains.eta2, gains.eta3, adjacency),
+        "gain_condition": outcome.gain_norm,
         "messages_total": stats.total if stats else 0,
         "first_assistance": {labels[k]: v for k, v in
                              (stats.first_assistance.items() if stats else [])},

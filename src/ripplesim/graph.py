@@ -5,20 +5,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, ScenarioError
 
 
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected graph over dense 0-based node indices.
 
-    Edges are stored as canonical (low, high) pairs. An optional weight may
-    accompany each edge (e.g. a line susceptance).
+    Edges are stored as canonical (low, high) pairs.
     """
 
     node_count: int
     edges: tuple
-    weights: tuple | None = None
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -37,11 +35,6 @@ class Graph:
             seen.add(pair)
             canon.append(pair)
         object.__setattr__(self, "edges", tuple(canon))
-        if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            if len(w) != len(canon):
-                raise ModelError("weights must align with edges")
-            object.__setattr__(self, "weights", w)
 
     @cached_property
     def _neighbor_lists(self):
@@ -80,16 +73,30 @@ def is_connected(g: Graph) -> bool:
     return len(reachable(g, (0,))) == g.node_count
 
 
-def weighted_laplacian(g: Graph, weights=None) -> np.ndarray:
+def edge_index(g: Graph, edge) -> int:
+    """Position in g.edges of the undirected edge (m, n)."""
+    m, n = edge
+    pair = (min(m, n), max(m, n))
+    if pair not in g.edges:
+        raise ScenarioError(f"edge {pair} does not exist in the plant graph")
+    return g.edges.index(pair)
+
+
+def without_edge(g: Graph, edge, aligned):
+    """(g without the edge (m, n), the entries of aligned, one per edge of
+    g, without that edge's entry, as a tuple)."""
+    idx = edge_index(g, edge)
+    keep = [i for i in range(len(g.edges)) if i != idx]
+    edges = tuple(g.edges[i] for i in keep)
+    return Graph(g.node_count, edges), tuple(aligned[i] for i in keep)
+
+
+def weighted_laplacian(g: Graph, weights) -> np.ndarray:
     """Weighted Laplacian: off-diagonal -w for edges, diagonal = row-wise sum.
 
     Rows sum to zero; the matrix is symmetric and diagonally dominant.
     Weights must be strictly positive.
     """
-    if weights is None:
-        weights = g.weights
-    if weights is None:
-        raise ModelError("no edge weights given")
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(g.edges),):
         raise ModelError("weights must align with edges")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, PlantSolveError, SolverError
+from .errors import ModelError, PlantSolveError, ScenarioError, SolverError
 
 EPS_FEAS_DEFAULT = 1e-6
 MONOTONE_TOL_DEFAULT = 1e-7
@@ -27,6 +27,7 @@ class PlantModel(abc.ABC):
         solve_from(u, start=None) -> (y, state):
                           the same outputs, solved from the state a previous
                           solve_from returned (None: the cold start of solve)
+        disrupted(event): a new plant with the DisruptionEvent applied
 
     solve must be a pure function of u (same input, same output) and must
     not keep mutable state across calls, so concurrent read-only use is safe.
@@ -53,6 +54,35 @@ class PlantModel(abc.ABC):
     def solve_from(self, u: np.ndarray, start=None):
         """Return (outputs, state), solving from start, a previous state."""
         return self.solve(u), None
+
+    def disrupted(self, event):
+        """The plant after the event; this plant is left untouched.
+
+        Each plant type applies the event kinds it supports and raises
+        ScenarioError for the others; the base plant supports none.
+        """
+        raise ScenarioError(
+            f"no disruption support for {type(self).__name__}")
+
+    def _rebased_limits(self, event):
+        """Copies of (u_lower, u_upper) after a demand_change event.
+
+        The event's params are {"node": k} with either "set", the new base
+        (lower limit) of control k, or "scale", a factor on the old base; an
+        optional "flexibility" replaces the width of k's box, which
+        otherwise moves with its base.
+        """
+        params, node = event.params, int(event.params["node"])
+        u_lower, u_upper = self.u_lower.copy(), self.u_upper.copy()
+        if "set" in params:
+            base = float(params["set"])
+        elif "scale" in params:
+            base = float(params["scale"]) * u_lower[node]
+        else:
+            raise ScenarioError("demand_change needs 'set' or 'scale'")
+        flex = float(params.get("flexibility", u_upper[node] - u_lower[node]))
+        u_lower[node], u_upper[node] = base, base + flex
+        return u_lower, u_upper
 
     def _check_limit_shapes(self):
         if self.u_lower.shape != self.u_upper.shape:
@@ -86,6 +116,18 @@ class LinearPlant(PlantModel):
     def solve(self, u):
         u = np.asarray(u, dtype=float)
         return self.sensitivity @ u + self.offset
+
+    def disrupted(self, event):
+        """Supports parameter_change with {"offset": [...]}, a replacement
+        offset of the same length."""
+        if event.kind != "parameter_change" or "offset" not in event.params:
+            raise ScenarioError(
+                f"unsupported linear-plant disruption '{event.kind}'")
+        offset = np.asarray(event.params["offset"], dtype=float)
+        if offset.shape != self.offset.shape:
+            raise ScenarioError("replacement offset has the wrong length")
+        return LinearPlant(self.sensitivity, offset, self.u_lower,
+                           self.u_upper, self.y_lower, self.measured_nodes)
 
 
 def feasibility_check(plant: PlantModel, u, eps_feas: float = EPS_FEAS_DEFAULT) -> bool:

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, PowerFlowInfeasibleError, SingularJacobianError
-from .graph import Graph, weighted_laplacian
+from .errors import (ModelError, PowerFlowInfeasibleError, ScenarioError,
+                     SingularJacobianError)
+from .graph import Graph, edge_index, weighted_laplacian, without_edge
 from .plant import PlantModel, damped_newton, newton_failure
 
 SOLVER_TOL = 1e-8
@@ -221,3 +222,30 @@ class GridPlant(PlantModel):
         v_load = solve_load_voltages(u[self._loads], u[self._gens], self.grid,
                                      start).v_load
         return v_load, v_load
+
+    def disrupted(self, event):
+        """Supports remove_edge {"edge": (m, n)}, which trips a line;
+        demand_change at a load bus (PlantModel._rebased_limits); and
+        parameter_change {"edge": (m, n), "susceptance": b}."""
+        grid, limits = self.grid, (self.u_lower, self.u_upper)
+        if event.kind == "remove_edge":
+            graph, sus = without_edge(grid.graph, event.params["edge"],
+                                      grid.susceptances)
+            grid = GridModel(graph, sus, grid.generators, grid.loads)
+        elif event.kind == "demand_change":
+            node = int(event.params["node"])
+            if node not in grid.loads:
+                raise ScenarioError(f"bus {node} is not a load bus")
+            limits = self._rebased_limits(event)
+        elif event.kind == "parameter_change":
+            if not {"edge", "susceptance"} <= event.params.keys():
+                raise ScenarioError("grid parameter_change needs 'edge' and "
+                                    "'susceptance'")
+            value = float(event.params["susceptance"])
+            sus = list(grid.susceptances)
+            sus[edge_index(grid.graph, event.params["edge"])] = value
+            grid = GridModel(grid.graph, tuple(sus), grid.generators,
+                             grid.loads)
+        else:
+            raise ScenarioError(f"unsupported grid disruption '{event.kind}'")
+        return GridPlant(grid, *limits, y_lower=self.y_lower)

@@ -1,4 +1,4 @@
-"""Scenario files: JSON parsing, validation, and round-trip serialization.
+"""Scenario files: JSON parsing and validation.
 
 A scenario document carries a plant section ("power", "water", or
 "linear"), the communication overlay, optional gains ("auto" or explicit
@@ -152,7 +152,7 @@ def _scenario(doc, source):
                         for i, ev in enumerate(_event_list(doc)))
 
     run_doc = _need(doc, "run", source, {})
-    scenario = Scenario(
+    return Scenario(
         plant=plant,
         comm_graph=comm_graph,
         u0=u0,
@@ -168,8 +168,6 @@ def _scenario(doc, source):
         seed=_int(run_doc, "seed", "run", 0),
         labels=tuple(labels),
     )
-    scenario.raw = _normalized(doc)
-    return scenario
 
 
 def _event_list(doc):
@@ -400,21 +398,3 @@ def _linear_plant(doc):
                         measured_nodes=measured)
     return plant, labels, u_lower.copy()
 
-
-def _normalized(doc):
-    return json.loads(json.dumps(doc, sort_keys=True))
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Reserialize a loaded scenario; inverse of scenario_from_dict."""
-    raw = getattr(scenario, "raw", None)
-    if raw is None:
-        raise ScenarioError(
-            "only scenarios loaded from documents can be reserialized")
-    return json.loads(json.dumps(raw))
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")

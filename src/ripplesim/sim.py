@@ -15,29 +15,21 @@ import numpy as np
 
 from .errors import ModelError, ScenarioError, SolverError
 from .graph import Graph, adjacency_matrix, is_connected
-from .plant import (EPS_FEAS_DEFAULT, LinearPlant, PlantModel,
-                    feasibility_check)
-from .power import GridModel, GridPlant
+from .plant import EPS_FEAS_DEFAULT, PlantModel, feasibility_check
 from .protocol import (ProtocolGains, auto_gains, gain_condition,
                        is_equilibrium, message_counts, protocol_round,
                        violation)
-from .water import WaterModel, WaterPlant
 
 
 @dataclass(frozen=True)
 class DisruptionEvent:
     """A change to the plant at time zero.
 
-    Kinds:
-        remove_edge:      params {"edge": (m, n)}; drops a line or pipe/pump.
-        source_outage:    params {"node": k}; water only - the node stops
-                          injecting and its control is pinned at zero.
-        demand_change:    params {"node": k, "set": value} or
-                          {"node": k, "scale": s}; rebases the demand-type
-                          control at node k, shifting its box with it.
-        parameter_change: params per plant type, e.g. {"edge": (m, n),
-                          "susceptance": b} or {"offset": [...]} for the
-                          affine test plants.
+    Kinds: remove_edge, source_outage, demand_change and parameter_change.
+    Each plant type's disrupted method (LinearPlant, GridPlant, WaterPlant)
+    applies the kinds it supports and says which params each one takes;
+    demand_change and source_outage also move the initial control of their
+    params["node"] to its new lower limit (disrupted_setup).
     """
 
     kind: str
@@ -86,7 +78,8 @@ class Outcome:
     status is one of "converged", "stalled", "solver_failure",
     "budget_exceeded". Converged implies the terminal control passed the
     feasibility check; stalled means the state stopped moving (or froze at
-    the ceiling) while a violation persisted.
+    the ceiling) while a violation persisted. gain_norm is the gain
+    condition's spectral norm that run checked before the first round.
     """
 
     status: str
@@ -95,126 +88,8 @@ class Outcome:
     equilibrium: bool
     max_violation: float
     max_beacon: float
+    gain_norm: float
     detail: str = ""
-
-
-def _edge_index(graph: Graph, m: int, n: int) -> int:
-    pair = (min(m, n), max(m, n))
-    for i, e in enumerate(graph.edges):
-        if e == pair:
-            return i
-    raise ScenarioError(f"edge {pair} does not exist in the plant graph")
-
-
-def _drop_edge(graph: Graph, idx: int, aligned: tuple):
-    edges = tuple(e for i, e in enumerate(graph.edges) if i != idx)
-    kept = tuple(x for i, x in enumerate(aligned) if i != idx)
-    return Graph(node_count=graph.node_count, edges=edges), kept
-
-
-def apply_disruption(plant: PlantModel, event: DisruptionEvent) -> PlantModel:
-    """Return the post-event plant; the input plant is left untouched."""
-    if isinstance(plant, WaterPlant):
-        return _disrupt_water(plant, event)
-    if isinstance(plant, GridPlant):
-        return _disrupt_grid(plant, event)
-    if isinstance(plant, LinearPlant):
-        return _disrupt_linear(plant, event)
-    raise ScenarioError(f"no disruption support for {type(plant).__name__}")
-
-
-def _disrupt_water(plant: WaterPlant, event: DisruptionEvent) -> WaterPlant:
-    model = plant.model
-    u_lower = plant.u_lower.copy()
-    u_upper = plant.u_upper.copy()
-    if event.kind == "remove_edge":
-        m, n = event.params["edge"]
-        idx = _edge_index(model.graph, m, n)
-        graph, laws = _drop_edge(model.graph, idx, model.edge_laws)
-        model = WaterModel(graph=graph, edge_laws=laws,
-                           pressure_nodes=model.pressure_nodes)
-    elif event.kind == "source_outage":
-        node = int(event.params["node"])
-        if node in model.pressure_nodes:
-            pres = tuple(p for p in model.pressure_nodes if p != node)
-            model = WaterModel(graph=model.graph, edge_laws=model.edge_laws,
-                               pressure_nodes=pres)
-        u_lower[node] = 0.0
-        u_upper[node] = 0.0
-    elif event.kind == "demand_change":
-        node = int(event.params["node"])
-        base, flex = _rebased_demand(event, u_lower[node],
-                                     u_upper[node] - u_lower[node])
-        u_lower[node] = base
-        u_upper[node] = base + flex
-    else:
-        raise ScenarioError(f"unsupported water disruption '{event.kind}'")
-    return WaterPlant(model=model, u_lower=u_lower, u_upper=u_upper,
-                      y_lower=plant.y_lower, measured_nodes=plant.measured_nodes)
-
-
-def _disrupt_grid(plant: GridPlant, event: DisruptionEvent) -> GridPlant:
-    grid = plant.grid
-    u_lower = plant.u_lower.copy()
-    u_upper = plant.u_upper.copy()
-    if event.kind == "remove_edge":
-        m, n = event.params["edge"]
-        idx = _edge_index(grid.graph, m, n)
-        graph, sus = _drop_edge(grid.graph, idx, grid.susceptances)
-        grid = GridModel(graph=graph, susceptances=sus,
-                         generators=grid.generators, loads=grid.loads)
-    elif event.kind == "demand_change":
-        node = int(event.params["node"])
-        if node not in grid.loads:
-            raise ScenarioError(f"bus {node} is not a load bus")
-        base, flex = _rebased_demand(event, u_lower[node],
-                                     u_upper[node] - u_lower[node])
-        u_lower[node] = base
-        u_upper[node] = base + flex
-    elif event.kind == "parameter_change":
-        m, n = event.params["edge"]
-        value = float(event.params["susceptance"])
-        idx = _edge_index(grid.graph, m, n)
-        sus = list(grid.susceptances)
-        sus[idx] = value
-        grid = GridModel(graph=grid.graph, susceptances=tuple(sus),
-                         generators=grid.generators, loads=grid.loads)
-    else:
-        raise ScenarioError(f"unsupported grid disruption '{event.kind}'")
-    return GridPlant(grid=grid, u_lower=u_lower, u_upper=u_upper,
-                     y_lower=plant.y_lower)
-
-
-def _disrupt_linear(plant: LinearPlant, event: DisruptionEvent) -> LinearPlant:
-    if event.kind == "parameter_change" and "offset" in event.params:
-        offset = np.asarray(event.params["offset"], dtype=float)
-        if offset.shape != plant.offset.shape:
-            raise ScenarioError("replacement offset has the wrong length")
-        return LinearPlant(sensitivity=plant.sensitivity, offset=offset,
-                           u_lower=plant.u_lower, u_upper=plant.u_upper,
-                           y_lower=plant.y_lower,
-                           measured_nodes=plant.measured_nodes)
-    raise ScenarioError(f"unsupported linear-plant disruption '{event.kind}'")
-
-
-def _rebased_demand(event: DisruptionEvent, old_base: float, flex: float):
-    """New (base, flexibility) for a demand_change event."""
-    if "set" in event.params:
-        base = float(event.params["set"])
-    elif "scale" in event.params:
-        base = float(event.params["scale"]) * old_base
-    else:
-        raise ScenarioError("demand_change needs 'set' or 'scale'")
-    if "flexibility" in event.params:
-        flex = float(event.params["flexibility"])
-    return base, flex
-
-
-def _forced_initial(event: DisruptionEvent):
-    """Agents whose control is physically moved by the event itself."""
-    if event.kind in ("demand_change", "source_outage"):
-        return [int(event.params["node"])]
-    return []
 
 
 def disrupted_setup(scenario: Scenario):
@@ -222,8 +97,10 @@ def disrupted_setup(scenario: Scenario):
     plant = scenario.plant
     u0 = np.array(scenario.u0, dtype=float)
     for event in scenario.disruptions:
-        plant = apply_disruption(plant, event)
-        for node in _forced_initial(event):
+        plant = plant.disrupted(event)
+        if event.kind in ("demand_change", "source_outage"):
+            # the event itself moves this control to its new base
+            node = int(event.params["node"])
             u0[node] = plant.u_lower[node]
     return plant, u0
 
@@ -332,7 +209,7 @@ def run(scenario: Scenario):
             status = "converged" if feas else "stalled"
         return Outcome(status=status, rounds=rounds, feasible=feas,
                        equilibrium=equilibrium, max_violation=max_v,
-                       max_beacon=max_b, detail=detail)
+                       max_beacon=max_b, gain_norm=norm, detail=detail)
 
     deficit = np.zeros(n)
     for t in range(1, scenario.budget + 1):
@@ -355,7 +232,8 @@ def run(scenario: Scenario):
             outcome = Outcome(status="solver_failure", rounds=t,
                               feasible=False, equilibrium=False,
                               max_violation=float("nan"),
-                              max_beacon=float(beacons.max()), detail=detail)
+                              max_beacon=float(beacons.max()),
+                              gain_norm=norm, detail=detail)
             return outcome, trace()
         deficit = violation(y, y_lower, measured, n)
         u_next, beacons_next = protocol_round(u, beacons, deficit, gains,

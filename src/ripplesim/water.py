@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (HydraulicInfeasibleError, ModelError,
-                     PumpReverseFlowError)
-from .graph import Graph, reachable
+                     PumpReverseFlowError, ScenarioError)
+from .graph import Graph, reachable, without_edge
 from .plant import PlantModel, damped_newton, newton_failure
 
 FLOW_TOL = 1e-9
@@ -364,3 +364,28 @@ class WaterPlant(PlantModel):
         cold); the state is the converged Newton unknown vector."""
         sol = solve_network(np.asarray(u, dtype=float), self.model, x0=start)
         return sol.pressures[self._measured], sol.unknowns
+
+    def disrupted(self, event):
+        """Supports remove_edge {"edge": (m, n)}, which drops a pipe or pump;
+        source_outage {"node": k}: node k stops injecting, its control is
+        pinned at zero and, if it held a fixed pressure, it no longer does;
+        and demand_change (PlantModel._rebased_limits)."""
+        model, limits = self.model, (self.u_lower, self.u_upper)
+        if event.kind == "remove_edge":
+            graph, laws = without_edge(model.graph, event.params["edge"],
+                                       model.edge_laws)
+            model = WaterModel(graph, laws, model.pressure_nodes)
+        elif event.kind == "source_outage":
+            node = int(event.params["node"])
+            fixed = tuple(p for p in model.pressure_nodes if p != node)
+            if fixed != model.pressure_nodes:
+                model = WaterModel(model.graph, model.edge_laws, fixed)
+            u_lower, u_upper = self.u_lower.copy(), self.u_upper.copy()
+            u_lower[node] = u_upper[node] = 0.0
+            limits = (u_lower, u_upper)
+        elif event.kind == "demand_change":
+            limits = self._rebased_limits(event)
+        else:
+            raise ScenarioError(f"unsupported water disruption '{event.kind}'")
+        return WaterPlant(model, *limits, y_lower=self.y_lower,
+                          measured_nodes=self.measured_nodes)

@@ -4,6 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import ripplesim.cli
+import ripplesim.sim
+from ripplesim import adjacency_matrix, auto_gains, gain_condition
 from ripplesim.cli import main
 from ripplesim.scenario_io import bundled_scenario_path, load_scenario
 from ripplesim.sim import disrupted_setup, run
@@ -171,6 +174,34 @@ def write_cascade(tmp_path, edit):
     path = tmp_path / "edited.json"
     json.dump(doc, open(path, "w"))
     return str(path)
+
+
+def test_simulate_computes_auto_gains_once(tmp_path, monkeypatch):
+    doc = json.load(open(bundled_scenario_path("wds10")))
+    doc["gains"] = "auto"
+    path = tmp_path / "auto.json"
+    json.dump(doc, open(path, "w"))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return auto_gains(*args)
+
+    for module in (ripplesim.sim, ripplesim.cli):
+        monkeypatch.setattr(module, "auto_gains", counted)
+    assert main(["simulate", str(path), "--output-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    summary = json.load(open(tmp_path / "summary.json"))
+    monkeypatch.undo()
+    scenario = load_scenario(path)
+    outcome, _ = run(scenario)
+    assert summary["gain_condition"] == outcome.gain_norm
+    # gain_norm is the norm of the gains worked out for the disrupted plant
+    plant, u0 = disrupted_setup(scenario)
+    adjacency = adjacency_matrix(scenario.comm_graph)
+    gains = auto_gains(plant, adjacency, u0)
+    assert outcome.gain_norm == gain_condition(gains.eta2, gains.eta3,
+                                               adjacency)
 
 
 def test_simulate_rejects_bad_gains(tmp_path):

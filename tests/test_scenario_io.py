@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ripplesim import (GridPlant, ScenarioError, WaterPlant, load_scenario,
-                       save_scenario)
-from ripplesim.scenario_io import (bundled_scenario_path, scenario_from_dict,
-                                   scenario_to_dict)
+from ripplesim import GridPlant, ScenarioError, WaterPlant, load_scenario
+from ripplesim.scenario_io import bundled_scenario_path, scenario_from_dict
 
 MINIMAL_LINEAR = {
     "schema": "ripplesim-scenario/1",
@@ -56,17 +54,6 @@ def test_water_scenario_roles():
     assert_allclose(plant.y_lower, [10, 7, 10, 10, 5, 10, 10, 10])
     # inelastic consumer at node 6 (label "7")
     assert plant.u_lower[6] == plant.u_upper[6] == -200.0
-
-
-def test_round_trip_preserves_scenario(tmp_path):
-    scenario = load_scenario("wds10")
-    out = tmp_path / "copy.json"
-    save_scenario(scenario, out)
-    again = load_scenario(out)
-    assert scenario_to_dict(scenario) == scenario_to_dict(again)
-    assert_allclose(again.u0, scenario.u0)
-    assert again.labels == scenario.labels
-    assert len(again.disruptions) == len(scenario.disruptions)
 
 
 def test_dict_scenario_runs():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ripplesim import (DisruptionEvent, GridPlant, Graph, LinearPlant,
-                       PipeLaw, ProtocolGains, PumpLaw, Scenario,
-                       ScenarioError, SolverError, TraceRecord, WaterModel,
-                       WaterPlant, adjacency_matrix, apply_disruption,
+from ripplesim import (DisruptionEvent, GridModel, GridPlant, Graph,
+                       LinearPlant, PipeLaw, PlantModel, ProtocolGains,
+                       PumpLaw, Scenario, ScenarioError, SolverError,
+                       TraceRecord, WaterModel, WaterPlant, adjacency_matrix,
                        disrupted_setup, load_scenario, message_stats,
                        protocol_round, run, solve_load_voltages,
                        solve_network, verify_trace)
@@ -290,12 +290,11 @@ def test_message_stats_cascade_activation():
     assert stats.total == expect
 
 
-def test_apply_disruption_water_pump_failure():
-    plant = small_water_plant()
+def test_run_rejects_a_disruption_that_cuts_off_every_fixed_pressure():
+    # the pump (0, 1) is the only path from node 2 to the reference node 0
     event = DisruptionEvent(kind="remove_edge", params={"edge": (0, 1)})
     with pytest.raises(ScenarioError):
-        # dropping the only path to the reference leaves an invalid model
-        run(Scenario(plant=plant,
+        run(Scenario(plant=small_water_plant(),
                      comm_graph=Graph(node_count=3,
                                       edges=((0, 1), (1, 2))),
                      u0=np.array([5.0, 0.0, -100.0]),
@@ -303,27 +302,132 @@ def test_apply_disruption_water_pump_failure():
                                          eta2=np.full(3, 0.3),
                                          eta3=np.ones(3)),
                      disruptions=(event,)))
-    # removing the pipe instead keeps the original plant untouched
-    event = DisruptionEvent(kind="remove_edge", params={"edge": (1, 2)})
-    disrupted = apply_disruption(plant, event)
-    assert len(disrupted.model.graph.edges) == 1
-    assert len(plant.model.graph.edges) == 2
 
 
-def test_apply_disruption_demand_change_rebases_box():
-    plant = small_water_plant()
-    event = DisruptionEvent(kind="demand_change",
-                            params={"node": 2, "set": -120.0})
-    disrupted = apply_disruption(plant, event)
-    assert disrupted.u_lower[2] == -120.0
-    assert_allclose(disrupted.u_upper[2], -20.0)  # flexibility carried over
+def small_grid_plant():
+    grid = GridModel(graph=Graph(node_count=3,
+                                 edges=((0, 1), (0, 2), (1, 2))),
+                     susceptances=(10.0, 8.0, 5.0), generators=(0,),
+                     loads=(1, 2))
+    return GridPlant(grid=grid, u_lower=[1.0, -0.5, -0.4],
+                     u_upper=[1.1, -0.4, -0.3], y_lower=[0.94, 0.94])
 
 
-def test_apply_disruption_source_outage_pins_control():
-    plant = small_water_plant()
-    event = DisruptionEvent(kind="source_outage", params={"node": 2})
-    disrupted = apply_disruption(plant, event)
-    assert disrupted.u_lower[2] == 0.0 and disrupted.u_upper[2] == 0.0
+def two_source_water_plant():
+    # small_water_plant with a second fixed-pressure node 3 behind node 2
+    g = Graph(node_count=4, edges=((0, 1), (1, 2), (2, 3)))
+    model = WaterModel(graph=g,
+                       edge_laws=(PumpLaw(gain=10.0),
+                                  PipeLaw(coefficient=0.001),
+                                  PipeLaw(coefficient=0.002)),
+                       pressure_nodes=(0, 3))
+    return WaterPlant(model=model, u_lower=[0.0, 0.0, -150.0, 4.0],
+                      u_upper=[5.0, 0.0, -50.0, 6.0], y_lower=[2.0],
+                      measured_nodes=(2,))
+
+
+class BarePlant(PlantModel):
+    u_lower = u_upper = np.zeros(1)
+    y_lower, measured_nodes = np.zeros(0), ()
+
+    def solve(self, u):
+        return np.zeros(0)
+
+
+def _event(kind, **params):
+    return DisruptionEvent(kind=kind, params=params)
+
+
+DISRUPTIONS = {  # case: (plant, event, result predicate or error text)
+    "linear-offset": (
+        cascade_scenario().plant, _event("parameter_change", offset=[0.5]),
+        lambda d: d.offset.tolist() == [0.5]
+        and d.sensitivity.tolist() == [[1.0, 1.0]]),
+    "linear-offset-wrong-length": (
+        cascade_scenario().plant, _event("parameter_change", offset=[1, 2]),
+        "replacement offset has the wrong length"),
+    "linear-unsupported": (
+        cascade_scenario().plant, _event("remove_edge", edge=(0, 1)),
+        "unsupported linear-plant disruption 'remove_edge'"),
+    "grid-remove-line": (
+        small_grid_plant(), _event("remove_edge", edge=(2, 0)),
+        lambda d: d.grid.graph.edges == ((0, 1), (1, 2))
+        and d.grid.susceptances == (10.0, 5.0)),
+    "grid-susceptance": (
+        small_grid_plant(),
+        _event("parameter_change", edge=(0, 2), susceptance=7.0),
+        lambda d: d.grid.graph == small_grid_plant().grid.graph
+        and d.grid.susceptances == (10.0, 7.0, 5.0)),
+    "grid-susceptance-missing": (
+        small_grid_plant(), _event("parameter_change", edge=(0, 2)),
+        "grid parameter_change needs 'edge' and 'susceptance'"),
+    "grid-demand-at-generator": (
+        small_grid_plant(), _event("demand_change", node=0, scale=2.0),
+        "bus 0 is not a load bus"),
+    "grid-missing-edge": (
+        small_grid_plant(), _event("remove_edge", edge=(1, 1)),
+        "edge (1, 1) does not exist in the plant graph"),
+    "grid-unsupported": (
+        small_grid_plant(), _event("source_outage", node=1),
+        "unsupported grid disruption 'source_outage'"),
+    "water-remove-pump": (
+        small_water_plant(), _event("remove_edge", edge=(1, 0)),
+        lambda d: d.model.graph.edges == ((1, 2),)
+        and d.model.edge_laws == (PipeLaw(coefficient=0.001),)),
+    "water-remove-pipe": (
+        small_water_plant(), _event("remove_edge", edge=(1, 2)),
+        lambda d: d.model.graph.edges == ((0, 1),)
+        and d.model.edge_laws == (PumpLaw(gain=10.0),)),
+    "water-missing-edge": (
+        small_water_plant(), _event("remove_edge", edge=(0, 2)),
+        "edge (0, 2) does not exist in the plant graph"),
+    "water-outage-pressure-node": (
+        two_source_water_plant(), _event("source_outage", node=3),
+        lambda d: d.model.pressure_nodes == (0,)
+        and d.u_lower[3] == d.u_upper[3] == 0.0),
+    "water-outage-demand-node": (
+        small_water_plant(), _event("source_outage", node=2),
+        lambda d: d.model.pressure_nodes == (0,)
+        and d.u_lower[2] == d.u_upper[2] == 0.0),
+    "water-demand-set": (  # the width of the box carries over
+        small_water_plant(), _event("demand_change", node=2, set=-120.0),
+        lambda d: d.u_lower[2] == -120.0 and d.u_upper[2] == -20.0),
+    "water-demand-scale": (
+        small_water_plant(),
+        _event("demand_change", node=2, scale=1.5, flexibility=10.0),
+        lambda d: d.u_lower[2] == -225.0 and d.u_upper[2] == -215.0),
+    "water-demand-without-base": (
+        small_water_plant(), _event("demand_change", node=2, flexibility=1.0),
+        "demand_change needs 'set' or 'scale'"),
+    "water-unsupported": (
+        small_water_plant(), _event("parameter_change", offset=[0.0]),
+        "unsupported water disruption 'parameter_change'"),
+    "bare-plant": (
+        BarePlant(), _event("remove_edge", edge=(0, 1)),
+        "no disruption support for BarePlant"),
+}
+
+
+@pytest.mark.parametrize("case", DISRUPTIONS)
+def test_plant_disrupted(case):
+    plant, event, expect = DISRUPTIONS[case]
+    before = {k: np.copy(v) if isinstance(v, np.ndarray) else v
+              for k, v in vars(plant).items()}
+    if isinstance(expect, str):
+        with pytest.raises(ScenarioError) as err:
+            plant.disrupted(event)
+        assert str(err.value) == expect
+    else:
+        disrupted = plant.disrupted(event)
+        assert type(disrupted) is type(plant)
+        assert expect(disrupted)
+    # the input plant is left untouched
+    assert vars(plant).keys() == before.keys()
+    for key, value in before.items():
+        if isinstance(value, np.ndarray):
+            assert_array_equal(vars(plant)[key], value)
+        else:
+            assert vars(plant)[key] == value
 
 
 def test_disrupted_setup_moves_initial_control():
@@ -345,16 +449,9 @@ def test_noop_disruption_keeps_behavior():
     event = DisruptionEvent(kind="demand_change",
                             params={"node": 2, "set": -100.0,
                                     "flexibility": 50.0})
-    disrupted = apply_disruption(plant, event)
+    disrupted = plant.disrupted(event)
     u = np.array([5.0, 0.0, -80.0])
     assert_allclose(disrupted.solve(u), plant.solve(u))
-
-
-def test_invalid_disruption_target():
-    plant = small_water_plant()
-    event = DisruptionEvent(kind="remove_edge", params={"edge": (0, 2)})
-    with pytest.raises(ScenarioError):
-        apply_disruption(plant, event)
 
 
 def test_solver_failure_outcome_preserves_partial_trace():

@@ -20,7 +20,7 @@ from .protocol import (ProtocolGains, auto_gains, gain_condition,
                        spectral_norm, violation)
 from .scenario_io import (bundled_scenario_path, load_scenario,
                           scenario_from_dict)
-from .sim import (DisruptionEvent, MessageStats, Outcome, Scenario,
+from .sim import (DisruptionEvent, MessageStats, Outcome, Scenario, Trace,
                   TraceRecord, disrupted_setup, message_stats, run,
                   verify_trace)
 from .water import (HydraulicSolution, PipeLaw, PumpLaw, WaterModel,

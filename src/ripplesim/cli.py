@@ -27,7 +27,7 @@ from .plant import max_effort_feasibility, monotonicity_probe
 from .power import GridPlant, monotonicity_margin, solve_load_voltages, loadability_sweep
 from .protocol import auto_gains, gain_condition
 from .scenario_io import load_scenario
-from .sim import disrupted_setup, message_stats, run, stacked
+from .sim import disrupted_setup, message_stats, run
 
 
 def entry():
@@ -100,17 +100,17 @@ def cmd_simulate(args) -> int:
         scenario.trace_decimation = args.decimate
     if args.override_gain_check:
         scenario.override_gain_check = True
-    outcome, records = run(scenario)
+    outcome, trace = run(scenario)
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     plant, u0 = disrupted_setup(scenario)
     labels = [scenario.node_label(i) for i in range(plant.control_dim)]
     measured_labels = [scenario.node_label(i) for i in plant.measured_nodes]
-    _write_trace(outdir / "trace.csv", records, labels, measured_labels)
-    _write_effort(outdir / "effort.csv", records, labels, u0, plant.u_upper)
+    _write_trace(outdir / "trace.csv", trace, labels, measured_labels)
+    _write_effort(outdir / "effort.csv", trace, labels, u0, plant.u_upper)
     _write_summary(outdir / "summary.json", scenario, plant, u0, outcome,
-                   records, labels)
+                   trace, labels)
     print(f"{outcome.status} after {outcome.rounds} rounds "
           f"(feasible={outcome.feasible}, "
           f"max violation={outcome.max_violation:.3e})")
@@ -121,45 +121,43 @@ def cmd_simulate(args) -> int:
     return 1
 
 
-def _write_rows(path, header, records, stack, messages=False):
-    """CSV of the header, then one line per record: its round, the repr of
-    each entry of its row of stack(records) and, with messages, its message
-    count."""
+def _write_rows(path, header, rounds, table, messages=None):
+    """CSV of the header, then one line per row of table: its round, the
+    repr of each entry and, when given, its message count."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        if not records:
-            return
-        # the line csv.writer writes: repr floats and ints need no quoting
-        for r, row in zip(records, stack(records)):
-            tail = [str(r.messages)] if messages else []
-            fh.write(",".join([str(r.round), *map(repr, row.tolist()), *tail])
+        tails = ([[str(m)] for m in messages.tolist()] if messages is not None
+                 else [[]] * len(rounds))
+        # the line csv.writer writes: repr floats and ints need no quoting;
+        # one row is converted at a time, which keeps the peak memory low
+        for t, row, tail in zip(rounds.tolist(), table, tails):
+            fh.write(",".join([str(t), *map(repr, row.tolist()), *tail])
                      + "\r\n")
 
 
-def _write_trace(path, records, labels, measured_labels):
+def _write_trace(path, trace, labels, measured_labels):
     """One row per record: round, u, y, deficit, beacons, messages."""
     _write_rows(path, ["round"] + [f"u_{lab}" for lab in labels]
                 + [f"y_{lab}" for lab in measured_labels]
                 + [f"f_{lab}" for lab in labels]
-                + [f"lambda_{lab}" for lab in labels] + ["messages"], records,
-                lambda rs: np.hstack([stacked(rs, name) for name in
-                                      ("u", "y", "deficit", "beacons")]),
-                messages=True)
+                + [f"lambda_{lab}" for lab in labels] + ["messages"],
+                trace.rounds,
+                np.hstack((trace.u, trace.y, trace.deficit, trace.beacons)),
+                trace.messages)
 
 
-def _write_effort(path, records, labels, u0, u_upper):
+def _write_effort(path, trace, labels, u0, u_upper):
     """Normalized control effort (u(t)-u(0))/(ceiling-u(0)) per flexible agent."""
     u0 = np.asarray(u0, float)
     headroom = np.asarray(u_upper, float) - u0
     cols = np.flatnonzero(headroom > 1e-12)
     _write_rows(path, ["round"] + [f"effort_{labels[i]}" for i in cols],
-                records, lambda rs: (stacked(rs, "u")[:, cols] - u0[cols])
-                / headroom[cols])
+                trace.rounds, (trace.u[:, cols] - u0[cols]) / headroom[cols])
 
 
-def _write_summary(path, scenario, plant, u0, outcome, records, labels):
-    stats = message_stats(records, scenario.comm_graph, u0) if records else None
-    terminal_u = records[-1].u if records else u0
+def _write_summary(path, scenario, plant, u0, outcome, trace, labels):
+    stats = message_stats(trace, scenario.comm_graph, u0) if trace else None
+    terminal_u = trace.u[-1] if trace else u0
     try:
         terminal_y = plant.solve(terminal_u).tolist()
     except SolverError:
@@ -187,7 +185,7 @@ def _write_summary(path, scenario, plant, u0, outcome, records, labels):
             "eps_eq": scenario.eps_eq,
             "eps_feas": scenario.eps_feas,
             "trace_decimation": scenario.trace_decimation,
-            "records": len(records),
+            "records": len(trace),
         },
     }
     # strict JSON: NaN and infinities become null

@@ -19,12 +19,14 @@ class Graph:
     edges: tuple
 
     def __post_init__(self):
-        if self.node_count < 1:
+        count = _integer(self.node_count, "node count")
+        if count < 1:
             raise ModelError("graph needs at least one node")
+        object.__setattr__(self, "node_count", count)
         canon = []
         seen = set()
         for e in self.edges:
-            m, n = int(e[0]), int(e[1])
+            m, n = _integer(e[0], "edge end"), _integer(e[1], "edge end")
             if m == n:
                 raise ModelError(f"self-loop at node {m}")
             if not (0 <= m < self.node_count and 0 <= n < self.node_count):
@@ -44,6 +46,15 @@ class Graph:
             adj[m].append(n)
             adj[n].append(m)
         return tuple(tuple(sorted(a)) for a in adj)
+
+
+def _integer(value, what) -> int:
+    """value as an int; a bool or a non-integer (a float, even 2.0) is a
+    ModelError, while numpy integers pass."""
+    if isinstance(value, (bool, np.bool_)) or \
+            not isinstance(value, (int, np.integer)):
+        raise ModelError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

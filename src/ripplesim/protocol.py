@@ -45,10 +45,14 @@ class ProtocolGains:
 
 
 def violation(y, y_lower, measured_nodes, node_count: int) -> np.ndarray:
-    """Per-node output deficit: max(0, floor - reading), zero if unmeasured."""
+    """Per-node output deficit: max(0, floor - reading), zero if unmeasured.
+
+    It converts nothing itself (np.subtract and ndarray.put take arrays or
+    sequences), so a caller that runs many rounds converts its floors and
+    measured indices once.
+    """
     f = np.zeros(node_count)
-    f[np.asarray(measured_nodes, dtype=int)] = np.maximum(
-        np.asarray(y_lower, dtype=float) - np.asarray(y, dtype=float), 0.0)
+    f.put(measured_nodes, np.maximum(np.subtract(y_lower, y), 0.0))
     return f
 
 

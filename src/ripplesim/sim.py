@@ -4,11 +4,19 @@ A run applies the scenario's disruption events to the plant, then loops
 plant solve -> protocol round until the state stops moving or the round
 budget runs out. Each round's plant solve is warm-started from the
 previous round's solution (PlantModel.solve_from), since the control moves
-little from round to round. Each retained round yields a TraceRecord; the
-terminal state is classified into an Outcome. Runs are single-threaded and
-deterministic: the same scenario yields bit-identical traces.
+little from round to round. The arithmetic of a round stays in numpy; its
+stopping rules are tested on Python floats when the run has at most
+FLOAT_TESTS_MAX agents, where that costs less than numpy calls, and on the
+arrays otherwise. The retained rounds are stacked once, when the run ends,
+into a columnar Trace (one array per field, one row per retained round)
+whose items are TraceRecord row views; the terminal state is classified
+into an Outcome. Runs are single-threaded and deterministic: the same
+scenario yields bit-identical traces.
 """
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from math import isfinite
+from operator import eq, ge, gt
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +69,8 @@ class Scenario:
 
 
 class TraceRecord(NamedTuple):
-    """Snapshot taken at the end of one protocol round."""
+    """One retained round of a Trace: its round, views of its rows of u,
+    y, deficit and beacons, and the messages it sent."""
 
     round: int
     u: np.ndarray
@@ -69,6 +78,54 @@ class TraceRecord(NamedTuple):
     deficit: np.ndarray
     beacons: np.ndarray
     messages: int
+
+
+# (column, dtype, dimensions) of a Trace, in TraceRecord order
+_COLUMNS = (("rounds", int, 1), ("u", float, 2), ("y", float, 2),
+            ("deficit", float, 2), ("beacons", float, 2),
+            ("messages", int, 1))
+
+
+@dataclass(frozen=True, eq=False)
+class Trace(Sequence):
+    """The retained rounds of a run as columns, one row per retained round.
+
+    rounds and messages are integer vectors; u, deficit and beacons are
+    (records, agents) arrays and y is a (records, measured outputs) array.
+    trace[i] is the TraceRecord of row i (its arrays are views of the
+    columns), so a Trace also reads as a sequence of records.
+    """
+
+    rounds: np.ndarray
+    u: np.ndarray
+    y: np.ndarray
+    deficit: np.ndarray
+    beacons: np.ndarray
+    messages: np.ndarray
+
+    def __post_init__(self):
+        records = np.shape(self.rounds)[:1]
+        for name, dtype, ndim in _COLUMNS:
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.ndim != ndim or column.shape[:1] != records:
+                raise ValueError(f"trace column {name} must have {ndim} "
+                                 "dimension(s) and one row per record")
+            object.__setattr__(self, name, column)
+        if not self.u.shape == self.deficit.shape == self.beacons.shape:
+            raise ValueError("trace columns u, deficit and beacons disagree "
+                             "in width")
+
+    def __len__(self):
+        return len(self.rounds)
+
+    def __getitem__(self, i):
+        return TraceRecord(int(self.rounds[i]), self.u[i], self.y[i],
+                           self.deficit[i], self.beacons[i],
+                           int(self.messages[i]))
+
+    def __iter__(self):
+        return map(TraceRecord, self.rounds.tolist(), self.u, self.y,
+                   self.deficit, self.beacons, self.messages.tolist())
 
 
 @dataclass(frozen=True)
@@ -137,8 +194,27 @@ def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
         ) from exc
 
 
+# The tests of run's stopping rules, as (values, all_finite, all_ge, equal,
+# any_gt); the last four compare values(array) entry by entry, and a NaN
+# fails each of them. On Python floats (values is tolist) a test stops at
+# its first failing entry; two lists are equal if each pair of entries is
+# the same object or equal, and two tolist() calls never share an object.
+# On arrays a test costs a few numpy calls whatever the length.
+_FLOAT_TESTS = (np.ndarray.tolist, lambda a: all(map(isfinite, a)),
+                lambda a, b: all(map(ge, a, b)), eq,
+                lambda a, b: any(map(gt, a, b)))
+_ARRAY_TESTS = (np.asarray,
+                lambda a: np.count_nonzero(np.isfinite(a)) == len(a),
+                lambda a, b: np.count_nonzero(a >= b) == len(a),
+                lambda a, b: not np.count_nonzero(a != b),
+                lambda a, b: np.count_nonzero(a > b) > 0)
+# Runs of up to this many agents test Python floats, where one tolist() per
+# array and round costs less than the numpy calls it saves.
+FLOAT_TESTS_MAX = 32
+
+
 def run(scenario: Scenario):
-    """Execute the scenario; returns (Outcome, list of TraceRecord).
+    """Execute the scenario; returns (Outcome, Trace).
 
     Each round solves the plant, computes the deficit and takes one protocol
     round. The solve is warm-started from the previous round's solution (the
@@ -165,6 +241,10 @@ def run(scenario: Scenario):
     coupled agent. A NaN passes none of rules 2 to 5. When the solve fails
     at non-finite controls, the detail says that the protocol update
     overflowed.
+
+    The trace keeps round 1, every trace_decimation-th round and the round
+    that rules 2 to 4 end the run in. A round whose solve fails is not
+    kept, so a run that fails in round 1 returns an empty trace.
     """
     try:
         plant, u0 = disrupted_setup(scenario)
@@ -186,18 +266,27 @@ def run(scenario: Scenario):
     u_upper, y_lower = plant.u_upper, plant.y_lower
     measured = np.array(plant.measured_nodes, dtype=int)
     eps_eq, eps_feas = scenario.eps_eq, scenario.eps_feas
-    pinned = u_upper - eps_eq
+    values, all_finite, all_ge, equal, any_gt = (
+        _FLOAT_TESTS if n <= FLOAT_TESTS_MAX else _ARRAY_TESTS)
+    pinned = values(u_upper - eps_eq)
+    feas_floor = values(np.full(n, float(eps_feas)))
+    u_seen = values(u)
+    prev_deficit = values(np.full(n, np.nan))  # all NaN: equal to nothing
     rows = []
     keep, window = scenario.trace_decimation, scenario.stall_window
-    prev_deficit = None
     frozen_rounds = 0
-    count = np.count_nonzero
 
     def trace():
-        """The kept rounds as TraceRecords, their messages counted at once."""
-        sent = (message_counts([r[4] for r in rows], adjacency).tolist()
-                if rows else [])
-        return [TraceRecord._make((*row, m)) for row, m in zip(rows, sent)]
+        """The kept rounds as a Trace, their messages counted at once. Each
+        field is stacked in turn, and its per-round arrays are released
+        before the next one is stacked."""
+        rounds, *fields = zip(*rows) if rows else [()] * 5
+        rows.clear()
+        u_col, y_col, deficit_col, beacons_col = [
+            _stacked(fields.pop(0), width)
+            for width in (n, len(measured), n, n)]
+        return Trace(rounds, u_col, y_col, deficit_col, beacons_col,
+                     message_counts(beacons_col, adjacency))
 
     def classify(status, rounds, equilibrium, detail=""):
         feas = False
@@ -220,11 +309,11 @@ def run(scenario: Scenario):
                 if state is None:
                     raise
                 y, state = plant.solve_from(u)
-            if count(np.isfinite(y)) != len(y):
+            if not all_finite(values(y)):
                 raise SolverError(f"round {t}: plant output is not finite")
         except SolverError as exc:
             detail = str(exc)
-            if count(np.isfinite(u)) != n:
+            if not all_finite(u_seen):
                 # u0 is finite, so the update of the round before overflowed
                 detail = (f"controls are not finite: the protocol update of "
                           f"round {t - 1} overflowed (a gain times a deficit "
@@ -238,31 +327,37 @@ def run(scenario: Scenario):
         deficit = violation(y, y_lower, measured, n)
         u_next, beacons_next = protocol_round(u, beacons, deficit, gains,
                                               adjacency, u_upper)
-        # Rules 2 to 4 of the docstring; the eps_eq test runs only when the
-        # pinned or cleared test lets it decide. Each test counts the entries
-        # that pass it, so a NaN fails it.
-        at_ceiling = count(u_next >= pinned) == n
-        reached_eq = (not count(u_next != u)
-                      and not count(beacons_next != beacons)) or (
-            (at_ceiling or count(deficit <= eps_feas) == n)
+        # Rules 2 to 4 of the docstring; the beacons are compared and the
+        # eps_eq test runs only when the tests before them let them decide
+        u_now, deficit_now = values(u_next), values(deficit)
+        at_ceiling = all_ge(u_now, pinned)
+        reached_eq = (equal(u_now, u_seen)
+                      and equal(values(beacons_next), values(beacons))) or (
+            (at_ceiling or all_ge(feas_floor, deficit_now))
             and is_equilibrium(u, beacons, u_next, beacons_next, eps_eq))
-        if at_ceiling and prev_deficit is not None and \
-                count(deficit == prev_deficit) == n:
+        if at_ceiling and equal(deficit_now, prev_deficit):
             frozen_rounds += 1
         else:
             frozen_rounds = 0
-        prev_deficit = deficit
+        prev_deficit, u_seen = deficit_now, u_now
         u, beacons = u_next, beacons_next
         if t % keep == 0 or t == 1 or reached_eq:
             rows.append((t, u, y, deficit, beacons))
         if reached_eq:
             return classify("equilibrium", t, True), trace()
         # a NaN deficit has reset frozen_rounds, so it cannot stall the run
-        if frozen_rounds >= window and count(deficit > eps_feas):
+        if frozen_rounds >= window and any_gt(deficit_now, feas_floor):
             return classify("stalled", t, False,
                             detail="controls pinned at the ceiling with a "
                                    "persistent violation"), trace()
     return classify("budget_exceeded", scenario.budget, False), trace()
+
+
+def _stacked(rows, width):
+    """Equal-length 1-D arrays as the rows of one (len(rows), width) array."""
+    if not rows:
+        return np.empty((0, width))
+    return np.concatenate(rows).reshape(len(rows), width)
 
 
 @dataclass(frozen=True)
@@ -284,23 +379,15 @@ def _versus_previous(compare, u, u0):
     return np.concatenate((first, compare(u[1:], u[:-1])))
 
 
-def stacked(records, name):
-    """One field of every record as a (records, agents) array."""
-    rows = [getattr(r, name) for r in records]
-    if len(set(map(len, rows))) > 1:
-        raise ValueError(f"trace records disagree in the length of {name}")
-    return np.concatenate(rows).reshape(len(records), -1)
-
-
-def _first_rounds(mask, records) -> dict:
+def _first_rounds(mask, rounds) -> dict:
     """{agent: first round whose row of mask is set}, in order of that round."""
     agents = np.flatnonzero(mask.any(axis=0))
     first = mask[:, agents].argmax(axis=0)
-    return {int(agents[j]): records[first[j]].round
+    return {int(agents[j]): int(rounds[first[j]])
             for j in np.argsort(first, kind="stable")}
 
 
-def message_stats(records, comm_graph: Graph, u0=None) -> MessageStats:
+def message_stats(trace: Trace, comm_graph: Graph, u0=None) -> MessageStats:
     """Message accounting over a trace.
 
     first_beacon[k] is the first round agent k's beacon went positive;
@@ -309,22 +396,22 @@ def message_stats(records, comm_graph: Graph, u0=None) -> MessageStats:
     away from its previous value (needs u0 for the first round). Missing
     keys mean the event never happened.
     """
-    if not records:
+    if not trace:
         raise ValueError("empty trace")
-    per_round = tuple(r.messages for r in records)
-    u = stacked(records, "u")
-    beaconing = stacked(records, "beacons") > 0
-    first_beacon = _first_rounds(beaconing, records)
+    per_round = tuple(trace.messages.tolist())
+    beaconing = trace.beacons > 0
+    first_beacon = _first_rounds(beaconing, trace.rounds)
     first_assistance = dict(sorted(_first_rounds(
-        beaconing @ (adjacency_matrix(comm_graph) > 0), records).items()))
-    first_change = _first_rounds(_versus_previous(np.not_equal, u, u0), records)
-    return MessageStats(per_round=per_round, total=int(sum(per_round)),
+        beaconing @ (adjacency_matrix(comm_graph) > 0), trace.rounds).items()))
+    first_change = _first_rounds(
+        _versus_previous(np.not_equal, trace.u, u0), trace.rounds)
+    return MessageStats(per_round=per_round, total=sum(per_round),
                         first_beacon=first_beacon,
                         first_assistance=first_assistance,
                         first_change=first_change)
 
 
-def verify_trace(records, comm_graph: Graph, u_upper, u0=None) -> list:
+def verify_trace(trace: Trace, comm_graph: Graph, u_upper, u0=None) -> list:
     """Check the protocol invariants on a trace; returns problem strings.
 
     Checks: controls never decrease and never exceed the ceiling, beacons
@@ -336,39 +423,37 @@ def verify_trace(records, comm_graph: Graph, u_upper, u0=None) -> list:
     round 1 with u0 and no beacons), so it skips every record whose round
     does not directly follow the previous record's, as in a decimated trace.
     """
-    if not records:
+    if not trace:
         return []
     u_upper = np.asarray(u_upper, dtype=float)
     adjacency = adjacency_matrix(comm_graph)
-    u = stacked(records, "u")
-    beacons = stacked(records, "beacons")
+    u, beacons, messages = trace.u, trace.beacons, trace.messages
     beaconing = beacons > 0
     expect = beaconing @ adjacency.sum(axis=1).astype(int)
     # who beaconed in the round before each record; nobody before round 1
     before = np.vstack((np.zeros_like(beaconing[:1]), beaconing[:-1]))
-    prompted = (stacked(records, "deficit") > 0) | (before @ adjacency > 0)
-    follows = np.diff([r.round for r in records], prepend=0) == 1
+    prompted = (trace.deficit > 0) | (before @ adjacency > 0)
+    follows = np.diff(trace.rounds, prepend=0) == 1
     unprompted = (_versus_previous(np.greater, u, u0) & ~prompted
                   & follows[:, None])
     flags = np.column_stack((np.any(_versus_previous(np.less, u, u0), axis=1),
                              np.any(u > u_upper, axis=1),
                              np.any(beacons < 0, axis=1)))
     unsaturated = beaconing & (u != u_upper)
-    messages = np.array([r.messages for r in records])
     problems = []
     for i in np.flatnonzero(flags.any(axis=1) | unsaturated.any(axis=1)
                             | unprompted.any(axis=1)
                             | (messages != expect)):
-        r = records[i]
-        problems += [f"round {r.round}: {text}" for text, bad in zip(
+        t = trace.rounds[i]
+        problems += [f"round {t}: {text}" for text, bad in zip(
             ("control decreased", "control exceeds its ceiling",
              "negative beacon"), flags[i]) if bad]
-        problems += [f"round {r.round}: beacon at unsaturated agent {k}"
+        problems += [f"round {t}: beacon at unsaturated agent {k}"
                      for k in np.flatnonzero(unsaturated[i])]
-        problems += [f"round {r.round}: control {k} rose without a deficit "
+        problems += [f"round {t}: control {k} rose without a deficit "
                      "or a neighbor's beacon"
                      for k in np.flatnonzero(unprompted[i])]
-        if r.messages != expect[i]:
+        if messages[i] != expect[i]:
             problems.append(
-                f"round {r.round}: {r.messages} messages, expected {expect[i]}")
+                f"round {t}: {messages[i]} messages, expected {expect[i]}")
     return problems

@@ -93,6 +93,16 @@ def test_graph_validation():
         Graph(node_count=2, edges=((0, 2),))
     with pytest.raises(ModelError):
         Graph(node_count=3, edges=((0, 1), (1, 0)))
+    # a float or bool node count or endpoint is refused, not truncated
+    for count, edges in ((2.5, ()), (2.0, ()), (True, ()),
+                         (3, ((0, 1.5),)), (3, ((0, 1.0),)),
+                         (3, ((False, 1),)), (3, ((0, np.float64(1)),))):
+        with pytest.raises(ModelError, match="integer"):
+            Graph(node_count=count, edges=edges)
+    # numpy integers pass and are stored as ints
+    g = Graph(node_count=np.int64(3), edges=((np.int32(2), np.int64(0)),))
+    assert (g.node_count, g.edges) == (3, ((0, 2),))
+    assert {type(g.node_count), *map(type, g.edges[0])} == {int}
 
 
 def test_neighbors_and_degree():

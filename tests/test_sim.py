@@ -8,11 +8,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from ripplesim import (DisruptionEvent, GridModel, GridPlant, Graph,
                        LinearPlant, PipeLaw, PlantModel, ProtocolGains,
-                       PumpLaw, Scenario, ScenarioError, SolverError,
+                       PumpLaw, Scenario, ScenarioError, SolverError, Trace,
                        TraceRecord, WaterModel, WaterPlant, adjacency_matrix,
                        disrupted_setup, load_scenario, message_stats,
                        protocol_round, run, solve_load_voltages,
                        solve_network, verify_trace)
+from ripplesim.cli import main
 
 
 def cascade_scenario(u_upper=(0.5, 1.0)):
@@ -35,12 +36,9 @@ def test_verify_trace_reports_each_broken_invariant():
 
     def trace(u3=(0.6, 1.0, 0.1), b3=(0.0, 0.1, 0.0), m3=2,
               b2=(0.0, 0.2, 0.0), m2=2, rounds=(1, 2, 3)):
-        rows = (((0.2, 0.5, 0.0), (0.0, 0.0, 0.0), 0),
-                ((0.5, 1.0, 0.0), b2, m2), (u3, b3, m3))
-        return [TraceRecord(round=t, u=np.array(u), y=np.zeros(1),
-                            deficit=np.array([1.0, 1.0, 0.0]),
-                            beacons=np.array(b), messages=m)
-                for t, (u, b, m) in zip(rounds, rows)]
+        return Trace(rounds=rounds, u=[(0.2, 0.5, 0.0), (0.5, 1.0, 0.0), u3],
+                     y=np.zeros((3, 1)), deficit=[(1.0, 1.0, 0.0)] * 3,
+                     beacons=[(0.0, 0.0, 0.0), b2, b3], messages=(0, m2, m3))
 
     assert verify_trace(trace(), graph, u_upper, u0) == []
     cases = [
@@ -62,18 +60,79 @@ def test_verify_trace_reports_each_broken_invariant():
                         graph, u_upper, u0) == []
 
 
-def test_audit_rejects_records_of_different_lengths():
-    # three records of lengths 2, 1 and 3 hold six entries, which would
-    # fill a 3 x 2 array if nobody checked the lengths
-    graph = Graph(node_count=2, edges=((0, 1),))
-    records = [TraceRecord(round=t, u=np.zeros(k), y=np.zeros(1),
-                           deficit=np.zeros(k), beacons=np.zeros(k),
-                           messages=0)
-               for t, k in enumerate((2, 1, 3), start=1)]
-    with pytest.raises(ValueError):
-        verify_trace(records, graph, np.ones(2))
-    with pytest.raises(ValueError):
-        message_stats(records, graph)
+def test_trace_rejects_columns_whose_rows_or_widths_disagree():
+    def columns(**change):
+        cols = dict(rounds=[1, 2], u=np.zeros((2, 3)), y=np.zeros((2, 1)),
+                    deficit=np.zeros((2, 3)), beacons=np.zeros((2, 3)),
+                    messages=[0, 0])
+        return {**cols, **change}
+
+    assert len(Trace(**columns())) == 2
+    assert len(Trace(**columns(y=np.zeros((2, 0))))) == 2
+    for change in (dict(u=np.zeros((3, 3))), dict(y=np.zeros((1, 1))),
+                   dict(messages=[0]), dict(rounds=[1, 2, 3]),
+                   dict(deficit=np.zeros((2, 2))),
+                   dict(beacons=np.zeros((2, 4))), dict(u=np.zeros(6)),
+                   dict(rounds=[[1, 2]]), dict(rounds=1),
+                   # rows of lengths 2, 1 and 3 would fill a 3 x 2 array
+                   # if the widths were not checked
+                   dict(rounds=[1, 2, 3], y=np.zeros((3, 1)),
+                        messages=[0, 0, 0],
+                        u=[np.zeros(k) for k in (2, 1, 3)])):
+        with pytest.raises(ValueError):
+            Trace(**columns(**change))
+
+
+def assert_rows_match_columns(trace):
+    """trace[i] and iteration agree with the columns."""
+    assert len(list(trace)) == len(trace) == len(trace.rounds)
+    for i, record in enumerate(trace):
+        for row in (record, trace[i], trace[i - len(trace)]):
+            assert type(row) is TraceRecord
+            assert (row.round, row.messages) == (trace.rounds[i],
+                                                 trace.messages[i])
+            assert {type(row.round), type(row.messages)} == {int}
+            for name in ("u", "y", "deficit", "beacons"):
+                assert_array_equal(getattr(row, name),
+                                   getattr(trace, name)[i])
+    with pytest.raises(IndexError):
+        trace[len(trace)]
+
+
+@pytest.mark.parametrize("case", ["full", "decimated", "empty"])
+def test_trace_rows_match_its_columns(case, tmp_path):
+    # a full and a decimated pjm5 trace, and the empty trace of a solver
+    # failure in round 1, through the audit, the message count and the CLI
+    scenario = load_scenario("pjm5")
+    if case == "decimated":
+        scenario.trace_decimation = 7
+    if case == "empty":
+        scenario = cascade_scenario()
+        scenario.plant.offset = np.array([np.nan])
+    outcome, trace = run(scenario)
+    assert_rows_match_columns(trace)
+    plant, u0 = disrupted_setup(scenario)
+    assert verify_trace(trace, scenario.comm_graph, plant.u_upper, u0) == []
+    if case == "empty":
+        assert len(trace) == 0
+        assert trace.u.shape == (0, 2) and trace.y.shape == (0, 1)
+        with pytest.raises(ValueError, match="empty trace"):
+            message_stats(trace, scenario.comm_graph, u0)
+        return
+    assert trace.rounds.tolist() == (list(range(1, 1343)) if case == "full"
+                                     else [1, *range(7, 1343, 7), 1342])
+    stats = message_stats(trace, scenario.comm_graph, u0)
+    assert stats.per_round == tuple(r.messages for r in trace)
+    assert stats.total == sum(r.messages for r in trace)
+    args = ["simulate", "pjm5", "--output-dir", str(tmp_path)]
+    if case == "decimated":
+        args += ["--decimate", "7"]
+    main(args)
+    lines = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    assert lines == [",".join(map(repr, [r.round, *r.u.tolist(), *r.y.tolist(),
+                                         *r.deficit.tolist(),
+                                         *r.beacons.tolist(), r.messages]))
+                     for r in trace]
 
 
 def small_water_plant():
@@ -491,7 +550,7 @@ def test_non_finite_plant_output_is_solver_failure():
     assert outcome.status == "solver_failure"
     assert outcome.rounds == 1
     assert "round 1" in outcome.detail
-    assert records == []
+    assert len(records) == 0
 
 
 def test_one_non_finite_output_is_solver_failure():
@@ -505,7 +564,7 @@ def test_one_non_finite_output_is_solver_failure():
                                             eta3=np.ones(2))))
     assert (outcome.status, outcome.rounds) == ("solver_failure", 1)
     assert outcome.detail == "round 1: plant output is not finite"
-    assert records == []
+    assert len(records) == 0
 
 
 @pytest.mark.parametrize("name, status, rounds, n_records, messages", [
@@ -663,6 +722,7 @@ def nan_after_round(monkeypatch, field, at):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tested_as", ["floats", "arrays"])
 @pytest.mark.parametrize("make, rule_round, field", [
     (exact_fixed_point, 1, "u"),
     (exact_fixed_point, 1, "beacons"),
@@ -674,15 +734,40 @@ def nan_after_round(monkeypatch, field, at):
     (expanding_stall, 103, "u"),
     (expanding_stall, 103, "deficit"),
 ])
-def test_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field):
+def test_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field,
+                                       tested_as):
     # each scenario stops by one rule in rule_round (rules 2, 3, 4 and 5 in
     # turn, see the test_stop_* tests); a NaN in any array that rule reads
-    # must keep it from firing in that round
+    # must keep it from firing in that round, whether the rules test Python
+    # floats or arrays
+    if tested_as == "arrays":
+        monkeypatch.setattr("ripplesim.sim.FLOAT_TESTS_MAX", 0)
     assert run(make())[0].rounds == rule_round
     nan_after_round(monkeypatch, field, rule_round)
     outcome, records = run(make())
     assert outcome.rounds > rule_round
     assert np.isnan(getattr(records[rule_round - 1], field)[0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rules_on_floats_and_on_arrays_agree_bit_for_bit(monkeypatch):
+    # every stopping rule ends one of these runs (see the test_stop_* tests
+    # and message_exit_cases); short runs test Python floats, long ones
+    # arrays, and both must give the same outcome and trace
+    def runs():
+        scenarios = [exact_fixed_point(), single_agent(), expanding_stall(),
+                     single_agent(budget=5),
+                     cascade_scenario(u_upper=(0.3, 0.4)),
+                     *(s for _, s in message_exit_cases())]
+        for scenario in scenarios:
+            outcome, trace = run(scenario)
+            yield repr(outcome), [
+                getattr(trace, name).tobytes() for name in
+                ("rounds", "u", "y", "deficit", "beacons", "messages")]
+
+    on_floats = list(runs())
+    monkeypatch.setattr("ripplesim.sim.FLOAT_TESTS_MAX", 0)
+    assert list(runs()) == on_floats
 
 
 @pytest.mark.parametrize("field, value", [

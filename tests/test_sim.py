@@ -721,9 +721,9 @@ def nan_after_round(monkeypatch, field, at):
     monkeypatch.setattr("ripplesim.sim.protocol_round", poisoned)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("tested_as", ["floats", "arrays"])
-@pytest.mark.parametrize("make, rule_round, field", [
+# each scenario stops by one rule in rule_round (rules 2, 3, 4 and 5 in
+# turn, see the test_stop_* tests)
+NAN_CASES = [
     (exact_fixed_point, 1, "u"),
     (exact_fixed_point, 1, "beacons"),
     (partial(cascade_scenario, u_upper=(0.3, 0.4)), 28, "u"),
@@ -733,15 +733,13 @@ def nan_after_round(monkeypatch, field, at):
     (single_agent, 27, "deficit"),
     (expanding_stall, 103, "u"),
     (expanding_stall, 103, "deficit"),
-])
-def test_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field,
-                                       tested_as):
-    # each scenario stops by one rule in rule_round (rules 2, 3, 4 and 5 in
-    # turn, see the test_stop_* tests); a NaN in any array that rule reads
-    # must keep it from firing in that round, whether the rules test Python
-    # floats or arrays
-    if tested_as == "arrays":
-        monkeypatch.setattr("ripplesim.sim.FLOAT_TESTS_MAX", 0)
+]
+
+
+def assert_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round,
+                                         field):
+    # a NaN in any array the stopping rule reads must keep it from firing
+    # in that round
     assert run(make())[0].rounds == rule_round
     nan_after_round(monkeypatch, field, rule_round)
     outcome, records = run(make())
@@ -750,10 +748,26 @@ def test_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field,
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("make, rule_round, field", NAN_CASES)
+def test_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field):
+    # these scenarios have few enough agents that the rules test Python
+    # floats
+    assert_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("make, rule_round, field", NAN_CASES)
+def test_a_nan_passes_no_stopping_rule_tested_on_arrays(monkeypatch, make,
+                                                        rule_round, field):
+    monkeypatch.setattr("ripplesim.sim.FLOAT_TESTS_MAX", 0)
+    assert_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rules_on_floats_and_on_arrays_agree_bit_for_bit(monkeypatch):
     # every stopping rule ends one of these runs (see the test_stop_* tests
-    # and message_exit_cases); short runs test Python floats, long ones
-    # arrays, and both must give the same outcome and trace
+    # and message_exit_cases); runs of few agents test Python floats, runs
+    # of many arrays, and both must give the same outcome and trace
     def runs():
         scenarios = [exact_fixed_point(), single_agent(), expanding_stall(),
                      single_agent(budget=5),

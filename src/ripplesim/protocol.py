@@ -47,12 +47,14 @@ class ProtocolGains:
 def violation(y, y_lower, measured_nodes, node_count: int) -> np.ndarray:
     """Per-node output deficit: max(0, floor - reading), zero if unmeasured.
 
-    It converts nothing itself (np.subtract and ndarray.put take arrays or
-    sequences), so a caller that runs many rounds converts its floors and
-    measured indices once.
+    y and y_lower go to np.subtract as they are, and an integer index array
+    passes np.asarray unconverted, so a caller that runs many rounds
+    converts its floors and measured indices once. A reading or floor that
+    does not match measured_nodes in length raises ValueError.
     """
     f = np.zeros(node_count)
-    f.put(measured_nodes, np.maximum(np.subtract(y_lower, y), 0.0))
+    f[np.asarray(measured_nodes, dtype=np.intp)] = np.maximum(
+        np.subtract(y_lower, y), 0.0)
     return f
 
 

@@ -5,9 +5,8 @@ plant solve -> protocol round until the state stops moving or the round
 budget runs out. Each round's plant solve is warm-started from the
 previous round's solution (PlantModel.solve_from), since the control moves
 little from round to round. The arithmetic of a round stays in numpy; its
-stopping rules are tested on Python floats when the run has at most
-FLOAT_TESTS_MAX agents, where that costs less than numpy calls, and on the
-arrays otherwise. The retained rounds are stacked once, when the run ends,
+stopping rules are tested on Python floats, one tolist() per array and
+round, which at a few agents costs less than numpy calls. The retained rounds are stacked once, when the run ends,
 into a columnar Trace (one array per field, one row per retained round)
 whose items are TraceRecord row views; the terminal state is classified
 into an Outcome. Runs are single-threaded and deterministic: the same
@@ -16,7 +15,7 @@ scenario yields bit-identical traces.
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import isfinite
-from operator import eq, ge, gt
+from operator import ge, gt
 from typing import NamedTuple
 
 import numpy as np
@@ -106,7 +105,10 @@ class Trace(Sequence):
     def __post_init__(self):
         records = np.shape(self.rounds)[:1]
         for name, dtype, ndim in _COLUMNS:
-            column = np.asarray(getattr(self, name), dtype=dtype)
+            column = np.asarray(getattr(self, name))
+            if dtype is int and column.size and column.dtype.kind not in "iu":
+                raise ValueError(f"trace column {name} must hold integers")
+            column = column.astype(dtype, copy=False)
             if column.ndim != ndim or column.shape[:1] != records:
                 raise ValueError(f"trace column {name} must have {ndim} "
                                  "dimension(s) and one row per record")
@@ -194,25 +196,6 @@ def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
         ) from exc
 
 
-# The tests of run's stopping rules, as (values, all_finite, all_ge, equal,
-# any_gt); the last four compare values(array) entry by entry, and a NaN
-# fails each of them. On Python floats (values is tolist) a test stops at
-# its first failing entry; two lists are equal if each pair of entries is
-# the same object or equal, and two tolist() calls never share an object.
-# On arrays a test costs a few numpy calls whatever the length.
-_FLOAT_TESTS = (np.ndarray.tolist, lambda a: all(map(isfinite, a)),
-                lambda a, b: all(map(ge, a, b)), eq,
-                lambda a, b: any(map(gt, a, b)))
-_ARRAY_TESTS = (np.asarray,
-                lambda a: np.count_nonzero(np.isfinite(a)) == len(a),
-                lambda a, b: np.count_nonzero(a >= b) == len(a),
-                lambda a, b: not np.count_nonzero(a != b),
-                lambda a, b: np.count_nonzero(a > b) > 0)
-# Runs of up to this many agents test Python floats, where one tolist() per
-# array and round costs less than the numpy calls it saves.
-FLOAT_TESTS_MAX = 32
-
-
 def run(scenario: Scenario):
     """Execute the scenario; returns (Outcome, Trace).
 
@@ -264,14 +247,16 @@ def run(scenario: Scenario):
     n = len(u0)
     u, beacons = u0, np.zeros(n)
     u_upper, y_lower = plant.u_upper, plant.y_lower
-    measured = np.array(plant.measured_nodes, dtype=int)
+    measured = np.array(plant.measured_nodes, dtype=np.intp)
     eps_eq, eps_feas = scenario.eps_eq, scenario.eps_feas
-    values, all_finite, all_ge, equal, any_gt = (
-        _FLOAT_TESTS if n <= FLOAT_TESTS_MAX else _ARRAY_TESTS)
-    pinned = values(u_upper - eps_eq)
-    feas_floor = values(np.full(n, float(eps_feas)))
-    u_seen = values(u)
-    prev_deficit = values(np.full(n, np.nan))  # all NaN: equal to nothing
+    # The stopping rules compare Python floats (tolist) entry by entry: each
+    # test stops at its first failing entry, and a NaN fails every one. Two
+    # lists are equal if each pair of entries is the same object or equal,
+    # and two tolist() calls never share an object.
+    pinned = (u_upper - eps_eq).tolist()
+    feas_floor = [float(eps_feas)] * n
+    u_seen = u.tolist()
+    prev_deficit = np.full(n, np.nan).tolist()  # all NaN: equal to nothing
     rows = []
     keep, window = scenario.trace_decimation, scenario.stall_window
     frozen_rounds = 0
@@ -309,11 +294,11 @@ def run(scenario: Scenario):
                 if state is None:
                     raise
                 y, state = plant.solve_from(u)
-            if not all_finite(values(y)):
+            if not all(map(isfinite, y.tolist())):
                 raise SolverError(f"round {t}: plant output is not finite")
         except SolverError as exc:
             detail = str(exc)
-            if not all_finite(u_seen):
+            if not all(map(isfinite, u_seen)):
                 # u0 is finite, so the update of the round before overflowed
                 detail = (f"controls are not finite: the protocol update of "
                           f"round {t - 1} overflowed (a gain times a deficit "
@@ -329,13 +314,13 @@ def run(scenario: Scenario):
                                               adjacency, u_upper)
         # Rules 2 to 4 of the docstring; the beacons are compared and the
         # eps_eq test runs only when the tests before them let them decide
-        u_now, deficit_now = values(u_next), values(deficit)
-        at_ceiling = all_ge(u_now, pinned)
-        reached_eq = (equal(u_now, u_seen)
-                      and equal(values(beacons_next), values(beacons))) or (
-            (at_ceiling or all_ge(feas_floor, deficit_now))
+        u_now, deficit_now = u_next.tolist(), deficit.tolist()
+        at_ceiling = all(map(ge, u_now, pinned))
+        reached_eq = (u_now == u_seen
+                      and beacons_next.tolist() == beacons.tolist()) or (
+            (at_ceiling or all(map(ge, feas_floor, deficit_now)))
             and is_equilibrium(u, beacons, u_next, beacons_next, eps_eq))
-        if at_ceiling and equal(deficit_now, prev_deficit):
+        if at_ceiling and deficit_now == prev_deficit:
             frozen_rounds += 1
         else:
             frozen_rounds = 0
@@ -346,7 +331,7 @@ def run(scenario: Scenario):
         if reached_eq:
             return classify("equilibrium", t, True), trace()
         # a NaN deficit has reset frozen_rounds, so it cannot stall the run
-        if frozen_rounds >= window and any_gt(deficit_now, feas_floor):
+        if frozen_rounds >= window and any(map(gt, deficit_now, feas_floor)):
             return classify("stalled", t, False,
                             detail="controls pinned at the ceiling with a "
                                    "persistent violation"), trace()

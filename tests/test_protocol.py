@@ -47,6 +47,17 @@ def test_violation_unmeasured_nodes_stay_zero():
     assert_array_equal(f, [0.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("y, y_lower, measured", [
+    ([0.0, 0.0], [1.0, 1.0], [0, 1, 2]),
+    ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], np.array([0, 1])),
+    ([0.0, 0.0], [1.0, 1.0, 1.0], (0, 1)),
+])
+def test_violation_rejects_readings_that_do_not_match_the_measured_nodes(
+        y, y_lower, measured):
+    with pytest.raises(ValueError):
+        violation(y, y_lower, measured, 3)
+
+
 def test_violation_matches_loop_reference():
     rng = np.random.default_rng(4)
     for _ in range(20):

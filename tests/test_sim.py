@@ -74,6 +74,9 @@ def test_trace_rejects_columns_whose_rows_or_widths_disagree():
                    dict(deficit=np.zeros((2, 2))),
                    dict(beacons=np.zeros((2, 4))), dict(u=np.zeros(6)),
                    dict(rounds=[[1, 2]]), dict(rounds=1),
+                   # integer columns are not truncated from floats or bools
+                   dict(rounds=[1.5, 2.7]), dict(messages=[0.0, 1.0]),
+                   dict(rounds=[True, False]),
                    # rows of lengths 2, 1 and 3 would fill a 3 x 2 array
                    # if the widths were not checked
                    dict(rounds=[1, 2, 3], y=np.zeros((3, 1)),
@@ -736,8 +739,9 @@ NAN_CASES = [
 ]
 
 
-def assert_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round,
-                                         field):
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("make, rule_round, field", NAN_CASES)
+def test_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field):
     # a NaN in any array the stopping rule reads must keep it from firing
     # in that round
     assert run(make())[0].rounds == rule_round
@@ -745,43 +749,6 @@ def assert_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round,
     outcome, records = run(make())
     assert outcome.rounds > rule_round
     assert np.isnan(getattr(records[rule_round - 1], field)[0])
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("make, rule_round, field", NAN_CASES)
-def test_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field):
-    # these scenarios have few enough agents that the rules test Python
-    # floats
-    assert_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("make, rule_round, field", NAN_CASES)
-def test_a_nan_passes_no_stopping_rule_tested_on_arrays(monkeypatch, make,
-                                                        rule_round, field):
-    monkeypatch.setattr("ripplesim.sim.FLOAT_TESTS_MAX", 0)
-    assert_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_rules_on_floats_and_on_arrays_agree_bit_for_bit(monkeypatch):
-    # every stopping rule ends one of these runs (see the test_stop_* tests
-    # and message_exit_cases); runs of few agents test Python floats, runs
-    # of many arrays, and both must give the same outcome and trace
-    def runs():
-        scenarios = [exact_fixed_point(), single_agent(), expanding_stall(),
-                     single_agent(budget=5),
-                     cascade_scenario(u_upper=(0.3, 0.4)),
-                     *(s for _, s in message_exit_cases())]
-        for scenario in scenarios:
-            outcome, trace = run(scenario)
-            yield repr(outcome), [
-                getattr(trace, name).tobytes() for name in
-                ("rounds", "u", "y", "deficit", "beacons", "messages")]
-
-    on_floats = list(runs())
-    monkeypatch.setattr("ripplesim.sim.FLOAT_TESTS_MAX", 0)
-    assert list(runs()) == on_floats
 
 
 @pytest.mark.parametrize("field, value", [

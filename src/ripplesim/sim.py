@@ -6,11 +6,12 @@ budget runs out. Each round's plant solve is warm-started from the
 previous round's solution (PlantModel.solve_from), since the control moves
 little from round to round. The arithmetic of a round stays in numpy; its
 stopping rules are tested on Python floats, one tolist() per array and
-round, which at a few agents costs less than numpy calls. The retained rounds are stacked once, when the run ends,
-into a columnar Trace (one array per field, one row per retained round)
-whose items are TraceRecord row views; the terminal state is classified
-into an Outcome. Runs are single-threaded and deterministic: the same
-scenario yields bit-identical traces.
+round, which at a few agents costs less than numpy calls. The retained
+rounds are stacked once, when the run ends, into a columnar Trace (one
+array per field, one row per retained round) whose items are TraceRecord
+row views; the terminal state is classified into an Outcome. Runs are
+single-threaded and deterministic: the same scenario yields bit-identical
+traces.
 """
 from collections.abc import Sequence
 from dataclasses import dataclass, field

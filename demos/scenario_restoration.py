@@ -7,13 +7,13 @@ the communication overlay until every floor is met again.
 """
 import numpy as np
 
-from ripplesim import disrupted_setup, load_scenario, message_stats, run
+from ripplesim import load_scenario, message_stats, run
 
 
 def show(name):
     scenario = load_scenario(name)
     outcome, trace = run(scenario)
-    plant, u0 = disrupted_setup(scenario)
+    plant, u0 = outcome.plant, outcome.u0  # as disrupted and rebased
     labels = [scenario.node_label(i) for i in range(plant.control_dim)]
 
     print(f"=== {name}: {outcome.status} after {outcome.rounds} rounds, "

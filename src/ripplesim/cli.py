@@ -11,7 +11,7 @@ Subcommands:
                         output floors
 
 Exit codes: 0 success/converged, 1 stalled or budget exceeded (or a failed
-check), 2 validation error, 3 solver failure.
+check), 2 validation error (ScenarioError, ModelError), 3 solver failure.
 """
 import argparse
 import csv
@@ -21,13 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScenarioError, SolverError
-from .graph import adjacency_matrix, is_connected
+from .errors import ModelError, ScenarioError, SolverError
+from .graph import is_connected
 from .plant import max_effort_feasibility, monotonicity_probe
 from .power import GridPlant, monotonicity_margin, solve_load_voltages, loadability_sweep
-from .protocol import auto_gains, gain_condition
 from .scenario_io import load_scenario
-from .sim import disrupted_setup, message_stats, run
+from .sim import disrupted_setup, gain_setup, message_stats, run
 
 
 def entry():
@@ -39,7 +38,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, ModelError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
@@ -104,13 +103,12 @@ def cmd_simulate(args) -> int:
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    plant, u0 = disrupted_setup(scenario)
+    plant = outcome.plant
     labels = [scenario.node_label(i) for i in range(plant.control_dim)]
     measured_labels = [scenario.node_label(i) for i in plant.measured_nodes]
     _write_trace(outdir / "trace.csv", trace, labels, measured_labels)
-    _write_effort(outdir / "effort.csv", trace, labels, u0, plant.u_upper)
-    _write_summary(outdir / "summary.json", scenario, plant, u0, outcome,
-                   trace, labels)
+    _write_effort(outdir / "effort.csv", outcome, trace, labels)
+    _write_summary(outdir / "summary.json", scenario, outcome, trace, labels)
     print(f"{outcome.status} after {outcome.rounds} rounds "
           f"(feasible={outcome.feasible}, "
           f"max violation={outcome.max_violation:.3e})")
@@ -146,20 +144,22 @@ def _write_trace(path, trace, labels, measured_labels):
                 trace.messages)
 
 
-def _write_effort(path, trace, labels, u0, u_upper):
-    """Normalized control effort (u(t)-u(0))/(ceiling-u(0)) per flexible agent."""
-    u0 = np.asarray(u0, float)
-    headroom = np.asarray(u_upper, float) - u0
+def _write_effort(path, outcome, trace, labels):
+    """Normalized control effort (u(t)-u(0))/(ceiling-u(0)) per flexible
+    agent, from the run's rebased start and the disrupted plant's ceiling."""
+    u0 = outcome.u0
+    headroom = outcome.plant.u_upper - u0
     cols = np.flatnonzero(headroom > 1e-12)
     _write_rows(path, ["round"] + [f"effort_{labels[i]}" for i in cols],
                 trace.rounds, (trace.u[:, cols] - u0[cols]) / headroom[cols])
 
 
-def _write_summary(path, scenario, plant, u0, outcome, trace, labels):
+def _write_summary(path, scenario, outcome, trace, labels):
+    u0 = outcome.u0
     stats = message_stats(trace, scenario.comm_graph, u0) if trace else None
     terminal_u = trace.u[-1] if trace else u0
     try:
-        terminal_y = plant.solve(terminal_u).tolist()
+        terminal_y = outcome.plant.solve(terminal_u).tolist()
     except SolverError:
         terminal_y = None
     doc = {
@@ -197,15 +197,11 @@ def _write_summary(path, scenario, plant, u0, outcome, trace, labels):
 
 def cmd_check_gains(args) -> int:
     scenario = load_scenario(args.scenario)
-    plant, u0 = disrupted_setup(scenario)
-    adjacency = adjacency_matrix(scenario.comm_graph)
-    gains = scenario.gains
-    if gains is None:
-        gains = auto_gains(plant, adjacency, u0)
+    _, gains, norm = gain_setup(scenario, *disrupted_setup(scenario))
+    if scenario.gains is None:
         print(f"auto gains: eta1={np.array2string(gains.eta1, precision=4)} "
               f"eta2={np.array2string(gains.eta2, precision=4)} "
               f"eta3={np.array2string(gains.eta3, precision=4)}")
-    norm = gain_condition(gains.eta2, gains.eta3, adjacency)
     verdict = "pass" if norm < 1.0 else "fail"
     print(f"gain-condition spectral norm: {norm:.10g} -> {verdict}")
     if not is_connected(scenario.comm_graph):
@@ -215,6 +211,8 @@ def cmd_check_gains(args) -> int:
 
 
 def cmd_check_monotonicity(args) -> int:
+    if args.points < 1:
+        raise ScenarioError("points must be >= 1")
     scenario = load_scenario(args.scenario)
     if args.disrupted:
         plant, u0 = disrupted_setup(scenario)
@@ -223,7 +221,7 @@ def cmd_check_monotonicity(args) -> int:
     rng = np.random.default_rng(scenario.seed)
     points = [u0]
     span = plant.u_upper - plant.u_lower
-    for _ in range(max(0, args.points - 1)):
+    for _ in range(args.points - 1):
         frac = rng.uniform(0.1, 0.9, size=plant.control_dim)
         points.append(plant.u_lower + frac * span)
     all_ok = True
@@ -234,14 +232,12 @@ def cmd_check_monotonicity(args) -> int:
         except SolverError as exc:
             print(f"point {i}: probe failed ({exc})")
             failures += 1
-            all_ok = False
             continue
         line = f"point {i}: monotone={probe.monotone} " \
                f"min sensitivity={probe.jacobian.min():.3e}"
         if isinstance(plant, GridPlant):
-            u = np.asarray(point, float)
-            sol = solve_load_voltages(u[list(plant.grid.loads)],
-                                      u[list(plant.grid.generators)],
+            sol = solve_load_voltages(point[list(plant.grid.loads)],
+                                      point[list(plant.grid.generators)],
                                       plant.grid)
             line += f" margin={monotonicity_margin(sol, plant.grid):.6f}"
         print(line)
@@ -259,6 +255,8 @@ def cmd_sweep(args) -> int:
         raise ScenarioError("sweep requires a power-plant scenario")
     if args.steps < 1:
         raise ScenarioError("steps must be >= 1")
+    if not np.isfinite([args.scale_min, args.scale_max]).all():
+        raise ScenarioError("scale bounds must be finite")
     u0 = np.asarray(scenario.u0, float)
     q_nominal = u0[list(plant.grid.loads)]
     v_gen = u0[list(plant.grid.generators)]

@@ -84,7 +84,13 @@ class PlantModel(abc.ABC):
         u_lower[node], u_upper[node] = base, base + flex
         return u_lower, u_upper
 
-    def _check_limit_shapes(self):
+    def _set_limits(self, u_lower, u_upper, y_lower, measured_nodes):
+        """Store the limits as float arrays and measured_nodes as ints, and
+        check that the limits agree with each other and with the sensors."""
+        self.u_lower = np.asarray(u_lower, dtype=float)
+        self.u_upper = np.asarray(u_upper, dtype=float)
+        self.y_lower = np.asarray(y_lower, dtype=float)
+        self.measured_nodes = tuple(int(i) for i in measured_nodes)
         if self.u_lower.shape != self.u_upper.shape:
             raise ModelError("control limit vectors disagree in shape")
         if np.any(self.u_lower > self.u_upper):
@@ -104,14 +110,10 @@ class LinearPlant(PlantModel):
                  measured_nodes):
         self.sensitivity = np.asarray(sensitivity, dtype=float)
         self.offset = np.asarray(offset, dtype=float)
-        self.u_lower = np.asarray(u_lower, dtype=float)
-        self.u_upper = np.asarray(u_upper, dtype=float)
-        self.y_lower = np.asarray(y_lower, dtype=float)
-        self.measured_nodes = tuple(int(i) for i in measured_nodes)
         m, n = self.sensitivity.shape
-        if m != len(self.measured_nodes) or n != len(self.u_upper):
+        if m != len(measured_nodes) or n != len(u_upper):
             raise ModelError("sensitivity shape disagrees with limits")
-        self._check_limit_shapes()
+        self._set_limits(u_lower, u_upper, y_lower, measured_nodes)
 
     def solve(self, u):
         u = np.asarray(u, dtype=float)

@@ -204,13 +204,9 @@ class GridPlant(PlantModel):
         self.grid = grid
         self._loads = np.array(grid.loads, dtype=int)
         self._gens = np.array(grid.generators, dtype=int)
-        self.u_lower = np.asarray(u_lower, dtype=float)
-        self.u_upper = np.asarray(u_upper, dtype=float)
-        self.y_lower = np.asarray(y_lower, dtype=float)
-        self.measured_nodes = grid.loads
-        if len(self.u_upper) != grid.graph.node_count:
+        if len(u_upper) != grid.graph.node_count:
             raise ModelError("control limits must cover every bus")
-        self._check_limit_shapes()
+        self._set_limits(u_lower, u_upper, y_lower, grid.loads)
 
     def solve(self, u):
         return self.solve_from(u)[0]

@@ -131,8 +131,8 @@ def _scenario(doc, source):
              "linear": _linear_plant}.get(kind)
     if build is None:
         raise ScenarioError(f"plant.type: unknown plant type '{kind}'")
-    plant, labels, u0 = build(plant_doc)
-    index = {lab: i for i, lab in enumerate(labels)}
+    plant, index, u0 = build(plant_doc)
+    labels = tuple(index)
 
     comm_doc = _need(doc, "comm_graph", source)
     comm_edges = [_pair(index, pair, "comm_graph.edges") for pair in
@@ -166,7 +166,7 @@ def _scenario(doc, source):
         override_gain_check=bool(_need(run_doc, "override_gain_check", "run",
                                        False)),
         seed=_int(run_doc, "seed", "run", 0),
-        labels=tuple(labels),
+        labels=labels,
     )
 
 
@@ -182,6 +182,14 @@ def _pair(index, pair, where):
     if not isinstance(pair, list) or len(pair) != 2:
         raise ScenarioError(f"{where}: expected [from, to] label pairs")
     return _resolve(index, pair[0], where), _resolve(index, pair[1], where)
+
+
+def _label_index(labels, duplicate):
+    """{label as a string: position}; a repeated label raises duplicate."""
+    index = {str(lab): i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ScenarioError(duplicate)
+    return index
 
 
 def _resolve(index, label, where):
@@ -248,11 +256,9 @@ def _event(ev, index, i):
 def _power_plant(doc):
     buses = _need(doc, "buses", "plant", kind=list)
     base_mva = _num(doc, "base_mva", "plant", 100.0)
-    labels = [str(_need(b, "label", f"plant.buses[{i}]"))
-              for i, b in enumerate(buses)]
-    if len(set(labels)) != len(labels):
-        raise ScenarioError("plant.buses: duplicate bus label")
-    index = {lab: i for i, lab in enumerate(labels)}
+    index = _label_index([_need(b, "label", f"plant.buses[{i}]")
+                          for i, b in enumerate(buses)],
+                         "plant.buses: duplicate bus label")
     n = len(buses)
     generators, loads = [], []
     u_lower = np.zeros(n)
@@ -290,16 +296,14 @@ def _power_plant(doc):
                      generators=tuple(generators), loads=tuple(loads))
     plant = GridPlant(grid=grid, u_lower=u_lower, u_upper=u_upper,
                       y_lower=np.asarray(y_lower))
-    return plant, labels, u0
+    return plant, index, u0
 
 
 def _water_plant(doc):
     nodes = _need(doc, "nodes", "plant", kind=list)
-    labels = [str(_need(nd, "label", f"plant.nodes[{i}]"))
-              for i, nd in enumerate(nodes)]
-    if len(set(labels)) != len(labels):
-        raise ScenarioError("plant.nodes: duplicate node label")
-    index = {lab: i for i, lab in enumerate(labels)}
+    index = _label_index([_need(nd, "label", f"plant.nodes[{i}]")
+                          for i, nd in enumerate(nodes)],
+                         "plant.nodes: duplicate node label")
     n = len(nodes)
     u_lower = np.zeros(n)
     u_upper = np.zeros(n)
@@ -311,23 +315,18 @@ def _water_plant(doc):
         role = _need(nd, "role", where)
         if role not in ("reservoir", "tank", "junction", "consumer"):
             raise ScenarioError(f"{where}.role: unknown role '{role}'")
-        if "pressure" in nd:
+        section = next((s for s in ("pressure", "injection") if s in nd), None)
+        if section == "pressure":
             if role not in ("reservoir", "tank"):
                 raise ScenarioError(
                     f"{where}: only reservoirs/tanks can fix pressure")
-            entry = nd["pressure"]
             pressure_nodes.append(i)
-            u0[i] = _num(entry, "initial", f"{where}.pressure")
-            u_lower[i] = _num(entry, "min", f"{where}.pressure", u0[i])
-            u_upper[i] = _num(entry, "max", f"{where}.pressure", u0[i])
-        elif "injection" in nd:
-            entry = nd["injection"]
-            u0[i] = _num(entry, "initial", f"{where}.injection")
-            u_lower[i] = _num(entry, "min", f"{where}.injection", u0[i])
-            u_upper[i] = _num(entry, "max", f"{where}.injection", u0[i])
-        elif role == "junction":
-            pass  # fixed zero injection
-        else:
+        if section is not None:
+            entry, at = nd[section], f"{where}.{section}"
+            u0[i] = _num(entry, "initial", at)
+            u_lower[i] = _num(entry, "min", at, u0[i])
+            u_upper[i] = _num(entry, "max", at, u0[i])
+        elif role != "junction":  # a junction's injection is fixed at zero
             raise ScenarioError(
                 f"{where}: needs a 'pressure' or 'injection' section")
         if "pressure_min" in nd:
@@ -355,7 +354,7 @@ def _water_plant(doc):
     plant = WaterPlant(model=model, u_lower=u_lower, u_upper=u_upper,
                        y_lower=np.asarray(y_lower),
                        measured_nodes=tuple(measured))
-    return plant, labels, u0
+    return plant, index, u0
 
 
 def _align_laws(declared_edges, laws, graph: Graph):
@@ -382,19 +381,18 @@ def _linear_plant(doc):
     if sens.ndim != 2:
         raise ScenarioError("plant.sensitivity: expected a matrix")
     m, n = sens.shape
-    labels = [str(x) for x in _need(doc, "labels", "plant",
-                                    list(range(1, n + 1)), kind=list)]
+    labels = _need(doc, "labels", "plant", list(range(1, n + 1)), kind=list)
     if len(labels) != n:
         raise ScenarioError(f"plant.labels: expected {n} labels")
+    index = _label_index(labels, "plant.labels: duplicate label")
     offset = _finite_array(doc.get("offset", np.zeros(m)), "plant.offset", m)
     u_lower, u_upper, y_lower = (
         _finite_array(_need(doc, key, "plant"), f"plant.{key}", size)
         for key, size in (("u_lower", n), ("u_upper", n), ("y_lower", m)))
-    index = {lab: i for i, lab in enumerate(labels)}
     measured = tuple(_resolve(index, lab, "plant.measured")
                      for lab in _need(doc, "measured", "plant", kind=list))
     plant = LinearPlant(sensitivity=sens, offset=offset, u_lower=u_lower,
                         u_upper=u_upper, y_lower=y_lower,
                         measured_nodes=measured)
-    return plant, labels, u_lower.copy()
+    return plant, index, u_lower.copy()
 

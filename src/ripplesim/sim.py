@@ -138,8 +138,11 @@ class Outcome:
     status is one of "converged", "stalled", "solver_failure",
     "budget_exceeded". Converged implies the terminal control passed the
     feasibility check; stalled means the state stopped moving (or froze at
-    the ceiling) while a violation persisted. gain_norm is the gain
+    the ceiling) while a violation persisted; a solver_failure is never
+    feasible and its max_violation is NaN. gain_norm is the gain
     condition's spectral norm that run checked before the first round.
+    plant and u0 are the disrupted plant that the run acted on and its
+    rebased start (disrupted_setup); they take no part in comparisons.
     """
 
     status: str
@@ -150,14 +153,21 @@ class Outcome:
     max_beacon: float
     gain_norm: float
     detail: str = ""
+    plant: PlantModel | None = field(default=None, compare=False, repr=False)
+    u0: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def disrupted_setup(scenario: Scenario):
-    """Apply all events; returns (plant', u0') with event-moved controls rebased."""
+    """Apply all events; returns (plant', u0') with event-moved controls
+    rebased. An event that leaves an invalid plant raises ScenarioError."""
     plant = scenario.plant
     u0 = np.array(scenario.u0, dtype=float)
     for event in scenario.disruptions:
-        plant = plant.disrupted(event)
+        try:
+            plant = plant.disrupted(event)
+        except ModelError as exc:
+            raise ScenarioError(
+                f"disruption left an invalid plant: {exc}") from exc
         if event.kind in ("demand_change", "source_outage"):
             # the event itself moves this control to its new base
             node = int(event.params["node"])
@@ -197,8 +207,18 @@ def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
         ) from exc
 
 
+def gain_setup(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
+    """(adjacency, gains, gain norm) of the scenario's overlay: its own
+    gains, or auto_gains for the plant at u0 when it has none."""
+    adjacency = adjacency_matrix(scenario.comm_graph)
+    gains = scenario.gains
+    if gains is None:
+        gains = auto_gains(plant, adjacency, u0)
+    return adjacency, gains, gain_condition(gains.eta2, gains.eta3, adjacency)
+
+
 def run(scenario: Scenario):
-    """Execute the scenario; returns (Outcome, Trace).
+    """Execute the scenario on its disrupted plant; returns (Outcome, Trace).
 
     Each round solves the plant, computes the deficit and takes one protocol
     round. The solve is warm-started from the previous round's solution (the
@@ -230,16 +250,9 @@ def run(scenario: Scenario):
     that rules 2 to 4 end the run in. A round whose solve fails is not
     kept, so a run that fails in round 1 returns an empty trace.
     """
-    try:
-        plant, u0 = disrupted_setup(scenario)
-    except ModelError as exc:
-        raise ScenarioError(f"disruption left an invalid plant: {exc}") from exc
+    plant, u0 = disrupted_setup(scenario)
     state = _validate_run(scenario, plant, u0)
-    adjacency = adjacency_matrix(scenario.comm_graph)
-    gains = scenario.gains
-    if gains is None:
-        gains = auto_gains(plant, adjacency, u0)
-    norm = gain_condition(gains.eta2, gains.eta3, adjacency)
+    adjacency, gains, norm = gain_setup(scenario, plant, u0)
     if not norm < 1.0 and not scenario.override_gain_check:
         raise ScenarioError(
             f"gain condition violated (spectral norm {norm:.6f} is not "
@@ -275,18 +288,16 @@ def run(scenario: Scenario):
                      message_counts(beacons_col, adjacency))
 
     def classify(status, rounds, equilibrium, detail=""):
-        feas = False
-        if status != "solver_failure":
-            feas = feasibility_check(plant, u, eps_feas)
-        max_v = float(deficit.max()) if n else 0.0
-        max_b = float(beacons.max()) if n else 0.0
+        failed = status == "solver_failure"
+        feas = not failed and feasibility_check(plant, u, eps_feas)
+        max_v = float("nan") if failed else float(deficit.max())
         if status == "equilibrium":
             status = "converged" if feas else "stalled"
         return Outcome(status=status, rounds=rounds, feasible=feas,
                        equilibrium=equilibrium, max_violation=max_v,
-                       max_beacon=max_b, gain_norm=norm, detail=detail)
+                       max_beacon=float(beacons.max()), gain_norm=norm,
+                       detail=detail, plant=plant, u0=u0)
 
-    deficit = np.zeros(n)
     for t in range(1, scenario.budget + 1):
         try:
             try:
@@ -304,12 +315,7 @@ def run(scenario: Scenario):
                 detail = (f"controls are not finite: the protocol update of "
                           f"round {t - 1} overflowed (a gain times a deficit "
                           f"or a beacon); {detail}")
-            outcome = Outcome(status="solver_failure", rounds=t,
-                              feasible=False, equilibrium=False,
-                              max_violation=float("nan"),
-                              max_beacon=float(beacons.max()),
-                              gain_norm=norm, detail=detail)
-            return outcome, trace()
+            return classify("solver_failure", t, False, detail), trace()
         deficit = violation(y, y_lower, measured, n)
         u_next, beacons_next = protocol_round(u, beacons, deficit, gains,
                                               adjacency, u_upper)

@@ -347,14 +347,10 @@ class WaterPlant(PlantModel):
     def __init__(self, model: WaterModel, u_lower, u_upper, y_lower,
                  measured_nodes):
         self.model = model
-        self.u_lower = np.asarray(u_lower, dtype=float)
-        self.u_upper = np.asarray(u_upper, dtype=float)
-        self.y_lower = np.asarray(y_lower, dtype=float)
-        self.measured_nodes = tuple(int(i) for i in measured_nodes)
-        self._measured = np.array(self.measured_nodes, dtype=int)
-        if len(self.u_upper) != model.graph.node_count:
+        if len(u_upper) != model.graph.node_count:
             raise ModelError("control limits must cover every node")
-        self._check_limit_shapes()
+        self._set_limits(u_lower, u_upper, y_lower, measured_nodes)
+        self._measured = np.array(self.measured_nodes, dtype=int)
 
     def solve(self, u):
         return self.solve_from(u)[0]

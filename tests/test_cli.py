@@ -149,6 +149,14 @@ def test_sweep_single_step(tmp_path):
                - monotonicity_margin(sol, plant.grid)) < 1e-12
 
 
+@pytest.mark.parametrize("bound", ["--scale-min=nan", "--scale-max=inf",
+                                   "--scale-min=-inf"])
+def test_sweep_rejects_non_finite_bounds(tmp_path, capsys, bound):
+    assert main(["sweep", "twobus", bound, "--output-dir", str(tmp_path)]) == 2
+    assert "scale bounds must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_rejects_non_power(tmp_path):
     assert main(["sweep", "wds10", "--output-dir", str(tmp_path)]) == 2
 
@@ -168,8 +176,8 @@ def test_feasibility_infeasible_exit(tmp_path):
     assert main(["feasibility", str(path)]) == 1
 
 
-def write_cascade(tmp_path, edit):
-    doc = json.load(open(bundled_scenario_path("linear_cascade")))
+def write_edited(tmp_path, edit, name="linear_cascade"):
+    doc = json.load(open(bundled_scenario_path(name)))
     edit(doc)
     path = tmp_path / "edited.json"
     json.dump(doc, open(path, "w"))
@@ -187,8 +195,7 @@ def test_simulate_computes_auto_gains_once(tmp_path, monkeypatch):
         calls.append(args)
         return auto_gains(*args)
 
-    for module in (ripplesim.sim, ripplesim.cli):
-        monkeypatch.setattr(module, "auto_gains", counted)
+    monkeypatch.setattr(ripplesim.sim, "auto_gains", counted)
     assert main(["simulate", str(path), "--output-dir", str(tmp_path)]) == 0
     assert len(calls) == 1
     summary = json.load(open(tmp_path / "summary.json"))
@@ -206,13 +213,13 @@ def test_simulate_computes_auto_gains_once(tmp_path, monkeypatch):
 
 def test_simulate_rejects_bad_gains(tmp_path):
     for bad in (float("nan"), -1.0):
-        path = write_cascade(tmp_path,
+        path = write_edited(tmp_path,
                              lambda doc: doc["gains"].update(eta2=bad))
         assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 2
 
 
 def test_check_gains_overflowing_gains_fail(tmp_path, capsys):
-    path = write_cascade(tmp_path, lambda doc: doc["gains"].update(
+    path = write_edited(tmp_path, lambda doc: doc["gains"].update(
         eta2=1e308, eta3=1e308))
     assert main(["check-gains", path]) == 1
     assert "inf -> fail" in capsys.readouterr().out
@@ -221,7 +228,7 @@ def test_check_gains_overflowing_gains_fail(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_simulate_non_finite_plant_output_exit(tmp_path):
     # finite inputs whose reading overflows: 1.7e308 * (0.5 + 1.0) is inf
-    path = write_cascade(tmp_path, lambda doc: (
+    path = write_edited(tmp_path, lambda doc: (
         doc["plant"].update(sensitivity=[[1.7e308, 1.7e308]]),
         doc["initial"].update(u0=[0.5, 1.0])))
     assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 3
@@ -253,7 +260,7 @@ def test_simulate_non_finite_plant_output_exit(tmp_path):
         "y_lower-nan", "eps_eq-nan", "eps_eq-negative", "eps_feas-nan",
         "eps_eq-string", "budget-string", "u_upper-strings"])
 def test_simulate_rejects_non_finite_run_numbers(tmp_path, edit):
-    path = write_cascade(tmp_path, edit)
+    path = write_edited(tmp_path, edit)
     assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 2
 
 
@@ -264,14 +271,21 @@ def test_simulate_rejects_non_finite_run_numbers(tmp_path, edit):
     ("budget", True), ("stall_window", False),
 ])
 def test_simulate_rejects_malformed_integer_knobs(tmp_path, knob, value):
-    path = write_cascade(tmp_path, lambda doc: doc["run"].update({knob: value}))
+    path = write_edited(tmp_path, lambda doc: doc["run"].update({knob: value}))
     assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 2
 
 
 def test_check_monotonicity_rejects_a_negative_seed(tmp_path):
     # the seed feeds np.random.default_rng, which raises on negative seeds
-    path = write_cascade(tmp_path, lambda doc: doc["run"].update(seed=-1))
+    path = write_edited(tmp_path, lambda doc: doc["run"].update(seed=-1))
     assert main(["check-monotonicity", path]) == 2
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_check_monotonicity_rejects_points_below_one(capsys, points):
+    assert main(["check-monotonicity", "linear_cascade",
+                 "--points", points]) == 2
+    assert "points must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--budget", "-5"], ["--budget", "0"],
@@ -291,10 +305,32 @@ def test_simulate_rejects_command_line_knobs_below_one(tmp_path, capsys,
 ], ids=["u_upper-inf", "y_lower-nan"])
 def test_non_finite_linear_plant_is_rejected_by_every_command(tmp_path,
                                                               command, edit):
-    argv = [command, write_cascade(tmp_path, edit)]
+    argv = [command, write_edited(tmp_path, edit)]
     if command == "simulate":
         argv += ["--output-dir", str(tmp_path)]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-gains",
+                                     "check-monotonicity", "feasibility"])
+@pytest.mark.parametrize("event", [
+    {"kind": "source_outage", "node": "1"},
+    {"kind": "remove_edge", "from": "1", "to": "2"},
+], ids=["outage-of-the-only-fixed-pressure", "cut-from-fixed-pressure"])
+def test_water_network_left_without_a_fixed_pressure_fails_validation(
+        tmp_path, capsys, command, event):
+    # node "1" is wds10's only fixed-pressure node, and edge 1-2 its only
+    # link to the rest of the network
+    path = write_edited(tmp_path, lambda doc: doc["disruption"].append(event),
+                        "wds10")
+    argv = {"simulate": ["--output-dir", str(tmp_path)],
+            "check-monotonicity": ["--disrupted"]}.get(command, [])
+    code = main([command, path] + argv)
+    if command == "check-gains" and event["kind"] == "remove_edge":
+        assert code == 0  # the cut plant is valid, and check-gains solves nothing
+    else:
+        assert code == 2
+        assert "validation error" in capsys.readouterr().err
 
 
 def reference_trace_and_effort(outdir, scenario, records):
@@ -332,7 +368,7 @@ def reference_trace_and_effort(outdir, scenario, records):
 def test_trace_writers_match_the_csv_writer_reference(tmp_path, case):
     args = []
     if case == "non-finite-empty-trace":
-        source = write_cascade(tmp_path, lambda doc: (
+        source = write_edited(tmp_path, lambda doc: (
             doc["plant"].update(sensitivity=[[1.7e308, 1.7e308]]),
             doc["initial"].update(u0=[0.5, 1.0])))
     else:

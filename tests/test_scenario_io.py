@@ -71,6 +71,14 @@ def test_unknown_label_rejected():
         scenario_from_dict(doc)
 
 
+def test_duplicate_linear_label_rejected():
+    doc = json.loads(json.dumps(MINIMAL_LINEAR))
+    doc["plant"].update(labels=["1", "1"], measured=["1"])
+    doc["comm_graph"]["edges"] = [["1", "1"]]
+    with pytest.raises(ScenarioError, match="plant.labels: duplicate label"):
+        scenario_from_dict(doc)
+
+
 def test_bad_schema_rejected():
     doc = json.loads(json.dumps(MINIMAL_LINEAR))
     doc["schema"] = "something-else"

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -504,6 +505,27 @@ def test_disrupted_setup_moves_initial_control():
     disrupted, u0 = disrupted_setup(scenario)
     assert u0[2] == -140.0
     assert scenario.u0[2] == -100.0  # scenario itself untouched
+
+
+def test_outcome_carries_the_disrupted_plant_and_its_start():
+    scenario = load_scenario("wds10")
+    outcome, _ = run(scenario)
+    plant, u0 = disrupted_setup(scenario)
+    assert outcome.plant.model.pressure_nodes == plant.model.pressure_nodes
+    assert outcome.plant.model.graph == plant.model.graph
+    assert_array_equal(outcome.plant.u_upper, plant.u_upper)
+    assert_array_equal(outcome.u0, u0)
+    # neither takes part in comparisons
+    assert outcome == replace(outcome, plant=None, u0=None)
+
+
+def test_disruption_that_leaves_an_invalid_plant_is_a_scenario_error():
+    scenario = load_scenario("wds10")
+    scenario.disruptions += (DisruptionEvent("source_outage", {"node": 0}),)
+    with pytest.raises(ScenarioError,
+                       match="disruption left an invalid plant: at least "
+                             "one fixed-pressure node is required"):
+        disrupted_setup(scenario)
 
 
 def test_noop_disruption_keeps_behavior():

@@ -17,7 +17,7 @@ from .power import (GridModel, GridPlant, PowerFlowSolution, dvl_dql,
                     reactive_injections, solve_load_voltages)
 from .protocol import (ProtocolGains, auto_gains, gain_condition,
                        is_equilibrium, message_counts, protocol_round,
-                       spectral_norm, violation)
+                       round_constants, spectral_norm)
 from .scenario_io import (bundled_scenario_path, load_scenario,
                           scenario_from_dict)
 from .sim import (DisruptionEvent, MessageStats, Outcome, Scenario, Trace,

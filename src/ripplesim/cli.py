@@ -22,11 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModelError, ScenarioError, SolverError
-from .graph import is_connected
 from .plant import max_effort_feasibility, monotonicity_probe
 from .power import GridPlant, monotonicity_margin, solve_load_voltages, loadability_sweep
 from .scenario_io import load_scenario
-from .sim import disrupted_setup, gain_setup, message_stats, run
+from .sim import _validate_run, disrupted_setup, gain_setup, message_stats, run
 
 
 def entry():
@@ -112,11 +111,7 @@ def cmd_simulate(args) -> int:
     print(f"{outcome.status} after {outcome.rounds} rounds "
           f"(feasible={outcome.feasible}, "
           f"max violation={outcome.max_violation:.3e})")
-    if outcome.status == "converged":
-        return 0
-    if outcome.status == "solver_failure":
-        return 3
-    return 1
+    return {"converged": 0, "solver_failure": 3}.get(outcome.status, 1)
 
 
 def _write_rows(path, header, rounds, table, messages=None):
@@ -197,16 +192,15 @@ def _write_summary(path, scenario, outcome, trace, labels):
 
 def cmd_check_gains(args) -> int:
     scenario = load_scenario(args.scenario)
-    _, gains, norm = gain_setup(scenario, *disrupted_setup(scenario))
+    plant, u0 = disrupted_setup(scenario)
+    _, gains, norm = gain_setup(scenario, plant, u0)
     if scenario.gains is None:
         print(f"auto gains: eta1={np.array2string(gains.eta1, precision=4)} "
               f"eta2={np.array2string(gains.eta2, precision=4)} "
               f"eta3={np.array2string(gains.eta3, precision=4)}")
     verdict = "pass" if norm < 1.0 else "fail"
     print(f"gain-condition spectral norm: {norm:.10g} -> {verdict}")
-    if not is_connected(scenario.comm_graph):
-        print("communication graph is disconnected", file=sys.stderr)
-        return 2
+    _validate_run(scenario, plant, u0)
     return 0 if norm < 1.0 else 1
 
 

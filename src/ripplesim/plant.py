@@ -116,8 +116,7 @@ class LinearPlant(PlantModel):
         self._set_limits(u_lower, u_upper, y_lower, measured_nodes)
 
     def solve(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.sensitivity @ u + self.offset
+        return self.sensitivity.dot(u) + self.offset
 
     def disrupted(self, event):
         """Supports parameter_change with {"offset": [...]}, a replacement
@@ -184,7 +183,7 @@ def damped_newton(x, residual, direction, singular, tol: float,
         except np.linalg.LinAlgError as exc:
             raise singular(iters) from exc
         for k in range(11):
-            cand = x + step / 2 ** k
+            cand = x + step / 2 ** k if k else x + step
             rc, ac = residual(cand)
             if (rcn := float(np.abs(rc).max())) < rnorm:
                 break

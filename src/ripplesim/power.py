@@ -112,10 +112,10 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
     if q_load.shape != (nl,) or v_gen.shape != (len(grid.generators),):
         raise ModelError("injection/voltage vectors disagree with partition")
     v = np.ones(nl) if v0 is None else np.asarray(v0, dtype=float).copy()
-    i_gen = grid.b_lg @ v_gen
+    i_gen = grid.b_lg.dot(v_gen)
 
     def residual(vl):
-        il = i_gen + grid.b_ll @ vl
+        il = i_gen + grid.b_ll.dot(vl)
         return vl * il - q_load, il
 
     v, i_load, rnorm, iters = damped_newton(
@@ -130,7 +130,7 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
             + newton_failure(rnorm, iters, max_iter))
     if (v <= 0).any():
         raise PowerFlowInfeasibleError("converged to non-physical voltages")
-    q_gen = v_gen * (grid.b_gg @ v_gen + grid.b_lg.T @ v)
+    q_gen = v_gen * (grid.b_gg.dot(v_gen) + grid.b_lg.T.dot(v))
     return PowerFlowSolution(v_load=v, q_gen=q_gen, i_load=i_load,
                              iterations=iters, residual=rnorm)
 

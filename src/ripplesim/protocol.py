@@ -44,20 +44,6 @@ class ProtocolGains:
             raise ValueError("gain vectors disagree in length")
 
 
-def violation(y, y_lower, measured_nodes, node_count: int) -> np.ndarray:
-    """Per-node output deficit: max(0, floor - reading), zero if unmeasured.
-
-    y and y_lower go to np.subtract as they are, and an integer index array
-    passes np.asarray unconverted, so a caller that runs many rounds
-    converts its floors and measured indices once. A reading or floor that
-    does not match measured_nodes in length raises ValueError.
-    """
-    f = np.zeros(node_count)
-    f[np.asarray(measured_nodes, dtype=np.intp)] = np.maximum(
-        np.subtract(y_lower, y), 0.0)
-    return f
-
-
 def spectral_norm(matrix) -> float:
     """Largest singular value (the matrix 2-norm); 0 for an empty matrix."""
     m = np.asarray(matrix, dtype=float)
@@ -80,18 +66,32 @@ def gain_condition(eta2, eta3, adjacency) -> float:
     return spectral_norm(m)
 
 
-def protocol_round(u, beacons, deficit, gains: ProtocolGains, adjacency,
-                   u_upper):
-    """Advance one synchronous round; returns (u_next, beacons_next).
+def round_constants(gains: ProtocolGains, adjacency, u_upper, y_lower,
+                    measured_nodes) -> tuple:
+    """protocol_round's constants, one tuple built once per run: the gain
+    vectors, adjacency.dot, the ceilings, the floors, the measured node
+    indices and zero vectors as long as the floors and the ceilings."""
+    u_upper, y_lower = np.asarray(u_upper, float), np.asarray(y_lower, float)
+    return (gains.eta1, gains.eta2, gains.eta3,
+            np.asarray(adjacency, dtype=float).dot, u_upper, y_lower,
+            np.asarray(measured_nodes, dtype=np.intp),
+            np.zeros(len(y_lower)), np.zeros(len(u_upper)))
 
-    deficit is the violation of the reading taken at controls u. beacons are
-    the ones computed last round (they arrive one round late by
-    construction). message_counts(beacons_next, adjacency) is the number of
-    messages the round sends.
-    """
-    target = u + gains.eta1 * deficit + gains.eta2 * (adjacency @ beacons)
-    beacons_next = np.maximum(0.0, gains.eta3 * (target - u_upper))
-    return np.minimum(target, u_upper), beacons_next
+
+def protocol_round(u, beacons, y, constants):
+    """All four steps of one round from the reading y taken at controls u;
+    returns (deficit, u_next, beacons_next). The deficit is max(0, floor -
+    reading) at the measured nodes and zero elsewhere; a reading or floor
+    that does not match them in length raises ValueError. beacons are last
+    round's (one round late by construction); constants are the run's
+    round_constants. message_counts(beacons_next, adjacency) counts the
+    messages the round sends."""
+    eta1, eta2, eta3, dot, u_upper, y_lower, measured, zero_y, zero = constants
+    deficit = zero.copy()
+    deficit[measured] = np.maximum(y_lower - y, zero_y)
+    target = u + eta1 * deficit + eta2 * dot(beacons)
+    return (deficit, np.minimum(target, u_upper),
+            np.maximum(zero, eta3 * (target - u_upper)))
 
 
 def message_counts(beacons, adjacency):

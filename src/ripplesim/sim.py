@@ -4,10 +4,12 @@ A run applies the scenario's disruption events to the plant, then loops
 plant solve -> protocol round until the state stops moving or the round
 budget runs out. Each round's plant solve is warm-started from the
 previous round's solution (PlantModel.solve_from), since the control moves
-little from round to round. The arithmetic of a round stays in numpy; its
-stopping rules are tested on Python floats, one tolist() per array and
-round, which at a few agents costs less than numpy calls. The retained
-rounds are stacked once, when the run ends, into a columnar Trace (one
+little from round to round; the reading goes to one call of the round
+kernel (protocol_round) on constants built once per run. The arithmetic of
+a round stays in numpy; its stopping rules are tested on Python floats,
+one tolist() per array and round, which at a few agents costs less than
+numpy calls. A retained round appends to one list per trace column; each
+column is stacked once, when the run ends, into a columnar Trace (one
 array per field, one row per retained round) whose items are TraceRecord
 row views; the terminal state is classified into an Outcome. Runs are
 single-threaded and deterministic: the same scenario yields bit-identical
@@ -26,7 +28,7 @@ from .graph import Graph, adjacency_matrix, is_connected
 from .plant import EPS_FEAS_DEFAULT, PlantModel, feasibility_check
 from .protocol import (ProtocolGains, auto_gains, gain_condition,
                        is_equilibrium, message_counts, protocol_round,
-                       violation)
+                       round_constants)
 
 
 @dataclass(frozen=True)
@@ -220,12 +222,13 @@ def gain_setup(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
 def run(scenario: Scenario):
     """Execute the scenario on its disrupted plant; returns (Outcome, Trace).
 
-    Each round solves the plant, computes the deficit and takes one protocol
-    round. The solve is warm-started from the previous round's solution (the
-    first round from the solve at u0 that validates the run); a warm solve
-    that raises a SolverError is retried once from the cold start, so a warm
-    start never fails a round that the cold solve passes. The stopping rules
-    are tested in this order, and the first that holds ends the run:
+    Each round solves the plant and takes one protocol round on the
+    reading, which also returns the deficit. The solve is warm-started from
+    the previous round's solution (the first round from the solve at u0
+    that validates the run); a warm solve that raises a SolverError is
+    retried once from the cold start, so a warm start never fails a round
+    that the cold solve passes. The stopping rules are tested in this
+    order, and the first that holds ends the run:
 
       1. solver_failure: the plant solve (the cold retry, after a warm
          start) raised a SolverError or returned a non-finite reading;
@@ -258,33 +261,32 @@ def run(scenario: Scenario):
             f"gain condition violated (spectral norm {norm:.6f} is not "
             "below 1); pass override_gain_check to run anyway")
 
-    n = len(u0)
+    n, m = len(u0), len(plant.measured_nodes)
     u, beacons = u0, np.zeros(n)
-    u_upper, y_lower = plant.u_upper, plant.y_lower
-    measured = np.array(plant.measured_nodes, dtype=np.intp)
+    constants = round_constants(gains, adjacency, plant.u_upper,
+                                plant.y_lower, plant.measured_nodes)
     eps_eq, eps_feas = scenario.eps_eq, scenario.eps_feas
     # The stopping rules compare Python floats (tolist) entry by entry: each
     # test stops at its first failing entry, and a NaN fails every one. Two
     # lists are equal if each pair of entries is the same object or equal,
     # and two tolist() calls never share an object.
-    pinned = (u_upper - eps_eq).tolist()
+    pinned = (plant.u_upper - eps_eq).tolist()
     feas_floor = [float(eps_feas)] * n
     u_seen = u.tolist()
     prev_deficit = np.full(n, np.nan).tolist()  # all NaN: equal to nothing
-    rows = []
+    columns = ([], [], [], [], [])  # kept rounds, u, y, deficit, beacons
+    keep_round, keep_u, keep_y, keep_deficit, keep_beacons = (
+        column.append for column in columns)
     keep, window = scenario.trace_decimation, scenario.stall_window
     frozen_rounds = 0
 
     def trace():
         """The kept rounds as a Trace, their messages counted at once. Each
-        field is stacked in turn, and its per-round arrays are released
+        column is stacked in turn, and its per-round arrays are released
         before the next one is stacked."""
-        rounds, *fields = zip(*rows) if rows else [()] * 5
-        rows.clear()
-        u_col, y_col, deficit_col, beacons_col = [
-            _stacked(fields.pop(0), width)
-            for width in (n, len(measured), n, n)]
-        return Trace(rounds, u_col, y_col, deficit_col, beacons_col,
+        u_col, y_col, deficit_col, beacons_col = map(_stacked, columns[1:],
+                                                     (n, m, n, n))
+        return Trace(columns[0], u_col, y_col, deficit_col, beacons_col,
                      message_counts(beacons_col, adjacency))
 
     def classify(status, rounds, equilibrium, detail=""):
@@ -316,9 +318,8 @@ def run(scenario: Scenario):
                           f"round {t - 1} overflowed (a gain times a deficit "
                           f"or a beacon); {detail}")
             return classify("solver_failure", t, False, detail), trace()
-        deficit = violation(y, y_lower, measured, n)
-        u_next, beacons_next = protocol_round(u, beacons, deficit, gains,
-                                              adjacency, u_upper)
+        deficit, u_next, beacons_next = protocol_round(u, beacons, y,
+                                                       constants)
         # Rules 2 to 4 of the docstring; the beacons are compared and the
         # eps_eq test runs only when the tests before them let them decide
         u_now, deficit_now = u_next.tolist(), deficit.tolist()
@@ -334,7 +335,11 @@ def run(scenario: Scenario):
         prev_deficit, u_seen = deficit_now, u_now
         u, beacons = u_next, beacons_next
         if t % keep == 0 or t == 1 or reached_eq:
-            rows.append((t, u, y, deficit, beacons))
+            keep_round(t)
+            keep_u(u)
+            keep_y(y)
+            keep_deficit(deficit)
+            keep_beacons(beacons)
         if reached_eq:
             return classify("equilibrium", t, True), trace()
         # a NaN deficit has reset frozen_rounds, so it cannot stall the run
@@ -346,10 +351,11 @@ def run(scenario: Scenario):
 
 
 def _stacked(rows, width):
-    """Equal-length 1-D arrays as the rows of one (len(rows), width) array."""
-    if not rows:
-        return np.empty((0, width))
-    return np.concatenate(rows).reshape(len(rows), width)
+    """A list of equal-length 1-D arrays as the rows of one (len(rows),
+    width) array; the list is emptied."""
+    stacked = np.concatenate(rows or [np.empty(0)]).reshape(len(rows), width)
+    rows.clear()
+    return stacked
 
 
 @dataclass(frozen=True)

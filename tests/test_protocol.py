@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ripplesim import (Graph, LinearPlant, ProtocolGains, adjacency_matrix,
                        auto_gains, gain_condition, is_equilibrium,
-                       message_counts, protocol_round, spectral_norm,
-                       violation)
+                       message_counts, protocol_round, round_constants,
+                       spectral_norm)
 
 
 def unit_gains(n):
@@ -13,22 +16,35 @@ def unit_gains(n):
 
 
 def plant_round(plant, u, beacons, gains, adjacency):
-    """One round driven by a plant reading taken at u."""
-    deficit = violation(plant.solve(u), plant.y_lower, plant.measured_nodes,
-                        len(u))
-    return protocol_round(u, beacons, deficit, gains, adjacency,
-                          plant.u_upper)
+    """One round driven by a plant reading taken at u; returns (u_next,
+    beacons_next)."""
+    constants = round_constants(gains, adjacency, plant.u_upper,
+                                plant.y_lower, plant.measured_nodes)
+    return protocol_round(u, beacons, plant.solve(u), constants)[1:]
 
 
 def single_round(u, deficit, beacons, gains, u_upper, adjacency=None):
-    """protocol_round on float arrays; no overlay unless adjacency is given."""
+    """protocol_round on float arrays with this deficit at every node (the
+    reading -deficit against floor 0); no overlay unless adjacency is given.
+    Returns (u_next, beacons_next)."""
     u = np.asarray(u, dtype=float)
+    n = len(u)
     if adjacency is None:
-        adjacency = np.zeros((len(u), len(u)))
+        adjacency = np.zeros((n, n))
+    constants = round_constants(gains, adjacency, u_upper, np.zeros(n),
+                                range(n))
     return protocol_round(u, np.asarray(beacons, dtype=float),
-                          np.asarray(deficit, dtype=float), gains,
-                          np.asarray(adjacency, dtype=float),
-                          np.asarray(u_upper, dtype=float))
+                          -np.asarray(deficit, dtype=float), constants)[1:]
+
+
+def violation(y, y_lower, measured_nodes, node_count):
+    """The deficit protocol_round computes from the reading y."""
+    constants = round_constants(unit_gains(node_count),
+                                np.zeros((node_count, node_count)),
+                                np.full(node_count, 9.0), y_lower,
+                                measured_nodes)
+    return protocol_round(np.zeros(node_count), np.zeros(node_count), y,
+                          constants)[0]
 
 
 def test_violation_shortfall():
@@ -71,6 +87,56 @@ def test_violation_matches_loop_reference():
             if floor >= yk:
                 expect[node] = floor - yk
         assert_array_equal(violation(y, floors, tuple(measured), n), expect)
+
+
+def composed_round(u, beacons, y, gains, adjacency, u_upper, y_lower,
+                   measured):
+    """The round as three calls composed it before the kernel: the deficit
+    of the reading, then the target with A @ beacons, clipped and beaconed
+    against a Python 0.0."""
+    deficit = np.zeros(len(u))
+    deficit[np.asarray(measured, dtype=np.intp)] = np.maximum(
+        np.subtract(y_lower, y), 0.0)
+    target = u + gains.eta1 * deficit + gains.eta2 * (adjacency @ beacons)
+    beacons_next = np.maximum(0.0, gains.eta3 * (target - u_upper))
+    return deficit, np.minimum(target, u_upper), beacons_next
+
+
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308]),
+    st.floats(-2.0, 2.0), st.floats())
+GAINS = st.one_of(st.sampled_from([0.5, 1.0, 1e308]),
+                  st.floats(0.0, 1e308, exclude_min=True))
+
+
+@st.composite
+def round_inputs(draw):
+    """(u, beacons, y, gains, adjacency, u_upper, y_lower, measured) with
+    1 to 12 agents, a random measured subset and a random 0/1 overlay."""
+    n = draw(st.integers(1, 12))
+    measured = np.flatnonzero(draw(arrays(bool, n)))
+    m = len(measured)
+    gains = ProtocolGains(*(draw(arrays(float, n, elements=GAINS))
+                            for _ in range(3)))
+    adjacency = draw(arrays(float, (n, n),
+                            elements=st.sampled_from([0.0, 1.0])))
+    u, beacons, u_upper = (draw(arrays(float, n, elements=ENTRIES))
+                           for _ in range(3))
+    y, y_lower = (draw(arrays(float, m, elements=ENTRIES)) for _ in range(2))
+    return u, beacons, y, gains, adjacency, u_upper, y_lower, measured
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(round_inputs())
+def test_round_kernel_matches_the_composed_round_bit_for_bit(inputs):
+    u, beacons, y, gains, adjacency, u_upper, y_lower, measured = inputs
+    constants = round_constants(gains, adjacency, u_upper, y_lower, measured)
+    with np.errstate(all="ignore"):
+        expect = composed_round(*inputs)
+        got = protocol_round(u, beacons, y, constants)
+    for name, g, e in zip(("deficit", "u_next", "beacons_next"), got, expect):
+        assert (g.dtype, g.shape, g.tobytes()) == \
+            (e.dtype, e.shape, e.tobytes()), name
 
 
 def test_target_adds_scaled_deficit():

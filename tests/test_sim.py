@@ -735,13 +735,13 @@ def nan_after_round(monkeypatch, field, at):
     "u", "beacons" or "deficit") of round `at` of the next run."""
     calls = []
 
-    def poisoned(u, beacons, deficit, *rest):
-        u_next, beacons_next = protocol_round(u, beacons, deficit, *rest)
+    def poisoned(u, beacons, y, *rest):
+        deficit, u_next, beacons_next = protocol_round(u, beacons, y, *rest)
         calls.append(None)
         if len(calls) == at:
             {"u": u_next, "beacons": beacons_next,
              "deficit": deficit}[field][0] = np.nan
-        return u_next, beacons_next
+        return deficit, u_next, beacons_next
 
     monkeypatch.setattr("ripplesim.sim.protocol_round", poisoned)
 

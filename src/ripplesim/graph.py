@@ -106,13 +106,13 @@ def weighted_laplacian(g: Graph, weights) -> np.ndarray:
     """Weighted Laplacian: off-diagonal -w for edges, diagonal = row-wise sum.
 
     Rows sum to zero; the matrix is symmetric and diagonally dominant.
-    Weights must be strictly positive.
+    Weights must be finite and strictly positive.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(g.edges),):
         raise ModelError("weights must align with edges")
-    if np.any(w <= 0):
-        raise ModelError("edge weights must be positive")
+    if not ((w > 0) & (w < np.inf)).all():  # NaN fails both
+        raise ModelError("edge weights must be finite and positive")
     lap = np.zeros((g.node_count, g.node_count))
     for (m, n), wmn in zip(g.edges, w):
         lap[m, n] -= wmn

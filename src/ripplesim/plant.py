@@ -31,11 +31,12 @@ class PlantModel(abc.ABC):
 
     solve must be a pure function of u (same input, same output) and must
     not keep mutable state across calls, so concurrent read-only use is safe.
-    The state is the plant's own solver unknowns at the solution, opaque to
-    callers; an iteratively solved plant passes it to its next solve as the
-    starting point, so a control that moved little converges in few steps.
-    A warm solve agrees with the cold one to within the solver tolerance. The
-    default has no state to reuse: it returns (solve(u), None).
+    The state, opaque to callers, holds the plant's solver unknowns at the
+    solution and whatever terms of them the next solve reuses, read-only;
+    an iteratively solved plant starts its next solve there, so a control
+    that moved little converges in few steps. A warm solve agrees with the
+    cold one to within the solver tolerance. The default has no state to
+    reuse: it returns (solve(u), None).
     """
 
     u_lower: np.ndarray
@@ -162,20 +163,21 @@ def max_effort_feasibility(plant: PlantModel, eps_feas: float = EPS_FEAS_DEFAULT
 
 
 def damped_newton(x, residual, direction, singular, tol: float,
-                  max_iter: int):
+                  max_iter: int, start=None):
     """Backtracking Newton iteration for the square system F(x) = 0.
 
-    residual(x) returns (F(x), aux); direction(x, F(x), aux) returns the
-    Newton step, the solution of J step = -F with J = dF/dx, however the
-    caller solves it. Each iteration takes the first of x + step, x +
-    step/2, ..., x + step/1024 that lowers the residual inf-norm. Stops at
-    inf-norm <= tol, after max_iter iterations, or where no step lowers it
-    (iterations < max_iter), at the lowest residual reached. Returns (x,
-    aux, inf-norm, iterations); a LinAlgError from direction (a singular J)
-    raises singular(iteration).
+    residual(x) returns (F(x), aux), and start is residual(x) when the
+    caller has it; direction(x, F(x), aux) returns the Newton step, the
+    solution of J step = -F with J = dF/dx, however the caller solves it.
+    Each iteration takes the first of x + step, x + step/2, ..., x +
+    step/1024 that lowers the residual inf-norm. Stops at inf-norm <= tol,
+    after max_iter iterations, or where no step lowers it (iterations <
+    max_iter), at the lowest residual reached. Returns (x, aux, inf-norm,
+    iterations); a LinAlgError from direction (a singular J) raises
+    singular(iteration).
     """
-    r, aux = residual(x)
-    rnorm = float(np.abs(r).max()) if r.size else 0.0
+    r, aux = residual(x) if start is None else start
+    rnorm = float(np.maximum.reduce(np.abs(r))) if r.size else 0.0
     iters = 0
     while rnorm > tol and iters < max_iter:
         try:
@@ -185,7 +187,7 @@ def damped_newton(x, residual, direction, singular, tol: float,
         for k in range(11):
             cand = x + step / 2 ** k if k else x + step
             rc, ac = residual(cand)
-            if (rcn := float(np.abs(rc).max())) < rnorm:
+            if (rcn := float(np.maximum.reduce(np.abs(rc)))) < rnorm:
                 break
         else:
             break

@@ -16,6 +16,7 @@ whenever the certificate matrix diag(q_L / v_L^2) + B_LL is positive
 definite (G is then an M-matrix, so its inverse is nonnegative).
 """
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .plant import PlantModel, damped_newton, newton_failure
 
 SOLVER_TOL = 1e-8
 MAX_NEWTON_ITER = 50
+_ZERO = np.zeros(())  # a comparison with it converts no Python number
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,7 @@ class GridModel:
         return weighted_laplacian(self.graph, self.susceptances)
 
 
-@dataclass(frozen=True)
-class PowerFlowSolution:
+class PowerFlowSolution(NamedTuple):
     """Solved load voltages plus bookkeeping from the Newton iteration."""
 
     v_load: np.ndarray
@@ -106,11 +107,11 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
     """
     q_load = np.asarray(q_load, dtype=float)
     v_gen = np.asarray(v_gen, dtype=float)
-    if (v_gen <= 0).any():
-        raise ModelError("generator voltages must be positive")
     nl = len(grid.loads)
     if q_load.shape != (nl,) or v_gen.shape != (len(grid.generators),):
         raise ModelError("injection/voltage vectors disagree with partition")
+    if np.logical_or.reduce(v_gen <= _ZERO):
+        raise ModelError("generator voltages must be positive")
     v = np.ones(nl) if v0 is None else np.asarray(v0, dtype=float).copy()
     i_gen = grid.b_lg.dot(v_gen)
 
@@ -128,7 +129,7 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
         raise PowerFlowInfeasibleError(
             "no load-voltage solution: "
             + newton_failure(rnorm, iters, max_iter))
-    if (v <= 0).any():
+    if np.logical_or.reduce(v <= _ZERO):
         raise PowerFlowInfeasibleError("converged to non-physical voltages")
     q_gen = v_gen * (grid.b_gg.dot(v_gen) + grid.b_lg.T.dot(v))
     return PowerFlowSolution(v_load=v, q_gen=q_gen, i_load=i_load,

@@ -29,6 +29,7 @@ singular exactly when this matrix is. At least one node must hold a fixed
 pressure, and every node must reach one through the network.
 """
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,10 +54,11 @@ class PipeLaw:
     exponent: float = DARCY_WEISBACH_EXP
 
     def __post_init__(self):
-        if self.coefficient <= 0:
-            raise ModelError("pipe friction coefficient must be positive")
-        if self.exponent < 1.0:
-            raise ModelError("pipe friction exponent must be >= 1")
+        if not 0 < self.coefficient < np.inf:
+            raise ModelError("pipe friction coefficient must be finite and "
+                             "positive")
+        if not 1.0 <= self.exponent < np.inf:
+            raise ModelError("pipe friction exponent must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,20 +74,20 @@ class PumpLaw:
     reverse: bool = False
 
     def __post_init__(self):
-        if self.gain <= 0:
-            raise ModelError("pump gain must be positive")
+        if not 0 < self.gain < np.inf:
+            raise ModelError("pump gain must be finite and positive")
 
 
-def _friction(flow, coefficient, exponent):
+def _friction(flow, coefficient, exponent, power, cutoff):
     """The regularized friction law, elementwise: (drop, d drop / d flow).
 
-    drop = coefficient * max(|flow|, cutoff)^(exponent - 1) * flow, which
-    is coefficient * sign(flow) * |flow|^exponent beyond the linear cutoff
-    and the linear segment through zero within it.
+    drop = coefficient * max(|flow|, cutoff)^power * flow, with power =
+    exponent - 1, is coefficient * sign(flow) * |flow|^exponent beyond the
+    linear cutoff and the linear segment through zero within it.
     """
     size = np.abs(flow)
-    r = coefficient * np.maximum(size, LINEAR_FLOW_CUTOFF) ** (exponent - 1.0)
-    return r * flow, np.where(size > LINEAR_FLOW_CUTOFF, r * exponent, r)
+    r = coefficient * np.maximum(size, cutoff) ** power
+    return r * flow, np.where(size > cutoff, r * exponent, r)
 
 
 def edge_pressure_drop(flow: float, law) -> float:
@@ -98,24 +100,26 @@ def edge_pressure_drop(flow: float, law) -> float:
     """
     if isinstance(law, PumpLaw):
         return -law.gain
-    return float(_friction(float(flow), law.coefficient, law.exponent)[0])
+    return float(_friction(float(flow), law.coefficient, law.exponent,
+                           law.exponent - 1.0, LINEAR_FLOW_CUTOFF)[0])
 
 
 class _Incidence:
     """Index and parameter arrays of a WaterModel, derived at construction.
 
     Edges run in law order, pipes then pumps, from tail to head (a pump
-    along its boost). The Newton unknowns are the edge flows in that order
-    and orientation, then the free pressures. The edge by free node
-    incidence matrix A_f holds a_vals at (a_rows, a_cols): +1 where an
-    edge leaves a free node, -1 where it enters one; p_rows and p_vals
-    are the rows and values of its pipe entries. lap_at and lap_sign
-    scatter A_f^T A_f into a flat free by free array. k_at scatters the
-    step matrix of the module docstring and its right-hand side, as a
-    last column, into a flat array of (free nodes + pumps) rows: first the
-    pipe entries, A_f^T A_f's at edges k_edge with signs k_sign (each to
-    be weighted by its pipe's 1/slope), then the constant pump border
-    k_border, then the right-hand side. Every array is built in O(edges).
+    along its boost); sign is -1 at a reversed pump, else +1, and law the
+    pipe laws as the arrays that _friction takes after the flows. The Newton
+    unknowns are the edge flows in that order and orientation, then the
+    free pressures. The edge by free node incidence matrix A_f holds
+    a_vals at (a_rows, a_cols): +1 where an edge leaves a free node, -1
+    where it enters one. lap_at and lap_sign scatter A_f^T A_f into a flat
+    free by free array. k_at scatters the step matrix of the module
+    docstring, with its right-hand side as a last column, into a flat array
+    of (free nodes + pumps) rows: the pipe entries of A_f^T A_f, the pump
+    border, the right-hand side. Entry i is k_coef[i] times entry k_src[i]
+    of (1/slopes, the pipe residual rows over their slopes, the other
+    residual rows, 1). Every array is built in O(edges).
     """
 
     def __init__(self, model):
@@ -131,12 +135,14 @@ class _Incidence:
         pumps = [i for i, law in enumerate(laws) if isinstance(law, PumpLaw)]
         self.n_pipes = len(pipes)
         self.edges = np.array(pipes + pumps, dtype=int)
-        self.flip = np.array([False] * len(pipes)
-                             + [laws[i].reverse for i in pumps], dtype=bool)
+        flip = np.array([False] * len(pipes)
+                        + [laws[i].reverse for i in pumps], dtype=bool)
         ends = np.array([g.edges[i] for i in self.edges], dtype=int).reshape(-1, 2)
-        self.tail, self.head = np.where(self.flip[:, None], ends[:, ::-1], ends).T
-        self.coefficient = np.array([laws[i].coefficient for i in pipes])
-        self.exponent = np.array([laws[i].exponent for i in pipes])
+        self.tail, self.head = np.where(flip[:, None], ends[:, ::-1], ends).T
+        self.sign = np.where(flip, -1.0, 1.0)
+        exponent = np.array([laws[i].exponent for i in pipes])
+        self.law = (np.array([laws[i].coefficient for i in pipes]), exponent,
+                    exponent - 1.0, np.full(len(pipes), LINEAR_FLOW_CUTOFF))
         self.gain = np.array([laws[i].gain for i in pumps])
         pos = np.cumsum(is_free) - 1  # a free node's column in A_f
         out = np.flatnonzero(is_free[self.tail])
@@ -171,10 +177,14 @@ class _Incidence:
                                     border[0] * width + border[1],
                                     border[1] * width + border[0],
                                     rhs * width + size))
-        self.k_edge, self.k_sign = edge[pipe], sign[pipe]
-        self.k_border = np.tile(self.a_vals[pump], 2)
-        self.p_rows = self.a_rows[pipe_entry]
-        self.p_vals = self.a_vals[pipe_entry]
+        k = self.n_pipes  # and size residual rows past the pipes
+        self.k_src = np.concatenate((
+            edge[pipe], np.full(2 * len(pump), 2 * k + size),
+            k + self.a_rows[pipe_entry], 2 * k + np.arange(size)))
+        self.k_coef = np.concatenate((
+            sign[pipe], np.tile(self.a_vals[pump], 2),
+            self.a_vals[pipe_entry], np.full(size, -1.0)))
+        self.one = np.ones(1)
 
     def across(self, y):
         """A_f y: the difference of free-node values y across each edge."""
@@ -215,13 +225,14 @@ class WaterModel:
         object.__setattr__(self, "_incidence", _Incidence(self))
 
 
-@dataclass(frozen=True)
-class HydraulicSolution:
+class HydraulicSolution(NamedTuple):
     """Nodal pressures, per-edge flows, and solver bookkeeping.
 
     Flows are oriented along each edge's canonical (low, high) direction;
     the reverse flow is the negation. unknowns is the converged Newton
-    vector (law-order edge flows, free pressures): a later solve's x0.
+    vector (law-order edge flows, free pressures) and flow_terms its pipe
+    drops, slopes and free-node outflows, both read-only, then the model: a
+    later solve of that model takes the solution as its x0 and reuses them.
     """
 
     pressures: np.ndarray
@@ -229,6 +240,7 @@ class HydraulicSolution:
     residual: float
     iterations: int
     unknowns: np.ndarray | None = None
+    flow_terms: tuple | None = None
 
 
 def _newton_step(net: _Incidence, r, slope):
@@ -237,12 +249,11 @@ def _newton_step(net: _Incidence, r, slope):
     singular one raises LinAlgError."""
     k, nf = net.n_pipes, len(net.free)
     size = nf + len(net.gain)
-    w = 1.0 / slope
+    w = np.reciprocal(slope)
     w_r = w * r[:k]
     # the step matrix, with the right-hand side as its last column
-    system = np.bincount(net.k_at, np.concatenate((
-        net.k_sign * w[net.k_edge], net.k_border,
-        net.p_vals * w_r[net.p_rows], -r[k:])), size * (size + 1))
+    system = np.bincount(net.k_at, net.k_coef * np.concatenate(
+        (w, w_r, r[k:], net.one))[net.k_src], size * (size + 1))
     system = system.reshape(size, size + 1)
     sol = np.linalg.solve(system[:, :size], system[:, size])
     dp = sol[:nf]
@@ -255,16 +266,17 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
     """Solve for nodal pressures and edge flows given the control vector.
 
     u holds one entry per node: pressure (m) at fixed-pressure nodes,
-    injection (m^3/hr) everywhere else. The Newton iteration starts from x0,
-    the edge flows in law order (pipes then pumps, each pump along its
-    boost) then the free pressures, as in HydraulicSolution.unknowns; when
-    x0 is None it starts from the minimum-norm flows that conserve the
-    injections and every free pressure at the mean fixed pressure. Raises ModelError when some node
+    injection (m^3/hr) everywhere else. The Newton iteration starts from
+    x0: the edge flows in law order (pipes then pumps, each pump along its
+    boost) then the free pressures, as in HydraulicSolution.unknowns, or a
+    previous HydraulicSolution, whose unknowns it starts at with their
+    flow_terms if it solved this model. When x0 is None it starts from the
+    minimum-norm flows that conserve the injections and every free
+    pressure at the mean fixed pressure. Raises ModelError when some node
     cannot reach a fixed-pressure node or x0 has the wrong length,
     HydraulicInfeasibleError when the Newton iteration stops unconverged
-    (the message names the stop), and
-    PumpReverseFlowError when the solution would push flow backwards
-    through a pump.
+    (the message names the stop), and PumpReverseFlowError when the
+    solution would push flow backwards through a pump.
     """
     u = np.asarray(u, dtype=float)
     n = model.graph.node_count
@@ -278,43 +290,51 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
     m, nf = len(tail), len(free)
     u_free = u[free]
 
-    def residual(x):
+    def residual(x, terms=None):
         """Pipe drop minus pressure difference, pressure difference plus
         pump gain, then net outflow minus injection at free nodes; aux
-        carries the pressures and the pipe slopes."""
+        carries the pressures and the flow terms, given as terms if known."""
+        if terms is None:
+            terms = (*_friction(x[:k], *net.law), net.outflow(x[:m]), model)
         pres = u.copy()
         pres[free] = x[m:]
         diff = pres[tail] - pres[head]
-        drop, slope = _friction(x[:k], net.coefficient, net.exponent)
-        return np.concatenate((drop - diff[:k], diff[k:] + net.gain,
-                               net.outflow(x[:m]) - u_free)), (pres, slope)
+        return np.concatenate((terms[0] - diff[:k], diff[k:] + net.gain,
+                               terms[2] - u_free)), (pres, terms)
 
+    x0, terms = ((x0.unknowns, x0.flow_terms)
+                 if isinstance(x0, HydraulicSolution) else (x0, None))
+    if terms is not None and terms[-1] is not model:  # another model's terms
+        terms = None
     if x0 is None:
         lap = np.bincount(net.lap_at, net.lap_sign, nf * nf).reshape(nf, nf)
-        x0 = np.concatenate((net.across(np.linalg.solve(lap, u_free)),
-                             np.full(nf, np.mean(u[net.fixed]))))
+        x0, terms = np.concatenate((net.across(np.linalg.solve(lap, u_free)),
+                                    np.full(nf, np.mean(u[net.fixed])))), None
     elif np.shape(x0) != (m + nf,):
         raise ModelError("start vector must hold the edge flows and the "
                          "free pressures")
-    x, (pressures, _), rnorm, iters = damped_newton(
-        np.asarray(x0, dtype=float), residual,
-        lambda x, r, aux: _newton_step(net, r, aux[1]),
+    # a copy unless read-only, so that no solution shares a caller's array
+    x0 = np.array(x0, dtype=float) if terms is None else x0
+    x, (pressures, terms), rnorm, iters = damped_newton(
+        x0, residual, lambda x, r, aux: _newton_step(net, r, aux[1][1]),
         lambda it: HydraulicInfeasibleError(
             f"singular hydraulic Jacobian at iteration {it}"),
-        tol, max_iter)
+        tol, max_iter, residual(x0, terms))
     if not rnorm <= tol:  # a NaN residual is no solution
         raise HydraulicInfeasibleError(
             "no hydraulic solution: " + newton_failure(rnorm, iters, max_iter))
     q = x[:m]
     backward = q[k:] < -1e-6
-    if backward.any():
+    if np.logical_or.reduce(backward):
         j = k + backward.argmax()
         raise PumpReverseFlowError(
             f"pump {tail[j]}->{head[j]} would carry reverse flow {q[j]:.3f}")
     flows = np.zeros(len(model.graph.edges))
-    flows[net.edges] = np.where(net.flip, -q, q)
-    return HydraulicSolution(pressures=pressures, flows=flows,
-                             residual=rnorm, iterations=iters, unknowns=x)
+    flows[net.edges] = net.sign * q
+    for a in (x, *terms[:3]):
+        a.setflags(write=False)
+    return HydraulicSolution(pressures=pressures, flows=flows, residual=rnorm,
+                             iterations=iters, unknowns=x, flow_terms=terms)
 
 
 def check_pressure_ordering(model: WaterModel, u_hi, u_lo,
@@ -357,9 +377,10 @@ class WaterPlant(PlantModel):
 
     def solve_from(self, u, start=None):
         """Measured pressures solved from start, a previous state (None:
-        cold); the state is the converged Newton unknown vector."""
+        cold); the state is the HydraulicSolution, whose read-only unknowns
+        and flow terms the next solve starts from."""
         sol = solve_network(np.asarray(u, dtype=float), self.model, x0=start)
-        return sol.pressures[self._measured], sol.unknowns
+        return sol.pressures[self._measured], sol
 
     def disrupted(self, event):
         """Supports remove_edge {"edge": (m, n)}, which drops a pipe or pump;

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ripplesim import (Graph, ModelError, adjacency_matrix, is_connected,
-                       weighted_laplacian)
+from ripplesim import (Graph, GridModel, ModelError, adjacency_matrix,
+                       is_connected, weighted_laplacian)
 from ripplesim.graph import reachable
 from synth import random_connected_graph
 
@@ -84,6 +84,16 @@ def test_laplacian_rejects_nonpositive_weight():
         weighted_laplacian(g, (0.0,))
     with pytest.raises(ModelError):
         weighted_laplacian(g, (-1.0,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_laplacian_and_grid_model_reject_a_non_finite_weight(bad):
+    g = Graph(node_count=3, edges=((0, 1), (1, 2)))
+    with pytest.raises(ModelError, match="finite and positive"):
+        weighted_laplacian(g, (1.0, bad))
+    with pytest.raises(ModelError, match="finite and positive"):
+        GridModel(graph=g, susceptances=(bad, 1.0), generators=(0,),
+                  loads=(1, 2))
 
 
 def test_graph_validation():

@@ -8,9 +8,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ripplesim import (DisruptionEvent, GridModel, GridPlant, Graph,
-                       LinearPlant, PipeLaw, PlantModel, ProtocolGains,
-                       PumpLaw, Scenario, ScenarioError, SolverError, Trace,
-                       TraceRecord, WaterModel, WaterPlant, adjacency_matrix,
+                       HydraulicSolution, LinearPlant, PipeLaw, PlantModel,
+                       ProtocolGains, PumpLaw, Scenario, ScenarioError,
+                       SolverError, Trace, TraceRecord, WaterModel,
+                       WaterPlant, adjacency_matrix,
                        disrupted_setup, load_scenario, message_stats,
                        protocol_round, run, solve_load_voltages,
                        solve_network, verify_trace)
@@ -817,6 +818,16 @@ def test_warm_started_readings_match_a_tight_cold_solve(name):
         u_prev = r.u
 
 
+def state_bytes(state):
+    """The bytes of every array a plant's solve state carries: a grid's
+    load voltages, or a water solution's pressures, flows, unknowns and
+    flow terms."""
+    if isinstance(state, HydraulicSolution):
+        return [a.tobytes() for a in (state.pressures, state.flows,
+                                      state.unknowns, *state.flow_terms[:3])]
+    return [state.tobytes()]
+
+
 @pytest.mark.parametrize("name", ["pjm5", "wds10"])
 def test_warm_start_at_the_solution_reproduces_the_cold_reading(name):
     plant, u0 = disrupted_setup(load_scenario(name))
@@ -826,7 +837,7 @@ def test_warm_start_at_the_solution_reproduces_the_cold_reading(name):
         assert y.tobytes() == plant.solve(u).tobytes()
         y_warm, state_warm = plant.solve_from(u, state)
         assert y_warm.tobytes() == y.tobytes()
-        assert state_warm.tobytes() == state.tobytes()
+        assert state_bytes(state_warm) == state_bytes(state)
 
 
 def test_failed_warm_start_falls_back_to_the_cold_solve():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from ripplesim import (Graph, HydraulicInfeasibleError, ModelError,
                        check_pressure_ordering, edge_pressure_drop,
                        monotonicity_probe, solve_network)
 from ripplesim.scenario_io import load_scenario
-from ripplesim.sim import disrupted_setup
+from ripplesim import water
+from ripplesim.sim import disrupted_setup, run
 from ripplesim.water import (LINEAR_FLOW_CUTOFF, WaterPlant, _friction,
                              _newton_step)
 from synth import random_connected_graph, random_water_network
@@ -54,7 +56,7 @@ def test_friction_law_matches_scalar_drop_and_its_slope():
         flows = (rng.choice([-1.0, 1.0], size=200)
                  * 10.0 ** rng.uniform(-6, 3, size=200))
         flows[:4] = 0.0, -0.0, cut, -cut
-        drops, slopes = _friction(flows, c, exp)
+        drops, slopes = _friction(flows, c, exp, exp - 1.0, cut)
         assert np.all(slopes > 0)
         for f, ci, drop, slope in zip(flows, c, drops, slopes):
             law = PipeLaw(coefficient=ci, exponent=exp)
@@ -66,7 +68,8 @@ def test_friction_law_matches_scalar_drop_and_its_slope():
             if abs(abs(f) - cut) < 0.1 * cut:
                 continue  # the slope jumps at the cutoff
             h = 1e-6 * max(abs(f), cut)
-            up, dn = _friction(np.array([f + h, f - h]), ci, exp)[0]
+            up, dn = _friction(np.array([f + h, f - h]), ci, exp, exp - 1.0,
+                               cut)[0]
             assert_allclose(slope, (up - dn) / (2.0 * h), rtol=1e-6)
 
 
@@ -75,6 +78,16 @@ def test_law_validation():
         PipeLaw(coefficient=0.0)
     with pytest.raises(ModelError):
         PumpLaw(gain=-5.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("law", [
+    lambda v: PipeLaw(coefficient=v), lambda v: PipeLaw(0.001, exponent=v),
+    lambda v: PumpLaw(gain=v)], ids=["coefficient", "exponent", "gain"])
+def test_laws_reject_non_finite_parameters(law, bad):
+    # NaN compares false both ways, so only a test that NaN fails catches it
+    with pytest.raises(ModelError, match="finite"):
+        law(bad)
 
 
 @pytest.fixture
@@ -162,7 +175,7 @@ def _saddle_point_step(model, u, x):
     pres = u.copy()
     pres[net.free] = x[m:]
     diff = pres[net.tail] - pres[net.head]
-    drop, slope = _friction(x[:k], net.coefficient, net.exponent)
+    drop, slope = _friction(x[:k], *net.law)
     r = np.concatenate((drop - diff[:k], diff[k:] + net.gain,
                         a_f.T @ x[:m] - u[net.free]))
     jac = np.zeros((m + nf, m + nf))
@@ -194,6 +207,95 @@ def test_reduced_newton_step_matches_the_saddle_point_step():
     for _ in range(10):
         model, u = random_water_network(rng, int(rng.integers(5, 120)))
         _assert_reduced_step_matches(model, u, _cold_start(model, u))
+
+
+def _wds10_run_controls():
+    """The disrupted wds10 plant and the controls its run solved at, u0
+    first."""
+    outcome, trace = run(load_scenario("wds10"))
+    return outcome.plant, [outcome.u0, *trace.u]
+
+
+def test_warm_solves_reuse_the_flow_terms_bit_for_bit(monkeypatch):
+    # the chain of warm plant solves of a wds10 run against the same chain
+    # solved from each previous unknowns vector, whose flow terms
+    # solve_network evaluates afresh: the same bytes, and one evaluation of
+    # the friction law fewer per solve
+    plant, controls = _wds10_run_controls()
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _friction(*args)
+
+    monkeypatch.setattr(water, "_friction", counted)
+    y, state = plant.solve_from(controls[0])
+    x = state.unknowns
+    for u in controls[1:]:
+        del calls[:]
+        y, state = plant.solve_from(u, state)
+        warm_calls = len(calls)
+        sol = solve_network(u, plant.model, x0=np.array(x))
+        assert len(calls) - warm_calls == warm_calls + 1
+        assert y.tobytes() == sol.pressures[plant._measured].tobytes()
+        for got, want in zip((state.unknowns, *state.flow_terms[:3]),
+                             (sol.unknowns, *sol.flow_terms[:3])):
+            assert got.tobytes() == want.tobytes()
+        x = sol.unknowns
+
+
+def test_warm_chains_share_a_plant_and_cannot_edit_its_start():
+    # two warm chains interleaved on one plant give the bytes of each chain
+    # on a plant of its own: a solve keeps no state. What the next solve
+    # starts from is read-only, and the rest of a state is the caller's
+    plant, controls = _wds10_run_controls()
+    chains = controls[:80], controls[-1:-81:-1]
+
+    def fresh():
+        model = plant.model
+        return WaterPlant(WaterModel(model.graph, model.edge_laws,
+                                     model.pressure_nodes),
+                          plant.u_lower, plant.u_upper, plant.y_lower,
+                          plant.measured_nodes)
+
+    def solved(y, state):
+        return y.tobytes(), state.unknowns.tobytes()
+
+    states, shared = [None, None], ([], [])
+    for step in zip(*chains):
+        for i, u in enumerate(step):
+            y, states[i] = plant.solve_from(u, states[i])
+            shared[i].append(solved(y, states[i]))
+    for chain, got in zip(chains, shared):
+        alone, state, want = fresh(), None, []
+        for u in chain:
+            y, state = alone.solve_from(u, state)
+            want.append(solved(y, state))
+        assert got == want
+    state = states[1]
+    for carried in (state.unknowns, *state.flow_terms[:3]):
+        with pytest.raises(ValueError, match="read-only"):
+            carried[0] = 1.0
+    y, _ = plant.solve_from(chains[0][0], state)
+    state.pressures[:] = np.nan
+    state.flows[:] = np.nan
+    assert plant.solve_from(chains[0][0], state)[0].tobytes() == y.tobytes()
+
+
+def test_a_solution_of_another_model_lends_only_its_unknowns():
+    # the same network with other pipe laws has as many unknowns, but the
+    # flow terms of the first model are no residual of the second
+    plant, controls = _wds10_run_controls()
+    model, u = plant.model, controls[-1]
+    other = WaterModel(model.graph, tuple(
+        replace(law, coefficient=2.0 * law.coefficient)
+        if isinstance(law, PipeLaw) else law for law in model.edge_laws),
+        model.pressure_nodes)
+    sol = solve_network(u, model)
+    lent = solve_network(u, other, x0=sol)
+    fresh = solve_network(u, other, x0=np.array(sol.unknowns))
+    assert lent.iterations == fresh.iterations > 0
+    assert lent.pressures.tobytes() == fresh.pressures.tobytes()
 
 
 def test_reduced_newton_step_matches_with_a_pump_border():

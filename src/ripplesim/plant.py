@@ -11,9 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, PlantSolveError, ScenarioError, SolverError
+from .graph import _integer
 
 EPS_FEAS_DEFAULT = 1e-6
-MONOTONE_TOL_DEFAULT = 1e-7
+MONOTONE_TOL = 1e-7
 
 
 class PlantModel(abc.ABC):
@@ -21,7 +22,7 @@ class PlantModel(abc.ABC):
 
     Concrete plants expose:
         u_lower, u_upper: per-node control limits (u_lower <= u_upper)
-        measured_nodes:   sorted node indices carrying output sensors
+        measured_nodes:   distinct node indices carrying output sensors
         y_lower:          output floors aligned with measured_nodes
         solve(u):         outputs over measured_nodes for control u
         solve_from(u, start=None) -> (y, state):
@@ -87,17 +88,23 @@ class PlantModel(abc.ABC):
 
     def _set_limits(self, u_lower, u_upper, y_lower, measured_nodes):
         """Store the limits as float arrays and measured_nodes as ints, and
-        check that the limits agree with each other and with the sensors."""
+        check that the limits agree with each other and with the sensors,
+        which sit at distinct nodes in [0, control_dim)."""
         self.u_lower = np.asarray(u_lower, dtype=float)
         self.u_upper = np.asarray(u_upper, dtype=float)
         self.y_lower = np.asarray(y_lower, dtype=float)
-        self.measured_nodes = tuple(int(i) for i in measured_nodes)
+        self.measured_nodes = tuple(_integer(i, "measured node")
+                                    for i in measured_nodes)
         if self.u_lower.shape != self.u_upper.shape:
             raise ModelError("control limit vectors disagree in shape")
         if np.any(self.u_lower > self.u_upper):
             raise ModelError("u_lower exceeds u_upper")
         if len(self.y_lower) != len(self.measured_nodes):
             raise ModelError("y_lower must align with measured_nodes")
+        if len(set(self.measured_nodes)) != len(self.measured_nodes):
+            raise ModelError("a measured node is repeated")
+        if not all(0 <= i < self.control_dim for i in self.measured_nodes):
+            raise ModelError("measured node outside the control range")
 
 
 class LinearPlant(PlantModel):
@@ -217,24 +224,21 @@ class ProbeResult:
 
     jacobian: np.ndarray
     monotone: bool
-    step: float
 
 
-def monotonicity_probe(plant: PlantModel, u0, step: float | None = None,
-                       tol: float = MONOTONE_TOL_DEFAULT) -> ProbeResult:
+def monotonicity_probe(plant: PlantModel, u0) -> ProbeResult:
     """Central-difference output Jacobian at u0, with a sign verdict.
 
     The probe perturbs each control by +-step around u0 and declares the
-    plant monotone at u0 when every sensitivity entry is >= -tol. The step
-    defaults to 1e-5 * max(1, |u0|_inf), balancing truncation against
+    plant monotone at u0 when every sensitivity entry is >= -MONOTONE_TOL.
+    The step is 1e-5 * max(1, |u0|_inf), balancing truncation against
     cancellation for the iteratively solved plants. Perturbed points may
     leave the control box: the box constrains the controller, not the
     physics, so the plant is still asked to solve there.
     """
     u0 = np.asarray(u0, dtype=float)
     n = plant.control_dim
-    if step is None:
-        step = 1e-5 * max(1.0, float(np.max(np.abs(u0))) if n else 1.0)
+    step = 1e-5 * max(1.0, float(np.max(np.abs(u0))) if n else 1.0)
     jac = np.zeros((len(plant.measured_nodes), n))
     for k in range(n):
         up = u0.copy()
@@ -249,5 +253,5 @@ def monotonicity_probe(plant: PlantModel, u0, step: float | None = None,
                 f"plant solve failed while probing control {k}",
                 control=u0, direction=k) from exc
         jac[:, k] = (y_up - y_dn) / (2.0 * step)
-    verdict = bool(np.all(jac >= -tol))
-    return ProbeResult(jacobian=jac, monotone=verdict, step=step)
+    return ProbeResult(jacobian=jac,
+                       monotone=bool(np.all(jac >= -MONOTONE_TOL)))

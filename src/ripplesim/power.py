@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import (ModelError, PowerFlowInfeasibleError, ScenarioError,
                      SingularJacobianError)
-from .graph import Graph, edge_index, weighted_laplacian, without_edge
+from .graph import (Graph, _integer, edge_index, weighted_laplacian,
+                    without_edge)
 from .plant import PlantModel, damped_newton, newton_failure
 
 SOLVER_TOL = 1e-8
@@ -47,8 +48,9 @@ class GridModel:
     loads: tuple
 
     def __post_init__(self):
-        gens = tuple(sorted(int(i) for i in self.generators))
-        loads = tuple(sorted(int(i) for i in self.loads))
+        gens = tuple(sorted(_integer(i, "generator bus")
+                            for i in self.generators))
+        loads = tuple(sorted(_integer(i, "load bus") for i in self.loads))
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "loads", loads)
         if set(gens) & set(loads):

@@ -113,13 +113,13 @@ def is_equilibrium(u, beacons, u_next, beacons_next, eps_eq: float = 1e-8) -> bo
             and np.count_nonzero(abs(beacons_next - beacons) <= eps_eq) == n)
 
 
-def auto_gains(plant, adjacency, u0=None, target_norm: float = 0.5) -> ProtocolGains:
+def auto_gains(plant, adjacency, u0) -> ProtocolGains:
     """Default gains for a scenario that does not pin them down.
 
     eta3 is 1 everywhere; eta2 is uniform and sized so the gain_condition
-    norm equals target_norm (a 2x safety margin below 1 by default); eta1
-    is 0.5 over each agent's own probed sensitivity, so one round of pure
-    local control covers about half of a deficit. Agents without a measured
+    norm equals 0.5 (a 2x safety margin below 1); eta1 is 0.5 over each
+    agent's own sensitivity, probed at u0, so one round of pure local
+    control covers about half of a deficit. Agents without a measured
     output at their own node fall back to their largest column sensitivity,
     and to 1.0 when the plant does not respond to them at all.
     """
@@ -127,9 +127,7 @@ def auto_gains(plant, adjacency, u0=None, target_norm: float = 0.5) -> ProtocolG
     n = plant.control_dim
     eta3 = np.ones(n)
     norm_a = spectral_norm(adjacency)
-    eta2 = np.full(n, target_norm / norm_a if norm_a > 0 else 1.0)
-    if u0 is None:
-        u0 = 0.5 * (plant.u_lower + plant.u_upper)
+    eta2 = np.full(n, 0.5 / norm_a if norm_a > 0 else 1.0)
     jac = monotonicity_probe(plant, u0).jacobian
     row_of = {node: i for i, node in enumerate(plant.measured_nodes)}
     eta1 = np.ones(n)

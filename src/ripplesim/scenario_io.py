@@ -163,8 +163,8 @@ def _scenario(doc, source):
         eps_feas=_num(run_doc, "eps_feas", "run", 1e-6),
         stall_window=_int(run_doc, "stall_window", "run", 100),
         trace_decimation=_int(run_doc, "trace_decimation", "run", 1),
-        override_gain_check=bool(_need(run_doc, "override_gain_check", "run",
-                                       False)),
+        override_gain_check=_need(run_doc, "override_gain_check", "run",
+                                  False, kind=bool),
         seed=_int(run_doc, "seed", "run", 0),
         labels=labels,
     )
@@ -182,6 +182,12 @@ def _pair(index, pair, where):
     if not isinstance(pair, list) or len(pair) != 2:
         raise ScenarioError(f"{where}: expected [from, to] label pairs")
     return _resolve(index, pair[0], where), _resolve(index, pair[1], where)
+
+
+def _ends(index, doc, where):
+    """The node indices of an object's "from" and then its "to" label."""
+    return (_resolve(index, _need(doc, "from", where), where),
+            _resolve(index, _need(doc, "to", where), where))
 
 
 def _label_index(labels, duplicate):
@@ -225,24 +231,19 @@ def _event(ev, index, i):
     kind = _need(ev, "kind", where)
     params = {}
     if kind == "remove_edge":
-        params["edge"] = (_resolve(index, _need(ev, "from", where), where),
-                          _resolve(index, _need(ev, "to", where), where))
+        params["edge"] = _ends(index, ev, where)
     elif kind == "source_outage":
         params["node"] = _resolve(index, _need(ev, "node", where), where)
     elif kind == "demand_change":
         params["node"] = _resolve(index, _need(ev, "node", where), where)
-        if "set" in ev:
-            params["set"] = _num(ev, "set", where)
-        if "scale" in ev:
-            params["scale"] = _num(ev, "scale", where)
-        if "flexibility" in ev:
-            params["flexibility"] = _num(ev, "flexibility", where)
+        params.update((key, _num(ev, key, where))
+                      for key in ("set", "scale", "flexibility") if key in ev)
         if "set" not in params and "scale" not in params:
             raise ScenarioError(f"{where}: demand_change needs 'set' or 'scale'")
     elif kind == "parameter_change":
         if "edge" in ev or ("from" in ev and "to" in ev):
-            params["edge"] = _pair(index, ev["edge"] if "edge" in ev
-                                   else [ev["from"], ev["to"]], where)
+            params["edge"] = (_pair(index, ev["edge"], where) if "edge" in ev
+                              else _ends(index, ev, where))
         if "susceptance" in ev:
             params["susceptance"] = _num(ev, "susceptance", where)
         if "offset" in ev:
@@ -259,41 +260,27 @@ def _power_plant(doc):
     index = _label_index([_need(b, "label", f"plant.buses[{i}]")
                           for i, b in enumerate(buses)],
                          "plant.buses: duplicate bus label")
-    n = len(buses)
-    generators, loads = [], []
-    u_lower = np.zeros(n)
-    u_upper = np.zeros(n)
-    u0 = np.zeros(n)
-    y_lower = []
+    generators, loads, boxes, y_lower = [], [], [], []
     for i, b in enumerate(buses):
         where = f"plant.buses[{i}]"
         kind = _need(b, "kind", where)
         if kind == "generator":
             generators.append(i)
             v0 = _num(b, "v_initial", where)
-            u0[i] = v0
-            u_lower[i] = v0
-            u_upper[i] = _num(b, "v_max", where)
+            boxes.append((v0, v0, _num(b, "v_max", where)))
         elif kind == "load":
             loads.append(i)
             q0 = _num(b, "q_mvar", where) / base_mva
             flex = _num(b, "flex_mvar", where, 0.0) / base_mva
-            u0[i] = q0
-            u_lower[i] = q0
-            u_upper[i] = q0 + flex
+            boxes.append((q0, q0, q0 + flex))
             y_lower.append(_num(b, "v_min", where))
         else:
             raise ScenarioError(f"{where}.kind: expected generator or load")
-    lines = _need(doc, "lines", "plant", kind=list)
-    edges, sus = [], []
-    for i, ln in enumerate(lines):
-        where = f"plant.lines[{i}]"
-        edges.append((_resolve(index, _need(ln, "from", where), where),
-                      _resolve(index, _need(ln, "to", where), where)))
-        sus.append(_num(ln, "susceptance", where))
-    graph = Graph(node_count=n, edges=tuple(edges))
-    grid = GridModel(graph=graph, susceptances=tuple(sus),
+    graph, sus = _edge_list(doc, "lines", index, lambda ln, where, _:
+                            _num(ln, "susceptance", where))
+    grid = GridModel(graph=graph, susceptances=sus,
                      generators=tuple(generators), loads=tuple(loads))
+    u0, u_lower, u_upper = np.reshape(boxes, (-1, 3)).T.copy()
     plant = GridPlant(grid=grid, u_lower=u_lower, u_upper=u_upper,
                       y_lower=np.asarray(y_lower))
     return plant, index, u0
@@ -304,12 +291,7 @@ def _water_plant(doc):
     index = _label_index([_need(nd, "label", f"plant.nodes[{i}]")
                           for i, nd in enumerate(nodes)],
                          "plant.nodes: duplicate node label")
-    n = len(nodes)
-    u_lower = np.zeros(n)
-    u_upper = np.zeros(n)
-    u0 = np.zeros(n)
-    pressure_nodes = []
-    measured, y_lower = [], []
+    pressure_nodes, boxes, measured, y_lower = [], [], [], []
     for i, nd in enumerate(nodes):
         where = f"plant.nodes[{i}]"
         role = _need(nd, "role", where)
@@ -323,56 +305,48 @@ def _water_plant(doc):
             pressure_nodes.append(i)
         if section is not None:
             entry, at = nd[section], f"{where}.{section}"
-            u0[i] = _num(entry, "initial", at)
-            u_lower[i] = _num(entry, "min", at, u0[i])
-            u_upper[i] = _num(entry, "max", at, u0[i])
-        elif role != "junction":  # a junction's injection is fixed at zero
+            start = _num(entry, "initial", at)
+            boxes.append((start, _num(entry, "min", at, start),
+                          _num(entry, "max", at, start)))
+        elif role == "junction":  # a junction's injection is fixed at zero
+            boxes.append((0.0, 0.0, 0.0))
+        else:
             raise ScenarioError(
                 f"{where}: needs a 'pressure' or 'injection' section")
         if "pressure_min" in nd:
             measured.append(i)
             y_lower.append(_num(nd, "pressure_min", where))
-    edges_doc = _need(doc, "edges", "plant", kind=list)
-    edges, laws = [], []
-    for i, ed in enumerate(edges_doc):
-        where = f"plant.edges[{i}]"
-        edges.append((_resolve(index, _need(ed, "from", where), where),
-                      _resolve(index, _need(ed, "to", where), where)))
-        kind = _need(ed, "kind", where)
-        if kind == "pipe":
-            laws.append(PipeLaw(
-                coefficient=_num(ed, "coefficient", where),
-                exponent=_num(ed, "exponent", where, DARCY_WEISBACH_EXP)))
-        elif kind == "pump":
-            laws.append(PumpLaw(gain=_num(ed, "gain", where)))
-        else:
-            raise ScenarioError(f"{where}.kind: expected pipe or pump")
-    graph = Graph(node_count=n, edges=tuple(edges))
-    laws = _align_laws(edges, laws, graph)
-    model = WaterModel(graph=graph, edge_laws=tuple(laws),
+    graph, laws = _edge_list(doc, "edges", index, _edge_law)
+    model = WaterModel(graph=graph, edge_laws=laws,
                        pressure_nodes=tuple(pressure_nodes))
+    u0, u_lower, u_upper = np.reshape(boxes, (-1, 3)).T.copy()
     plant = WaterPlant(model=model, u_lower=u_lower, u_upper=u_upper,
                        y_lower=np.asarray(y_lower),
                        measured_nodes=tuple(measured))
     return plant, index, u0
 
 
-def _align_laws(declared_edges, laws, graph: Graph):
-    """Match edge laws to the graph's canonical edge order.
+def _edge_law(ed, where, ends):
+    """The law of one water edge; a pump boosts from its "from" node to its
+    "to" node, so one declared from the higher index runs reversed."""
+    kind = _need(ed, "kind", where)
+    if kind == "pipe":
+        return PipeLaw(_num(ed, "coefficient", where),
+                       _num(ed, "exponent", where, DARCY_WEISBACH_EXP))
+    if kind == "pump":
+        return PumpLaw(gain=_num(ed, "gain", where), reverse=ends[0] > ends[1])
+    raise ScenarioError(f"{where}.kind: expected pipe or pump")
 
-    Pumps are directional: one declared from m to n boosts pressure in the
-    m->n direction. When canonicalization swaps the pair, the pump law is
-    marked reversed so the solver keeps the declared boost direction.
-    Pipes are symmetric and need no adjustment.
-    """
-    aligned = [None] * len(graph.edges)
-    pos = {e: i for i, e in enumerate(graph.edges)}
-    for (m, n), law in zip(declared_edges, laws):
-        canon = (min(m, n), max(m, n))
-        if isinstance(law, PumpLaw) and (m, n) != canon:
-            law = PumpLaw(gain=law.gain, reverse=True)
-        aligned[pos[canon]] = law
-    return aligned
+
+def _edge_list(doc, key, index, read):
+    """(Graph of the edge objects in plant[key], tuple of read(entry, where,
+    (from, to)) per entry); the graph keeps the declared edge order."""
+    edges, values = [], []
+    for i, entry in enumerate(_need(doc, key, "plant", kind=list)):
+        where = f"plant.{key}[{i}]"
+        edges.append(_ends(index, entry, where))
+        values.append(read(entry, where, edges[-1]))
+    return Graph(node_count=len(index), edges=tuple(edges)), tuple(values)
 
 
 def _linear_plant(doc):

@@ -360,9 +360,8 @@ def _stacked(rows, width):
 
 @dataclass(frozen=True)
 class MessageStats:
-    """Per-round and cumulative message counts plus activation rounds."""
+    """Cumulative message count plus activation rounds."""
 
-    per_round: tuple
     total: int
     first_beacon: dict
     first_assistance: dict
@@ -396,14 +395,13 @@ def message_stats(trace: Trace, comm_graph: Graph, u0=None) -> MessageStats:
     """
     if not trace:
         raise ValueError("empty trace")
-    per_round = tuple(trace.messages.tolist())
     beaconing = trace.beacons > 0
     first_beacon = _first_rounds(beaconing, trace.rounds)
     first_assistance = dict(sorted(_first_rounds(
         beaconing @ (adjacency_matrix(comm_graph) > 0), trace.rounds).items()))
     first_change = _first_rounds(
         _versus_previous(np.not_equal, trace.u, u0), trace.rounds)
-    return MessageStats(per_round=per_round, total=sum(per_round),
+    return MessageStats(total=sum(trace.messages.tolist()),
                         first_beacon=first_beacon,
                         first_assistance=first_assistance,
                         first_change=first_change)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (HydraulicInfeasibleError, ModelError,
                      PumpReverseFlowError, ScenarioError)
-from .graph import Graph, reachable, without_edge
+from .graph import Graph, _integer, reachable, without_edge
 from .plant import PlantModel, damped_newton, newton_failure
 
 FLOW_TOL = 1e-9
@@ -213,7 +213,8 @@ class WaterModel:
     def __post_init__(self):
         if len(self.edge_laws) != len(self.graph.edges):
             raise ModelError("edge laws must align with graph edges")
-        pres = tuple(sorted(int(i) for i in self.pressure_nodes))
+        pres = tuple(sorted(_integer(i, "pressure node")
+                            for i in self.pressure_nodes))
         if not pres:
             raise ModelError("at least one fixed-pressure node is required")
         if len(set(pres)) != len(pres):
@@ -337,13 +338,12 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
                              iterations=iters, unknowns=x, flow_terms=terms)
 
 
-def check_pressure_ordering(model: WaterModel, u_hi, u_lo,
-                            tol: float = 1e-6) -> bool:
+def check_pressure_ordering(model: WaterModel, u_hi, u_lo) -> bool:
     """Ordered controls must give ordered pressures at non-fixed nodes.
 
     Requires u_hi >= u_lo entrywise (higher source pressures and higher
     injections). Solves both and returns True iff every non-fixed nodal
-    pressure under u_hi is at least the one under u_lo, within tol.
+    pressure under u_hi is at least the one under u_lo, within 1e-6.
     """
     u_hi = np.asarray(u_hi, dtype=float)
     u_lo = np.asarray(u_lo, dtype=float)
@@ -352,7 +352,7 @@ def check_pressure_ordering(model: WaterModel, u_hi, u_lo,
     hi = solve_network(u_hi, model)
     lo = solve_network(u_lo, model)
     others = model._incidence.free
-    return bool(np.all(hi.pressures[others] >= lo.pressures[others] - tol))
+    return bool(np.all(hi.pressures[others] >= lo.pressures[others] - 1e-6))
 
 
 class WaterPlant(PlantModel):

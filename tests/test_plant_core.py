@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ripplesim import (Graph, GridModel, LinearPlant, PlantSolveError,
-                       feasibility_check, max_effort_feasibility,
-                       monotonicity_probe)
+from ripplesim import (Graph, GridModel, LinearPlant, ModelError,
+                       PlantSolveError, feasibility_check,
+                       max_effort_feasibility, monotonicity_probe)
 from ripplesim.plant import damped_newton, newton_failure
 from ripplesim.power import GridPlant
 from synth import random_monotone_linear_plant
@@ -14,6 +14,17 @@ def identity_plant(u_upper=2.0, y_lower=1.0):
     return LinearPlant(sensitivity=[[1.0]], offset=[0.0], u_lower=[0.0],
                        u_upper=[u_upper], y_lower=[y_lower],
                        measured_nodes=[0])
+
+
+@pytest.mark.parametrize("measured, text", [
+    ([0, 0], "repeated"), ([2], "outside"), ([5], "outside"),
+    ([-1], "outside"), ([0.0], "integer"), ([True], "integer")])
+def test_measured_nodes_are_distinct_indices_of_controls(measured, text):
+    m = len(measured)
+    with pytest.raises(ModelError, match=text):
+        LinearPlant(sensitivity=np.ones((m, 2)), offset=np.zeros(m),
+                    u_lower=[0.0, 0.0], u_upper=[1.0, 1.0],
+                    y_lower=np.zeros(m), measured_nodes=measured)
 
 
 def test_feasibility_identity_cases():

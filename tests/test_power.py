@@ -265,6 +265,14 @@ def test_grid_model_validation():
         GridModel(graph=g, susceptances=(-1.0,), generators=(0,), loads=(1,))
 
 
+@pytest.mark.parametrize("generators, loads", [
+    ((0.7,), (1,)), ((True,), (0,)), ((0,), (1.0,)), ((0,), (np.True_,))])
+def test_grid_model_rejects_buses_that_are_not_integers(generators, loads):
+    g = Graph(node_count=2, edges=((0, 1),))
+    with pytest.raises(ModelError, match="must be an integer"):
+        GridModel(g, (1.0,), generators=generators, loads=loads)
+
+
 @pytest.mark.parametrize("n", [5, 50, 200])
 def test_gain_matrix_matches_the_dense_product_bit_for_bit(n):
     # the reference is the dense form diag(i) + diag(v) @ B_LL; the row

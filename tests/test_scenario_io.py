@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ripplesim import GridPlant, ScenarioError, WaterPlant, load_scenario
+from ripplesim.cli import main
 from ripplesim.scenario_io import bundled_scenario_path, scenario_from_dict
 
 MINIMAL_LINEAR = {
@@ -108,36 +109,54 @@ def test_mixed_auto_gains_rejected():
 
 
 def test_pump_direction_survives_label_order():
-    # pump declared from a later label into an earlier one keeps its boost
-    doc = {
-        "schema": "ripplesim-scenario/1",
-        "plant": {
-            "type": "water",
-            "nodes": [
-                {"label": "sink", "role": "consumer",
-                 "injection": {"initial": -100.0, "min": -100.0,
-                               "max": -100.0},
-                 "pressure_min": 0.0},
-                {"label": "mid", "role": "junction"},
-                {"label": "src", "role": "reservoir",
-                 "pressure": {"initial": 5.0, "min": 0.0, "max": 5.0}},
-            ],
-            "edges": [
-                {"from": "src", "to": "mid", "kind": "pipe",
-                 "coefficient": 1e-4},
-                {"from": "mid", "to": "sink", "kind": "pump", "gain": 20.0},
-            ],
-        },
-        "comm_graph": {"edges": [["src", "mid"], ["mid", "sink"]]},
-        "gains": {"eta1": 1.0, "eta2": 0.1, "eta3": 1.0},
-        "run": {},
-    }
-    scenario = scenario_from_dict(doc)
+    # a pump boosts from its "from" node into its "to" node: declared from
+    # a later label into an earlier one (nodes in file order) and from an
+    # earlier into a later one (reversed), each next to a pipe declared
+    # from the later and from the earlier of its two labels
     from ripplesim import solve_network
 
-    sol = solve_network(scenario.u0, scenario.plant.model)
-    # boost from "mid" (index 1) into "sink" (index 0): 20 m rise
-    assert_allclose(sol.pressures[0] - sol.pressures[1], 20.0, atol=1e-6)
+    nodes = [
+        {"label": "sink", "role": "consumer",
+         "injection": {"initial": -100.0, "min": -100.0, "max": -100.0},
+         "pressure_min": 0.0},
+        {"label": "mid", "role": "junction"},
+        {"label": "src", "role": "reservoir",
+         "pressure": {"initial": 5.0, "min": 0.0, "max": 5.0}},
+    ]
+    for order in (nodes, nodes[::-1]):
+        for pipe in (("src", "mid"), ("mid", "src")):
+            doc = {
+                "schema": "ripplesim-scenario/1",
+                "plant": {
+                    "type": "water",
+                    "nodes": order,
+                    "edges": [
+                        {"from": pipe[0], "to": pipe[1], "kind": "pipe",
+                         "coefficient": 1e-4},
+                        {"from": "mid", "to": "sink", "kind": "pump",
+                         "gain": 20.0},
+                    ],
+                },
+                "comm_graph": {"edges": [["src", "mid"], ["mid", "sink"]]},
+                "gains": {"eta1": 1.0, "eta2": 0.1, "eta3": 1.0},
+                "run": {},
+            }
+            scenario = scenario_from_dict(doc)
+            at = {lab: i for i, lab in enumerate(scenario.labels)}
+            sol = solve_network(scenario.u0, scenario.plant.model)
+            # boost from "mid" into "sink": a 20 m rise
+            rise = sol.pressures[at["sink"]] - sol.pressures[at["mid"]]
+            assert_allclose(rise, 20.0, atol=1e-6)
+
+
+def test_repeated_measured_label_rejected():
+    # two floors on one node: the round would keep only the last deficit
+    doc = json.loads(json.dumps(MINIMAL_LINEAR))
+    doc["plant"].update(sensitivity=[[1.0, 0.0], [1.0, 0.0]],
+                        offset=[0.0, 0.0], u_upper=[1.5, 1.0],
+                        y_lower=[1.0, 0.5], measured=["a", "a"])
+    with pytest.raises(ScenarioError, match="measured node is repeated"):
+        scenario_from_dict(doc)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0])
@@ -191,6 +210,25 @@ def test_integer_knobs_must_be_integral(value):
     doc["run"]["stall_window"] = value
     with pytest.raises(ScenarioError, match="run.stall_window"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+def test_override_gain_check_must_be_a_json_boolean(value, tmp_path):
+    doc = json.loads(json.dumps(MINIMAL_LINEAR))
+    doc["run"]["override_gain_check"] = value
+    with pytest.raises(ScenarioError, match=r"run\.override_gain_check"):
+        scenario_from_dict(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--output-dir",
+                 str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_override_gain_check_accepts_a_json_boolean(value):
+    doc = json.loads(json.dumps(MINIMAL_LINEAR))
+    doc["run"]["override_gain_check"] = value
+    assert scenario_from_dict(doc).override_gain_check is value
 
 
 def test_integer_knobs_accept_integral_numbers():

@@ -437,6 +437,21 @@ def test_needs_pressure_reference():
                    pressure_nodes=())
 
 
+@pytest.mark.parametrize("fixed", [(0.0,), (0.5,), (True,)])
+def test_pressure_nodes_must_be_integers(fixed):
+    g = Graph(node_count=2, edges=((0, 1),))
+    with pytest.raises(ModelError, match="must be an integer"):
+        WaterModel(graph=g, edge_laws=(PipeLaw(coefficient=0.001),),
+                   pressure_nodes=fixed)
+
+
+def test_water_plant_rejects_a_measured_node_outside_its_network(
+        single_pipe):
+    with pytest.raises(ModelError, match="outside"):
+        WaterPlant(single_pipe, [5.0, -10.0], [5.0, -10.0], [0.0],
+                   measured_nodes=[2])
+
+
 def test_ordering_identical_controls(single_pipe):
     u = np.array([5.0, -100.0])
     assert check_pressure_ordering(single_pipe, u, u)

@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", default=".", type=Path)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--decimate", type=int, default=None,
-                   help="keep every k-th trace record")
+                   help="keep round 1, every k-th round and the last")
     p.add_argument("--override-gain-check", action="store_true",
                    help="run even if the gain condition fails")
     p.set_defaults(func=cmd_simulate)

@@ -74,7 +74,7 @@ class PlantModel(abc.ABC):
         optional "flexibility" replaces the width of k's box, which
         otherwise moves with its base.
         """
-        params, node = event.params, int(event.params["node"])
+        params, node = event.params, event.params["node"]
         u_lower, u_upper = self.u_lower.copy(), self.u_upper.copy()
         if "set" in params:
             base = float(params["set"])

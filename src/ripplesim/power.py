@@ -232,7 +232,7 @@ class GridPlant(PlantModel):
                                       grid.susceptances)
             grid = GridModel(graph, sus, grid.generators, grid.loads)
         elif event.kind == "demand_change":
-            node = int(event.params["node"])
+            node = event.params["node"]
             if node not in grid.loads:
                 raise ScenarioError(f"bus {node} is not a load bus")
             limits = self._rebased_limits(event)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ModelError, ScenarioError, SolverError
-from .graph import Graph, adjacency_matrix, is_connected
+from .graph import Graph, _integer, adjacency_matrix, is_connected
 from .plant import EPS_FEAS_DEFAULT, PlantModel, feasibility_check
 from .protocol import (ProtocolGains, auto_gains, gain_condition,
                        is_equilibrium, message_counts, protocol_round,
@@ -39,11 +39,18 @@ class DisruptionEvent:
     Each plant type's disrupted method (LinearPlant, GridPlant, WaterPlant)
     applies the kinds it supports and says which params each one takes;
     demand_change and source_outage also move the initial control of their
-    params["node"] to its new lower limit (disrupted_setup).
+    params["node"] to its new lower limit (disrupted_setup). A node index
+    or an end of params["edge"] that is not an integer is a ModelError.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if "node" in self.params:
+            _integer(self.params["node"], "disruption node")
+        for end in self.params.get("edge", ()):
+            _integer(end, "disruption edge end")
 
 
 @dataclass
@@ -172,7 +179,7 @@ def disrupted_setup(scenario: Scenario):
                 f"disruption left an invalid plant: {exc}") from exc
         if event.kind in ("demand_change", "source_outage"):
             # the event itself moves this control to its new base
-            node = int(event.params["node"])
+            node = event.params["node"]
             u0[node] = plant.u_lower[node]
     return plant, u0
 
@@ -187,11 +194,13 @@ def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
     if u0.shape != (n,):
         raise ScenarioError("initial control has the wrong length")
     for name in ("eps_eq", "eps_feas"):
-        if not 0.0 < getattr(scenario, name) < np.inf:
+        value = getattr(scenario, name)
+        if isinstance(value, (bool, np.bool_)) or not 0.0 < value < np.inf:
             raise ScenarioError(f"{name} must be finite and positive")
     for name in ("budget", "stall_window", "trace_decimation"):
         value = getattr(scenario, name)
-        if not (isinstance(value, (int, np.integer)) and value >= 1):
+        if isinstance(value, bool) or \
+                not (isinstance(value, (int, np.integer)) and value >= 1):
             raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
     for name, values in (("initial control", u0), ("u_lower", plant.u_lower),
                          ("u_upper", plant.u_upper),
@@ -250,8 +259,8 @@ def run(scenario: Scenario):
     overflowed.
 
     The trace keeps round 1, every trace_decimation-th round and the round
-    that rules 2 to 4 end the run in. A round whose solve fails is not
-    kept, so a run that fails in round 1 returns an empty trace.
+    the run stopped in (Outcome.rounds), whichever rule stopped it; a round
+    whose solve fails is not kept, so a run that fails in round 1 keeps none.
     """
     plant, u0 = disrupted_setup(scenario)
     state = _validate_run(scenario, plant, u0)
@@ -278,29 +287,10 @@ def run(scenario: Scenario):
     keep_round, keep_u, keep_y, keep_deficit, keep_beacons = (
         column.append for column in columns)
     keep, window = scenario.trace_decimation, scenario.stall_window
-    frozen_rounds = 0
+    budget, frozen_rounds = scenario.budget, 0
+    stop, detail = None, ""  # set by the stopping rule that ends the run
 
-    def trace():
-        """The kept rounds as a Trace, their messages counted at once. Each
-        column is stacked in turn, and its per-round arrays are released
-        before the next one is stacked."""
-        u_col, y_col, deficit_col, beacons_col = map(_stacked, columns[1:],
-                                                     (n, m, n, n))
-        return Trace(columns[0], u_col, y_col, deficit_col, beacons_col,
-                     message_counts(beacons_col, adjacency))
-
-    def classify(status, rounds, equilibrium, detail=""):
-        failed = status == "solver_failure"
-        feas = not failed and feasibility_check(plant, u, eps_feas)
-        max_v = float("nan") if failed else float(deficit.max())
-        if status == "equilibrium":
-            status = "converged" if feas else "stalled"
-        return Outcome(status=status, rounds=rounds, feasible=feas,
-                       equilibrium=equilibrium, max_violation=max_v,
-                       max_beacon=float(beacons.max()), gain_norm=norm,
-                       detail=detail, plant=plant, u0=u0)
-
-    for t in range(1, scenario.budget + 1):
+    for t in range(1, budget + 1):
         try:
             try:
                 y, state = plant.solve_from(u, state)
@@ -311,13 +301,13 @@ def run(scenario: Scenario):
             if not all(map(isfinite, y.tolist())):
                 raise SolverError(f"round {t}: plant output is not finite")
         except SolverError as exc:
-            detail = str(exc)
+            stop, detail = "solver_failure", str(exc)
             if not all(map(isfinite, u_seen)):
                 # u0 is finite, so the update of the round before overflowed
                 detail = (f"controls are not finite: the protocol update of "
                           f"round {t - 1} overflowed (a gain times a deficit "
                           f"or a beacon); {detail}")
-            return classify("solver_failure", t, False, detail), trace()
+            break
         deficit, u_next, beacons_next = protocol_round(u, beacons, y,
                                                        constants)
         # Rules 2 to 4 of the docstring; the beacons are compared and the
@@ -334,20 +324,38 @@ def run(scenario: Scenario):
             frozen_rounds = 0
         prev_deficit, u_seen = deficit_now, u_now
         u, beacons = u_next, beacons_next
-        if t % keep == 0 or t == 1 or reached_eq:
+        if reached_eq:
+            stop = "equilibrium"
+        # a NaN deficit has reset frozen_rounds, so it cannot stall the run
+        elif frozen_rounds >= window and any(map(gt, deficit_now, feas_floor)):
+            stop, detail = "stalled", ("controls pinned at the ceiling with a "
+                                       "persistent violation")
+        elif t == budget:
+            stop = "budget_exceeded"
+        if t % keep == 0 or t == 1 or stop:
             keep_round(t)
             keep_u(u)
             keep_y(y)
             keep_deficit(deficit)
             keep_beacons(beacons)
-        if reached_eq:
-            return classify("equilibrium", t, True), trace()
-        # a NaN deficit has reset frozen_rounds, so it cannot stall the run
-        if frozen_rounds >= window and any(map(gt, deficit_now, feas_floor)):
-            return classify("stalled", t, False,
-                            detail="controls pinned at the ceiling with a "
-                                   "persistent violation"), trace()
-    return classify("budget_exceeded", scenario.budget, False), trace()
+        if stop:
+            break
+
+    failed, equilibrium = stop == "solver_failure", stop == "equilibrium"
+    feasible = not failed and feasibility_check(plant, u, eps_feas)
+    if equilibrium:
+        stop = "converged" if feasible else "stalled"
+    outcome = Outcome(
+        status=stop, rounds=t, feasible=feasible, equilibrium=equilibrium,
+        max_violation=float("nan") if failed else float(deficit.max()),
+        max_beacon=float(beacons.max()), gain_norm=norm, detail=detail,
+        plant=plant, u0=u0)
+    # the messages are counted at once; each column is stacked in turn, and
+    # its per-round arrays are released before the next one is stacked
+    u_col, y_col, deficit_col, beacons_col = map(_stacked, columns[1:],
+                                                 (n, m, n, n))
+    return outcome, Trace(columns[0], u_col, y_col, deficit_col, beacons_col,
+                          message_counts(beacons_col, adjacency))
 
 
 def _stacked(rows, width):
@@ -370,10 +378,9 @@ class MessageStats:
 
 def _versus_previous(compare, u, u0):
     """compare(control, previous control) per (round, agent); the first
-    round compares with u0 and is all False when u0 is None."""
-    first = (np.zeros(u[:1].shape, dtype=bool) if u0 is None
-             else compare(u[:1], np.asarray(u0, dtype=float)))
-    return np.concatenate((first, compare(u[1:], u[:-1])))
+    round compares with u0."""
+    return np.concatenate((compare(u[:1], np.asarray(u0, dtype=float)),
+                           compare(u[1:], u[:-1])))
 
 
 def _first_rounds(mask, rounds) -> dict:
@@ -384,14 +391,14 @@ def _first_rounds(mask, rounds) -> dict:
             for j in np.argsort(first, kind="stable")}
 
 
-def message_stats(trace: Trace, comm_graph: Graph, u0=None) -> MessageStats:
+def message_stats(trace: Trace, comm_graph: Graph, u0) -> MessageStats:
     """Message accounting over a trace.
 
     first_beacon[k] is the first round agent k's beacon went positive;
     first_assistance[k] the first round some neighbor's beacon did (i.e.
     a message reached k); first_change[k] the first round k's control moved
-    away from its previous value (needs u0 for the first round). Missing
-    keys mean the event never happened.
+    away from its previous value (u0, the run's start, for the first
+    round). Missing keys mean the event never happened.
     """
     if not trace:
         raise ValueError("empty trace")
@@ -407,7 +414,7 @@ def message_stats(trace: Trace, comm_graph: Graph, u0=None) -> MessageStats:
                         first_change=first_change)
 
 
-def verify_trace(trace: Trace, comm_graph: Graph, u_upper, u0=None) -> list:
+def verify_trace(trace: Trace, comm_graph: Graph, u_upper, u0) -> list:
     """Check the protocol invariants on a trace; returns problem strings.
 
     Checks: controls never decrease and never exceed the ceiling, beacons

@@ -393,7 +393,7 @@ class WaterPlant(PlantModel):
                                        model.edge_laws)
             model = WaterModel(graph, laws, model.pressure_nodes)
         elif event.kind == "source_outage":
-            node = int(event.params["node"])
+            node = event.params["node"]
             fixed = tuple(p for p in model.pressure_nodes if p != node)
             if fixed != model.pressure_nodes:
                 model = WaterModel(model.graph, model.edge_laws, fixed)

@@ -68,6 +68,35 @@ def test_simulate_budget_exceeded_exit(tmp_path):
     assert summary["outcome"]["status"] == "budget_exceeded"
 
 
+def test_decimated_budget_run_ends_at_its_last_round(tmp_path):
+    # 500 is not a multiple of 7: the trace still ends at round 500, and
+    # the summary's terminal state is that round's
+    code = main(["simulate", "wds10", "--output-dir", str(tmp_path),
+                 "--budget", "500", "--decimate", "7"])
+    assert code == 1
+    summary = json.load(open(tmp_path / "summary.json"))
+    rows = read_csv(tmp_path / "trace.csv")
+    assert summary["outcome"]["rounds"] == int(rows[-1]["round"]) == 500
+    assert summary["run"]["records"] == len(rows) == 73
+    assert summary["terminal_u"] == {key[2:]: float(value) for key, value
+                                     in rows[-1].items()
+                                     if key.startswith("u_")}
+
+
+def test_simulate_override_gain_check(tmp_path, capsys):
+    # unit gains put the gain condition's spectral norm at 1
+    path = write_edited(tmp_path, lambda doc: doc.update(
+        gains={"eta1": 1.0, "eta2": 1.0, "eta3": 1.0}))
+    assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 2
+    assert "gain condition violated" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+    assert main(["simulate", path, "--output-dir", str(tmp_path),
+                 "--override-gain-check"]) == 0
+    summary = json.load(open(tmp_path / "summary.json"))
+    assert summary["gain_condition"] == 1.0
+    assert summary["outcome"]["status"] == "converged"
+
+
 def test_check_gains_pass(capsys):
     assert main(["check-gains", "pjm5"]) == 0
     out = capsys.readouterr().out
@@ -92,6 +121,14 @@ def test_check_gains_disconnected(tmp_path, capsys):
     assert main(["check-gains", str(path)]) == 2
     out = capsys.readouterr().out
     assert "spectral norm: 0" in out  # empty overlay scores zero, then fails
+
+
+def test_check_gains_prints_auto_gains(tmp_path, capsys):
+    path = write_edited(tmp_path, lambda doc: doc.update(gains="auto"))
+    assert main(["check-gains", path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("auto gains: eta1=[0.5 0.5] ")
+    assert "spectral norm: 0.5 -> pass" in out
 
 
 def test_check_monotonicity_scenarios(capsys):
@@ -120,6 +157,15 @@ def test_check_monotonicity_flags_decreasing(tmp_path, capsys):
     json.dump(doc, open(path, "w"))
     assert main(["check-monotonicity", str(path), "--points", "1"]) == 1
     assert "fail" in capsys.readouterr().out
+
+
+def test_check_monotonicity_reports_a_failed_probe(tmp_path, capsys):
+    # a 400 Mvar load is past the two-bus fold at 250 Mvar, so the load
+    # voltage has no solution at the start
+    path = write_edited(tmp_path, lambda doc: doc["plant"]["buses"][1].update(
+        q_mvar=-400.0), name="twobus")
+    assert main(["check-monotonicity", path]) == 3
+    assert capsys.readouterr().out.startswith("point 0: probe failed")
 
 
 def test_sweep_two_bus(tmp_path):
@@ -154,6 +200,13 @@ def test_sweep_single_step(tmp_path):
 def test_sweep_rejects_non_finite_bounds(tmp_path, capsys, bound):
     assert main(["sweep", "twobus", bound, "--output-dir", str(tmp_path)]) == 2
     assert "scale bounds must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_rejects_steps_below_one(tmp_path, capsys):
+    assert main(["sweep", "twobus", "--steps", "0",
+                 "--output-dir", str(tmp_path)]) == 2
+    assert "steps must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 

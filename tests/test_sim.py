@@ -8,10 +8,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ripplesim import (DisruptionEvent, GridModel, GridPlant, Graph,
-                       HydraulicSolution, LinearPlant, PipeLaw, PlantModel,
-                       ProtocolGains, PumpLaw, Scenario, ScenarioError,
-                       SolverError, Trace, TraceRecord, WaterModel,
-                       WaterPlant, adjacency_matrix,
+                       HydraulicSolution, LinearPlant, ModelError, PipeLaw,
+                       PlantModel, ProtocolGains, PumpLaw, Scenario,
+                       ScenarioError, SolverError, Trace, TraceRecord,
+                       WaterModel, WaterPlant, adjacency_matrix,
                        disrupted_setup, load_scenario, message_stats,
                        protocol_round, run, solve_load_voltages,
                        solve_network, verify_trace)
@@ -240,11 +240,25 @@ def test_trace_decimation_keeps_last_round():
     assert {r.round for r in records} <= \
         {1, full_records[-1].round} | {r.round for r in full_records
                                        if r.round % 7 == 0}
+    # the round the run stops in is kept whichever rule stops it: the
+    # stall window (rule 5, round 103), a budget of 20 (rule 6) and the
+    # eps_eq test with every control pinned (rule 3, round 28)
+    budget = cascade_scenario(u_upper=(0.3, 0.4))
+    budget.budget = 20
+    for scenario, status, rounds in (
+            (expanding_stall(), "stalled", 103),
+            (budget, "budget_exceeded", 20),
+            (cascade_scenario(u_upper=(0.3, 0.4)), "stalled", 28)):
+        scenario.trace_decimation = 7
+        outcome, records = run(scenario)
+        assert (outcome.status, outcome.rounds) == (status, rounds)
+        assert records[-1].round == outcome.rounds
+        assert records.rounds.tolist() == [1, *range(7, rounds, 7), rounds]
 
 
 @pytest.mark.parametrize("knob", ["budget", "stall_window",
                                   "trace_decimation"])
-@pytest.mark.parametrize("value", [0, -2, 2.5])
+@pytest.mark.parametrize("value", [0, -2, 2.5, True])
 def test_run_rejects_run_knobs_below_one(knob, value):
     scenario = cascade_scenario()
     setattr(scenario, knob, value)
@@ -528,6 +542,23 @@ def test_disruption_that_leaves_an_invalid_plant_is_a_scenario_error():
         disrupted_setup(scenario)
 
 
+@pytest.mark.parametrize("kind, params, index", [
+    ("demand_change", {"node": 1.9, "scale": 2.0}, "node must be an "
+                                                   "integer, got 1.9"),
+    ("source_outage", {"node": True}, "node must be an integer, got True"),
+    ("source_outage", {"node": 0.7}, "node must be an integer, got 0.7"),
+    ("remove_edge", {"edge": (True, 4)}, "edge end must be an integer, "
+                                         "got True"),
+], ids=["float-node", "bool-node", "fraction-node", "bool-edge-end"])
+def test_disruption_indices_must_be_integers(kind, params, index):
+    # truncated, these would rebase node 1 of wds10, pin node 1, cut off
+    # its only fixed-pressure node 0 and remove its edge (1, 4)
+    scenario = load_scenario("wds10")
+    with pytest.raises(ModelError, match=f"^disruption {index}$"):
+        scenario.disruptions += (DisruptionEvent(kind, params),)
+        disrupted_setup(scenario)
+
+
 def test_noop_disruption_keeps_behavior():
     plant = small_water_plant()
     event = DisruptionEvent(kind="demand_change",
@@ -782,6 +813,8 @@ def test_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field):
     ("eps_eq", -1.0),
     ("eps_feas", np.inf),
     ("eps_feas", 0.0),
+    ("eps_eq", True),
+    ("eps_feas", True),
 ])
 def test_run_rejects_non_finite_run_numbers(field, value):
     scenario = cascade_scenario()

@@ -146,13 +146,13 @@ def feasibility_check(plant: PlantModel, u, eps_feas: float = EPS_FEAS_DEFAULT) 
     re-raised as PlantSolveError carrying the offending control vector.
     """
     u = np.asarray(u, dtype=float)
-    if np.any(u < plant.u_lower - eps_feas) or np.any(u > plant.u_upper + eps_feas):
+    if (u < plant.u_lower - eps_feas).any() or (u > plant.u_upper + eps_feas).any():
         return False
     try:
         y = plant.solve(u)
     except SolverError as exc:
         raise PlantSolveError(f"plant solve failed: {exc}", control=u) from exc
-    return bool(np.all(y >= plant.y_lower - eps_feas))
+    return bool((y >= plant.y_lower - eps_feas).all())
 
 
 def max_effort_feasibility(plant: PlantModel, eps_feas: float = EPS_FEAS_DEFAULT) -> bool:

@@ -19,6 +19,8 @@ the gain product small enough (see gain_condition) the beacon relay is a
 contraction, so runs settle instead of echoing forever.
 """
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import ge, sub
 
 import numpy as np
 
@@ -34,22 +36,26 @@ class ProtocolGains:
     eta3: np.ndarray
 
     def __post_init__(self):
-        for name in ("eta1", "eta2", "eta3"):
-            v = np.array(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(v) & (v > 0)):
-                raise ValueError(f"{name} must be finite and strictly positive")
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-        if not (len(self.eta1) == len(self.eta2) == len(self.eta3)):
+        if not len(self.eta1) == len(self.eta2) == len(self.eta3):
             raise ValueError("gain vectors disagree in length")
+        etas = np.array((self.eta1, self.eta2, self.eta3), dtype=float)
+        if etas.ndim != 2:
+            raise ValueError("gain vectors must be one-dimensional")
+        valid = (np.isfinite(etas) & (etas > 0)).all(axis=1).tolist()
+        if not all(valid):
+            raise ValueError(f"eta{valid.index(False) + 1} must be finite "
+                             "and strictly positive")
+        etas.flags.writeable = False
+        for i, row in enumerate(etas, 1):
+            object.__setattr__(self, f"eta{i}", row)
 
 
 def spectral_norm(matrix) -> float:
-    """Largest singular value (the matrix 2-norm); 0 for an empty matrix."""
+    """The matrix 2-norm: the first (largest) singular value; 0 if empty."""
     m = np.asarray(matrix, dtype=float)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    if m.ndim != 2:
+        raise ValueError("spectral_norm takes a two-dimensional matrix")
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
 
 
 def gain_condition(eta2, eta3, adjacency) -> float:
@@ -61,7 +67,7 @@ def gain_condition(eta2, eta3, adjacency) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.asarray(eta2, dtype=float) * np.asarray(eta3, dtype=float)
         m = d[:, None] * np.asarray(adjacency, dtype=float)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         return float("inf")
     return spectral_norm(m)
 
@@ -105,12 +111,13 @@ def message_counts(beacons, adjacency):
 
 def is_equilibrium(u, beacons, u_next, beacons_next, eps_eq: float = 1e-8) -> bool:
     """True when neither controls nor beacons moved more than eps_eq
-    (inf-norm); a NaN counts as moved."""
-    if np.shape(u) != np.shape(u_next):
+    (inf-norm); a NaN counts as moved. The states are sequences of numbers
+    (lists or arrays), compared entry by entry on Python floats; the test
+    stops at the first entry that moved."""
+    if len(u) != len(u_next) or len(beacons) != len(beacons_next):
         raise ValueError("states disagree in dimension")
-    n = len(u)
-    return (np.count_nonzero(abs(u_next - u) <= eps_eq) == n
-            and np.count_nonzero(abs(beacons_next - beacons) <= eps_eq) == n)
+    moved = map(abs, map(sub, chain(u_next, beacons_next), chain(u, beacons)))
+    return all(map(ge, repeat(eps_eq), moved))
 
 
 def auto_gains(plant, adjacency, u0) -> ProtocolGains:
@@ -129,13 +136,8 @@ def auto_gains(plant, adjacency, u0) -> ProtocolGains:
     norm_a = spectral_norm(adjacency)
     eta2 = np.full(n, 0.5 / norm_a if norm_a > 0 else 1.0)
     jac = monotonicity_probe(plant, u0).jacobian
-    row_of = {node: i for i, node in enumerate(plant.measured_nodes)}
-    eta1 = np.ones(n)
-    for k in range(n):
-        if k in row_of:
-            sens = jac[row_of[k], k]
-        else:
-            sens = float(np.max(np.abs(jac[:, k]))) if jac.size else 0.0
-        if sens > 1e-12:
-            eta1[k] = 0.5 / sens
+    measured = np.asarray(plant.measured_nodes, dtype=np.intp)
+    sens = np.abs(jac).max(axis=0, initial=0.0)
+    sens[measured] = jac[np.arange(len(measured)), measured]
+    eta1 = np.divide(0.5, sens, out=np.ones(n), where=sens > 1e-12)
     return ProtocolGains(eta1=eta1, eta2=eta2, eta3=eta3)

@@ -6,14 +6,13 @@ budget runs out. Each round's plant solve is warm-started from the
 previous round's solution (PlantModel.solve_from), since the control moves
 little from round to round; the reading goes to one call of the round
 kernel (protocol_round) on constants built once per run. The arithmetic of
-a round stays in numpy; its stopping rules are tested on Python floats,
-one tolist() per array and round, which at a few agents costs less than
-numpy calls. A retained round appends to one list per trace column; each
-column is stacked once, when the run ends, into a columnar Trace (one
-array per field, one row per retained round) whose items are TraceRecord
-row views; the terminal state is classified into an Outcome. Runs are
-single-threaded and deterministic: the same scenario yields bit-identical
-traces.
+a round stays in numpy; its stopping rules, the equilibrium test
+(is_equilibrium) included, compare Python floats from tolist(), which at a
+few agents costs less than numpy calls. A retained round appends to one
+list per trace column; each column is stacked once, when the run ends,
+into a columnar Trace of TraceRecord rows, and the terminal state is
+classified into an Outcome. Runs are single-threaded and deterministic:
+the same scenario yields bit-identical traces.
 """
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -168,10 +167,15 @@ class Outcome:
 
 def disrupted_setup(scenario: Scenario):
     """Apply all events; returns (plant', u0') with event-moved controls
-    rebased. An event that leaves an invalid plant raises ScenarioError."""
+    rebased. An event whose node is outside [0, control_dim), or that leaves
+    an invalid plant, raises ScenarioError."""
     plant = scenario.plant
     u0 = np.array(scenario.u0, dtype=float)
     for event in scenario.disruptions:
+        node = event.params.get("node")
+        if node is not None and not 0 <= node < plant.control_dim:
+            raise ScenarioError(f"disruption node {node} is outside the "
+                                f"control range [0, {plant.control_dim})")
         try:
             plant = plant.disrupted(event)
         except ModelError as exc:
@@ -207,8 +211,8 @@ def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
                          ("y_lower", plant.y_lower)):
         if not np.isfinite(values).all():
             raise ScenarioError(f"{name} must be finite")
-    if np.any(u0 < plant.u_lower - scenario.eps_feas) or \
-            np.any(u0 > plant.u_upper + scenario.eps_feas):
+    if (u0 < plant.u_lower - scenario.eps_feas).any() or \
+            (u0 > plant.u_upper + scenario.eps_feas).any():
         raise ScenarioError("initial control violates its box limits")
     try:
         return plant.solve_from(u0)[1]
@@ -317,7 +321,8 @@ def run(scenario: Scenario):
         reached_eq = (u_now == u_seen
                       and beacons_next.tolist() == beacons.tolist()) or (
             (at_ceiling or all(map(ge, feas_floor, deficit_now)))
-            and is_equilibrium(u, beacons, u_next, beacons_next, eps_eq))
+            and is_equilibrium(u_seen, beacons.tolist(), u_now,
+                               beacons_next.tolist(), eps_eq))
         if at_ceiling and deficit_now == prev_deficit:
             frozen_rounds += 1
         else:
@@ -376,19 +381,20 @@ class MessageStats:
     first_change: dict
 
 
-def _versus_previous(compare, u, u0):
-    """compare(control, previous control) per (round, agent); the first
-    round compares with u0."""
-    return np.concatenate((compare(u[:1], np.asarray(u0, dtype=float)),
-                           compare(u[1:], u[:-1])))
+def _previous(rows, first):
+    """rows shifted down by one: row i holds row i - 1, and row 0 first."""
+    previous = np.empty_like(rows)
+    previous[:1] = first
+    previous[1:] = rows[:-1]
+    return previous
 
 
 def _first_rounds(mask, rounds) -> dict:
     """{agent: first round whose row of mask is set}, in order of that round."""
-    agents = np.flatnonzero(mask.any(axis=0))
+    agents = mask.any(axis=0).nonzero()[0]
     first = mask[:, agents].argmax(axis=0)
-    return {int(agents[j]): int(rounds[first[j]])
-            for j in np.argsort(first, kind="stable")}
+    order = first.argsort(kind="stable")
+    return dict(zip(agents[order].tolist(), rounds[first[order]].tolist()))
 
 
 def message_stats(trace: Trace, comm_graph: Graph, u0) -> MessageStats:
@@ -402,16 +408,13 @@ def message_stats(trace: Trace, comm_graph: Graph, u0) -> MessageStats:
     """
     if not trace:
         raise ValueError("empty trace")
-    beaconing = trace.beacons > 0
-    first_beacon = _first_rounds(beaconing, trace.rounds)
-    first_assistance = dict(sorted(_first_rounds(
-        beaconing @ (adjacency_matrix(comm_graph) > 0), trace.rounds).items()))
-    first_change = _first_rounds(
-        _versus_previous(np.not_equal, trace.u, u0), trace.rounds)
-    return MessageStats(total=sum(trace.messages.tolist()),
-                        first_beacon=first_beacon,
-                        first_assistance=first_assistance,
-                        first_change=first_change)
+    beaconing, rounds = trace.beacons > 0, trace.rounds
+    assisted = beaconing @ (adjacency_matrix(comm_graph) > 0)
+    return MessageStats(
+        total=sum(trace.messages.tolist()),
+        first_beacon=_first_rounds(beaconing, rounds),
+        first_assistance=dict(sorted(_first_rounds(assisted, rounds).items())),
+        first_change=_first_rounds(trace.u != _previous(trace.u, u0), rounds))
 
 
 def verify_trace(trace: Trace, comm_graph: Graph, u_upper, u0) -> list:
@@ -431,31 +434,26 @@ def verify_trace(trace: Trace, comm_graph: Graph, u_upper, u0) -> list:
     u_upper = np.asarray(u_upper, dtype=float)
     adjacency = adjacency_matrix(comm_graph)
     u, beacons, messages = trace.u, trace.beacons, trace.messages
-    beaconing = beacons > 0
+    previous, beaconing = _previous(u, u0), beacons > 0
     expect = beaconing @ adjacency.sum(axis=1).astype(int)
     # who beaconed in the round before each record; nobody before round 1
-    before = np.vstack((np.zeros_like(beaconing[:1]), beaconing[:-1]))
-    prompted = (trace.deficit > 0) | (before @ adjacency > 0)
-    follows = np.diff(trace.rounds, prepend=0) == 1
-    unprompted = (_versus_previous(np.greater, u, u0) & ~prompted
-                  & follows[:, None])
-    flags = np.column_stack((np.any(_versus_previous(np.less, u, u0), axis=1),
-                             np.any(u > u_upper, axis=1),
-                             np.any(beacons < 0, axis=1)))
+    prompted = (trace.deficit > 0) | (_previous(beaconing, 0) @ adjacency > 0)
+    follows = trace.rounds - _previous(trace.rounds, 0) == 1
+    unprompted = (u > previous) & ~prompted & follows[:, None]
+    decreased, exceeds, negative = u < previous, u > u_upper, beacons < 0
     unsaturated = beaconing & (u != u_upper)
+    bad = decreased | exceeds | negative | unsaturated | unprompted
     problems = []
-    for i in np.flatnonzero(flags.any(axis=1) | unsaturated.any(axis=1)
-                            | unprompted.any(axis=1)
-                            | (messages != expect)):
+    for i in (bad.any(axis=1) | (messages != expect)).nonzero()[0]:
         t = trace.rounds[i]
-        problems += [f"round {t}: {text}" for text, bad in zip(
-            ("control decreased", "control exceeds its ceiling",
-             "negative beacon"), flags[i]) if bad]
+        problems += [f"round {t}: {text}" for text, flags in (
+            ("control decreased", decreased), ("control exceeds its ceiling",
+             exceeds), ("negative beacon", negative)) if flags[i].any()]
         problems += [f"round {t}: beacon at unsaturated agent {k}"
-                     for k in np.flatnonzero(unsaturated[i])]
+                     for k in unsaturated[i].nonzero()[0]]
         problems += [f"round {t}: control {k} rose without a deficit "
                      "or a neighbor's beacon"
-                     for k in np.flatnonzero(unprompted[i])]
+                     for k in unprompted[i].nonzero()[0]]
         if messages[i] != expect[i]:
             problems.append(
                 f"round {t}: {messages[i]} messages, expected {expect[i]}")

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from ripplesim import (Graph, LinearPlant, ProtocolGains, adjacency_matrix,
                        auto_gains, gain_condition, is_equilibrium,
-                       message_counts, protocol_round, round_constants,
-                       spectral_norm)
+                       message_counts, monotonicity_probe, protocol_round,
+                       round_constants, spectral_norm)
 
 
 def unit_gains(n):
@@ -238,6 +238,94 @@ def test_spectral_norm_matches_dense_svd():
         m = d[:, None] * a
         oracle = np.sqrt(np.max(np.linalg.eigvalsh(m.T @ m)))
         assert abs(spectral_norm(m) - oracle) <= 1e-8 * max(1.0, oracle)
+
+
+def test_spectral_norm_is_the_2_norm_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        shape = tuple(rng.integers(1, 9, size=2))
+        m = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3])
+        m[rng.random(shape) < 0.3] = 0.0
+        assert spectral_norm(m) == np.linalg.norm(m, 2)
+    assert spectral_norm(np.zeros((3, 2))) == spectral_norm(np.zeros((0, 2))) \
+        == 0.0
+    for not_a_matrix in (np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="two-dimensional matrix"):
+            spectral_norm(not_a_matrix)
+
+
+def reference_eta1(plant, u0):
+    """auto_gains' eta1 as an agent-by-agent loop over the probe's Jacobian."""
+    jac = monotonicity_probe(plant, u0).jacobian
+    row_of = {node: i for i, node in enumerate(plant.measured_nodes)}
+    eta1 = np.ones(plant.control_dim)
+    for k in range(plant.control_dim):
+        if k in row_of:
+            sens = jac[row_of[k], k]
+        else:
+            sens = float(np.max(np.abs(jac[:, k]))) if jac.size else 0.0
+        if sens > 1e-12:
+            eta1[k] = 0.5 / sens
+    return eta1
+
+
+def test_auto_gains_eta1_matches_a_per_agent_loop_bit_for_bit():
+    # agent 0: measured, own sensitivity 2; agent 1: unmeasured, largest
+    # column entry |-0.8|; agent 2: measured, negative own sensitivity;
+    # agent 3: unmeasured, zero column; agent 4: measured, own sensitivity
+    # 5e-13 (probed as about that, so not above 1e-12) below the 0.9 of its
+    # column
+    sensitivity = [[2.0, 0.3, 0.0, 0.0, 0.9],
+                   [0.1, -0.8, -0.4, 0.0, 0.7],
+                   [0.0, 0.0, 0.0, 0.0, 5e-13]]
+    plant = LinearPlant(sensitivity, offset=np.zeros(3), u_lower=np.zeros(5),
+                        u_upper=np.ones(5), y_lower=np.zeros(3),
+                        measured_nodes=[0, 2, 4])
+    adjacency = adjacency_matrix(Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4))))
+    eta1 = auto_gains(plant, adjacency, np.full(5, 0.5)).eta1
+    assert eta1.tobytes() == reference_eta1(plant, np.full(5, 0.5)).tobytes()
+    assert_allclose(eta1[:2], [0.25, 0.5 / 0.8])
+    assert eta1[2:].tolist() == [1.0, 1.0, 1.0]
+    assert 0.0 < monotonicity_probe(plant, np.full(5, 0.5)).jacobian[2, 4] \
+        <= 1e-12
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(0, 7))
+        measured = sorted(rng.choice(n, size=min(m, n), replace=False))
+        s = rng.normal(size=(len(measured), n))
+        s[:, rng.random(n) < 0.3] = 0.0
+        plant = LinearPlant(s, np.zeros(len(measured)), np.zeros(n),
+                            np.ones(n), np.zeros(len(measured)), measured)
+        u0 = rng.uniform(0.0, 1.0, n)
+        eta1 = auto_gains(plant, np.ones((n, n)) - np.eye(n), u0).eta1
+        assert eta1.tobytes() == reference_eta1(plant, u0).tobytes()
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_gain_errors_name_the_bad_vector(position):
+    good, bad = [1.0, 2.0], [1.0, np.nan]
+    etas = [good, good, good]
+    etas[position] = bad
+    with pytest.raises(ValueError, match=f"^eta{position + 1} must be "
+                                         "finite and strictly positive$"):
+        ProtocolGains(*etas)
+    etas[position] = [1.0]
+    with pytest.raises(ValueError, match="^gain vectors disagree in length$"):
+        ProtocolGains(*etas)
+
+
+def test_gains_must_be_vectors():
+    # (1, 2) "vectors": their NaN must not pass a row-by-row check
+    with pytest.raises(ValueError, match="^gain vectors must be one-dim"):
+        ProtocolGains(*[[[1.0, np.nan]]] * 3)
+
+
+def test_is_equilibrium_on_lists():
+    assert is_equilibrium([1.0, 2.0], [0.0, 0.0], [1.0, 2.0 + 1e-9],
+                          [0.0, 1e-9], 1e-8)
+    assert not is_equilibrium([1.0], [0.0], [1.0], [float("nan")], 1e-8)
+    with pytest.raises(ValueError, match="disagree in dimension"):
+        is_equilibrium([1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0], 1e-8)
 
 
 def test_round_single_agent_first_step():

@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ripplesim import (DisruptionEvent, GridModel, GridPlant, Graph,
@@ -559,6 +561,22 @@ def test_disruption_indices_must_be_integers(kind, params, index):
         disrupted_setup(scenario)
 
 
+@pytest.mark.parametrize("kind", ["source_outage", "demand_change"])
+@pytest.mark.parametrize("node", [-1, 10, 99])
+def test_disruption_node_must_be_a_control(kind, node):
+    # wds10 has controls 0 to 9: node -1 would pin node 9 through numpy's
+    # negative index, and 10 or 99 would escape as a raw IndexError
+    scenario = load_scenario("wds10")
+    params = {"node": node, "scale": 2.0} if kind == "demand_change" \
+        else {"node": node}
+    scenario.disruptions += (DisruptionEvent(kind, params),)
+    with pytest.raises(ScenarioError, match=rf"^disruption node {node} is "
+                       r"outside the control range \[0, 10\)$"):
+        disrupted_setup(scenario)
+    with pytest.raises(ScenarioError, match="outside the control range"):
+        run(scenario)
+
+
 def test_noop_disruption_keeps_behavior():
     plant = small_water_plant()
     event = DisruptionEvent(kind="demand_change",
@@ -895,3 +913,113 @@ def test_failed_warm_start_falls_back_to_the_cold_solve():
     for r in records:
         assert r.y.tobytes() == plant.solve(u_prev).tobytes()
         u_prev = r.u
+
+
+# (column, value) of the faults audit_inputs injects: a control that
+# falls, passes its ceiling or is NaN, a negative beacon, a beacon at an
+# unsaturated agent, and a message count that is off by one
+AUDIT_FAULTS = (("u", -1.0), ("u", 2.0), ("u", np.nan), ("beacons", -0.5),
+                ("beacons", 0.3), ("messages", 1))
+
+
+@st.composite
+def audit_inputs(draw):
+    """(trace, graph, u_upper, u0) of 1 to 4 agents and 1 to 6 records with
+    gaps in their rounds: a trace that keeps the invariants (save controls
+    that rise unprompted), then up to four AUDIT_FAULTS injected into one of
+    its records."""
+    def column(entries, shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.sampled_from(entries), min_size=size,
+                                      max_size=size))).reshape(shape)
+
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    graph = Graph(node_count=n, edges=tuple(
+        draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ()))
+    rounds = sorted(draw(st.lists(st.integers(1, 9), min_size=1, max_size=6,
+                                  unique=True)))
+    shape = (len(rounds), n)
+    u0, u_upper = column([0.0, 0.5], n), column([1.0, 1.5], n)
+    u = np.minimum(u0 + column([0.0, 0.0, 0.5], shape).cumsum(axis=0),
+                   u_upper)
+    beacons = np.where(u == u_upper, column([0.0, 0.3], shape), 0.0)
+    messages = (beacons > 0) @ np.count_nonzero(adjacency_matrix(graph),
+                                                axis=1)
+    i = draw(st.integers(0, shape[0] - 1))  # the record with the faults
+    faults = st.tuples(st.integers(0, n - 1), st.sampled_from(AUDIT_FAULTS))
+    for k, (name, value) in draw(st.lists(faults, max_size=4)):
+        if name == "messages":
+            messages[i] += value
+        else:
+            {"u": u, "beacons": beacons}[name][i, k] = value
+    trace = Trace(np.array(rounds), u, np.zeros((shape[0], 0)),
+                  column([0.0, 0.2, 0.2], shape), beacons, messages)
+    return trace, graph, u_upper, u0.tolist()
+
+
+def reference_audit(trace, graph, u_upper, u0):
+    """verify_trace and message_stats as one plain loop over the records:
+    (problems, total, first_beacon, first_assistance, first_change)."""
+    n = graph.node_count
+    neighbors = [[j for e in graph.edges if k in e for j in e if j != k]
+                 for k in range(n)]
+    problems, total, first_beacon, first_assistance, first_change = (
+        [], 0, {}, {}, {})
+    prev_round, prev_u, prev_beacons = 0, list(u0), [0.0] * n
+    for rec in trace:
+        t, u = rec.round, rec.u.tolist()
+        beacons, deficit = rec.beacons.tolist(), rec.deficit.tolist()
+        for text, bad in (
+                ("control decreased", any(u[k] < prev_u[k] for k in range(n))),
+                ("control exceeds its ceiling",
+                 any(u[k] > u_upper[k] for k in range(n))),
+                ("negative beacon", any(b < 0 for b in beacons))):
+            if bad:
+                problems.append(f"round {t}: {text}")
+        for k in range(n):
+            if beacons[k] > 0 and u[k] != u_upper[k]:
+                problems.append(f"round {t}: beacon at unsaturated agent {k}")
+        for k in range(n):
+            prompted = deficit[k] > 0 or any(prev_beacons[j] > 0
+                                             for j in neighbors[k])
+            if t == prev_round + 1 and u[k] > prev_u[k] and not prompted:
+                problems.append(f"round {t}: control {k} rose without a "
+                                "deficit or a neighbor's beacon")
+        expect = sum(len(neighbors[k]) for k in range(n) if beacons[k] > 0)
+        if rec.messages != expect:
+            problems.append(f"round {t}: {rec.messages} messages, expected "
+                            f"{expect}")
+        total += rec.messages
+        for k in range(n):
+            if beacons[k] > 0:
+                first_beacon.setdefault(k, t)
+                for j in neighbors[k]:
+                    first_assistance.setdefault(j, t)
+            if u[k] != prev_u[k]:
+                first_change.setdefault(k, t)
+        prev_round, prev_u, prev_beacons = t, u, beacons
+    return (problems, total, first_beacon,
+            dict(sorted(first_assistance.items())), first_change)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(audit_inputs())
+# round 2 breaks every invariant at once: agent 0 falls, agent 1 passes its
+# ceiling, rises unprompted and beacons unsaturated, and the count is off
+@example((Trace(np.array([1, 2]), np.array([[0.5, 0.5], [0.0, 2.0]]),
+                np.zeros((2, 0)), np.zeros((2, 2)),
+                np.array([[0.0, 0.0], [-0.5, 0.3]]), np.array([0, 5])),
+          Graph(node_count=2, edges=((0, 1),)), np.ones(2), [0.5, 0.5]))
+def test_audit_matches_a_plain_loop_over_the_records(inputs):
+    trace, graph, u_upper, u0 = inputs
+    stats = message_stats(trace, graph, u0)
+    got = (verify_trace(trace, graph, u_upper, u0), stats.total,
+           stats.first_beacon, stats.first_assistance, stats.first_change)
+    expect = reference_audit(trace, graph, u_upper.tolist(), u0)
+    assert got == expect
+    # the dicts also agree in order, and every key and value is an int
+    for g, e in zip(got[2:], expect[2:]):
+        assert list(g.items()) == list(e.items())
+        assert all(type(x) is int for item in g.items() for x in item)
+    assert type(stats.total) is int

@@ -28,6 +28,9 @@ from .scenario_io import load_scenario
 from .sim import _validate_run, disrupted_setup, gain_setup, message_stats, run
 
 
+_ROW_BLOCK = 4096  # rows of a CSV table converted to text at once
+
+
 def entry():
     sys.exit(main())
 
@@ -115,17 +118,28 @@ def cmd_simulate(args) -> int:
 
 
 def _write_rows(path, header, rounds, table, messages=None):
-    """CSV of the header, then one line per row of table: its round, the
-    repr of each entry and, when given, its message count."""
+    """CSV of the header, then one line per row of table (floats): its
+    round, the repr of each entry and, when given, its message count. An
+    entry with the bits of the entry above reuses its text, so each column
+    calls repr once per change (-0.0 under 0.0 is a change). Rows are
+    converted a block at a time, which keeps the peak memory low."""
+    bits = table.view(np.int64)
+    changed = np.ones(table.shape, dtype=bool)
+    changed[1:] = bits[1:] != bits[:-1]
+    changed[::_ROW_BLOCK] = True  # each block formats its first row
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        tails = ([[str(m)] for m in messages.tolist()] if messages is not None
-                 else [[]] * len(rounds))
-        # the line csv.writer writes: repr floats and ints need no quoting;
-        # one row is converted at a time, which keeps the peak memory low
-        for t, row, tail in zip(rounds.tolist(), table, tails):
-            fh.write(",".join([str(t), *map(repr, row.tolist()), *tail])
-                     + "\r\n")
+        for block in range(0, len(table), _ROW_BLOCK):
+            rows = slice(block, block + _ROW_BLOCK)
+            columns = [list(map(str, rounds[rows].tolist()))]
+            for values, new in zip(table[rows].T, changed[rows].T):
+                texts = np.array(list(map(repr, values[new].tolist())),
+                                 dtype=object)
+                columns.append(texts[np.cumsum(new) - 1].tolist())
+            if messages is not None:
+                columns.append(list(map(str, messages[rows].tolist())))
+            # the line csv.writer writes: repr floats and ints need no quoting
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
 def _write_trace(path, trace, labels, measured_labels):

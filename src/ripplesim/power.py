@@ -16,7 +16,6 @@ whenever the certificate matrix diag(q_L / v_L^2) + B_LL is positive
 definite (G is then an M-matrix, so its inverse is nonnegative).
 """
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,14 +71,30 @@ class GridModel:
         return weighted_laplacian(self.graph, self.susceptances)
 
 
-class PowerFlowSolution(NamedTuple):
-    """Solved load voltages plus bookkeeping from the Newton iteration."""
+class PowerFlowSolution:
+    """Solved load voltages plus bookkeeping from the Newton iteration.
 
-    v_load: np.ndarray
-    q_gen: np.ndarray
-    i_load: np.ndarray
-    iterations: int
-    residual: float
+    q_gen, the generator injections v_G * (B_GG v_G + B_LG^T v_L), is
+    built on first read from the v_gen and grid the solve kept, then
+    cached; a q_gen given to the constructor is returned as it is.
+    """
+
+    __slots__ = ("v_load", "i_load", "iterations", "residual", "_q_gen",
+                 "_v_gen", "_grid")
+
+    def __init__(self, v_load, q_gen=None, i_load=None, iterations=0,
+                 residual=0.0, *, v_gen=None, grid=None):
+        self.v_load, self.i_load = v_load, i_load
+        self.iterations, self.residual = iterations, residual
+        self._q_gen, self._v_gen, self._grid = q_gen, v_gen, grid
+
+    @property
+    def q_gen(self) -> np.ndarray:
+        if self._q_gen is None:
+            v_gen, grid = self._v_gen, self._grid
+            self._q_gen = v_gen * (grid.b_gg.dot(v_gen)
+                                   + grid.b_lg.T.dot(self.v_load))
+        return self._q_gen
 
 
 def reactive_injections(v, b_matrix) -> np.ndarray:
@@ -108,7 +123,7 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
     degenerates.
     """
     q_load = np.asarray(q_load, dtype=float)
-    v_gen = np.asarray(v_gen, dtype=float)
+    v_gen = np.array(v_gen, dtype=float)  # a copy: the solution keeps it
     nl = len(grid.loads)
     if q_load.shape != (nl,) or v_gen.shape != (len(grid.generators),):
         raise ModelError("injection/voltage vectors disagree with partition")
@@ -133,9 +148,8 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
             + newton_failure(rnorm, iters, max_iter))
     if np.logical_or.reduce(v <= _ZERO):
         raise PowerFlowInfeasibleError("converged to non-physical voltages")
-    q_gen = v_gen * (grid.b_gg.dot(v_gen) + grid.b_lg.T.dot(v))
-    return PowerFlowSolution(v_load=v, q_gen=q_gen, i_load=i_load,
-                             iterations=iters, residual=rnorm)
+    return PowerFlowSolution(v, None, i_load, iters, rnorm, v_gen=v_gen,
+                             grid=grid)
 
 
 def dvl_dql(sol: PowerFlowSolution, grid: GridModel) -> np.ndarray:

@@ -167,10 +167,13 @@ class Outcome:
 
 def disrupted_setup(scenario: Scenario):
     """Apply all events; returns (plant', u0') with event-moved controls
-    rebased. An event whose node is outside [0, control_dim), or that leaves
-    an invalid plant, raises ScenarioError."""
+    rebased. A u0 without one entry per control, an event whose node is
+    outside [0, control_dim), or one that leaves an invalid plant, raises
+    ScenarioError."""
     plant = scenario.plant
     u0 = np.array(scenario.u0, dtype=float)
+    if u0.shape != (plant.control_dim,):
+        raise ScenarioError("initial control has the wrong length")
     for event in scenario.disruptions:
         node = event.params.get("node")
         if node is not None and not 0 <= node < plant.control_dim:
@@ -189,14 +192,13 @@ def disrupted_setup(scenario: Scenario):
 
 
 def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
-    """Reject a run that cannot start; returns the plant's solve state at u0."""
+    """Reject a run that cannot start; returns the plant's solve state at u0,
+    whose length disrupted_setup has checked."""
     n = plant.control_dim
     if scenario.comm_graph.node_count != n:
         raise ScenarioError("communication graph size disagrees with plant")
     if not is_connected(scenario.comm_graph):
         raise ScenarioError("communication graph must be connected")
-    if u0.shape != (n,):
-        raise ScenarioError("initial control has the wrong length")
     for name in ("eps_eq", "eps_feas"):
         value = getattr(scenario, name)
         if isinstance(value, (bool, np.bool_)) or not 0.0 < value < np.inf:

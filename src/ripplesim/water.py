@@ -29,7 +29,6 @@ singular exactly when this matrix is. At least one node must hold a fixed
 pressure, and every node must reach one through the network.
 """
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -226,7 +225,7 @@ class WaterModel:
         object.__setattr__(self, "_incidence", _Incidence(self))
 
 
-class HydraulicSolution(NamedTuple):
+class HydraulicSolution:
     """Nodal pressures, per-edge flows, and solver bookkeeping.
 
     Flows are oriented along each edge's canonical (low, high) direction;
@@ -234,14 +233,27 @@ class HydraulicSolution(NamedTuple):
     vector (law-order edge flows, free pressures) and flow_terms its pipe
     drops, slopes and free-node outflows, both read-only, then the model: a
     later solve of that model takes the solution as its x0 and reuses them.
+    flows is scattered from unknowns on first read, then cached; a flows
+    given to the constructor is returned as it is.
     """
 
-    pressures: np.ndarray
-    flows: np.ndarray
-    residual: float
-    iterations: int
-    unknowns: np.ndarray | None = None
-    flow_terms: tuple | None = None
+    __slots__ = ("pressures", "residual", "iterations", "unknowns",
+                 "flow_terms", "_flows")
+
+    def __init__(self, pressures, flows=None, residual=0.0, iterations=0,
+                 unknowns=None, flow_terms=None):
+        self.pressures, self._flows = pressures, flows
+        self.residual, self.iterations = residual, iterations
+        self.unknowns, self.flow_terms = unknowns, flow_terms
+
+    @property
+    def flows(self) -> np.ndarray:
+        if self._flows is None:
+            model = self.flow_terms[-1]
+            net = model._incidence
+            self._flows = np.zeros(len(model.graph.edges))
+            self._flows[net.edges] = net.sign * self.unknowns[:len(net.tail)]
+        return self._flows
 
 
 def _newton_step(net: _Incidence, r, slope):
@@ -330,12 +342,9 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
         j = k + backward.argmax()
         raise PumpReverseFlowError(
             f"pump {tail[j]}->{head[j]} would carry reverse flow {q[j]:.3f}")
-    flows = np.zeros(len(model.graph.edges))
-    flows[net.edges] = net.sign * q
     for a in (x, *terms[:3]):
         a.setflags(write=False)
-    return HydraulicSolution(pressures=pressures, flows=flows, residual=rnorm,
-                             iterations=iters, unknowns=x, flow_terms=terms)
+    return HydraulicSolution(pressures, None, rnorm, iters, x, terms)
 
 
 def check_pressure_ordering(model: WaterModel, u_hi, u_lo) -> bool:

@@ -25,7 +25,7 @@ def test_simulate_linear_cascade(tmp_path):
     assert rows[0]["round"] == "1"
     assert float(rows[0]["u_1"]) == 0.5
     assert rows[0]["messages"] == "1"
-    summary = json.load(open(tmp_path / "summary.json"))
+    summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["outcome"]["status"] == "converged"
     efforts = read_csv(tmp_path / "effort.csv")
     assert float(efforts[-1]["effort_1"]) == 1.0  # agent 1 fully used
@@ -34,7 +34,7 @@ def test_simulate_linear_cascade(tmp_path):
 def test_simulate_pjm5(tmp_path):
     code = main(["simulate", "pjm5", "--output-dir", str(tmp_path)])
     assert code == 0
-    summary = json.load(open(tmp_path / "summary.json"))
+    summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["outcome"]["status"] == "converged"
     assert all(v >= 0.94 - 1e-6 for v in summary["terminal_y"])
     rows = read_csv(tmp_path / "trace.csv")
@@ -45,7 +45,7 @@ def test_simulate_wds10_decimated(tmp_path):
     code = main(["simulate", "wds10", "--output-dir", str(tmp_path),
                  "--decimate", "25"])
     assert code == 0
-    summary = json.load(open(tmp_path / "summary.json"))
+    summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["outcome"]["status"] == "converged"
     floors = [10, 7, 10, 10, 5, 10, 10, 10]
     assert all(y >= f - 1e-6 for y, f in zip(summary["terminal_y"], floors))
@@ -64,7 +64,7 @@ def test_simulate_budget_exceeded_exit(tmp_path):
     code = main(["simulate", "pjm5", "--output-dir", str(tmp_path),
                  "--budget", "3"])
     assert code == 1
-    summary = json.load(open(tmp_path / "summary.json"))
+    summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["outcome"]["status"] == "budget_exceeded"
 
 
@@ -74,7 +74,7 @@ def test_decimated_budget_run_ends_at_its_last_round(tmp_path):
     code = main(["simulate", "wds10", "--output-dir", str(tmp_path),
                  "--budget", "500", "--decimate", "7"])
     assert code == 1
-    summary = json.load(open(tmp_path / "summary.json"))
+    summary = json.loads((tmp_path / "summary.json").read_text())
     rows = read_csv(tmp_path / "trace.csv")
     assert summary["outcome"]["rounds"] == int(rows[-1]["round"]) == 500
     assert summary["run"]["records"] == len(rows) == 73
@@ -92,7 +92,7 @@ def test_simulate_override_gain_check(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
     assert main(["simulate", path, "--output-dir", str(tmp_path),
                  "--override-gain-check"]) == 0
-    summary = json.load(open(tmp_path / "summary.json"))
+    summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["gain_condition"] == 1.0
     assert summary["outcome"]["status"] == "converged"
 
@@ -104,20 +104,20 @@ def test_check_gains_pass(capsys):
 
 
 def test_check_gains_fail(tmp_path, capsys):
-    doc = json.load(open(bundled_scenario_path("linear_cascade")))
+    doc = json.loads(bundled_scenario_path("linear_cascade").read_text())
     doc["gains"] = {"eta1": 1.0, "eta2": 1.0, "eta3": 1.0}
     path = tmp_path / "hot.json"
-    json.dump(doc, open(path, "w"))
+    path.write_text(json.dumps(doc))
     assert main(["check-gains", str(path)]) == 1
     out = capsys.readouterr().out
     assert "fail" in out and "1" in out
 
 
 def test_check_gains_disconnected(tmp_path, capsys):
-    doc = json.load(open(bundled_scenario_path("linear_cascade")))
+    doc = json.loads(bundled_scenario_path("linear_cascade").read_text())
     doc["comm_graph"]["edges"] = []
     path = tmp_path / "nocomm.json"
-    json.dump(doc, open(path, "w"))
+    path.write_text(json.dumps(doc))
     assert main(["check-gains", str(path)]) == 2
     out = capsys.readouterr().out
     assert "spectral norm: 0" in out  # empty overlay scores zero, then fails
@@ -154,7 +154,7 @@ def test_check_monotonicity_flags_decreasing(tmp_path, capsys):
         "run": {},
     }
     path = tmp_path / "anti.json"
-    json.dump(doc, open(path, "w"))
+    path.write_text(json.dumps(doc))
     assert main(["check-monotonicity", str(path), "--points", "1"]) == 1
     assert "fail" in capsys.readouterr().out
 
@@ -222,26 +222,32 @@ def test_feasibility_reports(capsys):
 
 
 def test_feasibility_infeasible_exit(tmp_path):
-    doc = json.load(open(bundled_scenario_path("linear_cascade")))
+    doc = json.loads(bundled_scenario_path("linear_cascade").read_text())
     doc["plant"]["u_upper"] = [0.3, 0.4]
     path = tmp_path / "tight.json"
-    json.dump(doc, open(path, "w"))
+    path.write_text(json.dumps(doc))
     assert main(["feasibility", str(path)]) == 1
 
 
 def write_edited(tmp_path, edit, name="linear_cascade"):
-    doc = json.load(open(bundled_scenario_path(name)))
+    doc = json.loads(bundled_scenario_path(name).read_text())
     edit(doc)
     path = tmp_path / "edited.json"
-    json.dump(doc, open(path, "w"))
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
+def overflowing_start(doc):
+    """A reading that overflows at the start, so the run fails in round 1."""
+    doc["plant"].update(sensitivity=[[1.7e308, 1.7e308]])
+    doc["initial"].update(u0=[0.5, 1.0])
+
+
 def test_simulate_computes_auto_gains_once(tmp_path, monkeypatch):
-    doc = json.load(open(bundled_scenario_path("wds10")))
+    doc = json.loads(bundled_scenario_path("wds10").read_text())
     doc["gains"] = "auto"
     path = tmp_path / "auto.json"
-    json.dump(doc, open(path, "w"))
+    path.write_text(json.dumps(doc))
     calls = []
 
     def counted(*args):
@@ -251,7 +257,7 @@ def test_simulate_computes_auto_gains_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ripplesim.sim, "auto_gains", counted)
     assert main(["simulate", str(path), "--output-dir", str(tmp_path)]) == 0
     assert len(calls) == 1
-    summary = json.load(open(tmp_path / "summary.json"))
+    summary = json.loads((tmp_path / "summary.json").read_text())
     monkeypatch.undo()
     scenario = load_scenario(path)
     outcome, _ = run(scenario)
@@ -281,9 +287,7 @@ def test_check_gains_overflowing_gains_fail(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_simulate_non_finite_plant_output_exit(tmp_path):
     # finite inputs whose reading overflows: 1.7e308 * (0.5 + 1.0) is inf
-    path = write_edited(tmp_path, lambda doc: (
-        doc["plant"].update(sensitivity=[[1.7e308, 1.7e308]]),
-        doc["initial"].update(u0=[0.5, 1.0])))
+    path = write_edited(tmp_path, overflowing_start)
     assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 3
 
     def reject(constant):
@@ -417,9 +421,7 @@ def reference_trace_and_effort(outdir, scenario, records):
 def test_trace_writers_match_the_csv_writer_reference(tmp_path, case):
     args = []
     if case == "non-finite-empty-trace":
-        source = write_edited(tmp_path, lambda doc: (
-            doc["plant"].update(sensitivity=[[1.7e308, 1.7e308]]),
-            doc["initial"].update(u0=[0.5, 1.0])))
+        source = write_edited(tmp_path, overflowing_start)
     else:
         source = case.split("-")[0]
         if case.endswith("decimate-3"):
@@ -435,3 +437,62 @@ def test_trace_writers_match_the_csv_writer_reference(tmp_path, case):
     reference_trace_and_effort(ref, scenario, records)
     for name in ("trace.csv", "effort.csv"):
         assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+def per_row_writer(path, header, rounds, table, messages=None):
+    """The writer that formatted every cell, kept as the byte reference of
+    cli._write_rows: one line per row, the repr of each entry."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        tails = ([[str(m)] for m in messages.tolist()] if messages is not None
+                 else [[]] * len(rounds))
+        for t, row, tail in zip(rounds.tolist(), table, tails):
+            fh.write(",".join([str(t), *map(repr, row.tolist()), *tail])
+                     + "\r\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("decimate", [[], ["--decimate", "3"]],
+                         ids=["plain", "decimate-3"])
+@pytest.mark.parametrize("name", ["pjm5", "wds10", "twobus", "linear_cascade",
+                                  "fails-in-round-1"])
+def test_column_writer_matches_the_per_row_writer(tmp_path, monkeypatch,
+                                                  name, decimate):
+    source = write_edited(tmp_path, overflowing_start) \
+        if name == "fails-in-round-1" else name
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    code = main(["simulate", source, "--output-dir", str(out)] + decimate)
+    monkeypatch.setattr(ripplesim.cli, "_write_rows", per_row_writer)
+    assert main(["simulate", source, "--output-dir", str(ref)]
+                + decimate) == code
+    for file in ("trace.csv", "effort.csv", "summary.json"):
+        assert (out / file).read_bytes() == (ref / file).read_bytes()
+    rows = (out / "trace.csv").read_text().count("\n") - 1
+    assert (rows == 0) == (name == "fails-in-round-1")
+
+
+@pytest.mark.parametrize("table", [
+    [[0.0, -0.0], [-0.0, 0.0], [-0.0, 0.0], [0.0, -0.0]],
+    [[np.nan, 1.0], [np.nan, np.inf], [-np.nan, np.inf], [1.0, -np.inf],
+     [1.0, -np.inf]],
+    [[0.1 + 0.2, 1e-300, -5e-324, 1.7976931348623157e308]],
+    np.zeros((0, 3)),
+    np.zeros((4, 0)),
+    np.repeat(np.random.default_rng(19).normal(size=(9, 4)), 3, axis=0),
+], ids=["signed-zeros", "nan-and-infinities", "single-row", "no-rows",
+        "no-columns", "runs-of-three"])
+@pytest.mark.parametrize("with_messages", [False, True])
+@pytest.mark.parametrize("block", [None, 2, 4])
+def test_column_writer_matches_the_per_row_writer_on_edge_values(
+        tmp_path, monkeypatch, table, with_messages, block):
+    if block is not None:  # runs of equal entries across block edges
+        monkeypatch.setattr(ripplesim.cli, "_ROW_BLOCK", block)
+    table = np.asarray(table, dtype=float)
+    rounds = np.arange(1, len(table) + 1)
+    messages = 3 * rounds if with_messages else None
+    header = ["round"] + [f"c{j}" for j in range(table.shape[1])]
+    ripplesim.cli._write_rows(tmp_path / "out.csv", header, rounds, table,
+                              messages)
+    per_row_writer(tmp_path / "ref.csv", header, rounds, table, messages)
+    assert (tmp_path / "out.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()

@@ -296,3 +296,33 @@ def test_gain_matrix_matches_the_dense_product_bit_for_bit(n):
             np.linalg.inv(reference).tobytes()
         assert dvl_dvg(sol, grid).tobytes() == np.linalg.solve(
             reference, -np.diag(v) @ grid.b_lg).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 40, 100])
+def test_q_gen_built_on_first_read_is_the_eager_expression(n):
+    rng = np.random.default_rng([19, n])
+    solved = 0
+    for _ in range(3):
+        grid, q_load, v_gen = random_grid(rng, n)
+        try:
+            sol = solve_load_voltages(q_load, v_gen, grid)
+        except PowerFlowInfeasibleError:
+            continue
+        solved += 1
+        eager = v_gen * (grid.b_gg.dot(v_gen) + grid.b_lg.T.dot(sol.v_load))
+        v_gen[:] = np.nan  # the solution keeps its own copy of v_gen
+        q_gen = sol.q_gen
+        assert q_gen.tobytes() == eager.tobytes()
+        assert sol.q_gen is q_gen  # built once, then cached
+    assert solved >= 2
+
+
+def test_a_q_gen_given_to_the_constructor_comes_back_as_it_is(twobus):
+    sol = solve_load_voltages(np.array([-0.1]), np.array([1.0]), twobus)
+    given = np.array([7.0])
+    copy = PowerFlowSolution(v_load=sol.v_load, q_gen=given,
+                             i_load=sol.i_load, iterations=sol.iterations,
+                             residual=sol.residual)
+    assert copy.q_gen is given
+    assert copy.v_load is sol.v_load and copy.i_load is sol.i_load
+    assert (copy.iterations, copy.residual) == (sol.iterations, sol.residual)

@@ -577,6 +577,21 @@ def test_disruption_node_must_be_a_control(kind, node):
         run(scenario)
 
 
+@pytest.mark.parametrize("kind", ["source_outage", "demand_change"])
+def test_short_initial_control_is_rejected_before_any_event(kind):
+    # node 9 is past the end of u0[:3]: rebasing it would raise a raw
+    # IndexError if the length were checked only after the events
+    scenario = load_scenario("wds10")
+    scenario.u0 = scenario.u0[:3]
+    params = {"node": 9, "scale": 2.0} if kind == "demand_change" \
+        else {"node": 9}
+    scenario.disruptions += (DisruptionEvent(kind, params),)
+    for call in (disrupted_setup, run):
+        with pytest.raises(ScenarioError,
+                           match="^initial control has the wrong length$"):
+            call(scenario)
+
+
 def test_noop_disruption_keeps_behavior():
     plant = small_water_plant()
     event = DisruptionEvent(kind="demand_change",

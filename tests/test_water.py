@@ -486,3 +486,43 @@ def test_probe_verdict_on_random_networks():
                            y_lower=np.full(4, -1e9),
                            measured_nodes=tuple(range(1, 5)))
         assert monotonicity_probe(plant, u).monotone
+
+
+def eager_flows(sol, model):
+    """The canonical flows as every solve built them before they were
+    built on first read: the law-order flows scattered to their edges."""
+    net = model._incidence
+    flows = np.zeros(len(model.graph.edges))
+    flows[net.edges] = net.sign * sol.unknowns[:len(net.tail)]
+    return flows
+
+
+def test_flows_built_on_first_read_are_the_eager_expression():
+    solutions = []
+    for n in (2, 10, 40, 120):
+        model, u = random_water_network(np.random.default_rng([19, n]), n)
+        solutions.append((model, solve_network(u, model)))
+    plant, controls = _wds10_run_controls()  # two pumps, warm solves
+    state = None
+    for u in controls[::50]:
+        _, state = plant.solve_from(u, state)
+        solutions.append((plant.model, state))
+    for model, sol in solutions:
+        expected = eager_flows(sol, model)
+        flows = sol.flows
+        assert flows.tobytes() == expected.tobytes()
+        assert sol.flows is flows  # built once, then cached
+
+
+def test_flows_given_to_the_constructor_come_back_as_they_are(single_pipe):
+    sol = solve_network(np.array([5.0, -100.0]), single_pipe)
+    given = np.array([3.0])
+    copy = water.HydraulicSolution(pressures=sol.pressures, flows=given,
+                                   residual=sol.residual,
+                                   iterations=sol.iterations,
+                                   unknowns=sol.unknowns,
+                                   flow_terms=sol.flow_terms)
+    assert copy.flows is given
+    assert copy.pressures is sol.pressures and copy.unknowns is sol.unknowns
+    assert copy.flow_terms is sol.flow_terms
+    assert (copy.residual, copy.iterations) == (sol.residual, sol.iterations)

@@ -9,10 +9,11 @@ kernel (protocol_round) on constants built once per run. The arithmetic of
 a round stays in numpy; its stopping rules, the equilibrium test
 (is_equilibrium) included, compare Python floats from tolist(), which at a
 few agents costs less than numpy calls. A retained round appends to one
-list per trace column; each column is stacked once, when the run ends,
-into a columnar Trace of TraceRecord rows, and the terminal state is
-classified into an Outcome. Runs are single-threaded and deterministic:
-the same scenario yields bit-identical traces.
+list per trace column, and every _BLOCK arrays of a list are joined into
+one; each column is joined once more when the run ends, into a columnar
+Trace of TraceRecord rows, and the terminal state is classified into an
+Outcome. Runs are single-threaded and deterministic: the same scenario
+yields bit-identical traces.
 """
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -28,6 +29,10 @@ from .plant import EPS_FEAS_DEFAULT, PlantModel, feasibility_check
 from .protocol import (ProtocolGains, auto_gains, gain_condition,
                        is_equilibrium, message_counts, protocol_round,
                        round_constants)
+
+# kept rounds per joined block of a trace column: a long run holds at most
+# this many per-round arrays per column, not one per kept round
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -345,6 +350,9 @@ def run(scenario: Scenario):
             keep_y(y)
             keep_deficit(deficit)
             keep_beacons(beacons)
+            if len(columns[0]) % _BLOCK == 0:
+                for rows in columns[1:]:
+                    rows[-_BLOCK:] = [np.concatenate(rows[-_BLOCK:])]
         if stop:
             break
 
@@ -357,18 +365,19 @@ def run(scenario: Scenario):
         max_violation=float("nan") if failed else float(deficit.max()),
         max_beacon=float(beacons.max()), gain_norm=norm, detail=detail,
         plant=plant, u0=u0)
-    # the messages are counted at once; each column is stacked in turn, and
-    # its per-round arrays are released before the next one is stacked
-    u_col, y_col, deficit_col, beacons_col = map(_stacked, columns[1:],
-                                                 (n, m, n, n))
+    # the messages are counted at once; each column is joined in turn, and
+    # its blocks and per-round arrays are released before the next is joined
+    records = len(columns[0])
+    u_col, y_col, deficit_col, beacons_col = map(
+        _stacked, columns[1:], [(records, width) for width in (n, m, n, n)])
     return outcome, Trace(columns[0], u_col, y_col, deficit_col, beacons_col,
                           message_counts(beacons_col, adjacency))
 
 
-def _stacked(rows, width):
-    """A list of equal-length 1-D arrays as the rows of one (len(rows),
-    width) array; the list is emptied."""
-    stacked = np.concatenate(rows or [np.empty(0)]).reshape(len(rows), width)
+def _stacked(rows, shape):
+    """A column's list of 1-D rows and joined blocks of them as one array of
+    shape (kept rows, width); the list is emptied."""
+    stacked = np.concatenate(rows or [np.empty(0)]).reshape(shape)
     rows.clear()
     return stacked
 

@@ -452,16 +452,22 @@ def per_row_writer(path, header, rounds, table, messages=None):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("decimate", [[], ["--decimate", "3"]],
-                         ids=["plain", "decimate-3"])
+@pytest.mark.parametrize("decimate, block", [
+    ([], None), (["--decimate", "3"], None), ([], 7),
+    (["--decimate", "3"], 7)],
+    ids=["plain", "decimate-3", "plain-block-7", "decimate-3-block-7"])
 @pytest.mark.parametrize("name", ["pjm5", "wds10", "twobus", "linear_cascade",
                                   "fails-in-round-1"])
 def test_column_writer_matches_the_per_row_writer(tmp_path, monkeypatch,
-                                                  name, decimate):
+                                                  name, decimate, block):
     source = write_edited(tmp_path, overflowing_start) \
         if name == "fails-in-round-1" else name
     out, ref = tmp_path / "out", tmp_path / "ref"
-    code = main(["simulate", source, "--output-dir", str(out)] + decimate)
+    with monkeypatch.context() as patched:
+        if block is not None:  # trace columns joined in blocks of 7 rows
+            patched.setattr(ripplesim.sim, "_BLOCK", block)
+        code = main(["simulate", source, "--output-dir", str(out)]
+                    + decimate)
     monkeypatch.setattr(ripplesim.cli, "_write_rows", per_row_writer)
     assert main(["simulate", source, "--output-dir", str(ref)]
                 + decimate) == code

@@ -1,7 +1,9 @@
 import math
 import time
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from functools import partial
+from itertools import count
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import ripplesim.sim
 from ripplesim import (DisruptionEvent, GridModel, GridPlant, Graph,
                        HydraulicSolution, LinearPlant, ModelError, PipeLaw,
                        PlantModel, ProtocolGains, PumpLaw, Scenario,
@@ -18,6 +21,7 @@ from ripplesim import (DisruptionEvent, GridModel, GridPlant, Graph,
                        protocol_round, run, solve_load_voltages,
                        solve_network, verify_trace)
 from ripplesim.cli import main
+from synth import random_connected_graph, random_monotone_linear_plant
 
 
 def cascade_scenario(u_upper=(0.5, 1.0)):
@@ -669,10 +673,10 @@ def test_bundled_runs_are_pinned(name, status, rounds, n_records, messages):
     assert sum(r.messages for r in records) == messages
 
 
-def single_agent(eta1=0.5, **knobs):
+def single_agent(eta1=0.5, plant_type=LinearPlant, **knobs):
     """One agent with y = u, a floor of 1 and a ceiling of 2, from u0 = 0."""
-    plant = LinearPlant(sensitivity=[[1.0]], offset=[0.0], u_lower=[0.0],
-                        u_upper=[2.0], y_lower=[1.0], measured_nodes=[0])
+    plant = plant_type(sensitivity=[[1.0]], offset=[0.0], u_lower=[0.0],
+                       u_upper=[2.0], y_lower=[1.0], measured_nodes=[0])
     return Scenario(plant=plant, comm_graph=Graph(node_count=1, edges=()),
                     u0=np.zeros(1),
                     gains=ProtocolGains(eta1=[eta1], eta2=[1.0], eta3=[1.0]),
@@ -758,6 +762,125 @@ def test_crawl_below_eps_eq_keeps_running():
     assert rounds == 2758
     assert result == ("converged", rounds, True)
     assert records[-2].deficit[0] > scenario.eps_feas
+
+
+class FailsAboveATenth(LinearPlant):
+    """An affine plant whose solve fails once control 0 rises above 0.1."""
+
+    def solve(self, u):
+        if u[0] > 0.1:
+            raise SolverError("synthetic failure")
+        return super().solve(u)
+
+
+def corpus_plant(index, population_seed=2024):
+    """Scenario `index` of the acceptance corpus at its population seed."""
+    rng = np.random.default_rng(population_seed)
+    for _ in range(index + 1):
+        n = int(rng.integers(1, 11))
+        plant, u0 = random_monotone_linear_plant(rng, n)
+        graph = random_connected_graph(rng, n) if n > 1 else \
+            Graph(node_count=1, edges=())
+    return Scenario(plant=plant, comm_graph=graph, u0=u0)
+
+
+def no_measured_outputs():
+    plant = LinearPlant(sensitivity=np.zeros((0, 2)), offset=[],
+                        u_lower=[0.0, 0.0], u_upper=[1.0, 1.0], y_lower=[],
+                        measured_nodes=[])
+    return Scenario(plant=plant, comm_graph=Graph(node_count=2,
+                                                  edges=((0, 1),)),
+                    u0=np.zeros(2))
+
+
+def fails_in_round_1():
+    scenario = cascade_scenario()
+    scenario.plant.offset = np.array([np.nan])
+    return scenario
+
+
+def cut_keeping(rows, decimation):
+    """Plant 179 of the corpus (27,232 rounds) cut by the budget at which
+    its trace keeps `rows` rounds."""
+    budget = next(b for b in count(1) if len(
+        {1, b, *range(decimation, b + 1, decimation)}) == rows)
+    return replace(corpus_plant(179), budget=budget)
+
+
+def trace_columns(trace):
+    return (trace.rounds, trace.u, trace.y, trace.deficit, trace.beacons,
+            trace.messages)
+
+
+def run_parts(scenario):
+    """Every compared Outcome field as its repr, and every Trace column as
+    its dtype, shape and bytes."""
+    outcome, trace = run(scenario)
+    return ([repr(getattr(outcome, f.name)) for f in fields(outcome)
+             if f.compare],
+            [(column.dtype, column.shape, column.tobytes())
+             for column in trace_columns(trace)])
+
+
+STOP_CASES = {
+    "exact-fixed-point": exact_fixed_point,
+    "eps-eq-deficit-cleared": single_agent,
+    "eps-eq-every-control-pinned": partial(cascade_scenario, (0.3, 0.4)),
+    "stall-window": expanding_stall,
+    "solver-failure-in-round-23": partial(
+        single_agent, eta1=0.005, plant_type=FailsAboveATenth),
+    "no-measured-outputs": no_measured_outputs,
+    "fails-in-round-1": fails_in_round_1,
+}
+
+
+def assert_blocks_match_a_single_join(monkeypatch, scenario, block):
+    """The run joined in blocks of `block` rows equals the run whose block
+    is above its budget, which joins each column once when it ends."""
+    monkeypatch.setattr(ripplesim.sim, "_BLOCK", scenario.budget + 1)
+    single = run_parts(scenario)
+    monkeypatch.setattr(ripplesim.sim, "_BLOCK", block)
+    assert run_parts(scenario) == single
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", STOP_CASES)
+@pytest.mark.parametrize("decimation", [1, 3])
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_joined_blocks_match_a_single_join(monkeypatch, block, decimation,
+                                           case):
+    scenario = replace(STOP_CASES[case](), trace_decimation=decimation)
+    assert_blocks_match_a_single_join(monkeypatch, scenario, block)
+
+
+@pytest.mark.parametrize("decimation", [1, 3])
+@pytest.mark.parametrize("block, rows", [
+    (k, rows) for k in (1, 2, 3, 7)
+    for rows in (k - 1, k, k + 1, 2 * k + 1) if rows])
+def test_budget_cuts_around_a_block_edge_match_a_single_join(
+        monkeypatch, block, rows, decimation):
+    scenario = replace(cut_keeping(rows, decimation),
+                       trace_decimation=decimation)
+    outcome, trace = run(scenario)
+    assert (outcome.status, len(trace)) == ("budget_exceeded", rows)
+    assert_blocks_match_a_single_join(monkeypatch, scenario, block)
+
+
+def test_a_long_run_holds_one_block_of_rows_besides_its_trace(monkeypatch):
+    # plant 179 has n = 10 and runs past 2,000 rounds; holding one array
+    # per kept round and column until the run ends peaks at 3.1 times the
+    # bytes of the trace
+    monkeypatch.setattr(ripplesim.sim, "_BLOCK", 64)
+    scenario = replace(corpus_plant(179), budget=2000)
+    assert len(scenario.u0) == 10
+    tracemalloc.start()
+    try:
+        outcome, trace = run(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.status, len(trace)) == ("budget_exceeded", 2000)
+    assert peak < 2 * sum(column.nbytes for column in trace_columns(trace))
 
 
 def degree_sums(records, graph):

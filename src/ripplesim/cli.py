@@ -166,11 +166,6 @@ def _write_effort(path, outcome, trace, labels):
 def _write_summary(path, scenario, outcome, trace, labels):
     u0 = outcome.u0
     stats = message_stats(trace, scenario.comm_graph, u0) if trace else None
-    terminal_u = trace.u[-1] if trace else u0
-    try:
-        terminal_y = outcome.plant.solve(terminal_u).tolist()
-    except SolverError:
-        terminal_y = None
     doc = {
         "schema": "ripplesim-summary/1",
         "outcome": {
@@ -186,9 +181,8 @@ def _write_summary(path, scenario, outcome, trace, labels):
         "messages_total": stats.total if stats else 0,
         "first_assistance": {labels[k]: v for k, v in
                              (stats.first_assistance.items() if stats else [])},
-        "terminal_u": {labels[i]: float(terminal_u[i])
-                       for i in range(len(labels))},
-        "terminal_y": terminal_y,
+        "terminal_u": dict(zip(labels, outcome.u.tolist())),
+        "terminal_y": None if outcome.y is None else outcome.y.tolist(),
         "run": {
             "budget": scenario.budget,
             "eps_eq": scenario.eps_eq,

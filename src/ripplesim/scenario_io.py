@@ -9,6 +9,7 @@ held per-unit internally; water pressures are meters and injections m^3/hr.
 """
 import json
 import math
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -83,7 +84,7 @@ def _num(doc, key, where, default=None):
     return value
 
 
-def _int(doc, key, where, default):
+def _int(doc, key, where, default=None):
     """A non-negative integer knob: a finite integral number, not a bool."""
     value = _need(doc, key, where, default)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -119,6 +120,12 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
         raise ScenarioError(f"{source}: {exc}") from exc
 
 
+# the run section's knobs and their readers
+_RUN_KNOBS = {"budget": _int, "eps_eq": _num, "eps_feas": _num,
+              "stall_window": _int, "trace_decimation": _int,
+              "override_gain_check": partial(_need, kind=bool), "seed": _int}
+
+
 def _scenario(doc, source):
     if not isinstance(doc, dict):
         raise ScenarioError(f"{source}: scenario document must be an object")
@@ -151,23 +158,13 @@ def _scenario(doc, source):
     disruptions = tuple(_event(ev, index, i)
                         for i, ev in enumerate(_event_list(doc)))
 
+    # only the knobs the file sets, so the others keep Scenario's defaults;
+    # a run section that is not an object goes to a reader, which rejects it
     run_doc = _need(doc, "run", source, {})
-    return Scenario(
-        plant=plant,
-        comm_graph=comm_graph,
-        u0=u0,
-        gains=gains,
-        disruptions=disruptions,
-        budget=_int(run_doc, "budget", "run", 100_000),
-        eps_eq=_num(run_doc, "eps_eq", "run", 1e-8),
-        eps_feas=_num(run_doc, "eps_feas", "run", 1e-6),
-        stall_window=_int(run_doc, "stall_window", "run", 100),
-        trace_decimation=_int(run_doc, "trace_decimation", "run", 1),
-        override_gain_check=_need(run_doc, "override_gain_check", "run",
-                                  False, kind=bool),
-        seed=_int(run_doc, "seed", "run", 0),
-        labels=labels,
-    )
+    knobs = {key: read(run_doc, key, "run") for key, read in _RUN_KNOBS.items()
+             if not isinstance(run_doc, dict) or key in run_doc}
+    return Scenario(plant=plant, comm_graph=comm_graph, u0=u0, gains=gains,
+                    disruptions=disruptions, labels=labels, **knobs)
 
 
 def _event_list(doc):

@@ -18,6 +18,7 @@ yields bit-identical traces.
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import isfinite
+from numbers import Real
 from operator import ge, gt
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ModelError, ScenarioError, SolverError
 from .graph import Graph, _integer, adjacency_matrix, is_connected
-from .plant import EPS_FEAS_DEFAULT, PlantModel, feasibility_check
+from .plant import EPS_FEAS_DEFAULT, PlantModel
 from .protocol import (ProtocolGains, auto_gains, gain_condition,
                        is_equilibrium, message_counts, protocol_round,
                        round_constants)
@@ -149,13 +150,15 @@ class Outcome:
     """Terminal classification of a run.
 
     status is one of "converged", "stalled", "solver_failure",
-    "budget_exceeded". Converged implies the terminal control passed the
-    feasibility check; stalled means the state stopped moving (or froze at
-    the ceiling) while a violation persisted; a solver_failure is never
-    feasible and its max_violation is NaN. gain_norm is the gain
-    condition's spectral norm that run checked before the first round.
-    plant and u0 are the disrupted plant that the run acted on and its
-    rebased start (disrupted_setup); they take no part in comparisons.
+    "budget_exceeded". feasible means the terminal reading y cleared every
+    floor within eps_feas, and converged implies it; stalled means the
+    state stopped moving (or froze at the ceiling) while a violation
+    persisted; a solver_failure is never feasible and its max_violation is
+    NaN. gain_norm is the gain condition's spectral norm that run checked
+    before the first round. plant and u0 are the disrupted plant that the
+    run acted on and its rebased start (disrupted_setup); u is the control
+    the run stopped at and y is plant.solve(u), or None when that solve
+    raised a SolverError. These four take no part in comparisons.
     """
 
     status: str
@@ -168,6 +171,8 @@ class Outcome:
     detail: str = ""
     plant: PlantModel | None = field(default=None, compare=False, repr=False)
     u0: np.ndarray | None = field(default=None, compare=False, repr=False)
+    u: np.ndarray | None = field(default=None, compare=False, repr=False)
+    y: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def disrupted_setup(scenario: Scenario):
@@ -206,7 +211,8 @@ def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
         raise ScenarioError("communication graph must be connected")
     for name in ("eps_eq", "eps_feas"):
         value = getattr(scenario, name)
-        if isinstance(value, (bool, np.bool_)) or not 0.0 < value < np.inf:
+        if isinstance(value, bool) or not isinstance(value, Real) or \
+                not 0.0 < value < np.inf:
             raise ScenarioError(f"{name} must be finite and positive")
     for name in ("budget", "stall_window", "trace_decimation"):
         value = getattr(scenario, name)
@@ -261,13 +267,16 @@ def run(scenario: Scenario):
          above eps_feas, for stall_window rounds in a row (status stalled);
       6. budget: the round budget ran out (status budget_exceeded).
 
-    Rules 2 to 4 end in "converged" when the terminal control passes the
-    feasibility check and in "stalled" otherwise. A state that moved less
-    than eps_eq but is neither pinned nor clear of its deficit keeps going:
-    it may still be crawling toward a feasible point through a weakly
-    coupled agent. A NaN passes none of rules 2 to 5. When the solve fails
-    at non-finite controls, the detail says that the protocol update
-    overflowed.
+    Whichever rule fires, the plant is then solved cold once at the
+    control the run stopped at (Outcome.u and Outcome.y). Rules 2 to 4 end
+    in "converged" when that reading clears every floor within eps_feas
+    and in "stalled" otherwise; a terminal solve that raises a SolverError
+    leaves Outcome.y None, and an empty detail then names it. A state that
+    moved less than eps_eq but is neither pinned nor clear of its deficit
+    keeps going: it may still be crawling toward a feasible point through
+    a weakly coupled agent. A NaN passes none of rules 2 to 5. When the
+    solve fails at non-finite controls, the detail says that the protocol
+    update overflowed.
 
     The trace keeps round 1, every trace_decimation-th round and the round
     the run stopped in (Outcome.rounds), whichever rule stopped it; a round
@@ -357,14 +366,19 @@ def run(scenario: Scenario):
             break
 
     failed, equilibrium = stop == "solver_failure", stop == "equilibrium"
-    feasible = not failed and feasibility_check(plant, u, eps_feas)
+    try:  # the terminal reading; the round kernel keeps u inside its box
+        y = plant.solve(u)
+    except SolverError as exc:
+        y, detail = None, detail or f"terminal plant solve failed: {exc}"
+    feasible = not failed and y is not None and bool(
+        (y >= plant.y_lower - eps_feas).all())
     if equilibrium:
         stop = "converged" if feasible else "stalled"
     outcome = Outcome(
         status=stop, rounds=t, feasible=feasible, equilibrium=equilibrium,
         max_violation=float("nan") if failed else float(deficit.max()),
         max_beacon=float(beacons.max()), gain_norm=norm, detail=detail,
-        plant=plant, u0=u0)
+        plant=plant, u0=u0, u=u, y=y)
     # the messages are counted at once; each column is joined in turn, and
     # its blocks and per-round arrays are released before the next is joined
     records = len(columns[0])

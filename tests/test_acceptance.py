@@ -123,6 +123,23 @@ def test_criterion_2_equilibrium_characterization(corpus):
            f"({feasible_checked} feasible, {stalled_checked} stalled)")
 
 
+def test_criterion_2_terminal_reading(corpus, grid_scenario_trace,
+                                      water_scenario_trace):
+    # the one reading that a run takes at its stop is a cold solve there,
+    # and the run is feasible exactly when the feasibility check passes
+    t0 = time.perf_counter()
+    bundled = [(scenario, *run(scenario)) for scenario in
+               map(load_scenario, ("twobus", "linear_cascade"))]
+    runs = list(corpus[0]) + [grid_scenario_trace, water_scenario_trace]
+    for scenario, outcome, _ in runs + bundled:
+        assert outcome.y.tobytes() == \
+            outcome.plant.solve(outcome.u).tobytes()
+        assert outcome.feasible == feasibility_check(
+            outcome.plant, outcome.u, scenario.eps_feas)
+    report(2, "terminal reading", time.perf_counter() - t0,
+           f"on {len(runs) + len(bundled)} runs")
+
+
 def finite_difference_jacobians(grid, q, vg, h=1e-6):
     nl, ng = len(grid.loads), len(grid.generators)
     dql = np.zeros((nl, nl))

@@ -6,7 +6,9 @@ import pytest
 
 import ripplesim.cli
 import ripplesim.sim
-from ripplesim import adjacency_matrix, auto_gains, gain_condition
+from ripplesim import (Graph, LinearPlant, ProtocolGains, Scenario,
+                       SolverError, adjacency_matrix, auto_gains,
+                       gain_condition)
 from ripplesim.cli import main
 from ripplesim.scenario_io import bundled_scenario_path, load_scenario
 from ripplesim.sim import disrupted_setup, run
@@ -81,6 +83,36 @@ def test_decimated_budget_run_ends_at_its_last_round(tmp_path):
     assert summary["terminal_u"] == {key[2:]: float(value) for key, value
                                      in rows[-1].items()
                                      if key.startswith("u_")}
+
+
+class FailsAboveATenth(LinearPlant):
+    def solve(self, u):
+        if u[0] > 0.1:
+            raise SolverError("synthetic failure")
+        return super().solve(u)
+
+
+def test_decimated_failure_after_a_dropped_round_ends_at_its_control(
+        tmp_path, monkeypatch):
+    # u rises 0 -> 0.06 -> 0.1164 and the solve fails above 0.1: round 3
+    # fails at the control of round 2, which --decimate 3 did not keep
+    plant = FailsAboveATenth(sensitivity=[[1.0]], offset=[0.0],
+                             u_lower=[0.0], u_upper=[2.0], y_lower=[1.0],
+                             measured_nodes=[0])
+    scenario = Scenario(plant=plant, comm_graph=Graph(node_count=1, edges=()),
+                        u0=np.zeros(1), gains=ProtocolGains(
+                            eta1=[0.06], eta2=[1.0], eta3=[1.0]))
+    monkeypatch.setattr(ripplesim.cli, "load_scenario", lambda _: scenario)
+    assert main(["simulate", "failing", "--decimate", "3",
+                 "--output-dir", str(tmp_path)]) == 3
+    outcome, trace = run(scenario)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["outcome"]["rounds"] == outcome.rounds == 3
+    assert [int(row["round"]) for row in read_csv(tmp_path / "trace.csv")] \
+        == trace.rounds.tolist() == [1]
+    assert summary["terminal_u"] == {"1": outcome.u[0]}
+    assert outcome.u[0] == 0.06 + 0.06 * 0.94 != trace.u[-1, 0]
+    assert summary["terminal_y"] is None
 
 
 def test_simulate_override_gain_check(tmp_path, capsys):

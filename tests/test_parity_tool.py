@@ -1,0 +1,41 @@
+"""The comparison of tools/parity.py on hand-made digests."""
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
+spec = importlib.util.spec_from_file_location("parity", TOOL)
+parity = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(parity)
+
+
+def result(status="converged", rounds=5, terminal_u=(1.0, 2.0), **parts):
+    return {"parts": {"Outcome.status": "s", "Trace.u": "t", **parts},
+            "status": status, "rounds": rounds,
+            "terminal_u": list(terminal_u)}
+
+
+def test_a_part_on_one_side_only_is_named_but_differs_in_no_run():
+    lines, one_sided, differ = parity.compare(
+        {"corpus/3/000": result(**{"Outcome.u": "u"})},
+        {"corpus/3/000": result()}, "new", "old")
+    assert (lines, one_sided, differ) == ([], {"Outcome.u": "new"}, 0)
+
+
+def test_a_differing_part_names_the_run_and_its_terminal_gap():
+    lines, _, differ = parity.compare(
+        {"corpus/3/000": result(), "demo/a.py": {"parts": {"stdout": "x"}}},
+        {"corpus/3/000": result(rounds=6, terminal_u=(1.0, 2.5),
+                                **{"Trace.u": "other"}),
+         "demo/b.py": {"parts": {"stdout": "x"}}}, "new", "old")
+    assert differ == 3
+    assert lines == [
+        "corpus/3/000: Trace.u differ; status converged / converged, "
+        "rounds 5 / 6, largest terminal-control gap 5.000e-01",
+        "demo/a.py: only in new", "demo/b.py: only in old"]
+
+
+def test_identical_digests_have_one_run_sha_each():
+    ours = {"demo/a.py": {"parts": {"stdout": "x"}}}
+    assert parity.compare(ours, ours, "a", "b") == ([], {}, 0)
+    assert parity.run_sha(ours["demo/a.py"]) == \
+        parity.run_sha({"parts": {"stdout": "x"}})

@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ripplesim import GridPlant, ScenarioError, WaterPlant, load_scenario
+from ripplesim import (GridPlant, Scenario, ScenarioError, WaterPlant,
+                       load_scenario)
 from ripplesim.cli import main
 from ripplesim.scenario_io import bundled_scenario_path, scenario_from_dict
 
@@ -229,6 +231,25 @@ def test_override_gain_check_accepts_a_json_boolean(value):
     doc = json.loads(json.dumps(MINIMAL_LINEAR))
     doc["run"]["override_gain_check"] = value
     assert scenario_from_dict(doc).override_gain_check is value
+
+
+def test_a_document_without_a_run_section_keeps_the_run_defaults():
+    doc = json.loads(json.dumps(MINIMAL_LINEAR))
+    del doc["run"]
+    scenario = scenario_from_dict(doc)
+    knobs = ("budget", "eps_eq", "eps_feas", "stall_window",
+             "trace_decimation", "override_gain_check", "seed")
+    defaults = {f.name: f.default for f in fields(Scenario)}
+    for knob in knobs:  # Scenario's own default objects, not copies
+        assert getattr(scenario, knob) is defaults[knob], knob
+
+
+@pytest.mark.parametrize("section", [[], "budget", 5, None])
+def test_a_run_section_that_is_not_an_object_is_rejected(section):
+    doc = json.loads(json.dumps(MINIMAL_LINEAR))
+    doc["run"] = section
+    with pytest.raises(ScenarioError, match="^run: expected an object$"):
+        scenario_from_dict(doc)
 
 
 def test_integer_knobs_accept_integral_numbers():

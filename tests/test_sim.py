@@ -535,8 +535,8 @@ def test_outcome_carries_the_disrupted_plant_and_its_start():
     assert outcome.plant.model.graph == plant.model.graph
     assert_array_equal(outcome.plant.u_upper, plant.u_upper)
     assert_array_equal(outcome.u0, u0)
-    # neither takes part in comparisons
-    assert outcome == replace(outcome, plant=None, u0=None)
+    # none of them takes part in comparisons
+    assert outcome == replace(outcome, plant=None, u0=None, u=None, y=None)
 
 
 def test_disruption_that_leaves_an_invalid_plant_is_a_scenario_error():
@@ -773,6 +773,43 @@ class FailsAboveATenth(LinearPlant):
         return super().solve(u)
 
 
+class ReadsOnlyWarm(LinearPlant):
+    """An affine plant whose rounds read it, but whose cold solve fails."""
+
+    def solve(self, u):
+        raise SolverError("no cold solve")
+
+    def solve_from(self, u, start=None):
+        return super().solve(u), None
+
+
+@pytest.mark.parametrize("scenario, status, rounds, detail", [
+    # u rises 0 -> 0.06 -> 0.1164, and the solve fails above 0.1: the run
+    # that stops at 0.1164 cannot read its plant there
+    (single_agent(0.06, FailsAboveATenth, budget=1), "budget_exceeded", 1,
+     ""),
+    (single_agent(0.06, FailsAboveATenth, budget=2), "budget_exceeded", 2,
+     "terminal plant solve failed: synthetic failure"),
+    (single_agent(0.06, FailsAboveATenth, budget=3), "solver_failure", 3,
+     "synthetic failure"),
+    (single_agent(plant_type=ReadsOnlyWarm), "stalled", 27,
+     "terminal plant solve failed: no cold solve"),
+], ids=["reading-at-budget-1", "no-reading-at-budget-2",
+        "solver-failure-at-budget-3", "equilibrium-without-a-reading"])
+def test_a_failed_terminal_solve_ends_in_an_outcome(scenario, status, rounds,
+                                                   detail):
+    outcome, trace = run(scenario)
+    assert (outcome.status, outcome.rounds) == (status, rounds)
+    assert outcome.detail == detail
+    assert not outcome.feasible
+    if outcome.status != "solver_failure":  # the stop's round is kept
+        assert_array_equal(outcome.u, trace.u[-1])
+    if detail:
+        assert outcome.y is None
+    else:
+        assert_array_equal(outcome.y, outcome.u)  # y = u below the cliff
+
+
 def corpus_plant(index, population_seed=2024):
     """Scenario `index` of the acceptance corpus at its population seed."""
     rng = np.random.default_rng(population_seed)
@@ -979,6 +1016,17 @@ def test_run_rejects_non_finite_run_numbers(field, value):
     setattr(owner, field, value)
     with pytest.raises(ScenarioError, match=field if field.startswith("eps")
                        else "finite"):
+        run(scenario)
+
+
+@pytest.mark.parametrize("field", ["eps_eq", "eps_feas"])
+@pytest.mark.parametrize("value", ["1e-8", None, [1e-8], np.array(1e-8),
+                                   np.bool_(True)])
+def test_run_rejects_a_tolerance_that_is_not_a_real_number(field, value):
+    scenario = cascade_scenario()
+    setattr(scenario, field, value)
+    with pytest.raises(ScenarioError,
+                       match=f"^{field} must be finite and positive$"):
         run(scenario)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ModelError, ScenarioError, SolverError
 from .plant import max_effort_feasibility, monotonicity_probe
-from .power import GridPlant, monotonicity_margin, solve_load_voltages, loadability_sweep
+from .power import GridPlant, loadability_sweep, monotonicity_margin
 from .scenario_io import load_scenario
 from .sim import _validate_run, disrupted_setup, gain_setup, message_stats, run
 
@@ -238,9 +238,7 @@ def cmd_check_monotonicity(args) -> int:
         line = f"point {i}: monotone={probe.monotone} " \
                f"min sensitivity={probe.jacobian.min():.3e}"
         if isinstance(plant, GridPlant):
-            sol = solve_load_voltages(point[list(plant.grid.loads)],
-                                      point[list(plant.grid.generators)],
-                                      plant.grid)
+            sol = plant.solve_from(point)[1]
             line += f" margin={monotonicity_margin(sol, plant.grid):.6f}"
         print(line)
         all_ok = all_ok and probe.monotone

@@ -32,12 +32,14 @@ class PlantModel(abc.ABC):
 
     solve must be a pure function of u (same input, same output) and must
     not keep mutable state across calls, so concurrent read-only use is safe.
-    The state, opaque to callers, holds the plant's solver unknowns at the
-    solution and whatever terms of them the next solve reuses, read-only;
-    an iteratively solved plant starts its next solve there, so a control
-    that moved little converges in few steps. A warm solve agrees with the
-    cold one to within the solver tolerance. The default has no state to
-    reuse: it returns (solve(u), None).
+    The state is the solution object that the plant's solver returned (a
+    grid's PowerFlowSolution, a water network's HydraulicSolution), to be
+    read only: the solver unknowns, the terms of them that the next solve
+    reuses, and the iterations and residual. An iteratively solved plant
+    starts its next solve there, so a control that moved little converges
+    in few steps. A warm solve agrees with the cold one to within the
+    solver tolerance. The default has no state to reuse: it returns
+    (solve(u), None).
     """
 
     u_lower: np.ndarray
@@ -164,7 +166,7 @@ def max_effort_feasibility(plant: PlantModel, eps_feas: float = EPS_FEAS_DEFAULT
     try:
         y = plant.solve(plant.u_upper)
     except SolverError as exc:
-        raise PlantSolveError("plant solve failed at maximum effort",
+        raise PlantSolveError(f"plant solve failed at maximum effort: {exc}",
                               control=np.array(plant.u_upper)) from exc
     return bool(np.all(y >= plant.y_lower - eps_feas))
 
@@ -250,7 +252,7 @@ def monotonicity_probe(plant: PlantModel, u0) -> ProbeResult:
             y_dn = plant.solve(dn)
         except SolverError as exc:
             raise PlantSolveError(
-                f"plant solve failed while probing control {k}",
+                f"plant solve failed while probing control {k}: {exc}",
                 control=u0, direction=k) from exc
         jac[:, k] = (y_up - y_dn) / (2.0 * step)
     return ProbeResult(jacobian=jac,

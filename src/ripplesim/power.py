@@ -112,8 +112,7 @@ def _gain_matrix(v_load, i_load, b_ll) -> np.ndarray:
 
 
 def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
-                        tol: float = SOLVER_TOL,
-                        max_iter: int = MAX_NEWTON_ITER) -> PowerFlowSolution:
+                        tol: float = SOLVER_TOL) -> PowerFlowSolution:
     """Solve diag(v_L)(B_LG v_G + B_LL v_L) = q_L for the load voltages.
 
     Runs plant.damped_newton from a flat 1.0 per-unit start (or v0).
@@ -141,11 +140,11 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
         lambda vl, r, il: np.linalg.solve(_gain_matrix(vl, il, grid.b_ll), -r),
         lambda k: SingularJacobianError(
             f"singular iteration matrix at iteration {k}"),
-        tol, max_iter)
+        tol, MAX_NEWTON_ITER)
     if not rnorm <= tol:  # a NaN residual is no solution
         raise PowerFlowInfeasibleError(
             "no load-voltage solution: "
-            + newton_failure(rnorm, iters, max_iter))
+            + newton_failure(rnorm, iters, MAX_NEWTON_ITER))
     if np.logical_or.reduce(v <= _ZERO):
         raise PowerFlowInfeasibleError("converged to non-physical voltages")
     return PowerFlowSolution(v, None, i_load, iters, rnorm, v_gen=v_gen,
@@ -229,12 +228,12 @@ class GridPlant(PlantModel):
         return self.solve_from(u)[0]
 
     def solve_from(self, u, start=None):
-        """Load voltages solved from start, previous load voltages (None:
-        flat); they are both the outputs and the state."""
+        """Load voltages solved from the v_load of start, a previous state
+        (None: flat); the state is the PowerFlowSolution."""
         u = np.asarray(u, dtype=float)
-        v_load = solve_load_voltages(u[self._loads], u[self._gens], self.grid,
-                                     start).v_load
-        return v_load, v_load
+        sol = solve_load_voltages(u[self._loads], u[self._gens], self.grid,
+                                  None if start is None else start.v_load)
+        return sol.v_load, sol
 
     def disrupted(self, event):
         """Supports remove_edge {"edge": (m, n)}, which trips a line;

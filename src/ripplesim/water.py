@@ -231,27 +231,27 @@ class HydraulicSolution:
     Flows are oriented along each edge's canonical (low, high) direction;
     the reverse flow is the negation. unknowns is the converged Newton
     vector (law-order edge flows, free pressures) and flow_terms its pipe
-    drops, slopes and free-node outflows, both read-only, then the model: a
-    later solve of that model takes the solution as its x0 and reuses them.
-    flows is scattered from unknowns on first read, then cached; a flows
-    given to the constructor is returned as it is.
+    drops, slopes and free-node outflows, all read-only, and model the
+    WaterModel solved: a later solve of that model takes the solution as
+    its x0 and reuses them. flows is scattered from unknowns on first read,
+    then cached; a flows given to the constructor is returned as it is.
     """
 
     __slots__ = ("pressures", "residual", "iterations", "unknowns",
-                 "flow_terms", "_flows")
+                 "flow_terms", "model", "_flows")
 
     def __init__(self, pressures, flows=None, residual=0.0, iterations=0,
-                 unknowns=None, flow_terms=None):
+                 unknowns=None, flow_terms=None, model=None):
         self.pressures, self._flows = pressures, flows
         self.residual, self.iterations = residual, iterations
         self.unknowns, self.flow_terms = unknowns, flow_terms
+        self.model = model
 
     @property
     def flows(self) -> np.ndarray:
         if self._flows is None:
-            model = self.flow_terms[-1]
-            net = model._incidence
-            self._flows = np.zeros(len(model.graph.edges))
+            net = self.model._incidence
+            self._flows = np.zeros(len(self.model.graph.edges))
             self._flows[net.edges] = net.sign * self.unknowns[:len(net.tail)]
         return self._flows
 
@@ -274,7 +274,6 @@ def _newton_step(net: _Incidence, r, slope):
 
 
 def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
-                  max_iter: int = MAX_HYDRAULIC_ITER,
                   x0=None) -> HydraulicSolution:
     """Solve for nodal pressures and edge flows given the control vector.
 
@@ -308,17 +307,15 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
         pump gain, then net outflow minus injection at free nodes; aux
         carries the pressures and the flow terms, given as terms if known."""
         if terms is None:
-            terms = (*_friction(x[:k], *net.law), net.outflow(x[:m]), model)
+            terms = (*_friction(x[:k], *net.law), net.outflow(x[:m]))
         pres = u.copy()
         pres[free] = x[m:]
         diff = pres[tail] - pres[head]
         return np.concatenate((terms[0] - diff[:k], diff[k:] + net.gain,
                                terms[2] - u_free)), (pres, terms)
 
-    x0, terms = ((x0.unknowns, x0.flow_terms)
+    x0, terms = ((x0.unknowns, x0.flow_terms if x0.model is model else None)
                  if isinstance(x0, HydraulicSolution) else (x0, None))
-    if terms is not None and terms[-1] is not model:  # another model's terms
-        terms = None
     if x0 is None:
         lap = np.bincount(net.lap_at, net.lap_sign, nf * nf).reshape(nf, nf)
         x0, terms = np.concatenate((net.across(np.linalg.solve(lap, u_free)),
@@ -332,19 +329,20 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
         x0, residual, lambda x, r, aux: _newton_step(net, r, aux[1][1]),
         lambda it: HydraulicInfeasibleError(
             f"singular hydraulic Jacobian at iteration {it}"),
-        tol, max_iter, residual(x0, terms))
+        tol, MAX_HYDRAULIC_ITER, residual(x0, terms))
     if not rnorm <= tol:  # a NaN residual is no solution
         raise HydraulicInfeasibleError(
-            "no hydraulic solution: " + newton_failure(rnorm, iters, max_iter))
+            "no hydraulic solution: "
+            + newton_failure(rnorm, iters, MAX_HYDRAULIC_ITER))
     q = x[:m]
     backward = q[k:] < -1e-6
     if np.logical_or.reduce(backward):
         j = k + backward.argmax()
         raise PumpReverseFlowError(
             f"pump {tail[j]}->{head[j]} would carry reverse flow {q[j]:.3f}")
-    for a in (x, *terms[:3]):
+    for a in (x, *terms):
         a.setflags(write=False)
-    return HydraulicSolution(pressures, None, rnorm, iters, x, terms)
+    return HydraulicSolution(pressures, None, rnorm, iters, x, terms, model)
 
 
 def check_pressure_ordering(model: WaterModel, u_hi, u_lo) -> bool:

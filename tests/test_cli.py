@@ -200,6 +200,31 @@ def test_check_monotonicity_reports_a_failed_probe(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("point 0: probe failed")
 
 
+def reverse_pump_flow(doc):
+    """Consumer 3 may turn into a 500 m^3/hr source; at that injection the
+    pump from node 1 to node 2 would have to carry flow backwards."""
+    doc["plant"]["nodes"][2]["injection"]["max"] = 500.0
+
+
+def test_feasibility_names_the_cause_of_a_failed_solve(tmp_path, capsys):
+    path = write_edited(tmp_path, reverse_pump_flow, name="wds10")
+    assert main(["feasibility", path]) == 3
+    assert capsys.readouterr().err.startswith(
+        "solver failure: plant solve failed at maximum effort: pump 0->1 "
+        "would carry reverse flow -")
+
+
+def test_a_failed_probe_names_the_cause(tmp_path, capsys):
+    path = write_edited(tmp_path, reverse_pump_flow, name="wds10")
+    assert main(["check-monotonicity", path, "--points", "6"]) == 3
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if "probe failed" in line]
+    assert failed
+    for line in failed:
+        assert "probe failed (plant solve failed while probing control 0: " \
+            "pump 0->1 would carry reverse flow -" in line
+
+
 def test_sweep_two_bus(tmp_path):
     code = main(["sweep", "twobus", "--scale-min", "1", "--scale-max", "30",
                  "--steps", "12", "--output-dir", str(tmp_path)])

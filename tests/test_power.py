@@ -6,10 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ripplesim import (Graph, GridModel, ModelError,
-                       PowerFlowInfeasibleError, dvl_dql, dvl_dvg,
-                       loadability_sweep, monotonicity_margin,
-                       reactive_injections, solve_load_voltages,
-                       weighted_laplacian)
+                       PowerFlowInfeasibleError, disrupted_setup, dvl_dql,
+                       dvl_dvg, load_scenario, loadability_sweep,
+                       monotonicity_margin, reactive_injections,
+                       solve_load_voltages, weighted_laplacian)
 from ripplesim.power import (MAX_NEWTON_ITER, SOLVER_TOL, PowerFlowSolution,
                              _gain_matrix)
 from synth import random_grid
@@ -326,3 +326,25 @@ def test_a_q_gen_given_to_the_constructor_comes_back_as_it_is(twobus):
     assert copy.q_gen is given
     assert copy.v_load is sol.v_load and copy.i_load is sol.i_load
     assert (copy.iterations, copy.residual) == (sol.iterations, sol.residual)
+
+
+@pytest.mark.parametrize("name", ["pjm5", "twobus"])
+def test_a_grid_plants_state_is_its_solution_and_starts_the_next_solve(name):
+    plant, u0 = disrupted_setup(load_scenario(name))
+    grid = plant.grid
+    _, state = plant.solve_from(u0)
+    assert isinstance(state, PowerFlowSolution)
+    assert state.iterations >= 1 and state.residual <= SOLVER_TOL
+    u1 = u0 + 0.3 * (plant.u_upper - plant.u_lower)
+    y, warm = plant.solve_from(u1, state)
+    want = solve_load_voltages(u1[list(grid.loads)],
+                               u1[list(grid.generators)], grid,
+                               v0=state.v_load)
+    assert y is warm.v_load
+    for got, expected in ((warm.v_load, want.v_load),
+                          (warm.i_load, want.i_load),
+                          (warm.q_gen, want.q_gen)):
+        assert got.tobytes() == expected.tobytes()
+    assert (warm.iterations, warm.residual) == (want.iterations,
+                                                want.residual)
+    assert warm.iterations >= 1 and warm.residual <= SOLVER_TOL

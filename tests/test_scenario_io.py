@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ripplesim import (GridPlant, Scenario, ScenarioError, WaterPlant,
-                       load_scenario)
+                       disrupted_setup, load_scenario)
 from ripplesim.cli import main
 from ripplesim.scenario_io import bundled_scenario_path, scenario_from_dict
 
@@ -259,3 +259,58 @@ def test_integer_knobs_accept_integral_numbers():
     assert (scenario.budget, scenario.stall_window, scenario.seed) == \
         (7, 9, 2 ** 70)
     assert type(scenario.budget) is int
+
+
+def write_bundled(tmp_path, name, edit, stem):
+    """A bundled scenario, edited, written as tmp_path/<stem>.json."""
+    doc = json.loads(bundled_scenario_path(name).read_text())
+    edit(doc)
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_a_grid_susceptance_change_from_a_file_runs(tmp_path):
+    # pjm5's line 2-3 made stronger, named by its ends and then by a
+    # reversed edge pair: both load to the same event and run the same
+    traces = []
+    for stem, where in (("ends", {"from": "2", "to": "3"}),
+                        ("edge", {"edge": ["3", "2"]})):
+        path = write_bundled(tmp_path, "pjm5", lambda doc: doc[
+            "disruption"].append({"kind": "parameter_change",
+                                  "susceptance": 150.0, **where}), stem)
+        scenario = load_scenario(path)
+        event = scenario.disruptions[-1]
+        assert event.kind == "parameter_change"
+        assert sorted(event.params["edge"]) == [1, 2]
+        assert event.params["susceptance"] == 150.0
+        grid = disrupted_setup(scenario)[0].grid
+        assert grid.susceptances[grid.graph.edges.index((1, 2))] == 150.0
+        out = tmp_path / stem
+        assert main(["simulate", path, "--output-dir", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
+def test_a_linear_offset_change_from_a_file_runs(tmp_path):
+    path = write_bundled(tmp_path, "linear_cascade", lambda doc: doc.update(
+        disruption=[{"kind": "parameter_change", "offset": [0.25]}]),
+        "offset")
+    scenario = load_scenario(path)
+    assert scenario.disruptions[0].params == {"offset": (0.25,)}
+    assert disrupted_setup(scenario)[0].offset.tolist() == [0.25]
+    assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["outcome"]["status"] == "converged"
+    assert summary["terminal_y"][0] >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("node", [2, 3], ids=["consumer", "junction"])
+def test_only_reservoirs_and_tanks_fix_a_pressure(node):
+    doc = json.loads(bundled_scenario_path("wds10").read_text())
+    entry = doc["plant"]["nodes"][node]
+    entry.pop("injection", None)
+    entry["pressure"] = {"initial": 20.0}
+    with pytest.raises(ScenarioError, match=rf"^plant\.nodes\[{node}\]: "
+                       "only reservoirs/tanks can fix pressure$"):
+        scenario_from_dict(doc)

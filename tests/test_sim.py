@@ -14,9 +14,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 import ripplesim.sim
 from ripplesim import (DisruptionEvent, GridModel, GridPlant, Graph,
                        HydraulicSolution, LinearPlant, ModelError, PipeLaw,
-                       PlantModel, ProtocolGains, PumpLaw, Scenario,
-                       ScenarioError, SolverError, Trace, TraceRecord,
-                       WaterModel, WaterPlant, adjacency_matrix,
+                       PlantModel, PowerFlowSolution, ProtocolGains,
+                       PumpLaw, Scenario, ScenarioError, SolverError, Trace,
+                       TraceRecord, WaterModel, WaterPlant, adjacency_matrix,
                        disrupted_setup, load_scenario, message_stats,
                        protocol_round, run, solve_load_voltages,
                        solve_network, verify_trace)
@@ -215,6 +215,17 @@ def test_run_rejects_disconnected_comm():
     scenario = cascade_scenario()
     scenario.comm_graph = Graph(node_count=2, edges=())
     with pytest.raises(ScenarioError):
+        run(scenario)
+
+
+@pytest.mark.parametrize("nodes", [1, 3])
+def test_run_rejects_a_comm_graph_of_another_size(nodes):
+    scenario = cascade_scenario()
+    scenario.comm_graph = Graph(node_count=nodes,
+                                edges=tuple((i, i + 1)
+                                            for i in range(nodes - 1)))
+    with pytest.raises(ScenarioError, match="^communication graph size "
+                                            "disagrees with plant$"):
         run(scenario)
 
 
@@ -1055,13 +1066,13 @@ def test_warm_started_readings_match_a_tight_cold_solve(name):
 
 
 def state_bytes(state):
-    """The bytes of every array a plant's solve state carries: a grid's
-    load voltages, or a water solution's pressures, flows, unknowns and
-    flow terms."""
+    """The bytes of every array a plant's solve state carries: a grid
+    solution's load voltages and currents and generator injections, or a
+    water solution's pressures, flows, unknowns and flow terms."""
     if isinstance(state, HydraulicSolution):
         return [a.tobytes() for a in (state.pressures, state.flows,
-                                      state.unknowns, *state.flow_terms[:3])]
-    return [state.tobytes()]
+                                      state.unknowns, *state.flow_terms)]
+    return [a.tobytes() for a in (state.v_load, state.i_load, state.q_gen)]
 
 
 @pytest.mark.parametrize("name", ["pjm5", "wds10"])
@@ -1079,16 +1090,16 @@ def test_warm_start_at_the_solution_reproduces_the_cold_reading(name):
 def test_failed_warm_start_falls_back_to_the_cold_solve():
     scenario = load_scenario("pjm5")
     plant, u0 = disrupted_setup(scenario)
-    _, v_load = plant.solve_from(u0)
+    _, state = plant.solve_from(u0)
     with pytest.raises(SolverError):
-        plant.solve_from(u0, -v_load)
+        plant.solve_from(u0, PowerFlowSolution(-state.v_load))
 
     class Misled(GridPlant):
         """Hands every warm solve negative load voltages as its start."""
 
         def solve_from(self, u, start=None):
             y, state = super().solve_from(u, start)
-            return y, -state
+            return y, PowerFlowSolution(-state.v_load)
 
     misled = Misled(plant.grid, plant.u_lower, plant.u_upper, plant.y_lower)
     outcome, records = run(Scenario(

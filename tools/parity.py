@@ -15,6 +15,10 @@ with BLAS on one thread. The runs, and the parts of each that are hashed
                       plain and with --decimate 3, plus wds10 --budget 500
                       --decimate 7: trace.csv, effort.csv, summary.json,
                       stdout, stderr and the exit code
+  <command> <args>    check-gains, check-monotonicity --points 3 (plain and
+                      --disrupted) and feasibility on the four bundled
+                      scenarios, and sweep on pjm5 and twobus: stdout,
+                      stderr, the exit code and, for sweep, sweep.csv
   demo/<file>         the stdout of each script in demos/
 
 Without --against the tool prints CHECKOUT's digest as JSON, one SHA-256
@@ -41,10 +45,19 @@ from pathlib import Path
 
 CORPUS_SIZE = 200
 POPULATION_SEEDS = (2024, 3)
-SIMULATE_RUNS = [[name] + extra for name in ("pjm5", "wds10", "twobus",
-                                              "linear_cascade")
+SCENARIOS = ("pjm5", "wds10", "twobus", "linear_cascade")
+SIMULATE_RUNS = [[name] + extra for name in SCENARIOS
                  for extra in ([], ["--decimate", "3"])] + [
     ["wds10", "--budget", "500", "--decimate", "7"]]
+# sweep prints its output path, so it writes to a relative one
+ANALYSIS_RUNS = [[command, name, *extra] for name in SCENARIOS
+                 for command, extra in (
+                     ("check-gains", []),
+                     ("check-monotonicity", ["--points", "3"]),
+                     ("check-monotonicity", ["--points", "3", "--disrupted"]),
+                     ("feasibility", []))] + [
+    ["sweep", name, "--output-dir", f"sweep-{name}"]
+    for name in ("pjm5", "twobus")]
 OUTPUT_FILES = ("trace.csv", "effort.csv", "summary.json")
 
 
@@ -101,17 +114,22 @@ def _corpus_runs():
                 "rounds": outcome.rounds, "terminal_u": end.tolist()}
 
 
-def _simulate_runs(workdir):
+def _cli_parts(args):
+    """The exit code, stdout and stderr of `ripplesim ARGS`, run here."""
     from ripplesim.cli import main
 
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main(args)
+    return {"exit_code": _sha(code), "stdout": _sha(stdout.getvalue()),
+            "stderr": _sha(stderr.getvalue())}
+
+
+def _simulate_runs(workdir):
     for k, args in enumerate(SIMULATE_RUNS):
         out = Path(workdir, f"simulate-{k}")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            code = main(["simulate", *args, "--output-dir", str(out)])
-        parts = {"exit_code": _sha(code), "stdout": _sha(stdout.getvalue()),
-                 "stderr": _sha(stderr.getvalue())}
+        parts = _cli_parts(["simulate", *args, "--output-dir", str(out)])
         for name in OUTPUT_FILES:
             path = out / name
             parts[name] = _sha(path.read_bytes() if path.exists() else None)
@@ -122,6 +140,17 @@ def _simulate_runs(workdir):
             "status": summary.get("outcome", {}).get("status"),
             "rounds": summary.get("outcome", {}).get("rounds"),
             "terminal_u": list(summary.get("terminal_u", {}).values())}
+
+
+def _analysis_runs():
+    """The analysis subcommands, run in the current directory."""
+    for args in ANALYSIS_RUNS:
+        parts = _cli_parts(args)
+        if args[0] == "sweep":
+            path = Path(args[-1], "sweep.csv")
+            parts["sweep.csv"] = _sha(path.read_bytes() if path.exists()
+                                      else None)
+        yield " ".join(args), {"parts": parts}
 
 
 def _demo_runs(checkout):
@@ -141,7 +170,7 @@ def _digest_here(checkout, workdir):
     if src not in Path(ripplesim.__file__).resolve().parents:
         raise RuntimeError(f"imported {ripplesim.__file__}, not {src}")
     return dict((*_corpus_runs(), *_simulate_runs(workdir),
-                 *_demo_runs(checkout)))
+                 *_analysis_runs(), *_demo_runs(checkout)))
 
 
 def digest(checkout):

@@ -109,7 +109,7 @@ def message_counts(beacons, adjacency):
     return (np.asarray(beacons) > 0.0) @ np.count_nonzero(adjacency, axis=1)
 
 
-def is_equilibrium(u, beacons, u_next, beacons_next, eps_eq: float = 1e-8) -> bool:
+def is_equilibrium(u, beacons, u_next, beacons_next, eps_eq: float) -> bool:
     """True when neither controls nor beacons moved more than eps_eq
     (inf-norm); a NaN counts as moved. The states are sequences of numbers
     (lists or arrays), compared entry by entry on Python floats; the test

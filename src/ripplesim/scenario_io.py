@@ -163,6 +163,11 @@ def _scenario(doc, source):
     run_doc = _need(doc, "run", source, {})
     knobs = {key: read(run_doc, key, "run") for key, read in _RUN_KNOBS.items()
              if not isinstance(run_doc, dict) or key in run_doc}
+    for key in ("budget", "eps_eq", "eps_feas", "stall_window",
+                "trace_decimation"):  # run's ranges; only seed may be 0
+        if knobs.get(key, 1) <= 0:
+            raise ScenarioError(f"run.{key}: expected a value above 0, "
+                                f"got {knobs[key]!r}")
     return Scenario(plant=plant, comm_graph=comm_graph, u0=u0, gains=gains,
                     disruptions=disruptions, labels=labels, **knobs)
 

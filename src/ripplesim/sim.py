@@ -201,11 +201,14 @@ def disrupted_setup(scenario: Scenario):
     return plant, u0
 
 
-def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
-    """Reject a run that cannot start; returns the plant's solve state at u0,
-    whose length disrupted_setup has checked."""
-    n = plant.control_dim
-    if scenario.comm_graph.node_count != n:
+def run_setup(scenario: Scenario):
+    """(plant, u0, state, adjacency, gains, gain norm) of a run, or a
+    ScenarioError when it cannot start: disrupted_setup's plant and start,
+    the plant's solve state at u0, and the overlay's adjacency, gains (the
+    scenario's own, or auto_gains at u0, taken after every check passed)
+    and gain_condition norm, which the caller judges."""
+    plant, u0 = disrupted_setup(scenario)
+    if scenario.comm_graph.node_count != plant.control_dim:
         raise ScenarioError("communication graph size disagrees with plant")
     if not is_connected(scenario.comm_graph):
         raise ScenarioError("communication graph must be connected")
@@ -228,21 +231,17 @@ def _validate_run(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
             (u0 > plant.u_upper + scenario.eps_feas).any():
         raise ScenarioError("initial control violates its box limits")
     try:
-        return plant.solve_from(u0)[1]
+        state = plant.solve_from(u0)[1]
     except (SolverError, ModelError) as exc:
         raise ScenarioError(
             f"disrupted plant is not solvable at the initial control: {exc}"
         ) from exc
-
-
-def gain_setup(scenario: Scenario, plant: PlantModel, u0: np.ndarray):
-    """(adjacency, gains, gain norm) of the scenario's overlay: its own
-    gains, or auto_gains for the plant at u0 when it has none."""
     adjacency = adjacency_matrix(scenario.comm_graph)
     gains = scenario.gains
     if gains is None:
         gains = auto_gains(plant, adjacency, u0)
-    return adjacency, gains, gain_condition(gains.eta2, gains.eta3, adjacency)
+    return (plant, u0, state, adjacency, gains,
+            gain_condition(gains.eta2, gains.eta3, adjacency))
 
 
 def run(scenario: Scenario):
@@ -250,11 +249,11 @@ def run(scenario: Scenario):
 
     Each round solves the plant and takes one protocol round on the
     reading, which also returns the deficit. The solve is warm-started from
-    the previous round's solution (the first round from the solve at u0
-    that validates the run); a warm solve that raises a SolverError is
-    retried once from the cold start, so a warm start never fails a round
-    that the cold solve passes. The stopping rules are tested in this
-    order, and the first that holds ends the run:
+    the previous round's solution (the first round from run_setup's solve
+    at u0); a warm solve that raises a SolverError is retried once from
+    the cold start, so a warm start never fails a round that the cold
+    solve passes. The stopping rules are tested in this order, and the
+    first that holds ends the run:
 
       1. solver_failure: the plant solve (the cold retry, after a warm
          start) raised a SolverError or returned a non-finite reading;
@@ -282,9 +281,7 @@ def run(scenario: Scenario):
     the run stopped in (Outcome.rounds), whichever rule stopped it; a round
     whose solve fails is not kept, so a run that fails in round 1 keeps none.
     """
-    plant, u0 = disrupted_setup(scenario)
-    state = _validate_run(scenario, plant, u0)
-    adjacency, gains, norm = gain_setup(scenario, plant, u0)
+    plant, u0, state, adjacency, gains, norm = run_setup(scenario)
     if not norm < 1.0 and not scenario.override_gain_check:
         raise ScenarioError(
             f"gain condition violated (spectral norm {norm:.6f} is not "

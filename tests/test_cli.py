@@ -151,8 +151,9 @@ def test_check_gains_disconnected(tmp_path, capsys):
     path = tmp_path / "nocomm.json"
     path.write_text(json.dumps(doc))
     assert main(["check-gains", str(path)]) == 2
-    out = capsys.readouterr().out
-    assert "spectral norm: 0" in out  # empty overlay scores zero, then fails
+    out, err = capsys.readouterr()
+    assert out == ""  # the run is set up before anything is printed
+    assert err == "validation error: communication graph must be connected\n"
 
 
 def test_check_gains_prints_auto_gains(tmp_path, capsys):
@@ -441,6 +442,47 @@ def test_water_network_left_without_a_fixed_pressure_fails_validation(
             "check-monotonicity": ["--disrupted"]}.get(command, [])
     assert main([command, path] + argv) == 2
     assert "validation error" in capsys.readouterr().err
+
+
+def pump_reverse_flow(doc):
+    """wds10 with consumer 3 injecting 500 m3/hr: at the start, pump 6->2
+    would carry reverse flow, so the disrupted plant cannot be solved."""
+    doc["plant"]["nodes"][2]["injection"] = {"initial": 500, "min": -170,
+                                             "max": 500}
+
+
+def auto(edit):
+    """edit, then the scenario's gains set to "auto"."""
+    def edited(doc):
+        edit(doc)
+        doc["gains"] = "auto"
+    return edited
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("wds10", auto(pump_reverse_flow), "disrupted plant is not solvable at "
+     "the initial control: pump 6->2 would carry reverse flow -500.000"),
+    ("wds10", pump_reverse_flow, "disrupted plant is not solvable at the "
+     "initial control: pump 6->2 would carry reverse flow -500.000"),
+    ("wds10", auto(lambda doc: doc["disruption"].append(
+        {"kind": "remove_edge", "from": "1", "to": "2"})),
+     "disrupted plant is not solvable at the initial control: nodes [1, 2, "
+     "3, 4, 5, 6, 7, 8, 9] cannot reach any fixed-pressure node"),
+    ("linear_cascade", lambda doc: doc["comm_graph"].update(edges=[]),
+     "communication graph must be connected"),
+    ("linear_cascade", lambda doc: doc["initial"].update(u0=[0.0, 1.5]),
+     "initial control violates its box limits"),
+], ids=["auto-gains-pump", "explicit-gains-pump", "auto-gains-cut-source",
+        "disconnected-overlay", "start-outside-its-box"])
+def test_check_gains_rejects_a_scenario_that_cannot_start_as_simulate_does(
+        tmp_path, capsys, name, edit, message):
+    path = write_edited(tmp_path, edit, name)
+    simulate = main(["simulate", path, "--output-dir", str(tmp_path / "out")])
+    simulated = capsys.readouterr()
+    assert main(["check-gains", path]) == simulate == 2
+    out, err = capsys.readouterr()
+    assert out == simulated.out == ""
+    assert err == simulated.err == f"validation error: {message}\n"
 
 
 def reference_trace_and_effort(outdir, scenario, records):

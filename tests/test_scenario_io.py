@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ripplesim import (GridPlant, Scenario, ScenarioError, WaterPlant,
-                       disrupted_setup, load_scenario)
+                       disrupted_setup, load_scenario, run)
 from ripplesim.cli import main
 from ripplesim.scenario_io import bundled_scenario_path, scenario_from_dict
 
@@ -259,6 +259,54 @@ def test_integer_knobs_accept_integral_numbers():
     assert (scenario.budget, scenario.stall_window, scenario.seed) == \
         (7, 9, 2 ** 70)
     assert type(scenario.budget) is int
+
+
+# each ranged run knob on both sides of the lowest value that run accepts
+@pytest.mark.parametrize("knob, value", [
+    (knob, value) for knob in ("budget", "stall_window", "trace_decimation")
+    for value in (-1, 0, 1, 2)] + [
+    (knob, value) for knob in ("eps_eq", "eps_feas")
+    for value in (-1e-8, -0.0, 0.0, 5e-324, 1e-8)])
+def test_the_loader_and_run_accept_the_same_run_knobs(knob, value):
+    doc = json.loads(json.dumps(MINIMAL_LINEAR))
+    doc["run"][knob] = value
+    try:
+        scenario_from_dict(doc)
+    except ScenarioError as exc:
+        assert f"run.{knob}: expected" in str(exc)
+        loaded = False
+    else:
+        loaded = True
+    scenario = scenario_from_dict(MINIMAL_LINEAR)
+    setattr(scenario, knob, value)
+    try:
+        run(scenario)
+    except ScenarioError as exc:
+        assert str(exc).startswith(f"{knob} must be")
+        ran = False
+    else:
+        ran = True
+    assert loaded == ran == (value > 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--output-dir", "out"], ["check-gains"],
+    ["check-monotonicity"], ["check-monotonicity", "--disrupted"],
+    ["sweep", "--output-dir", "out"], ["feasibility"]],
+    ids=lambda argv: " ".join(argv[:2]).replace(" --output-dir", ""))
+@pytest.mark.parametrize("knob, value", [
+    ("eps_eq", 0), ("eps_eq", -1e-8), ("eps_feas", 0.0), ("eps_feas", -1),
+    ("budget", 0), ("stall_window", 0), ("trace_decimation", 0)])
+def test_every_command_rejects_a_run_knob_outside_runs_range(
+        tmp_path, capsys, monkeypatch, argv, knob, value):
+    monkeypatch.chdir(tmp_path)
+    path = write_bundled(tmp_path, "pjm5",
+                         lambda doc: doc["run"].update({knob: value}), "knob")
+    assert main([argv[0], path] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"validation error: run.{knob}: expected a value "
+                          "above 0")
 
 
 def write_bundled(tmp_path, name, edit, stem):

@@ -13,14 +13,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import ripplesim.sim
 from ripplesim import (DisruptionEvent, GridModel, GridPlant, Graph,
-                       HydraulicSolution, LinearPlant, ModelError, PipeLaw,
-                       PlantModel, PowerFlowSolution, ProtocolGains,
+                       HydraulicSolution, LinearPlant, ModelError, Outcome,
+                       PipeLaw, PlantModel, PowerFlowSolution, ProtocolGains,
                        PumpLaw, Scenario, ScenarioError, SolverError, Trace,
                        TraceRecord, WaterModel, WaterPlant, adjacency_matrix,
                        disrupted_setup, load_scenario, message_stats,
                        protocol_round, run, solve_load_voltages,
                        solve_network, verify_trace)
 from ripplesim.cli import main
+from reference_run import reference_run
 from synth import random_connected_graph, random_monotone_linear_plant
 
 
@@ -1220,3 +1221,104 @@ def test_audit_matches_a_plain_loop_over_the_records(inputs):
         assert list(g.items()) == list(e.items())
         assert all(type(x) is int for item in g.items() for x in item)
     assert type(stats.total) is int
+
+
+class Cliff(LinearPlant):
+    """An affine plant whose solve raises once a control passes cliff."""
+
+    def __init__(self, *limits, cliff):
+        super().__init__(*limits)
+        self.cliff = cliff
+
+    def solve(self, u):
+        if (np.asarray(u) > self.cliff).any():
+            raise SolverError("past the cliff")
+        return super().solve(u)
+
+
+@st.composite
+def affine_scenarios(draw):
+    """Small affine scenarios for run and its reference: starts at the
+    floor, the middle or the ceiling of the box, gains that overflow, short
+    budgets and stall windows, and tolerances near the moves."""
+    n = draw(st.integers(1, 6))
+    measured = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    pick = lambda *values: draw(st.sampled_from(values))  # noqa: E731
+    sensitivity = np.reshape([pick(0.0, 0.25, 1.0, 2.0)
+                              for _ in range(n * len(measured))],
+                             (len(measured), n))
+    u_lower = np.array([pick(0.0, -1.0, 0.5) for _ in range(n)])
+    u_upper = u_lower + [pick(0.0, 0.3, 1.0, 2.0) for _ in range(n)]
+    u0 = [pick(lo, (lo + hi) / 2, hi) for lo, hi in zip(u_lower, u_upper)]
+    limits = (sensitivity, [pick(-1.0, 0.0, 0.5) for _ in measured], u_lower,
+              u_upper, [pick(-1.0, 0.5, 1.0, 3.0, 10.0) for _ in measured],
+              measured)
+    cliff = pick(None, None, max(u0) + 0.05, max(u0) + 0.5)
+    plant = LinearPlant(*limits) if cliff is None else Cliff(*limits,
+                                                             cliff=cliff)
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    if n > 2 and draw(st.booleans()):
+        edges.add((0, n - 1))
+    etas = [[pick(1e-3, 0.1, 0.5, 1.0, 2.0) for _ in range(n)]
+            for _ in range(3)]
+    if draw(st.booleans()):  # a step or a beacon that overflows
+        etas[0][0] = etas[2][-1] = 1e300
+    return Scenario(
+        plant=plant, comm_graph=Graph(node_count=n, edges=tuple(edges)),
+        u0=np.array(u0), gains=pick(None, ProtocolGains(*etas)),
+        budget=draw(st.integers(1, 60)),
+        eps_eq=pick(1e-12, 1e-8, 1e-3, 0.01, 0.05, 0.2),
+        eps_feas=pick(1e-12, 1e-6, 1e-3, 0.05, 0.2),
+        stall_window=draw(st.integers(1, 5)),
+        trace_decimation=draw(st.integers(1, 5)),
+        override_gain_check=draw(st.booleans()))
+
+
+def result_or_error(function, scenario):
+    """function(scenario), or the type and text of what it raised."""
+    try:
+        return function(scenario)
+    except (ScenarioError, SolverError) as exc:
+        return type(exc), str(exc)
+
+
+def same_bits(a, b):
+    """a and b of one type and, for arrays and floats, with the same bits."""
+    if isinstance(a, np.ndarray):
+        return (type(b) is np.ndarray and (a.dtype, a.shape) ==
+                (b.dtype, b.shape) and a.tobytes() == b.tobytes())
+    if isinstance(a, float):
+        return type(b) is float and np.float64(a).tobytes() == \
+            np.float64(b).tobytes()
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(affine_scenarios())
+@example(load_scenario("pjm5"))
+@example(load_scenario("wds10"))
+@example(load_scenario("twobus"))
+@example(load_scenario("linear_cascade"))
+@example(exact_fixed_point())  # rule 2 with a violation: stalled
+@example(expanding_stall())  # rule 5 after 103 rounds
+@example(single_agent(0.06, FailsAboveATenth, budget=2))  # no terminal y
+# round 1 moves by eps_eq exactly and leaves a deficit of eps_feas exactly
+@example(single_agent(0.5, eps_eq=0.5, eps_feas=1.0, budget=5))
+def test_run_matches_its_reference(scenario):
+    got = result_or_error(run, scenario)
+    expect = result_or_error(reference_run, scenario)
+    if not isinstance(got[0], Outcome) or not isinstance(expect[0], Outcome):
+        assert got == expect
+        return
+    (outcome, trace), (ref_outcome, ref_trace) = got, expect
+    for f in fields(Outcome):
+        a, b = getattr(outcome, f.name), getattr(ref_outcome, f.name)
+        if f.name == "plant":  # disrupted_setup builds a new one per call
+            assert type(a) is type(b)
+            for limit in ("u_lower", "u_upper", "y_lower", "measured_nodes"):
+                assert same_bits(getattr(a, limit), getattr(b, limit))
+        else:
+            assert same_bits(a, b), f.name
+    for name in ("rounds", "u", "y", "deficit", "beacons", "messages"):
+        assert same_bits(getattr(trace, name), getattr(ref_trace, name)), name

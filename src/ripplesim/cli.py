@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--decimate", type=int, default=None,
                    help="keep round 1, every k-th round and the last")
-    p.add_argument("--override-gain-check", action="store_true",
+    p.add_argument("--override-gain-check", action="store_true", default=None,
                    help="run even if the gain condition fails")
     p.set_defaults(func=cmd_simulate)
 
@@ -94,13 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.budget is not None:
-        scenario.budget = args.budget
-    if args.decimate is not None:
-        scenario.trace_decimation = args.decimate
-    if args.override_gain_check:
-        scenario.override_gain_check = True
+    knobs = {"budget": args.budget, "trace_decimation": args.decimate,
+             "override_gain_check": args.override_gain_check}
+    scenario = replace(load_scenario(args.scenario), **{
+        key: value for key, value in knobs.items() if value is not None})
     outcome, trace = run(scenario)
 
     outdir = Path(args.output_dir)

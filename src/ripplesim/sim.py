@@ -58,9 +58,10 @@ class DisruptionEvent:
             _integer(end, "disruption edge end")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Everything a run needs: plant, overlay, gains, start, events, knobs."""
+    """Everything a run needs: plant, overlay, gains, start, events, knobs;
+    frozen, and checked when made (dataclasses.replace makes a copy)."""
 
     plant: PlantModel
     comm_graph: Graph
@@ -75,6 +76,38 @@ class Scenario:
     override_gain_check: bool = False
     seed: int = 0
     labels: tuple | None = None
+
+    def __post_init__(self):
+        n = self.plant.control_dim
+        if np.shape(self.u0) != (n,):
+            raise ScenarioError("initial control has the wrong length")
+        if self.gains is not None and len(self.gains.eta1) != n:
+            raise ScenarioError(f"gains have {len(self.gains.eta1)} entries "
+                                f"but the plant has {n} controls")
+        for event in self.disruptions:
+            node = event.params.get("node")
+            if node is not None and not 0 <= node < n:
+                raise ScenarioError(f"disruption node {node} is outside the "
+                                    f"control range [0, {n})")
+        if self.comm_graph.node_count != n:
+            raise ScenarioError("communication graph size disagrees with plant")
+        if not is_connected(self.comm_graph):
+            raise ScenarioError("communication graph must be connected")
+        for name in ("eps_eq", "eps_feas"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or \
+                    not 0.0 < value < np.inf:
+                raise ScenarioError(f"{name} must be finite and positive")
+        for name, least in (("budget", 1), ("stall_window", 1),
+                            ("trace_decimation", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, np.integer)) and value >= least):
+                raise ScenarioError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
+        if not isinstance(self.override_gain_check, bool):
+            raise ScenarioError("override_gain_check must be a bool, got "
+                                f"{self.override_gain_check!r}")
 
     def node_label(self, index: int) -> str:
         if self.labels is not None:
@@ -177,18 +210,10 @@ class Outcome:
 
 def disrupted_setup(scenario: Scenario):
     """Apply all events; returns (plant', u0') with event-moved controls
-    rebased. A u0 without one entry per control, an event whose node is
-    outside [0, control_dim), or one that leaves an invalid plant, raises
-    ScenarioError."""
+    rebased. An event that leaves an invalid plant raises ScenarioError."""
     plant = scenario.plant
     u0 = np.array(scenario.u0, dtype=float)
-    if u0.shape != (plant.control_dim,):
-        raise ScenarioError("initial control has the wrong length")
     for event in scenario.disruptions:
-        node = event.params.get("node")
-        if node is not None and not 0 <= node < plant.control_dim:
-            raise ScenarioError(f"disruption node {node} is outside the "
-                                f"control range [0, {plant.control_dim})")
         try:
             plant = plant.disrupted(event)
         except ModelError as exc:
@@ -203,25 +228,12 @@ def disrupted_setup(scenario: Scenario):
 
 def run_setup(scenario: Scenario):
     """(plant, u0, state, adjacency, gains, gain norm) of a run, or a
-    ScenarioError when it cannot start: disrupted_setup's plant and start,
-    the plant's solve state at u0, and the overlay's adjacency, gains (the
-    scenario's own, or auto_gains at u0, taken after every check passed)
-    and gain_condition norm, which the caller judges."""
+    ScenarioError when its disrupted plant cannot start (limits not finite,
+    u0 outside the box or not solvable): disrupted_setup's plant and start,
+    its solve state at u0, the overlay's adjacency, the gains (the
+    scenario's, else auto_gains at u0 once it solves) and their
+    gain_condition norm, which the caller judges."""
     plant, u0 = disrupted_setup(scenario)
-    if scenario.comm_graph.node_count != plant.control_dim:
-        raise ScenarioError("communication graph size disagrees with plant")
-    if not is_connected(scenario.comm_graph):
-        raise ScenarioError("communication graph must be connected")
-    for name in ("eps_eq", "eps_feas"):
-        value = getattr(scenario, name)
-        if isinstance(value, bool) or not isinstance(value, Real) or \
-                not 0.0 < value < np.inf:
-            raise ScenarioError(f"{name} must be finite and positive")
-    for name in ("budget", "stall_window", "trace_decimation"):
-        value = getattr(scenario, name)
-        if isinstance(value, bool) or \
-                not (isinstance(value, (int, np.integer)) and value >= 1):
-            raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
     for name, values in (("initial control", u0), ("u_lower", plant.u_lower),
                          ("u_upper", plant.u_upper),
                          ("y_lower", plant.y_lower)):

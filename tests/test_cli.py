@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ def test_decimated_failure_after_a_dropped_round_ends_at_its_control(
     monkeypatch.setattr(ripplesim.cli, "load_scenario", lambda _: scenario)
     assert main(["simulate", "failing", "--decimate", "3",
                  "--output-dir", str(tmp_path)]) == 3
-    outcome, trace = run(scenario)
+    outcome, trace = run(replace(scenario, trace_decimation=3))
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["outcome"]["rounds"] == outcome.rounds == 3
     assert [int(row["round"]) for row in read_csv(tmp_path / "trace.csv")] \
@@ -485,6 +486,25 @@ def test_check_gains_rejects_a_scenario_that_cannot_start_as_simulate_does(
     assert err == simulated.err == f"validation error: {message}\n"
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("linear_cascade", ["simulate", "--output-dir", "out"]),
+    ("linear_cascade", ["check-gains"]), ("linear_cascade", ["feasibility"]),
+    ("linear_cascade", ["check-monotonicity"]),
+    ("linear_cascade", ["check-monotonicity", "--disrupted"]),
+    ("pjm5", ["sweep", "--output-dir", "out"])],
+    ids=lambda value: " ".join(value[:2]).replace(" --output-dir", "")
+    if isinstance(value, list) else value)
+def test_every_command_rejects_a_disconnected_overlay(tmp_path, capsys,
+                                                      monkeypatch, name, argv):
+    monkeypatch.chdir(tmp_path)
+    path = write_edited(
+        tmp_path, lambda doc: doc["comm_graph"].update(edges=[]), name)
+    assert main([argv[0], path] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "validation error: communication graph must be connected\n"
+
+
 def reference_trace_and_effort(outdir, scenario, records):
     """trace.csv and effort.csv as written cell by cell through csv.writer,
     the form the column writers must reproduce byte for byte."""
@@ -530,7 +550,7 @@ def test_trace_writers_match_the_csv_writer_reference(tmp_path, case):
     main(["simulate", source, "--output-dir", str(out)] + args)
     scenario = load_scenario(source)
     if args:
-        scenario.trace_decimation = 3
+        scenario = replace(scenario, trace_decimation=3)
     outcome, records = run(scenario)
     assert (len(records) == 0) == (case == "non-finite-empty-trace")
     reference_trace_and_effort(ref, scenario, records)

@@ -1,7 +1,7 @@
 import math
 import time
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from functools import partial
 from itertools import count
 
@@ -117,7 +117,7 @@ def test_trace_rows_match_its_columns(case, tmp_path):
     # failure in round 1, through the audit, the message count and the CLI
     scenario = load_scenario("pjm5")
     if case == "decimated":
-        scenario.trace_decimation = 7
+        scenario = replace(scenario, trace_decimation=7)
     if case == "empty":
         scenario = cascade_scenario()
         scenario.plant.offset = np.array([np.nan])
@@ -192,8 +192,8 @@ def test_run_infeasible_stalls_at_ceiling():
 
 
 def test_run_feasible_start_is_zero_change():
-    scenario = cascade_scenario(u_upper=(1.0, 1.0))
-    scenario.u0 = np.array([0.6, 0.6])
+    scenario = replace(cascade_scenario(u_upper=(1.0, 1.0)),
+                       u0=np.array([0.6, 0.6]))
     outcome, records = run(scenario)
     assert outcome.status == "converged"
     assert outcome.rounds == 1
@@ -202,39 +202,72 @@ def test_run_feasible_start_is_zero_change():
 
 
 def test_run_rejects_bad_gain_condition():
-    scenario = cascade_scenario()
-    scenario.gains = ProtocolGains(eta1=np.ones(2), eta2=np.ones(2),
-                                   eta3=np.ones(2))
+    scenario = replace(cascade_scenario(), gains=ProtocolGains(
+        eta1=np.ones(2), eta2=np.ones(2), eta3=np.ones(2)))
     with pytest.raises(ScenarioError):
         run(scenario)
-    scenario.override_gain_check = True
+    scenario = replace(scenario, override_gain_check=True)
     outcome, _ = run(scenario)  # still settles on this tiny example
     assert outcome.status in ("converged", "stalled")
 
 
 def test_run_rejects_disconnected_comm():
     scenario = cascade_scenario()
-    scenario.comm_graph = Graph(node_count=2, edges=())
     with pytest.raises(ScenarioError):
+        scenario = replace(scenario, comm_graph=Graph(node_count=2, edges=()))
         run(scenario)
 
 
 @pytest.mark.parametrize("nodes", [1, 3])
 def test_run_rejects_a_comm_graph_of_another_size(nodes):
     scenario = cascade_scenario()
-    scenario.comm_graph = Graph(node_count=nodes,
-                                edges=tuple((i, i + 1)
-                                            for i in range(nodes - 1)))
     with pytest.raises(ScenarioError, match="^communication graph size "
                                             "disagrees with plant$"):
+        scenario = replace(scenario, comm_graph=Graph(
+            node_count=nodes, edges=tuple((i, i + 1)
+                                          for i in range(nodes - 1))))
         run(scenario)
 
 
 def test_run_rejects_out_of_box_start():
-    scenario = cascade_scenario()
-    scenario.u0 = np.array([0.9, 0.0])  # above the agent-0 ceiling
+    # above the agent-0 ceiling
+    scenario = replace(cascade_scenario(), u0=np.array([0.9, 0.0]))
     with pytest.raises(ScenarioError):
         run(scenario)
+
+
+def test_a_scenario_is_frozen():
+    scenario = cascade_scenario()
+    for field in fields(Scenario):
+        with pytest.raises(FrozenInstanceError):
+            setattr(scenario, field.name, getattr(scenario, field.name))
+
+
+def test_gains_of_another_length_than_the_controls_are_rejected():
+    # unchecked, gain_condition would raise a raw ValueError: shapes (3,1)
+    # and (2,2) do not broadcast
+    gains = ProtocolGains(eta1=np.ones(3), eta2=np.full(3, 0.5),
+                          eta3=np.ones(3))
+    scenario = cascade_scenario()
+    with pytest.raises(ScenarioError, match="^gains have 3 entries but the "
+                                            "plant has 2 controls$"):
+        Scenario(plant=scenario.plant, comm_graph=scenario.comm_graph,
+                 u0=scenario.u0, gains=gains)
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, None])
+def test_override_gain_check_must_be_a_bool(value):
+    # expanding_stall's gain-condition norm reads 2.0; a truthy string
+    # would run past the check into an overflow solver_failure
+    scenario = replace(expanding_stall(), override_gain_check=False)
+    with pytest.raises(ScenarioError, match="^gain condition violated"):
+        run(scenario)
+    with pytest.raises(ScenarioError) as caught:
+        Scenario(plant=scenario.plant, comm_graph=scenario.comm_graph,
+                 u0=scenario.u0, gains=scenario.gains,
+                 override_gain_check=value)
+    assert str(caught.value) == \
+        f"override_gain_check must be a bool, got {value!r}"
 
 
 def test_run_deterministic_traces():
@@ -249,8 +282,7 @@ def test_run_deterministic_traces():
 
 
 def test_trace_decimation_keeps_last_round():
-    scenario = cascade_scenario()
-    scenario.trace_decimation = 7
+    scenario = replace(cascade_scenario(), trace_decimation=7)
     outcome, records = run(scenario)
     full_outcome, full_records = run(cascade_scenario())
     assert outcome == full_outcome
@@ -261,13 +293,12 @@ def test_trace_decimation_keeps_last_round():
     # the round the run stops in is kept whichever rule stops it: the
     # stall window (rule 5, round 103), a budget of 20 (rule 6) and the
     # eps_eq test with every control pinned (rule 3, round 28)
-    budget = cascade_scenario(u_upper=(0.3, 0.4))
-    budget.budget = 20
+    budget = replace(cascade_scenario(u_upper=(0.3, 0.4)), budget=20)
     for scenario, status, rounds in (
             (expanding_stall(), "stalled", 103),
             (budget, "budget_exceeded", 20),
             (cascade_scenario(u_upper=(0.3, 0.4)), "stalled", 28)):
-        scenario.trace_decimation = 7
+        scenario = replace(scenario, trace_decimation=7)
         outcome, records = run(scenario)
         assert (outcome.status, outcome.rounds) == (status, rounds)
         assert records[-1].round == outcome.rounds
@@ -279,8 +310,8 @@ def test_trace_decimation_keeps_last_round():
 @pytest.mark.parametrize("value", [0, -2, 2.5, True])
 def test_run_rejects_run_knobs_below_one(knob, value):
     scenario = cascade_scenario()
-    setattr(scenario, knob, value)
     with pytest.raises(ScenarioError, match=knob):
+        scenario = replace(scenario, **{knob: value})
         run(scenario)
 
 
@@ -293,11 +324,10 @@ def test_non_finite_controls_end_the_run_as_a_solver_failure():
     plant, u0 = disrupted_setup(scenario)
     y_lower = plant.y_lower.copy()
     y_lower[0] = 1e308
-    scenario.plant = WaterPlant(model=scenario.plant.model,
-                                u_lower=scenario.plant.u_lower,
-                                u_upper=scenario.plant.u_upper,
-                                y_lower=y_lower,
-                                measured_nodes=scenario.plant.measured_nodes)
+    scenario = replace(scenario, plant=WaterPlant(
+        model=scenario.plant.model, u_lower=scenario.plant.u_lower,
+        u_upper=scenario.plant.u_upper, y_lower=y_lower,
+        measured_nodes=scenario.plant.measured_nodes))
     outcome, records = run(scenario)
     assert (outcome.status, outcome.rounds) == ("solver_failure", 3)
     assert "residual nan" in outcome.detail
@@ -317,8 +347,8 @@ def test_overflowed_controls_are_named_in_the_failure_detail():
     # and the plant solve of round 3 fails on it
     scenario = cascade_scenario()
     scenario.plant.y_lower = np.array([1e308])
-    scenario.gains = ProtocolGains(eta1=np.full(2, 10.0),
-                                   eta2=np.full(2, 0.5), eta3=np.ones(2))
+    scenario = replace(scenario, gains=ProtocolGains(
+        eta1=np.full(2, 10.0), eta2=np.full(2, 0.5), eta3=np.ones(2)))
     outcome, records = run(scenario)
     assert (outcome.status, outcome.rounds) == ("solver_failure", 3)
     assert outcome.detail == (
@@ -331,11 +361,10 @@ def test_overflowed_controls_are_named_in_the_failure_detail():
     plant, _ = disrupted_setup(scenario)
     y_lower = plant.y_lower.copy()
     y_lower[0] = 1e308
-    scenario.plant = WaterPlant(model=scenario.plant.model,
-                                u_lower=scenario.plant.u_lower,
-                                u_upper=scenario.plant.u_upper,
-                                y_lower=y_lower,
-                                measured_nodes=scenario.plant.measured_nodes)
+    scenario = replace(scenario, plant=WaterPlant(
+        model=scenario.plant.model, u_lower=scenario.plant.u_lower,
+        u_upper=scenario.plant.u_upper, y_lower=y_lower,
+        measured_nodes=scenario.plant.measured_nodes))
     outcome, _ = run(scenario)
     assert outcome.detail.startswith(
         "controls are not finite: the protocol update of round 2 overflowed")
@@ -352,18 +381,17 @@ class FlakyLinear(LinearPlant):
 
 
 def test_a_failure_at_finite_controls_blames_the_plant_alone():
-    scenario = cascade_scenario()
-    scenario.plant = FlakyLinear(sensitivity=[[1.0, 1.0]], offset=[0.0],
-                                 u_lower=[0.0, 0.0], u_upper=[0.5, 1.0],
-                                 y_lower=[1.0], measured_nodes=[0])
+    scenario = replace(cascade_scenario(), plant=FlakyLinear(
+        sensitivity=[[1.0, 1.0]], offset=[0.0], u_lower=[0.0, 0.0],
+        u_upper=[0.5, 1.0], y_lower=[1.0], measured_nodes=[0]))
     outcome, _ = run(scenario)
     assert outcome.status == "solver_failure"
     assert outcome.detail == "synthetic failure"
 
 
 def test_message_stats_zero_trace():
-    scenario = cascade_scenario(u_upper=(1.0, 1.0))
-    scenario.u0 = np.array([0.6, 0.6])
+    scenario = replace(cascade_scenario(u_upper=(1.0, 1.0)),
+                       u0=np.array([0.6, 0.6]))
     _, records = run(scenario)
     stats = message_stats(records, scenario.comm_graph, scenario.u0)
     assert stats.total == 0
@@ -553,7 +581,8 @@ def test_outcome_carries_the_disrupted_plant_and_its_start():
 
 def test_disruption_that_leaves_an_invalid_plant_is_a_scenario_error():
     scenario = load_scenario("wds10")
-    scenario.disruptions += (DisruptionEvent("source_outage", {"node": 0}),)
+    scenario = replace(scenario, disruptions=scenario.disruptions + (
+        DisruptionEvent("source_outage", {"node": 0}),))
     with pytest.raises(ScenarioError,
                        match="disruption left an invalid plant: at least "
                              "one fixed-pressure node is required"):
@@ -573,7 +602,8 @@ def test_disruption_indices_must_be_integers(kind, params, index):
     # its only fixed-pressure node 0 and remove its edge (1, 4)
     scenario = load_scenario("wds10")
     with pytest.raises(ModelError, match=f"^disruption {index}$"):
-        scenario.disruptions += (DisruptionEvent(kind, params),)
+        scenario = replace(scenario, disruptions=scenario.disruptions + (
+            DisruptionEvent(kind, params),))
         disrupted_setup(scenario)
 
 
@@ -585,11 +615,14 @@ def test_disruption_node_must_be_a_control(kind, node):
     scenario = load_scenario("wds10")
     params = {"node": node, "scale": 2.0} if kind == "demand_change" \
         else {"node": node}
-    scenario.disruptions += (DisruptionEvent(kind, params),)
     with pytest.raises(ScenarioError, match=rf"^disruption node {node} is "
                        r"outside the control range \[0, 10\)$"):
+        scenario = replace(scenario, disruptions=scenario.disruptions + (
+            DisruptionEvent(kind, params),))
         disrupted_setup(scenario)
     with pytest.raises(ScenarioError, match="outside the control range"):
+        scenario = replace(scenario, disruptions=scenario.disruptions + (
+            DisruptionEvent(kind, params),))
         run(scenario)
 
 
@@ -598,14 +631,14 @@ def test_short_initial_control_is_rejected_before_any_event(kind):
     # node 9 is past the end of u0[:3]: rebasing it would raise a raw
     # IndexError if the length were checked only after the events
     scenario = load_scenario("wds10")
-    scenario.u0 = scenario.u0[:3]
     params = {"node": 9, "scale": 2.0} if kind == "demand_change" \
         else {"node": 9}
-    scenario.disruptions += (DisruptionEvent(kind, params),)
     for call in (disrupted_setup, run):
         with pytest.raises(ScenarioError,
                            match="^initial control has the wrong length$"):
-            call(scenario)
+            call(replace(scenario, u0=scenario.u0[:3],
+                         disruptions=scenario.disruptions + (
+                             DisruptionEvent(kind, params),)))
 
 
 def test_noop_disruption_keeps_behavior():
@@ -639,9 +672,8 @@ def test_solver_failure_outcome_preserves_partial_trace():
 
 
 def test_run_rejects_overflowing_gains_quickly():
-    scenario = cascade_scenario()
-    scenario.gains = ProtocolGains(eta1=np.ones(2), eta2=np.full(2, 1e308),
-                                   eta3=np.full(2, 1e308))
+    scenario = replace(cascade_scenario(), gains=ProtocolGains(
+        eta1=np.ones(2), eta2=np.full(2, 1e308), eta3=np.full(2, 1e308)))
     t0 = time.perf_counter()
     with pytest.raises(ScenarioError):
         run(scenario)
@@ -710,11 +742,10 @@ def exact_fixed_point():
 
 
 def expanding_stall():
-    scenario = cascade_scenario(u_upper=(0.3, 0.4))
-    scenario.gains = ProtocolGains(eta1=np.ones(2), eta2=np.full(2, 2.0),
-                                   eta3=np.ones(2))
-    scenario.override_gain_check = True
-    return scenario
+    return replace(cascade_scenario(u_upper=(0.3, 0.4)),
+                   gains=ProtocolGains(eta1=np.ones(2), eta2=np.full(2, 2.0),
+                                       eta3=np.ones(2)),
+                   override_gain_check=True)
 
 
 def test_stop_at_exact_fixed_point():
@@ -939,14 +970,11 @@ def degree_sums(records, graph):
 
 
 def message_exit_cases():
-    budget = cascade_scenario(u_upper=(0.3, 0.4))
-    budget.budget = 6
-    flaky = cascade_scenario()
-    flaky.plant = FlakyLinear(sensitivity=[[1.0, 1.0]], offset=[0.0],
-                              u_lower=[0.0, 0.0], u_upper=[0.5, 1.0],
-                              y_lower=[1.0], measured_nodes=[0])
-    decimated = load_scenario("pjm5")
-    decimated.trace_decimation = 3
+    budget = replace(cascade_scenario(u_upper=(0.3, 0.4)), budget=6)
+    flaky = replace(cascade_scenario(), plant=FlakyLinear(
+        sensitivity=[[1.0, 1.0]], offset=[0.0], u_lower=[0.0, 0.0],
+        u_upper=[0.5, 1.0], y_lower=[1.0], measured_nodes=[0]))
+    decimated = replace(load_scenario("pjm5"), trace_decimation=3)
     return [("converged", load_scenario("linear_cascade")),
             ("stalled", cascade_scenario(u_upper=(0.3, 0.4))),
             ("stalled", expanding_stall()),
@@ -1023,11 +1051,12 @@ def test_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field):
 ])
 def test_run_rejects_non_finite_run_numbers(field, value):
     scenario = cascade_scenario()
-    owner = scenario.plant if field in ("u_lower", "u_upper", "y_lower") \
-        else scenario
-    setattr(owner, field, value)
     with pytest.raises(ScenarioError, match=field if field.startswith("eps")
                        else "finite"):
+        if field in ("u_lower", "u_upper", "y_lower"):
+            setattr(scenario.plant, field, value)
+        else:
+            scenario = replace(scenario, **{field: value})
         run(scenario)
 
 
@@ -1036,9 +1065,9 @@ def test_run_rejects_non_finite_run_numbers(field, value):
                                    np.bool_(True)])
 def test_run_rejects_a_tolerance_that_is_not_a_real_number(field, value):
     scenario = cascade_scenario()
-    setattr(scenario, field, value)
     with pytest.raises(ScenarioError,
                        match=f"^{field} must be finite and positive$"):
+        scenario = replace(scenario, **{field: value})
         run(scenario)
 
 

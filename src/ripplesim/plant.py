@@ -17,18 +17,28 @@ EPS_FEAS_DEFAULT = 1e-6
 MONOTONE_TOL = 1e-7
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of values."""
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
 class PlantModel(abc.ABC):
     """Deterministic steady-state plant.
 
     Concrete plants expose:
-        u_lower, u_upper: per-node control limits (u_lower <= u_upper)
+        u_lower, u_upper: finite per-node control limits (u_lower <= u_upper)
         measured_nodes:   distinct node indices carrying output sensors
-        y_lower:          output floors aligned with measured_nodes
+        y_lower:          finite output floors aligned with measured_nodes
         solve(u):         outputs over measured_nodes for control u
         solve_from(u, start=None) -> (y, state):
                           the same outputs, solved from the state a previous
                           solve_from returned (None: the cold start of solve)
         disrupted(event): a new plant with the DisruptionEvent applied
+
+    The limits are read-only float copies, checked when the plant is made
+    (_set_limits).
 
     solve must be a pure function of u (same input, same output) and must
     not keep mutable state across calls, so concurrent read-only use is safe.
@@ -89,14 +99,16 @@ class PlantModel(abc.ABC):
         return u_lower, u_upper
 
     def _set_limits(self, u_lower, u_upper, y_lower, measured_nodes):
-        """Store the limits as float arrays and measured_nodes as ints, and
-        check that the limits agree with each other and with the sensors,
-        which sit at distinct nodes in [0, control_dim)."""
-        self.u_lower = np.asarray(u_lower, dtype=float)
-        self.u_upper = np.asarray(u_upper, dtype=float)
-        self.y_lower = np.asarray(y_lower, dtype=float)
+        """Store the limits as read-only float copies and measured_nodes as
+        ints; check that the limits are finite and agree with each other and
+        with the sensors, which sit at distinct nodes in [0, control_dim)."""
+        self.u_lower, self.u_upper, self.y_lower = map(
+            _frozen, (u_lower, u_upper, y_lower))
         self.measured_nodes = tuple(_integer(i, "measured node")
                                     for i in measured_nodes)
+        for name in ("u_lower", "u_upper", "y_lower"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ModelError(f"{name} must be finite")
         if self.u_lower.shape != self.u_upper.shape:
             raise ModelError("control limit vectors disagree in shape")
         if np.any(self.u_lower > self.u_upper):
@@ -118,11 +130,15 @@ class LinearPlant(PlantModel):
 
     def __init__(self, sensitivity, offset, u_lower, u_upper, y_lower,
                  measured_nodes):
-        self.sensitivity = np.asarray(sensitivity, dtype=float)
-        self.offset = np.asarray(offset, dtype=float)
+        self.sensitivity = _frozen(sensitivity)
+        self.offset = _frozen(offset)
+        if self.sensitivity.ndim != 2:
+            raise ModelError("sensitivity must be a matrix")
         m, n = self.sensitivity.shape
         if m != len(measured_nodes) or n != len(u_upper):
             raise ModelError("sensitivity shape disagrees with limits")
+        if self.offset.shape != (m,):
+            raise ModelError("offset must hold one entry per measured node")
         self._set_limits(u_lower, u_upper, y_lower, measured_nodes)
 
     def solve(self, u):
@@ -134,11 +150,9 @@ class LinearPlant(PlantModel):
         if event.kind != "parameter_change" or "offset" not in event.params:
             raise ScenarioError(
                 f"unsupported linear-plant disruption '{event.kind}'")
-        offset = np.asarray(event.params["offset"], dtype=float)
-        if offset.shape != self.offset.shape:
-            raise ScenarioError("replacement offset has the wrong length")
-        return LinearPlant(self.sensitivity, offset, self.u_lower,
-                           self.u_upper, self.y_lower, self.measured_nodes)
+        return LinearPlant(self.sensitivity, event.params["offset"],
+                           self.u_lower, self.u_upper, self.y_lower,
+                           self.measured_nodes)
 
 
 def feasibility_check(plant: PlantModel, u, eps_feas: float = EPS_FEAS_DEFAULT) -> bool:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import (ModelError, PowerFlowInfeasibleError, ScenarioError,
                      SingularJacobianError)
-from .graph import (Graph, _integer, edge_index, weighted_laplacian,
-                    without_edge)
+from .graph import (Graph, _integer, edge_index, reachable,
+                    weighted_laplacian, without_edge)
 from .plant import PlantModel, damped_newton, newton_failure
 
 SOLVER_TOL = 1e-8
@@ -34,7 +34,8 @@ _ZERO = np.zeros(())  # a comparison with it converts no Python number
 class GridModel:
     """Grid data: line graph, per-line susceptances, bus partition.
 
-    generators and loads are disjoint bus-index tuples covering the graph.
+    generators and loads are disjoint bus-index tuples covering the graph,
+    and every load bus reaches a generator bus through the lines.
     The read-only load/generator blocks b_ll, b_lg and b_gg of the
     Laplacian B are derived once at construction and are all the solvers
     read; b_matrix rebuilds B on access, so a model never stores B twice.
@@ -58,6 +59,9 @@ class GridModel:
             raise ModelError("bus partition must cover the whole graph")
         if not gens:
             raise ModelError("at least one generator bus is required")
+        cut = sorted(set(loads) - reachable(self.graph, gens))
+        if cut:
+            raise ModelError(f"buses {cut} cannot reach any generator bus")
         b = self.b_matrix
         for name, rows, cols in (("b_ll", loads, loads), ("b_lg", loads, gens),
                                  ("b_gg", gens, gens)):

@@ -15,18 +15,19 @@ Trace of TraceRecord rows, and the terminal state is classified into an
 Outcome. Runs are single-threaded and deterministic: the same scenario
 yields bit-identical traces.
 """
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from math import isfinite
 from numbers import Real
 from operator import ge, gt
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModelError, ScenarioError, SolverError
 from .graph import Graph, _integer, adjacency_matrix, is_connected
-from .plant import EPS_FEAS_DEFAULT, PlantModel
+from .plant import EPS_FEAS_DEFAULT, PlantModel, _frozen
 from .protocol import (ProtocolGains, auto_gains, gain_condition,
                        is_equilibrium, message_counts, protocol_round,
                        round_constants)
@@ -44,14 +45,16 @@ class DisruptionEvent:
     Each plant type's disrupted method (LinearPlant, GridPlant, WaterPlant)
     applies the kinds it supports and says which params each one takes;
     demand_change and source_outage also move the initial control of their
-    params["node"] to its new lower limit (disrupted_setup). A node index
-    or an end of params["edge"] that is not an integer is a ModelError.
+    params["node"] to its new lower limit (disrupted_setup). params is
+    kept as a read-only copy. A node index or an end of params["edge"]
+    that is not an integer is a ModelError.
     """
 
     kind: str
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         if "node" in self.params:
             _integer(self.params["node"], "disruption node")
         for end in self.params.get("edge", ()):
@@ -61,7 +64,8 @@ class DisruptionEvent:
 @dataclass(frozen=True)
 class Scenario:
     """Everything a run needs: plant, overlay, gains, start, events, knobs;
-    frozen, and checked when made (dataclasses.replace makes a copy)."""
+    frozen, and checked when made (dataclasses.replace makes a copy). u0
+    is kept as a read-only float copy."""
 
     plant: PlantModel
     comm_graph: Graph
@@ -81,6 +85,13 @@ class Scenario:
         n = self.plant.control_dim
         if np.shape(self.u0) != (n,):
             raise ScenarioError("initial control has the wrong length")
+        try:
+            u0 = _frozen(self.u0)
+        except (TypeError, ValueError):  # an entry that is not a number
+            u0 = None
+        if u0 is None or not all(map(isfinite, u0.tolist())):
+            raise ScenarioError("initial control must be finite")
+        object.__setattr__(self, "u0", u0)
         if self.gains is not None and len(self.gains.eta1) != n:
             raise ScenarioError(f"gains have {len(self.gains.eta1)} entries "
                                 f"but the plant has {n} controls")
@@ -228,17 +239,12 @@ def disrupted_setup(scenario: Scenario):
 
 def run_setup(scenario: Scenario):
     """(plant, u0, state, adjacency, gains, gain norm) of a run, or a
-    ScenarioError when its disrupted plant cannot start (limits not finite,
-    u0 outside the box or not solvable): disrupted_setup's plant and start,
+    ScenarioError when its disrupted plant cannot start (u0 outside the box
+    or not solvable there): disrupted_setup's plant and start,
     its solve state at u0, the overlay's adjacency, the gains (the
     scenario's, else auto_gains at u0 once it solves) and their
     gain_condition norm, which the caller judges."""
     plant, u0 = disrupted_setup(scenario)
-    for name, values in (("initial control", u0), ("u_lower", plant.u_lower),
-                         ("u_upper", plant.u_upper),
-                         ("y_lower", plant.y_lower)):
-        if not np.isfinite(values).all():
-            raise ScenarioError(f"{name} must be finite")
     if (u0 < plant.u_lower - scenario.eps_feas).any() or \
             (u0 > plant.u_upper + scenario.eps_feas).any():
         raise ScenarioError("initial control violates its box limits")

@@ -118,14 +118,17 @@ class _Incidence:
     of (free nodes + pumps) rows: the pipe entries of A_f^T A_f, the pump
     border, the right-hand side. Entry i is k_coef[i] times entry k_src[i]
     of (1/slopes, the pipe residual rows over their slopes, the other
-    residual rows, 1). Every array is built in O(edges).
+    residual rows, 1). Every array is built in O(edges), after the check
+    that every node reaches a fixed-pressure node (else a ModelError).
     """
 
     def __init__(self, model):
         g, laws = model.graph, model.edge_laws
         n = g.node_count
-        self.unreachable = sorted(set(range(n))
-                                  - reachable(g, model.pressure_nodes))
+        cut = sorted(set(range(n)) - reachable(g, model.pressure_nodes))
+        if cut:
+            raise ModelError(
+                f"nodes {cut} cannot reach any fixed-pressure node")
         self.fixed = np.array(model.pressure_nodes, dtype=int)
         is_free = np.ones(n, dtype=bool)
         is_free[self.fixed] = False
@@ -284,20 +287,17 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
     previous HydraulicSolution, whose unknowns it starts at with their
     flow_terms if it solved this model. When x0 is None it starts from the
     minimum-norm flows that conserve the injections and every free
-    pressure at the mean fixed pressure. Raises ModelError when some node
-    cannot reach a fixed-pressure node or x0 has the wrong length,
-    HydraulicInfeasibleError when the Newton iteration stops unconverged
-    (the message names the stop), and PumpReverseFlowError when the
-    solution would push flow backwards through a pump.
+    pressure at the mean fixed pressure. Raises ModelError when u or x0
+    has the wrong length, HydraulicInfeasibleError when the Newton
+    iteration stops unconverged (the message names the stop), and
+    PumpReverseFlowError when the solution would push flow backwards
+    through a pump.
     """
     u = np.asarray(u, dtype=float)
     n = model.graph.node_count
     if u.shape != (n,):
         raise ModelError("control vector must hold one entry per node")
     net = model._incidence
-    if net.unreachable:
-        raise ModelError(
-            f"nodes {net.unreachable} cannot reach any fixed-pressure node")
     free, tail, head, k = net.free, net.tail, net.head, net.n_pipes
     m, nf = len(tail), len(free)
     u_free = u[free]

@@ -467,8 +467,8 @@ def auto(edit):
      "initial control: pump 6->2 would carry reverse flow -500.000"),
     ("wds10", auto(lambda doc: doc["disruption"].append(
         {"kind": "remove_edge", "from": "1", "to": "2"})),
-     "disrupted plant is not solvable at the initial control: nodes [1, 2, "
-     "3, 4, 5, 6, 7, 8, 9] cannot reach any fixed-pressure node"),
+     "disruption left an invalid plant: nodes [1, 2, 3, 4, 5, 6, 7, 8, 9] "
+     "cannot reach any fixed-pressure node"),
     ("linear_cascade", lambda doc: doc["comm_graph"].update(edges=[]),
      "communication graph must be connected"),
     ("linear_cascade", lambda doc: doc["initial"].update(u0=[0.0, 1.5]),
@@ -503,6 +503,37 @@ def test_every_command_rejects_a_disconnected_overlay(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "validation error: communication graph must be connected\n"
+
+
+def demand_overflow(doc):
+    """pjm5 with bus 4's demand_change set so far that its ceiling, base
+    plus flexibility, overflows to infinity."""
+    doc["disruption"][1] = {"kind": "demand_change", "node": "4",
+                            "set": 1e308, "flexibility": 1e308}
+
+
+def also_remove(ends):
+    """An edit that appends a remove_edge of the line between ends."""
+    return lambda doc: doc["disruption"].append(
+        {"kind": "remove_edge", "from": ends[0], "to": ends[1]})
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("pjm5", demand_overflow, "u_upper must be finite"),
+    ("pjm5", also_remove("45"), "buses [4] cannot reach any generator bus"),
+    ("wds10", also_remove("12"), "nodes [1, 2, 3, 4, 5, 6, 7, 8, 9] cannot "
+     "reach any fixed-pressure node"),
+], ids=["pjm5-overflow", "pjm5-cut-bus", "wds10-cut-source"])
+def test_every_command_rejects_a_broken_disrupted_plant_alike(
+        tmp_path, capsys, name, edit, message):
+    path = write_edited(tmp_path, edit, name)
+    for argv in (["simulate", "--output-dir", str(tmp_path / "out")],
+                 ["check-gains"], ["feasibility"],
+                 ["check-monotonicity", "--disrupted"]):
+        assert main([argv[0], path] + argv[1:]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err == ("validation error: disruption left an invalid "
+                       f"plant: {message}\n"), argv[0]
 
 
 def reference_trace_and_effort(outdir, scenario, records):

@@ -96,6 +96,17 @@ def test_laplacian_and_grid_model_reject_a_non_finite_weight(bad):
                   loads=(1, 2))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Graph(node_count=0, edges=()), "graph needs at least one node"),
+    (lambda: weighted_laplacian(Graph(node_count=2, edges=((0, 1),)),
+                                [1.0, 2.0]), "weights must align with edges"),
+], ids=["no-nodes", "weights"])
+def test_graph_rejects_bad_input(call, message):
+    with pytest.raises(ModelError) as err:
+        call()
+    assert type(err.value) is ModelError and str(err.value) == message
+
+
 def test_graph_validation():
     with pytest.raises(ModelError):
         Graph(node_count=2, edges=((0, 0),))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ripplesim import (Graph, GridModel, LinearPlant, ModelError,
                        PlantSolveError, feasibility_check,
@@ -25,6 +25,47 @@ def test_measured_nodes_are_distinct_indices_of_controls(measured, text):
         LinearPlant(sensitivity=np.ones((m, 2)), offset=np.zeros(m),
                     u_lower=[0.0, 0.0], u_upper=[1.0, 1.0],
                     y_lower=np.zeros(m), measured_nodes=measured)
+
+
+LINEAR = dict(sensitivity=[[1.0, 1.0]], offset=[0.0], u_lower=[0.0, 0.0],
+              u_upper=[1.0, 1.0], y_lower=[0.5], measured_nodes=[0])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"sensitivity": [1.0, 1.0]}, "sensitivity must be a matrix"),
+    ({"offset": [0.0, 0.0]}, "offset must hold one entry per measured node"),
+    ({"u_lower": [-np.inf, 0.0]}, "u_lower must be finite"),
+    ({"u_upper": [1.0, np.inf]}, "u_upper must be finite"),
+    ({"y_lower": [np.nan]}, "y_lower must be finite"),
+    ({"u_lower": [0.0]}, "control limit vectors disagree in shape"),
+    ({"u_lower": [2.0, 0.0]}, "u_lower exceeds u_upper"),
+    ({"y_lower": [0.5, 0.5]}, "y_lower must align with measured_nodes"),
+], ids=["sensitivity-1d", "offset-length", "u_lower-inf", "u_upper-inf",
+        "y_lower-nan", "limit-shapes", "limit-order", "y_lower-length"])
+def test_linear_plant_rejects_bad_arrays_when_made(change, message):
+    with pytest.raises(ModelError) as err:
+        LinearPlant(**{**LINEAR, **change})
+    assert type(err.value) is ModelError and str(err.value) == message
+
+
+def test_a_plant_keeps_read_only_copies_of_its_arrays():
+    arrays = {key: np.array(LINEAR[key], dtype=float) for key in (
+        "sensitivity", "offset", "u_lower", "u_upper", "y_lower")}
+    plant = LinearPlant(**{**LINEAR, **arrays})
+    for key, array in arrays.items():
+        kept = getattr(plant, key).copy()
+        array[...] = -5.0  # the caller's array, written after the plant
+        assert_array_equal(getattr(plant, key), kept)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(plant, key)[...] = -5.0
+    # a grid plant's limits as well: no write can put u_lower above u_upper
+    upper = np.array([1.1, 0.0])
+    grid = GridPlant(GridModel(Graph(2, ((0, 1),)), (10.0,), (0,), (1,)),
+                     [1.0, -0.1], upper, [0.9])
+    upper[0] = -5.0
+    assert grid.u_upper.tolist() == [1.1, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        grid.u_lower[0] = 5.0
 
 
 def test_feasibility_identity_cases():

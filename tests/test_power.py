@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ripplesim import (Graph, GridModel, ModelError,
-                       PowerFlowInfeasibleError, disrupted_setup, dvl_dql,
-                       dvl_dvg, load_scenario, loadability_sweep,
-                       monotonicity_margin, reactive_injections,
-                       solve_load_voltages, weighted_laplacian)
+from ripplesim import (Graph, GridModel, GridPlant, ModelError,
+                       PowerFlowInfeasibleError, SingularJacobianError,
+                       disrupted_setup, dvl_dql, dvl_dvg, load_scenario,
+                       loadability_sweep, monotonicity_margin,
+                       reactive_injections, solve_load_voltages,
+                       weighted_laplacian)
 from ripplesim.power import (MAX_NEWTON_ITER, SOLVER_TOL, PowerFlowSolution,
                              _gain_matrix)
 from synth import random_grid
@@ -263,6 +264,38 @@ def test_grid_model_validation():
         GridModel(graph=g, susceptances=(10.0,), generators=(), loads=(0, 1))
     with pytest.raises(ModelError):
         GridModel(graph=g, susceptances=(-1.0,), generators=(0,), loads=(1,))
+
+
+def _singular_point():
+    """A twobus solution whose G = i_L + v_L * b_LL is 0: singular."""
+    return PowerFlowSolution(np.array([0.5]), i_load=np.array([-5.0]))
+
+
+# each call takes the twobus grid
+@pytest.mark.parametrize("call, error, message", [
+    (lambda _: GridModel(Graph(3, ((0, 1), (1, 2))), (1.0, 1.0), (0,), (1,)),
+     ModelError, "bus partition must cover the whole graph"),
+    (lambda _: GridModel(Graph(3, ((0, 1),)), (1.0,), (0,), (1, 2)),
+     ModelError, "buses [2] cannot reach any generator bus"),
+    (lambda grid: GridPlant(grid, [1.0], [1.1], [0.9]),
+     ModelError, "control limits must cover every bus"),
+    (lambda grid: solve_load_voltages([0.0, 0.0], [1.0], grid),
+     ModelError, "injection/voltage vectors disagree with partition"),
+    (lambda grid: solve_load_voltages([0.0], [0.0], grid),
+     ModelError, "generator voltages must be positive"),
+    # q = 20 has the roots 2 and -1; the iteration from -1.5 finds -1
+    (lambda grid: solve_load_voltages([20.0], [1.0], grid, v0=[-1.5]),
+     PowerFlowInfeasibleError, "converged to non-physical voltages"),
+    (lambda grid: dvl_dql(_singular_point(), grid),
+     SingularJacobianError, "sensitivity matrix G is singular"),
+    (lambda grid: dvl_dvg(_singular_point(), grid),
+     SingularJacobianError, "sensitivity matrix G is singular"),
+], ids=["partition", "unreachable-bus", "plant-limits", "solve-shapes",
+        "generator-voltage", "non-physical", "dvl-dql", "dvl-dvg"])
+def test_grid_rejects_bad_input(twobus, call, error, message):
+    with pytest.raises(error) as err:
+        call(twobus)
+    assert type(err.value) is error and str(err.value) == message
 
 
 @pytest.mark.parametrize("generators, loads", [

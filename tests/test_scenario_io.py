@@ -348,6 +348,32 @@ def test_a_vector_of_another_length_gets_scenarios_message(section, value,
         scenario_from_dict(doc)
 
 
+def _cut_off_source(doc):
+    """wds10 without its pump 1-2, which leaves nodes 2 to 10 no path to
+    reservoir 1 before any disruption."""
+    doc["plant"]["edges"] = [edge for edge in doc["plant"]["edges"]
+                             if (edge["from"], edge["to"]) != ("1", "2")]
+    return doc
+
+
+@pytest.mark.parametrize("load, message", [
+    (lambda tmp: load_scenario(tmp / "missing.json"),
+     "cannot read scenario file: [Errno 2] No such file or directory: "
+     "'{tmp}/missing.json'"),
+    (lambda tmp: scenario_from_dict([]),
+     "<dict>: scenario document must be an object"),
+    (lambda tmp: scenario_from_dict(_cut_off_source(json.loads(
+        bundled_scenario_path("wds10").read_text()))),
+     "<dict>: nodes [1, 2, 3, 4, 5, 6, 7, 8, 9] cannot reach any "
+     "fixed-pressure node"),
+], ids=["missing-file", "not-an-object", "cut-off-network"])
+def test_a_document_that_cannot_make_a_scenario_is_rejected(tmp_path, load,
+                                                           message):
+    with pytest.raises(ScenarioError) as err:
+        load(tmp_path)
+    assert str(err.value) == message.format(tmp=tmp_path)
+
+
 def write_bundled(tmp_path, name, edit, stem):
     """A bundled scenario, edited, written as tmp_path/<stem>.json."""
     doc = json.loads(bundled_scenario_path(name).read_text())

@@ -461,14 +461,15 @@ def _event(kind, **params):
     return DisruptionEvent(kind=kind, params=params)
 
 
-DISRUPTIONS = {  # case: (plant, event, result predicate or error text)
+# case: (plant, event, result predicate, error, or the text of a ScenarioError)
+DISRUPTIONS = {
     "linear-offset": (
         cascade_scenario().plant, _event("parameter_change", offset=[0.5]),
         lambda d: d.offset.tolist() == [0.5]
         and d.sensitivity.tolist() == [[1.0, 1.0]]),
     "linear-offset-wrong-length": (
         cascade_scenario().plant, _event("parameter_change", offset=[1, 2]),
-        "replacement offset has the wrong length"),
+        ModelError("offset must hold one entry per measured node")),
     "linear-unsupported": (
         cascade_scenario().plant, _event("remove_edge", edge=(0, 1)),
         "unsupported linear-plant disruption 'remove_edge'"),
@@ -487,6 +488,15 @@ DISRUPTIONS = {  # case: (plant, event, result predicate or error text)
     "grid-demand-at-generator": (
         small_grid_plant(), _event("demand_change", node=0, scale=2.0),
         "bus 0 is not a load bus"),
+    "grid-remove-cuts-a-bus": (
+        GridPlant(grid=GridModel(graph=Graph(node_count=3,
+                                             edges=((0, 1), (1, 2))),
+                                 susceptances=(10.0, 5.0), generators=(0,),
+                                 loads=(1, 2)),
+                  u_lower=[1.0, -0.5, -0.4], u_upper=[1.1, -0.4, -0.3],
+                  y_lower=[0.94, 0.94]),
+        _event("remove_edge", edge=(1, 2)),
+        ModelError("buses [2] cannot reach any generator bus")),
     "grid-missing-edge": (
         small_grid_plant(), _event("remove_edge", edge=(1, 1)),
         "edge (1, 1) does not exist in the plant graph"),
@@ -494,13 +504,18 @@ DISRUPTIONS = {  # case: (plant, event, result predicate or error text)
         small_grid_plant(), _event("source_outage", node=1),
         "unsupported grid disruption 'source_outage'"),
     "water-remove-pump": (
-        small_water_plant(), _event("remove_edge", edge=(1, 0)),
-        lambda d: d.model.graph.edges == ((1, 2),)
-        and d.model.edge_laws == (PipeLaw(coefficient=0.001),)),
+        two_source_water_plant(), _event("remove_edge", edge=(1, 0)),
+        lambda d: d.model.graph.edges == ((1, 2), (2, 3))
+        and d.model.edge_laws == (PipeLaw(coefficient=0.001),
+                                  PipeLaw(coefficient=0.002))),
     "water-remove-pipe": (
+        two_source_water_plant(), _event("remove_edge", edge=(1, 2)),
+        lambda d: d.model.graph.edges == ((0, 1), (2, 3))
+        and d.model.edge_laws == (PumpLaw(gain=10.0),
+                                  PipeLaw(coefficient=0.002))),
+    "water-remove-cuts-a-node": (
         small_water_plant(), _event("remove_edge", edge=(1, 2)),
-        lambda d: d.model.graph.edges == ((0, 1),)
-        and d.model.edge_laws == (PumpLaw(gain=10.0),)),
+        ModelError("nodes [2] cannot reach any fixed-pressure node")),
     "water-missing-edge": (
         small_water_plant(), _event("remove_edge", edge=(0, 2)),
         "edge (0, 2) does not exist in the plant graph"),
@@ -536,10 +551,13 @@ def test_plant_disrupted(case):
     plant, event, expect = DISRUPTIONS[case]
     before = {k: np.copy(v) if isinstance(v, np.ndarray) else v
               for k, v in vars(plant).items()}
-    if isinstance(expect, str):
-        with pytest.raises(ScenarioError) as err:
+    if isinstance(expect, (str, Exception)):
+        if isinstance(expect, str):
+            expect = ScenarioError(expect)
+        with pytest.raises(type(expect)) as err:
             plant.disrupted(event)
-        assert str(err.value) == expect
+        assert type(err.value) is type(expect)
+        assert str(err.value) == str(expect)
     else:
         disrupted = plant.disrupted(event)
         assert type(disrupted) is type(plant)
@@ -1039,9 +1057,9 @@ def test_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field):
 
 @pytest.mark.parametrize("field, value", [
     ("u0", np.array([np.nan, 0.0])),
-    ("u_lower", np.array([-np.inf, 0.0])),
-    ("u_upper", np.array([0.5, np.inf])),
-    ("y_lower", np.array([np.nan])),
+    ("u0", [0.0, -np.inf]),
+    ("u0", ["x", 0.0]),
+    ("u0", [None, 0.0]),
     ("eps_eq", np.nan),
     ("eps_eq", -1.0),
     ("eps_feas", np.inf),
@@ -1052,12 +1070,32 @@ def test_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field):
 def test_run_rejects_non_finite_run_numbers(field, value):
     scenario = cascade_scenario()
     with pytest.raises(ScenarioError, match=field if field.startswith("eps")
-                       else "finite"):
-        if field in ("u_lower", "u_upper", "y_lower"):
-            setattr(scenario.plant, field, value)
-        else:
-            scenario = replace(scenario, **{field: value})
+                       else "^initial control must be finite$"):
+        scenario = replace(scenario, **{field: value})
         run(scenario)
+
+
+def test_a_scenario_keeps_a_read_only_copy_of_its_start():
+    # the caller's array can change after the scenario checked it
+    u0 = np.zeros(2)
+    scenario = replace(cascade_scenario(), u0=u0)
+    u0[0] = np.nan
+    assert scenario.u0.tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        scenario.u0[0] = np.nan
+    assert run(scenario)[0].status == "converged"
+
+
+def test_a_disruption_events_params_are_read_only():
+    # Scenario checked event nodes against the plant: no write can undo it
+    scenario = load_scenario("wds10")
+    with pytest.raises(TypeError):
+        scenario.disruptions[1].params["node"] = 99
+    params = {"node": 2, "set": -140.0}
+    event = DisruptionEvent(kind="demand_change", params=params)
+    params["node"] = 99
+    assert dict(event.params) == {"node": 2, "set": -140.0}
+    assert run(scenario)[0].status == "converged"
 
 
 @pytest.mark.parametrize("field", ["eps_eq", "eps_feas"])

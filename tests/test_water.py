@@ -424,10 +424,38 @@ def test_pump_refuses_reverse_flow():
 
 def test_disconnected_reference_rejected():
     g = Graph(node_count=3, edges=((0, 1),))
-    model = WaterModel(graph=g, edge_laws=(PipeLaw(coefficient=0.001),),
-                       pressure_nodes=(0,))
-    with pytest.raises(ModelError):
-        solve_network(np.array([5.0, -10.0, 10.0]), model)
+    with pytest.raises(ModelError, match=r"^nodes \[2\] cannot reach any "
+                       "fixed-pressure node$"):
+        WaterModel(graph=g, edge_laws=(PipeLaw(coefficient=0.001),),
+                   pressure_nodes=(0,))
+
+
+def _pipe_pair(**change):
+    """A WaterModel of one pipe 0-1, node 0 fixed, with change applied."""
+    model = dict(graph=Graph(node_count=2, edges=((0, 1),)),
+                 edge_laws=(PipeLaw(coefficient=0.001),), pressure_nodes=(0,))
+    return WaterModel(**{**model, **change})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _pipe_pair(edge_laws=()),
+     "edge laws must align with graph edges"),
+    (lambda: _pipe_pair(pressure_nodes=(0, 0)),
+     "duplicate fixed-pressure node"),
+    (lambda: _pipe_pair(pressure_nodes=(5,)), "pressure node 5 outside node "
+     "range"),
+    (lambda: solve_network([5.0], _pipe_pair()),
+     "control vector must hold one entry per node"),
+    (lambda: solve_network([5.0, -10.0], _pipe_pair(), x0=np.zeros(3)),
+     "start vector must hold the edge flows and the free pressures"),
+    (lambda: WaterPlant(_pipe_pair(), [5.0], [5.0], [0.0], measured_nodes=[0]),
+     "control limits must cover every node"),
+], ids=["laws", "duplicate-fixed", "fixed-outside", "control-length",
+        "start-length", "plant-limits"])
+def test_water_rejects_bad_input(call, message):
+    with pytest.raises(ModelError) as err:
+        call()
+    assert type(err.value) is ModelError and str(err.value) == message
 
 
 def test_needs_pressure_reference():

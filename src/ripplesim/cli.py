@@ -274,10 +274,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_feasibility(args) -> int:
     scenario = load_scenario(args.scenario)
+    plant, _ = disrupted_setup(scenario)
     if scenario.disruptions:
         base_ok = max_effort_feasibility(scenario.plant, scenario.eps_feas)
         print(f"base plant max-effort feasible: {base_ok}")
-    plant, _ = disrupted_setup(scenario)
     ok = max_effort_feasibility(plant, scenario.eps_feas)
     print(f"effective plant max-effort feasible: {ok}")
     return 0 if ok else 1

@@ -38,7 +38,8 @@ class PlantModel(abc.ABC):
         disrupted(event): a new plant with the DisruptionEvent applied
 
     The limits are read-only float copies, checked when the plant is made
-    (_set_limits).
+    (_set_limits, the last step of making one). A plant is immutable: once
+    made, it refuses attribute assignment with an AttributeError.
 
     solve must be a pure function of u (same input, same output) and must
     not keep mutable state across calls, so concurrent read-only use is safe.
@@ -56,6 +57,12 @@ class PlantModel(abc.ABC):
     u_upper: np.ndarray
     y_lower: np.ndarray
     measured_nodes: tuple
+    _made = False
+
+    def __setattr__(self, name, value):
+        if self._made:
+            raise AttributeError(f"cannot set {name!r}: a plant is immutable")
+        object.__setattr__(self, name, value)
 
     @property
     def control_dim(self) -> int:
@@ -100,8 +107,9 @@ class PlantModel(abc.ABC):
 
     def _set_limits(self, u_lower, u_upper, y_lower, measured_nodes):
         """Store the limits as read-only float copies and measured_nodes as
-        ints; check that the limits are finite and agree with each other and
-        with the sensors, which sit at distinct nodes in [0, control_dim)."""
+        ints, and as the int array _measured; check that the limits are
+        finite and agree with each other and with the sensors, which sit at
+        distinct nodes in [0, control_dim). Then the plant is made."""
         self.u_lower, self.u_upper, self.y_lower = map(
             _frozen, (u_lower, u_upper, y_lower))
         self.measured_nodes = tuple(_integer(i, "measured node")
@@ -119,6 +127,8 @@ class PlantModel(abc.ABC):
             raise ModelError("a measured node is repeated")
         if not all(0 <= i < self.control_dim for i in self.measured_nodes):
             raise ModelError("measured node outside the control range")
+        self._measured = np.array(self.measured_nodes, dtype=int)
+        self._made = True
 
 
 class LinearPlant(PlantModel):
@@ -139,6 +149,9 @@ class LinearPlant(PlantModel):
             raise ModelError("sensitivity shape disagrees with limits")
         if self.offset.shape != (m,):
             raise ModelError("offset must hold one entry per measured node")
+        for name in ("sensitivity", "offset"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ModelError(f"{name} must be finite")
         self._set_limits(u_lower, u_upper, y_lower, measured_nodes)
 
     def solve(self, u):

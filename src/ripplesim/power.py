@@ -27,7 +27,6 @@ from .plant import PlantModel, damped_newton, newton_failure
 
 SOLVER_TOL = 1e-8
 MAX_NEWTON_ITER = 50
-_ZERO = np.zeros(())  # a comparison with it converts no Python number
 
 
 @dataclass(frozen=True)
@@ -80,17 +79,19 @@ class PowerFlowSolution:
 
     q_gen, the generator injections v_G * (B_GG v_G + B_LG^T v_L), is
     built on first read from the v_gen and grid the solve kept, then
-    cached; a q_gen given to the constructor is returned as it is.
+    cached; a q_gen given to the constructor is returned as it is. i_gen,
+    B_LG v_G, is what a later solve of that grid at that v_gen reuses.
     """
 
     __slots__ = ("v_load", "i_load", "iterations", "residual", "_q_gen",
-                 "_v_gen", "_grid")
+                 "_v_gen", "_grid", "_i_gen")
 
     def __init__(self, v_load, q_gen=None, i_load=None, iterations=0,
-                 residual=0.0, *, v_gen=None, grid=None):
+                 residual=0.0, *, v_gen=None, grid=None, i_gen=None):
         self.v_load, self.i_load = v_load, i_load
         self.iterations, self.residual = iterations, residual
         self._q_gen, self._v_gen, self._grid = q_gen, v_gen, grid
+        self._i_gen = i_gen
 
     @property
     def q_gen(self) -> np.ndarray:
@@ -119,7 +120,10 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
                         tol: float = SOLVER_TOL) -> PowerFlowSolution:
     """Solve diag(v_L)(B_LG v_G + B_LL v_L) = q_L for the load voltages.
 
-    Runs plant.damped_newton from a flat 1.0 per-unit start (or v0).
+    Runs plant.damped_newton from a flat 1.0 per-unit start, or from v0:
+    load voltages, or a previous PowerFlowSolution, whose v_load it starts
+    at. When that solution solved this grid at the same v_gen, its B_LG v_G
+    and i_load are reused, so its start residual is v_L * i_load - q_L.
     Raises PowerFlowInfeasibleError when the iteration stops unconverged
     (the message names the stop) or the converged root is non-physical
     (v <= 0), and SingularJacobianError when the iteration matrix
@@ -130,10 +134,17 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
     nl = len(grid.loads)
     if q_load.shape != (nl,) or v_gen.shape != (len(grid.generators),):
         raise ModelError("injection/voltage vectors disagree with partition")
-    if np.logical_or.reduce(v_gen <= _ZERO):
+    if np.fmin.reduce(v_gen) <= 0.0:  # a NaN passes, and fails the solve
         raise ModelError("generator voltages must be positive")
+    start = None
+    if isinstance(v0, PowerFlowSolution):
+        if v0._grid is grid and v0._v_gen.tobytes() == v_gen.tobytes():
+            i_gen, start = v0._i_gen, (v0.v_load * v0.i_load - q_load,
+                                       v0.i_load)
+        v0 = v0.v_load
+    if start is None:
+        i_gen = grid.b_lg.dot(v_gen)
     v = np.ones(nl) if v0 is None else np.asarray(v0, dtype=float).copy()
-    i_gen = grid.b_lg.dot(v_gen)
 
     def residual(vl):
         il = i_gen + grid.b_ll.dot(vl)
@@ -144,15 +155,15 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
         lambda vl, r, il: np.linalg.solve(_gain_matrix(vl, il, grid.b_ll), -r),
         lambda k: SingularJacobianError(
             f"singular iteration matrix at iteration {k}"),
-        tol, MAX_NEWTON_ITER)
+        tol, MAX_NEWTON_ITER, start)
     if not rnorm <= tol:  # a NaN residual is no solution
         raise PowerFlowInfeasibleError(
             "no load-voltage solution: "
             + newton_failure(rnorm, iters, MAX_NEWTON_ITER))
-    if np.logical_or.reduce(v <= _ZERO):
+    if np.fmin.reduce(v, initial=np.inf) <= 0.0:
         raise PowerFlowInfeasibleError("converged to non-physical voltages")
     return PowerFlowSolution(v, None, i_load, iters, rnorm, v_gen=v_gen,
-                             grid=grid)
+                             grid=grid, i_gen=i_gen)
 
 
 def dvl_dql(sol: PowerFlowSolution, grid: GridModel) -> np.ndarray:
@@ -217,12 +228,12 @@ class GridPlant(PlantModel):
     The control vector holds one entry per bus: voltage set point at
     generator buses, reactive injection at load buses (all per-unit).
     Outputs are the load-bus voltages, which carry the lower limits. The
-    load and generator index arrays that split u are built once, here.
+    generator index array that splits u from the loads (the measured nodes)
+    is built once, here.
     """
 
     def __init__(self, grid: GridModel, u_lower, u_upper, y_lower):
         self.grid = grid
-        self._loads = np.array(grid.loads, dtype=int)
         self._gens = np.array(grid.generators, dtype=int)
         if len(u_upper) != grid.graph.node_count:
             raise ModelError("control limits must cover every bus")
@@ -232,11 +243,11 @@ class GridPlant(PlantModel):
         return self.solve_from(u)[0]
 
     def solve_from(self, u, start=None):
-        """Load voltages solved from the v_load of start, a previous state
-        (None: flat); the state is the PowerFlowSolution."""
+        """Load voltages solved from start, a previous state (None: flat);
+        the state is the PowerFlowSolution."""
         u = np.asarray(u, dtype=float)
-        sol = solve_load_voltages(u[self._loads], u[self._gens], self.grid,
-                                  None if start is None else start.v_load)
+        sol = solve_load_voltages(u[self._measured], u[self._gens], self.grid,
+                                  start)
         return sol.v_load, sol
 
     def disrupted(self, event):

@@ -29,6 +29,7 @@ singular exactly when this matrix is. At least one node must hold a fixed
 pressure, and every node must reach one through the network.
 """
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -233,22 +234,23 @@ class HydraulicSolution:
 
     Flows are oriented along each edge's canonical (low, high) direction;
     the reverse flow is the negation. unknowns is the converged Newton
-    vector (law-order edge flows, free pressures) and flow_terms its pipe
-    drops, slopes and free-node outflows, all read-only, and model the
-    WaterModel solved: a later solve of that model takes the solution as
-    its x0 and reuses them. flows is scattered from unknowns on first read,
-    then cached; a flows given to the constructor is returned as it is.
+    vector (law-order edge flows, free pressures), flow_terms its pipe
+    drops, slopes and free-node outflows and heads the fixed pressures it
+    was solved at, all read-only, and model the WaterModel solved: a later
+    solve of that model takes the solution as its x0 and reuses them.
+    flows is scattered from unknowns on first read, then cached; a flows
+    given to the constructor is returned as it is.
     """
 
     __slots__ = ("pressures", "residual", "iterations", "unknowns",
-                 "flow_terms", "model", "_flows")
+                 "flow_terms", "heads", "model", "_flows")
 
     def __init__(self, pressures, flows=None, residual=0.0, iterations=0,
-                 unknowns=None, flow_terms=None, model=None):
+                 unknowns=None, flow_terms=None, model=None, heads=None):
         self.pressures, self._flows = pressures, flows
         self.residual, self.iterations = residual, iterations
         self.unknowns, self.flow_terms = unknowns, flow_terms
-        self.model = model
+        self.model, self.heads = model, heads
 
     @property
     def flows(self) -> np.ndarray:
@@ -285,7 +287,11 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
     x0: the edge flows in law order (pipes then pumps, each pump along its
     boost) then the free pressures, as in HydraulicSolution.unknowns, or a
     previous HydraulicSolution, whose unknowns it starts at with their
-    flow_terms if it solved this model. When x0 is None it starts from the
+    flow_terms if it solved this model. If every fixed pressure in u then
+    differs from that solution's heads by one finite, nonzero amount c,
+    every free pressure of the start is raised by c: pressures enter the
+    system only through differences, so the pipe, pump and conservation
+    rows stay those of the solution. When x0 is None it starts from the
     minimum-norm flows that conserve the injections and every free
     pressure at the mean fixed pressure. Raises ModelError when u or x0
     has the wrong length, HydraulicInfeasibleError when the Newton
@@ -314,16 +320,24 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
         return np.concatenate((terms[0] - diff[:k], diff[k:] + net.gain,
                                terms[2] - u_free)), (pres, terms)
 
-    x0, terms = ((x0.unknowns, x0.flow_terms if x0.model is model else None)
-                 if isinstance(x0, HydraulicSolution) else (x0, None))
+    heads = u[net.fixed]  # a copy, which the solution keeps
+    heads.setflags(write=False)
+    start, terms = x0, None
+    if isinstance(start, HydraulicSolution):
+        x0 = start.unknowns
+        if start.model is model:
+            terms, shift = start.flow_terms, (heads - start.heads).tolist()
+            c = shift[0]
+            if c != 0.0 and isfinite(c) and shift.count(c) == len(shift):
+                x0 = np.concatenate((x0[:m], x0[m:] + c))
     if x0 is None:
         lap = np.bincount(net.lap_at, net.lap_sign, nf * nf).reshape(nf, nf)
         x0, terms = np.concatenate((net.across(np.linalg.solve(lap, u_free)),
-                                    np.full(nf, np.mean(u[net.fixed])))), None
+                                    np.full(nf, np.mean(heads)))), None
     elif np.shape(x0) != (m + nf,):
         raise ModelError("start vector must hold the edge flows and the "
                          "free pressures")
-    # a copy unless read-only, so that no solution shares a caller's array
+    # a copy of a caller's array, so that no solution shares it
     x0 = np.array(x0, dtype=float) if terms is None else x0
     x, (pressures, terms), rnorm, iters = damped_newton(
         x0, residual, lambda x, r, aux: _newton_step(net, r, aux[1][1]),
@@ -342,7 +356,8 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
             f"pump {tail[j]}->{head[j]} would carry reverse flow {q[j]:.3f}")
     for a in (x, *terms):
         a.setflags(write=False)
-    return HydraulicSolution(pressures, None, rnorm, iters, x, terms, model)
+    return HydraulicSolution(pressures, None, rnorm, iters, x, terms, model,
+                             heads)
 
 
 def check_pressure_ordering(model: WaterModel, u_hi, u_lo) -> bool:
@@ -367,8 +382,7 @@ class WaterPlant(PlantModel):
 
     The control vector holds pressure set points at fixed-pressure nodes
     and injections elsewhere; outputs are the pressures at the measured
-    nodes, which carry the minimum-pressure requirements. The measured-node
-    index array that picks them out is built once, here.
+    nodes, which carry the minimum-pressure requirements.
     """
 
     def __init__(self, model: WaterModel, u_lower, u_upper, y_lower,
@@ -377,7 +391,6 @@ class WaterPlant(PlantModel):
         if len(u_upper) != model.graph.node_count:
             raise ModelError("control limits must cover every node")
         self._set_limits(u_lower, u_upper, y_lower, measured_nodes)
-        self._measured = np.array(self.measured_nodes, dtype=int)
 
     def solve(self, u):
         return self.solve_from(u)[0]

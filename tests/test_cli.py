@@ -531,7 +531,8 @@ def test_every_command_rejects_a_broken_disrupted_plant_alike(
                  ["check-gains"], ["feasibility"],
                  ["check-monotonicity", "--disrupted"]):
         assert main([argv[0], path] + argv[1:]) == 2, argv[0]
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "", argv[0]
         assert err == ("validation error: disruption left an invalid "
                        f"plant: {message}\n"), argv[0]
 

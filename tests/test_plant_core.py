@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ripplesim import (Graph, GridModel, LinearPlant, ModelError,
-                       PlantSolveError, feasibility_check,
-                       max_effort_feasibility, monotonicity_probe)
+                       PlantSolveError, disrupted_setup, feasibility_check,
+                       load_scenario, max_effort_feasibility,
+                       monotonicity_probe)
 from ripplesim.plant import damped_newton, newton_failure
 from ripplesim.power import GridPlant
 from synth import random_monotone_linear_plant
@@ -34,14 +35,17 @@ LINEAR = dict(sensitivity=[[1.0, 1.0]], offset=[0.0], u_lower=[0.0, 0.0],
 @pytest.mark.parametrize("change, message", [
     ({"sensitivity": [1.0, 1.0]}, "sensitivity must be a matrix"),
     ({"offset": [0.0, 0.0]}, "offset must hold one entry per measured node"),
+    ({"sensitivity": [[1.0, np.nan]]}, "sensitivity must be finite"),
+    ({"offset": [np.inf]}, "offset must be finite"),
     ({"u_lower": [-np.inf, 0.0]}, "u_lower must be finite"),
     ({"u_upper": [1.0, np.inf]}, "u_upper must be finite"),
     ({"y_lower": [np.nan]}, "y_lower must be finite"),
     ({"u_lower": [0.0]}, "control limit vectors disagree in shape"),
     ({"u_lower": [2.0, 0.0]}, "u_lower exceeds u_upper"),
     ({"y_lower": [0.5, 0.5]}, "y_lower must align with measured_nodes"),
-], ids=["sensitivity-1d", "offset-length", "u_lower-inf", "u_upper-inf",
-        "y_lower-nan", "limit-shapes", "limit-order", "y_lower-length"])
+], ids=["sensitivity-1d", "offset-length", "sensitivity-nan", "offset-inf",
+        "u_lower-inf", "u_upper-inf", "y_lower-nan", "limit-shapes",
+        "limit-order", "y_lower-length"])
 def test_linear_plant_rejects_bad_arrays_when_made(change, message):
     with pytest.raises(ModelError) as err:
         LinearPlant(**{**LINEAR, **change})
@@ -66,6 +70,22 @@ def test_a_plant_keeps_read_only_copies_of_its_arrays():
     assert grid.u_upper.tolist() == [1.1, 0.0]
     with pytest.raises(ValueError, match="read-only"):
         grid.u_lower[0] = 5.0
+
+
+def test_a_plant_refuses_attribute_assignment_once_made():
+    # replacing an array would skip the checks made on it, and a new
+    # attribute would be state that no check covers
+    grid = GridPlant(GridModel(Graph(2, ((0, 1),)), (10.0,), (0,), (1,)),
+                     [1.0, -0.1], [1.1, 0.0], [0.9])
+    water = disrupted_setup(load_scenario("wds10"))[0]
+    for plant in (LinearPlant(**LINEAR), grid, water):
+        for name in ("u_upper", "y_lower", "measured_nodes", "_measured",
+                     "anything_new"):
+            with pytest.raises(AttributeError) as err:
+                setattr(plant, name, np.zeros(3))
+            assert str(err.value) == (f"cannot set {name!r}: a plant is "
+                                      "immutable")
+    assert plant.u_upper.shape == (10,)
 
 
 def test_feasibility_identity_cases():

@@ -119,8 +119,7 @@ def test_trace_rows_match_its_columns(case, tmp_path):
     if case == "decimated":
         scenario = replace(scenario, trace_decimation=7)
     if case == "empty":
-        scenario = cascade_scenario()
-        scenario.plant.offset = np.array([np.nan])
+        scenario = fails_in_round_1()
     outcome, trace = run(scenario)
     assert_rows_match_columns(trace)
     plant, u0 = disrupted_setup(scenario)
@@ -346,9 +345,12 @@ def test_overflowed_controls_are_named_in_the_failure_detail():
     # beacon turns agent 0's control NaN in round 2 (0 * inf in A @ beacons)
     # and the plant solve of round 3 fails on it
     scenario = cascade_scenario()
-    scenario.plant.y_lower = np.array([1e308])
-    scenario = replace(scenario, gains=ProtocolGains(
-        eta1=np.full(2, 10.0), eta2=np.full(2, 0.5), eta3=np.ones(2)))
+    plant = scenario.plant
+    scenario = replace(scenario, plant=LinearPlant(
+        plant.sensitivity, plant.offset, plant.u_lower, plant.u_upper,
+        y_lower=[1e308], measured_nodes=plant.measured_nodes),
+        gains=ProtocolGains(eta1=np.full(2, 10.0), eta2=np.full(2, 0.5),
+                            eta3=np.ones(2)))
     outcome, records = run(scenario)
     assert (outcome.status, outcome.rounds) == ("solver_failure", 3)
     assert outcome.detail == (
@@ -698,10 +700,18 @@ def test_run_rejects_overflowing_gains_quickly():
     assert time.perf_counter() - t0 < 0.1
 
 
+class ReadsPlusOffset(LinearPlant):
+    """An affine plant whose reading adds extra, a non-finite offset that a
+    LinearPlant refuses when it is made."""
+
+    extra = np.nan
+
+    def solve(self, u):
+        return super().solve(u) + self.extra
+
+
 def test_non_finite_plant_output_is_solver_failure():
-    scenario = cascade_scenario()
-    scenario.plant.offset = np.array([np.nan])
-    outcome, records = run(scenario)
+    outcome, records = run(fails_in_round_1())
     assert outcome.status == "solver_failure"
     assert outcome.rounds == 1
     assert "round 1" in outcome.detail
@@ -709,9 +719,12 @@ def test_non_finite_plant_output_is_solver_failure():
 
 
 def test_one_non_finite_output_is_solver_failure():
-    plant = LinearPlant(sensitivity=np.eye(2), offset=[0.0, np.inf],
-                        u_lower=[0.0, 0.0], u_upper=[1.0, 1.0],
-                        y_lower=[0.5, 0.5], measured_nodes=[0, 1])
+    class ReadsInfAtOne(ReadsPlusOffset):
+        extra = np.array([0.0, np.inf])
+
+    plant = ReadsInfAtOne(sensitivity=np.eye(2), offset=[0.0, 0.0],
+                          u_lower=[0.0, 0.0], u_upper=[1.0, 1.0],
+                          y_lower=[0.5, 0.5], measured_nodes=[0, 1])
     outcome, records = run(Scenario(
         plant=plant, comm_graph=Graph(node_count=2, edges=((0, 1),)),
         u0=np.zeros(2), gains=ProtocolGains(eta1=np.ones(2),
@@ -892,9 +905,12 @@ def no_measured_outputs():
 
 
 def fails_in_round_1():
+    """The cascade on a plant whose every reading is NaN."""
     scenario = cascade_scenario()
-    scenario.plant.offset = np.array([np.nan])
-    return scenario
+    plant = scenario.plant
+    return replace(scenario, plant=ReadsPlusOffset(
+        plant.sensitivity, plant.offset, plant.u_lower, plant.u_upper,
+        plant.y_lower, plant.measured_nodes))
 
 
 def cut_keeping(rows, decimation):
@@ -1155,6 +1171,27 @@ def test_warm_start_at_the_solution_reproduces_the_cold_reading(name):
         assert state_bytes(state_warm) == state_bytes(state)
 
 
+def test_a_uniform_rise_of_the_fixed_heads_moves_every_free_head_by_it():
+    # raising both fixed pressures by one amount keeps every flow and every
+    # pressure difference, so the warm solve takes no Newton step; raising
+    # one of them starts from the unshifted unknowns, as an array would
+    model = two_source_water_plant().model
+    u = np.array([5.0, 0.0, -100.0, 5.0])
+    sol = solve_network(u, model)
+    raised = solve_network(u + [1.5, 0.0, 0.0, 1.5], model, x0=sol)
+    assert raised.iterations == 0
+    assert raised.flows.tobytes() == sol.flows.tobytes()
+    assert_allclose(raised.pressures, sol.pressures + 1.5, rtol=0,
+                    atol=1e-13)
+    one = u + [0.0, 0.0, 0.0, 1.5]
+    moved = solve_network(one, model, x0=sol)
+    want = solve_network(one, model, x0=np.array(sol.unknowns))
+    assert moved.iterations == want.iterations > 0
+    for got, expected in ((moved.pressures, want.pressures),
+                          (moved.unknowns, want.unknowns)):
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_failed_warm_start_falls_back_to_the_cold_solve():
     scenario = load_scenario("pjm5")
     plant, u0 = disrupted_setup(scenario)
@@ -1294,8 +1331,8 @@ class Cliff(LinearPlant):
     """An affine plant whose solve raises once a control passes cliff."""
 
     def __init__(self, *limits, cliff):
+        self.cliff = cliff  # before the plant is made, and then immutable
         super().__init__(*limits)
-        self.cliff = cliff
 
     def solve(self, u):
         if (np.asarray(u) > self.cliff).any():

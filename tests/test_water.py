@@ -218,10 +218,14 @@ def _wds10_run_controls():
 
 def test_warm_solves_reuse_the_flow_terms_bit_for_bit(monkeypatch):
     # the chain of warm plant solves of a wds10 run against the same chain
-    # solved from each previous unknowns vector, whose flow terms
-    # solve_network evaluates afresh: the same bytes, and one evaluation of
-    # the friction law fewer per solve
+    # solved from each previous unknowns vector, its free pressures raised
+    # by the move of the one fixed pressure, whose flow terms solve_network
+    # evaluates afresh: the same bytes, and one evaluation of the friction
+    # law fewer per solve
     plant, controls = _wds10_run_controls()
+    fixed = list(plant.model.pressure_nodes)
+    m = len(plant.model._incidence.tail)
+    assert len(fixed) == 1
     calls = []
 
     def counted(*args):
@@ -232,10 +236,14 @@ def test_warm_solves_reuse_the_flow_terms_bit_for_bit(monkeypatch):
     y, state = plant.solve_from(controls[0])
     x = state.unknowns
     for u in controls[1:]:
+        start = np.array(x)
+        c = u[fixed][0] - state.heads[0]
+        if c:
+            start[m:] += c
         del calls[:]
         y, state = plant.solve_from(u, state)
         warm_calls = len(calls)
-        sol = solve_network(u, plant.model, x0=np.array(x))
+        sol = solve_network(u, plant.model, x0=start)
         assert len(calls) - warm_calls == warm_calls + 1
         assert y.tobytes() == sol.pressures[plant._measured].tobytes()
         for got, want in zip((state.unknowns, *state.flow_terms[:3]),
@@ -280,6 +288,57 @@ def test_warm_chains_share_a_plant_and_cannot_edit_its_start():
     state.pressures[:] = np.nan
     state.flows[:] = np.nan
     assert plant.solve_from(chains[0][0], state)[0].tobytes() == y.tobytes()
+
+
+def test_a_move_of_the_source_head_alone_takes_no_newton_step():
+    # every free pressure rises with the one fixed pressure, and the flows
+    # stay, so the start of such a warm solve already meets the tolerance
+    plant, controls = _wds10_run_controls()
+    fixed = list(plant.model.pressure_nodes)
+    source_only = 0
+    _, state = plant.solve_from(controls[0])
+    for prev, u in zip(controls, controls[1:]):
+        y, state = plant.solve_from(u, state)
+        if np.flatnonzero(u != prev).tolist() == fixed:
+            source_only += 1
+            assert state.iterations == 0
+            assert_allclose(y, plant.solve(u), rtol=0, atol=1e-9)
+    assert source_only == 682  # of 685 rounds
+
+
+def test_a_wds10_run_solved_cold_every_round_ends_where_the_warm_run_does():
+    class Cold(WaterPlant):
+        """Solves every round from the cold start."""
+
+        def solve_from(self, u, start=None):
+            return super().solve_from(u)
+
+    scenario = load_scenario("wds10")
+    plant, u0 = disrupted_setup(scenario)
+    warm = replace(scenario, plant=plant, u0=u0, disruptions=())
+    cold = replace(warm, plant=Cold(plant.model, plant.u_lower, plant.u_upper,
+                                    plant.y_lower, plant.measured_nodes))
+    warm_outcome, cold_outcome = run(warm)[0], run(cold)[0]
+    assert (cold_outcome.status, cold_outcome.rounds) == (
+        warm_outcome.status, warm_outcome.rounds) == ("converged", 685)
+    assert np.abs(cold_outcome.u - warm_outcome.u).max() <= \
+        scenario.eps_eq / 100
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("head, word", [(np.nan, "nan"), (np.inf, "inf"),
+                                        (-np.inf, "inf")])
+def test_a_non_finite_head_change_says_so(single_pipe, head, word):
+    # no shift is taken: the start is the previous unknowns, at which the
+    # residual is not finite
+    u = np.array([5.0, -100.0])
+    sol = solve_network(u, single_pipe)
+    u[0] = head
+    with pytest.raises(HydraulicInfeasibleError) as err:
+        solve_network(u, single_pipe, x0=sol)
+    assert str(err.value) == (
+        "no hydraulic solution: the residual at the starting point is not "
+        f"finite (residual {word})")
 
 
 def test_a_solution_of_another_model_lends_only_its_unknowns():

@@ -46,11 +46,12 @@ class PlantModel(abc.ABC):
     The state is the solution object that the plant's solver returned (a
     grid's PowerFlowSolution, a water network's HydraulicSolution), to be
     read only: the solver unknowns, the terms of them that the next solve
-    reuses, and the iterations and residual. An iteratively solved plant
-    starts its next solve there, so a control that moved little converges
-    in few steps. A warm solve agrees with the cold one to within the
-    solver tolerance. The default has no state to reuse: it returns
-    (solve(u), None).
+    reuses, and the iterations and residual (a grid's also carries the
+    Newton-matrix inverse of power.solve_load_voltages' chord step). An
+    iteratively solved plant starts its next solve there, so a control
+    that moved little converges in few steps. A warm solve agrees with the
+    cold one to within the solver tolerance. The default has no state to
+    reuse: it returns (solve(u), None).
     """
 
     u_lower: np.ndarray
@@ -207,6 +208,7 @@ def damped_newton(x, residual, direction, singular, tol: float,
     solution of J step = -F with J = dF/dx, however the caller solves it.
     Each iteration takes the first of x + step, x + step/2, ..., x +
     step/1024 that lowers the residual inf-norm. Stops at inf-norm <= tol,
+    at a start whose inf-norm is not finite (no step is taken from it),
     after max_iter iterations, or where no step lowers it (iterations <
     max_iter), at the lowest residual reached. Returns (x, aux, inf-norm,
     iterations); a LinAlgError from direction (a singular J) raises
@@ -215,7 +217,7 @@ def damped_newton(x, residual, direction, singular, tol: float,
     r, aux = residual(x) if start is None else start
     rnorm = float(np.maximum.reduce(np.abs(r))) if r.size else 0.0
     iters = 0
-    while rnorm > tol and iters < max_iter:
+    while tol < rnorm < np.inf and iters < max_iter:
         try:
             step = direction(x, r, aux)
         except np.linalg.LinAlgError as exc:

@@ -80,18 +80,21 @@ class PowerFlowSolution:
     q_gen, the generator injections v_G * (B_GG v_G + B_LG^T v_L), is
     built on first read from the v_gen and grid the solve kept, then
     cached; a q_gen given to the constructor is returned as it is. i_gen,
-    B_LG v_G, is what a later solve of that grid at that v_gen reuses.
+    B_LG v_G, is what a later solve of that grid at that v_gen reuses, and
+    so is g_inv, the inverse of the Newton matrix G at an earlier point of
+    that solve chain (None: not yet computed, or dropped).
     """
 
     __slots__ = ("v_load", "i_load", "iterations", "residual", "_q_gen",
-                 "_v_gen", "_grid", "_i_gen")
+                 "_v_gen", "_grid", "_i_gen", "_g_inv")
 
     def __init__(self, v_load, q_gen=None, i_load=None, iterations=0,
-                 residual=0.0, *, v_gen=None, grid=None, i_gen=None):
+                 residual=0.0, *, v_gen=None, grid=None, i_gen=None,
+                 g_inv=None):
         self.v_load, self.i_load = v_load, i_load
         self.iterations, self.residual = iterations, residual
         self._q_gen, self._v_gen, self._grid = q_gen, v_gen, grid
-        self._i_gen = i_gen
+        self._i_gen, self._g_inv = i_gen, g_inv
 
     @property
     def q_gen(self) -> np.ndarray:
@@ -123,7 +126,12 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
     Runs plant.damped_newton from a flat 1.0 per-unit start, or from v0:
     load voltages, or a previous PowerFlowSolution, whose v_load it starts
     at. When that solution solved this grid at the same v_gen, its B_LG v_G
-    and i_load are reused, so its start residual is v_L * i_load - q_L.
+    and i_load are reused, so its start residual r is v_L * i_load - q_L,
+    and a finite r above tol first takes the chord step v_L - G0^-1 r with
+    the inverse G0^-1 the solution carries (computed at its start if none).
+    A chord point that meets tol with positive voltages is the solution and
+    carries G0^-1 on; otherwise the damped Newton runs from the start, and
+    its solution carries no inverse.
     Raises PowerFlowInfeasibleError when the iteration stops unconverged
     (the message names the stop) or the converged root is non-physical
     (v <= 0), and SingularJacobianError when the iteration matrix
@@ -136,11 +144,11 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
         raise ModelError("injection/voltage vectors disagree with partition")
     if np.fmin.reduce(v_gen) <= 0.0:  # a NaN passes, and fails the solve
         raise ModelError("generator voltages must be positive")
-    start = None
+    start = g_inv = None
     if isinstance(v0, PowerFlowSolution):
         if v0._grid is grid and v0._v_gen.tobytes() == v_gen.tobytes():
-            i_gen, start = v0._i_gen, (v0.v_load * v0.i_load - q_load,
-                                       v0.i_load)
+            i_gen, g_inv = v0._i_gen, v0._g_inv
+            start = (v0.v_load * v0.i_load - q_load, v0.i_load)
         v0 = v0.v_load
     if start is None:
         i_gen = grid.b_lg.dot(v_gen)
@@ -150,12 +158,28 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
         il = i_gen + grid.b_ll.dot(vl)
         return vl * il - q_load, il
 
+    def singular(k):
+        return SingularJacobianError(
+            f"singular iteration matrix at iteration {k}")
+
+    if start is not None and tol < np.maximum.reduce(
+            np.abs(start[0]), initial=0.0) < np.inf:
+        if g_inv is None:
+            try:
+                g_inv = np.linalg.inv(_gain_matrix(v, start[1], grid.b_ll))
+            except np.linalg.LinAlgError as exc:  # so would Newton's step
+                raise singular(0) from exc
+        vc = v - g_inv.dot(start[0])
+        rc, ic = residual(vc)
+        rcn = float(np.maximum.reduce(np.abs(rc)))
+        if rcn <= tol and np.fmin.reduce(vc) > 0.0:
+            return PowerFlowSolution(vc, None, ic, 1, rcn, v_gen=v_gen,
+                                     grid=grid, i_gen=i_gen, g_inv=g_inv)
+        g_inv = None
     v, i_load, rnorm, iters = damped_newton(
         v, residual,
         lambda vl, r, il: np.linalg.solve(_gain_matrix(vl, il, grid.b_ll), -r),
-        lambda k: SingularJacobianError(
-            f"singular iteration matrix at iteration {k}"),
-        tol, MAX_NEWTON_ITER, start)
+        singular, tol, MAX_NEWTON_ITER, start)
     if not rnorm <= tol:  # a NaN residual is no solution
         raise PowerFlowInfeasibleError(
             "no load-voltage solution: "
@@ -163,7 +187,7 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
     if np.fmin.reduce(v, initial=np.inf) <= 0.0:
         raise PowerFlowInfeasibleError("converged to non-physical voltages")
     return PowerFlowSolution(v, None, i_load, iters, rnorm, v_gen=v_gen,
-                             grid=grid, i_gen=i_gen)
+                             grid=grid, i_gen=i_gen, g_inv=g_inv)
 
 
 def dvl_dql(sol: PowerFlowSolution, grid: GridModel) -> np.ndarray:

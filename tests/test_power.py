@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,7 +100,6 @@ def test_solve_past_the_nose_stops_at_a_stalled_line_search(twobus, f):
     assert float(m[2]) == pytest.approx((f - 1) * 10.0 / 4, rel=1e-3)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("q, v0, shown", [(np.nan, None, "nan"),
                                           (-0.1, np.inf, "inf")])
 def test_solve_from_a_non_finite_start_says_so(twobus, q, v0, shown):
@@ -383,26 +383,188 @@ def test_a_grid_plants_state_is_its_solution_and_starts_the_next_solve(name):
     assert warm.iterations >= 1 and warm.residual <= SOLVER_TOL
 
 
+def chord_point(state, q_load, grid):
+    """The chord step from state, a warm start of this grid at its v_gen,
+    recomputed: (v, i_load, residual, G^-1), where G^-1 is the inverse the
+    state carries or, when it carries none, the inverse at its own point."""
+    g_inv = state._g_inv
+    if g_inv is None:
+        g_inv = np.linalg.inv(_gain_matrix(state.v_load, state.i_load,
+                                           grid.b_ll))
+    v = state.v_load - g_inv.dot(state.v_load * state.i_load - q_load)
+    i_load = state._i_gen + grid.b_ll.dot(v)
+    return v, i_load, float(np.abs(v * i_load - q_load).max()), g_inv
+
+
 def test_a_warm_grid_solve_reuses_its_start_bit_for_bit():
-    # the chain of warm plant solves of a pjm5 run against the same chain
-    # solved from each previous v_load array: the same bytes. A start that
-    # solved this grid at the same generator voltages lends its B_LG v_G
-    # and i_load; pjm5 moves a generator voltage in 3 of its 1,342 rounds
+    # the chain of warm plant solves of a pjm5 run against the chord point
+    # recomputed from each previous state where it meets the tolerance, and
+    # against the Newton solve from the previous v_load array where it does
+    # not: the same bytes. A start that solved this grid at the same
+    # generator voltages lends its B_LG v_G, i_load and Newton-matrix
+    # inverse; pjm5 moves a generator voltage in 3 of its 1,342 rounds
     outcome, trace = run(load_scenario("pjm5"))
     plant = outcome.plant
-    loads, gens = list(plant.grid.loads), list(plant.grid.generators)
+    grid = plant.grid
+    loads, gens = list(grid.loads), list(grid.generators)
     _, state = plant.solve_from(outcome.u0)
-    reused = 0
+    reused = chords = 0
     for u in trace.u[:-1]:
         _, warm = plant.solve_from(u, state)
-        want = solve_load_voltages(u[loads], u[gens], plant.grid,
-                                   v0=state.v_load)
+        want = solve_load_voltages(u[loads], u[gens], grid, v0=state.v_load)
+        g_inv = None
+        if warm._i_gen is state._i_gen:
+            reused += 1
+            v, i_load, residual, g_inv = chord_point(state, u[loads], grid)
+            if residual <= SOLVER_TOL and v.min() > 0.0:
+                chords += 1
+                want = PowerFlowSolution(v, None, i_load, 1, residual,
+                                         v_gen=u[gens], grid=grid)
+            else:
+                g_inv = None
         for got, expected in ((warm.v_load, want.v_load),
                               (warm.i_load, want.i_load),
                               (warm.q_gen, want.q_gen)):
             assert got.tobytes() == expected.tobytes()
         assert (warm.iterations, warm.residual) == (want.iterations,
                                                     want.residual)
-        reused += warm._i_gen is state._i_gen
+        assert (warm._g_inv is None) == (g_inv is None)
+        if g_inv is not None:
+            assert warm._g_inv.tobytes() == g_inv.tobytes()
         state = warm
     assert reused == len(trace.u) - 1 - 3
+    assert 1_000 < chords < reused  # both kinds of step are exercised
+
+
+def counted(monkeypatch, name):
+    """Count the calls to np.linalg.<name>, which still does its work."""
+    calls, wrapped = [], getattr(np.linalg, name)
+
+    def counting(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def pjm5_warm_chain(*moves):
+    """pjm5's disrupted plant solved cold at its u0, then warm after each
+    move of the injection at its first load bus: (plant, u, last state)."""
+    plant, u = disrupted_setup(load_scenario("pjm5"))
+    _, state = plant.solve_from(u)
+    for move in moves:
+        u = u.copy()
+        u[plant.grid.loads[0]] += move
+        _, state = plant.solve_from(u, state)
+    return plant, u, state
+
+
+def test_a_chord_step_that_meets_the_tolerance_solves_nothing(monkeypatch):
+    plant, u, state = pjm5_warm_chain(1e-4)
+    assert state.iterations == 1 and state._g_inv is not None
+    u[plant.grid.loads[0]] += 1e-4
+    solves, inverses = (counted(monkeypatch, "solve"),
+                        counted(monkeypatch, "inv"))
+    _, warm = plant.solve_from(u, state)
+    assert solves == inverses == []
+    q_load = u[list(plant.grid.loads)]
+    r0 = state.v_load * state.i_load - q_load
+    assert warm.v_load.tobytes() == (
+        state.v_load - state._g_inv.dot(r0)).tobytes()
+    assert warm.iterations == 1 and warm.residual <= SOLVER_TOL
+    assert warm._g_inv is state._g_inv
+
+
+@pytest.mark.parametrize("carried", [False, True])
+def test_a_chord_step_that_misses_the_tolerance_runs_newton(monkeypatch,
+                                                           carried):
+    # the start carries an inverse or computes one; the chord point misses
+    # the tolerance, so the solve is the Newton solve from that start
+    plant, u, state = pjm5_warm_chain(*[1e-4] * carried)
+    assert (state._g_inv is not None) == carried
+    grid = plant.grid
+    u[grid.loads[0]] += 0.05
+    q_load, v_gen = u[list(grid.loads)], u[list(grid.generators)]
+    assert chord_point(state, q_load, grid)[2] > SOLVER_TOL
+    inverses = counted(monkeypatch, "inv")
+    _, warm = plant.solve_from(u, state)
+    assert len(inverses) == 1 - carried
+    want = solve_load_voltages(q_load, v_gen, grid, v0=state.v_load)
+    for got, expected in ((warm.v_load, want.v_load),
+                          (warm.i_load, want.i_load)):
+        assert got.tobytes() == expected.tobytes()
+    assert (warm.iterations, warm.residual) == (want.iterations,
+                                                want.residual)
+    assert warm.iterations >= 1 and warm._g_inv is None
+
+
+def test_cold_and_array_started_solves_compute_no_inverse(monkeypatch):
+    plant, u, state = pjm5_warm_chain(1e-4)
+    grid = plant.grid
+    q_load, v_gen = u[list(grid.loads)], u[list(grid.generators)]
+    inverses = counted(monkeypatch, "inv")
+    for v0 in (None, state.v_load, np.ones(len(grid.loads))):
+        sol = solve_load_voltages(q_load + 0.01, v_gen, grid, v0=v0)
+        assert sol.iterations >= 1 and sol._g_inv is None
+    assert inverses == []
+
+
+def test_a_chord_point_at_negative_voltages_is_not_the_solution(twobus):
+    # a start at the high root for q = 1.9 carries an inverse that steps
+    # onto the low root for q = 2, which meets the tolerance but is not
+    # physical; the solve is the Newton solve from that start instead
+    start = solve_load_voltages(np.array([1.9]), np.array([1.0]), twobus)
+    v_low = (1.0 - math.sqrt(1.0 + 4.0 * 2.0 / 10.0)) / 2.0
+    r0 = start.v_load * start.i_load - 2.0
+    carried = PowerFlowSolution(
+        start.v_load, None, start.i_load, v_gen=start._v_gen, grid=twobus,
+        i_gen=start._i_gen, g_inv=((start.v_load - v_low) / r0)[:, None])
+    v, _, residual, _ = chord_point(carried, 2.0, twobus)
+    assert residual <= SOLVER_TOL and v[0] < 0.0
+    sol = solve_load_voltages(np.array([2.0]), np.array([1.0]), twobus,
+                              v0=carried)
+    want = solve_load_voltages(np.array([2.0]), np.array([1.0]), twobus,
+                               v0=start.v_load)
+    assert sol.v_load.tobytes() == want.v_load.tobytes()
+    assert sol.v_load[0] == pytest.approx(twobus_voltage(2.0), abs=1e-12)
+    assert sol.iterations == want.iterations >= 1 and sol._g_inv is None
+
+
+@pytest.mark.parametrize("q, shown", [(np.nan, "nan"), (np.inf, "inf")])
+def test_no_chord_step_is_taken_from_a_non_finite_start(monkeypatch, q,
+                                                         shown):
+    plant, u, state = pjm5_warm_chain()
+    u[plant.grid.loads[0]] = q
+    inverses, solves = counted(monkeypatch, "inv"), counted(monkeypatch,
+                                                            "solve")
+    with pytest.raises(PowerFlowInfeasibleError) as err:
+        plant.solve_from(u, state)
+    assert str(err.value) == (
+        "no load-voltage solution: the residual at the starting point is "
+        f"not finite (residual {shown})")
+    assert inverses == solves == []
+
+
+def test_a_pjm5_run_with_chord_steps_ends_where_the_newton_run_does():
+    class Newton(GridPlant):
+        """Starts every warm solve from the previous load voltages as an
+        array, so no solve takes a chord step or carries an inverse."""
+
+        def solve_from(self, u, start=None):
+            return super().solve_from(u, None if start is None
+                                      else start.v_load)
+
+    scenario = load_scenario("pjm5")
+    plant, u0 = disrupted_setup(scenario)
+    chord = replace(scenario, plant=plant, u0=u0, disruptions=())
+    newton = replace(chord, plant=Newton(plant.grid, plant.u_lower,
+                                         plant.u_upper, plant.y_lower))
+    (chord_outcome, chord_trace), (newton_outcome, newton_trace) = (
+        run(chord), run(newton))
+    assert (chord_outcome.status, chord_outcome.rounds) == (
+        newton_outcome.status, newton_outcome.rounds) == ("converged", 1342)
+    assert sum(chord_trace.messages.tolist()) == sum(
+        newton_trace.messages.tolist()) == 9286
+    assert np.abs(chord_outcome.u - newton_outcome.u).max() <= \
+        scenario.eps_eq / 100

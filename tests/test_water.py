@@ -325,17 +325,21 @@ def test_a_wds10_run_solved_cold_every_round_ends_where_the_warm_run_does():
         scenario.eps_eq / 100
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("head, word", [(np.nan, "nan"), (np.inf, "inf"),
                                         (-np.inf, "inf")])
-def test_a_non_finite_head_change_says_so(single_pipe, head, word):
+def test_a_non_finite_head_change_says_so(single_pipe, head, word,
+                                          monkeypatch):
     # no shift is taken: the start is the previous unknowns, at which the
-    # residual is not finite
+    # residual is not finite, so no Newton step is taken from it
     u = np.array([5.0, -100.0])
     sol = solve_network(u, single_pipe)
     u[0] = head
+    steps = []
+    monkeypatch.setattr(water, "_newton_step",
+                        lambda *args: steps.append(args))
     with pytest.raises(HydraulicInfeasibleError) as err:
         solve_network(u, single_pipe, x0=sol)
+    assert steps == []
     assert str(err.value) == (
         "no hydraulic solution: the residual at the starting point is not "
         f"finite (residual {word})")

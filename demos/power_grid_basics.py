@@ -9,9 +9,8 @@ import math
 
 import numpy as np
 
-from ripplesim import (Graph, GridModel, dvl_dql, dvl_dvg, loadability_sweep,
-                       monotonicity_margin, reactive_injections,
-                       solve_load_voltages)
+from ripplesim import (Graph, GridModel, loadability_sweep,
+                       reactive_injections, solve_load_voltages)
 
 # one generator (bus 0) and one load (bus 1) over a line with b = 10 p.u.
 graph = Graph(node_count=2, edges=((0, 1),))
@@ -33,10 +32,11 @@ print(f"\nsolved load voltage   {sol.v_load[0]:.12f}")
 print(f"closed-form root      {closed_form:.12f}")
 print(f"Newton iterations     {sol.iterations}, residual {sol.residual:.2e}")
 
-# implicit-function sensitivities at the solved point
-print("\nd v_L / d q_L =", dvl_dql(sol, grid)[0, 0])
-print("d v_L / d v_G =", dvl_dvg(sol, grid)[0, 0])
-print("monotonicity margin =", monotonicity_margin(sol, grid),
+# implicit-function sensitivities at the solved point, one column per bus:
+# bus 0's generator voltage, then bus 1's load injection
+print("\nd v_L / d q_L =", sol.jacobian[0, 1])
+print("d v_L / d v_G =", sol.jacobian[0, 0])
+print("monotonicity margin =", sol.monotonicity_margin,
       "(positive certifies a monotone response)")
 
 # scale the load toward the point where the quadratic loses its real root

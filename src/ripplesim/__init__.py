@@ -12,8 +12,7 @@ from .errors import (HydraulicInfeasibleError, ModelError, PlantSolveError,
 from .graph import Graph, adjacency_matrix, is_connected, weighted_laplacian
 from .plant import (LinearPlant, PlantModel, ProbeResult, feasibility_check,
                     max_effort_feasibility, monotonicity_probe)
-from .power import (GridModel, GridPlant, PowerFlowSolution, dvl_dql,
-                    dvl_dvg, loadability_sweep, monotonicity_margin,
+from .power import (GridModel, GridPlant, PowerFlowSolution, loadability_sweep,
                     reactive_injections, solve_load_voltages)
 from .protocol import (ProtocolGains, auto_gains, gain_condition,
                        is_equilibrium, message_counts, protocol_round,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ModelError, ScenarioError, SolverError
 from .plant import max_effort_feasibility, monotonicity_probe
-from .power import GridPlant, loadability_sweep, monotonicity_margin
+from .power import GridPlant, loadability_sweep
 from .scenario_io import load_scenario
 from .sim import disrupted_setup, message_stats, run, run_setup
 
@@ -235,7 +235,7 @@ def cmd_check_monotonicity(args) -> int:
                f"min sensitivity={probe.jacobian.min():.3e}"
         if isinstance(plant, GridPlant):
             sol = plant.solve_from(point)[1]
-            line += f" margin={monotonicity_margin(sol, plant.grid):.6f}"
+            line += f" margin={sol.monotonicity_margin:.6f}"
         print(line)
         all_ok = all_ok and probe.monotone
     if failures:

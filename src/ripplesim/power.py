@@ -9,11 +9,11 @@ accordingly and fixing (q_L, v_G) leaves a quadratic system in the load
 voltages, solved from a flat start by the damped Newton shared with the
 water solver (plant.damped_newton).
 
-The implicit-function Jacobians of the solved map are available in closed
-form through the matrix G = diag(i_L) + diag(v_L) B_LL with
-i_L = B_LG v_G + B_LL v_L; both sensitivities are entrywise nonnegative
-whenever the certificate matrix diag(q_L / v_L^2) + B_LL is positive
-definite (G is then an M-matrix, so its inverse is nonnegative).
+The implicit-function Jacobian of the solved map (PowerFlowSolution.jacobian)
+is closed-form through G = diag(i_L) + diag(v_L) B_LL, i_L = B_LG v_G +
+B_LL v_L. It is entrywise nonnegative whenever the certificate matrix
+diag(q_L / v_L^2) + B_LL is positive definite (G is then an M-matrix, so
+its inverse is nonnegative); its smallest eigenvalue is monotonicity_margin.
 """
 from dataclasses import dataclass
 
@@ -104,6 +104,27 @@ class PowerFlowSolution:
                                    + grid.b_lg.T.dot(self.v_load))
         return self._q_gen
 
+    @property
+    def jacobian(self) -> np.ndarray:
+        """dv_L/du, one column per bus in bus order: the solution X of
+        G X = [I | -diag(v_L) B_LG] (load columns, then generator columns),
+        reordered by bus. Derived from the kept grid on each read."""
+        grid, v = self._grid, self.v_load
+        rhs = np.hstack((np.eye(len(v)), -v[:, None] * grid.b_lg))
+        try:
+            x = np.linalg.solve(_gain_matrix(v, self.i_load, grid.b_ll), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(
+                "sensitivity matrix G is singular") from exc
+        return x[:, np.argsort(grid.loads + grid.generators)]
+
+    @property
+    def monotonicity_margin(self) -> float:
+        """Smallest eigenvalue of diag(q_L/v_L^2) + B_LL (i_L / v_L at the
+        solution); a positive one certifies a nonnegative jacobian."""
+        cert = np.diag(self.i_load / self.v_load) + self._grid.b_ll
+        return float(np.min(np.linalg.eigvalsh(cert)))
+
 
 def reactive_injections(v, b_matrix) -> np.ndarray:
     """Nodal reactive injections q = diag(v) B v for a full voltage vector."""
@@ -131,7 +152,8 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
     the inverse G0^-1 the solution carries (computed at its start if none).
     A chord point that meets tol with positive voltages is the solution and
     carries G0^-1 on; otherwise the damped Newton runs from the start, and
-    its solution carries no inverse.
+    its solution carries no inverse. The solution's v_load and i_load are
+    read-only.
     Raises PowerFlowInfeasibleError when the iteration stops unconverged
     (the message names the stop) or the converged root is non-physical
     (v <= 0), and SingularJacobianError when the iteration matrix
@@ -173,6 +195,8 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
         rc, ic = residual(vc)
         rcn = float(np.maximum.reduce(np.abs(rc)))
         if rcn <= tol and np.fmin.reduce(vc) > 0.0:
+            vc.setflags(write=False)
+            ic.setflags(write=False)
             return PowerFlowSolution(vc, None, ic, 1, rcn, v_gen=v_gen,
                                      grid=grid, i_gen=i_gen, g_inv=g_inv)
         g_inv = None
@@ -186,38 +210,10 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
             + newton_failure(rnorm, iters, MAX_NEWTON_ITER))
     if np.fmin.reduce(v, initial=np.inf) <= 0.0:
         raise PowerFlowInfeasibleError("converged to non-physical voltages")
+    v.setflags(write=False)
+    i_load.setflags(write=False)
     return PowerFlowSolution(v, None, i_load, iters, rnorm, v_gen=v_gen,
                              grid=grid, i_gen=i_gen, g_inv=g_inv)
-
-
-def dvl_dql(sol: PowerFlowSolution, grid: GridModel) -> np.ndarray:
-    """Sensitivity of load voltages to load injections: G^{-1}."""
-    g = _gain_matrix(sol.v_load, sol.i_load, grid.b_ll)
-    try:
-        return np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobianError("sensitivity matrix G is singular") from exc
-
-
-def dvl_dvg(sol: PowerFlowSolution, grid: GridModel) -> np.ndarray:
-    """Sensitivity of load voltages to generator voltages: -G^{-1} diag(v_L) B_LG."""
-    g = _gain_matrix(sol.v_load, sol.i_load, grid.b_ll)
-    try:
-        return np.linalg.solve(g, -np.diag(sol.v_load) @ grid.b_lg)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobianError("sensitivity matrix G is singular") from exc
-
-
-def monotonicity_margin(sol: PowerFlowSolution, grid: GridModel) -> float:
-    """Smallest eigenvalue of diag(q_L/v_L^2) + B_LL at the solved point.
-
-    A positive value certifies that both voltage sensitivities are
-    entrywise nonnegative at this operating point, i.e. raising any load
-    injection or generator voltage cannot lower any load voltage.
-    """
-    g_load = sol.i_load / sol.v_load  # equals q_L / v_L^2 at the solution
-    cert = np.diag(g_load) + grid.b_ll
-    return float(np.min(np.linalg.eigvalsh(cert)))
 
 
 @dataclass(frozen=True)
@@ -242,7 +238,7 @@ def loadability_sweep(grid: GridModel, q_load_nominal, v_gen, scales) -> list:
             out.append(SweepPoint(scale=float(s), solved=False, margin=None))
             continue
         out.append(SweepPoint(scale=float(s), solved=True,
-                              margin=monotonicity_margin(sol, grid)))
+                              margin=sol.monotonicity_margin))
     return out
 
 
@@ -253,7 +249,7 @@ class GridPlant(PlantModel):
     generator buses, reactive injection at load buses (all per-unit).
     Outputs are the load-bus voltages, which carry the lower limits. The
     generator index array that splits u from the loads (the measured nodes)
-    is built once, here.
+    is built once, here. A generator's lower voltage limit must be positive.
     """
 
     def __init__(self, grid: GridModel, u_lower, u_upper, y_lower):
@@ -262,6 +258,8 @@ class GridPlant(PlantModel):
         if len(u_upper) != grid.graph.node_count:
             raise ModelError("control limits must cover every bus")
         self._set_limits(u_lower, u_upper, y_lower, grid.loads)
+        if (self.u_lower[self._gens] <= 0.0).any():
+            raise ModelError("generator voltage limits must be positive")
 
     def solve(self, u):
         return self.solve_from(u)[0]

@@ -252,6 +252,8 @@ def _event(ev, index, i):
 def _power_plant(doc):
     buses = _need(doc, "buses", "plant", kind=list)
     base_mva = _num(doc, "base_mva", "plant", 100.0)
+    if base_mva <= 0.0:
+        raise ScenarioError("plant.base_mva: expected a positive number")
     index = _label_index([_need(b, "label", f"plant.buses[{i}]")
                           for i, b in enumerate(buses)],
                          "plant.buses: duplicate bus label")

@@ -246,12 +246,11 @@ def test_sweep_single_step(tmp_path):
     rows = read_csv(tmp_path / "sweep.csv")
     assert len(rows) == 1
     # consistency with the direct margin at the nominal point
-    from ripplesim import load_scenario, monotonicity_margin, solve_load_voltages
+    from ripplesim import load_scenario, solve_load_voltages
 
     plant = load_scenario("twobus").plant
     sol = solve_load_voltages(np.array([-0.1]), np.array([1.0]), plant.grid)
-    assert abs(float(rows[0]["lambda_min"])
-               - monotonicity_margin(sol, plant.grid)) < 1e-12
+    assert abs(float(rows[0]["lambda_min"]) - sol.monotonicity_margin) < 1e-12
 
 
 @pytest.mark.parametrize("bound", ["--scale-min=nan", "--scale-max=inf",
@@ -535,6 +534,34 @@ def test_every_command_rejects_a_broken_disrupted_plant_alike(
         assert out == "", argv[0]
         assert err == ("validation error: disruption left an invalid "
                        f"plant: {message}\n"), argv[0]
+
+
+def negative_generator_floor(doc):
+    """pjm5 with generator bus 1 allowed from -1.0 to 1.0 p.u."""
+    doc["plant"]["buses"][0].update(v_initial=-1.0, v_max=1.0)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["plant"].update(base_mva=0),
+     "plant.base_mva: expected a positive number"),
+    (lambda doc: doc["plant"].update(base_mva=-100),
+     "plant.base_mva: expected a positive number"),
+    (negative_generator_floor,
+     "{path}: generator voltage limits must be positive"),
+], ids=["base-mva-zero", "base-mva-negative", "generator-floor"])
+def test_every_command_rejects_a_broken_power_file_alike(
+        tmp_path, capsys, monkeypatch, edit, message):
+    monkeypatch.chdir(tmp_path)
+    path = write_edited(tmp_path, edit, "pjm5")
+    for argv in (["simulate", "--output-dir", "out"], ["check-gains"],
+                 ["feasibility"], ["check-monotonicity"],
+                 ["check-monotonicity", "--disrupted"],
+                 ["sweep", "--output-dir", "out"]):
+        assert main([argv[0], path] + argv[1:]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == f"validation error: {message.format(path=path)}\n", argv
+    assert not (tmp_path / "out").exists()
 
 
 def reference_trace_and_effort(outdir, scenario, records):

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from ripplesim import (Graph, GridModel, LinearPlant, ModelError,
                        PlantSolveError, disrupted_setup, feasibility_check,
                        load_scenario, max_effort_feasibility,
-                       monotonicity_probe)
+                       monotonicity_probe, run)
 from ripplesim.plant import damped_newton, newton_failure
 from ripplesim.power import GridPlant
 from synth import random_monotone_linear_plant
@@ -147,22 +147,19 @@ def test_probe_flags_decreasing_plant():
     assert not probe.monotone
 
 
-def test_probe_matches_analytic_grid_jacobian():
-    from ripplesim import dvl_dql, dvl_dvg, solve_load_voltages
-
-    g = Graph(node_count=2, edges=((0, 1),))
-    grid = GridModel(graph=g, susceptances=(10.0,), generators=(0,), loads=(1,))
-    plant = GridPlant(grid=grid, u_lower=[1.0, -0.2], u_upper=[1.05, 0.0],
-                      y_lower=[0.94])
-    u0 = np.array([1.0, -0.1])
-    probe = monotonicity_probe(plant, u0)
-    sol = solve_load_voltages(np.array([-0.1]), np.array([1.0]), grid)
-    analytic = np.zeros((1, 2))
-    analytic[:, 0] = dvl_dvg(sol, grid)[0]
-    analytic[:, 1] = dvl_dql(sol, grid)[0]
-    rel = np.abs(probe.jacobian - analytic) / np.abs(analytic)
+@pytest.mark.parametrize("name", ["pjm5", "twobus"])
+@pytest.mark.parametrize("at", ["u0", "terminal"])
+def test_probe_matches_analytic_grid_jacobian(name, at):
+    # the disrupted plant at its start and where its run stops
+    outcome = run(load_scenario(name))[0]
+    plant, u = outcome.plant, getattr(outcome, "u" if at == "terminal" else at)
+    jacobian = plant.solve_from(u)[1].jacobian
+    probe = monotonicity_probe(plant, u)
+    assert jacobian.shape == probe.jacobian.shape == (len(plant.y_lower),
+                                                      plant.control_dim)
+    assert jacobian.min() > 0.0 and probe.monotone
+    rel = np.abs(probe.jacobian - jacobian) / jacobian
     assert rel.max() < 1e-5
-    assert probe.monotone
 
 
 def test_probe_order_preservation_property():

@@ -8,8 +8,7 @@ from numpy.testing import assert_allclose
 
 from ripplesim import (Graph, GridModel, GridPlant, ModelError,
                        PowerFlowInfeasibleError, SingularJacobianError,
-                       disrupted_setup, dvl_dql, dvl_dvg, load_scenario,
-                       loadability_sweep, monotonicity_margin,
+                       disrupted_setup, load_scenario, loadability_sweep,
                        reactive_injections, run, solve_load_voltages,
                        weighted_laplacian)
 from ripplesim.power import (MAX_NEWTON_ITER, SOLVER_TOL, PowerFlowSolution,
@@ -146,10 +145,18 @@ def test_residual_invariant_on_random_grids():
         solved += 1
 
 
+def split_jacobian(sol, grid):
+    """(dv_L/dq_L, dv_L/dv_G): the load and generator columns of the
+    solution's bus-ordered jacobian."""
+    jac = sol.jacobian
+    return jac[:, list(grid.loads)], jac[:, list(grid.generators)]
+
+
 def test_jacobian_two_bus_flat(twobus):
     sol = solve_load_voltages(np.array([0.0]), np.array([1.0]), twobus)
-    assert_allclose(dvl_dql(sol, twobus), [[0.1]], atol=1e-12)
-    assert_allclose(dvl_dvg(sol, twobus), [[1.0]], atol=1e-10)
+    dql, dvg = split_jacobian(sol, twobus)
+    assert_allclose(dql, [[0.1]], atol=1e-12)
+    assert_allclose(dvg, [[1.0]], atol=1e-10)
 
 
 def finite_difference_jacobians(grid, q, vg, h=1e-6):
@@ -173,16 +180,17 @@ def test_jacobians_match_finite_differences(twobus):
     q, vg = np.array([-0.1]), np.array([1.0])
     sol = solve_load_voltages(q, vg, twobus)
     fd_ql, fd_vg = finite_difference_jacobians(twobus, q, vg)
-    assert np.abs(dvl_dql(sol, twobus) - fd_ql).max() / np.abs(fd_ql).max() < 1e-5
-    assert np.abs(dvl_dvg(sol, twobus) - fd_vg).max() / np.abs(fd_vg).max() < 1e-5
+    a_ql, a_vg = split_jacobian(sol, twobus)
+    assert np.abs(a_ql - fd_ql).max() / np.abs(fd_ql).max() < 1e-5
+    assert np.abs(a_vg - fd_vg).max() / np.abs(fd_vg).max() < 1e-5
 
 
 def test_margin_two_bus_values(twobus):
     flat = solve_load_voltages(np.array([0.0]), np.array([1.0]), twobus)
-    assert_allclose(monotonicity_margin(flat, twobus), 10.0, atol=1e-12)
+    assert_allclose(flat.monotonicity_margin, 10.0, atol=1e-12)
     sol = solve_load_voltages(np.array([-0.1]), np.array([1.0]), twobus)
     v = twobus_voltage(-0.1)
-    assert_allclose(monotonicity_margin(sol, twobus), 10.0 - 0.1 / v ** 2,
+    assert_allclose(sol.monotonicity_margin, 10.0 - 0.1 / v ** 2,
                     rtol=1e-10)
 
 
@@ -191,7 +199,7 @@ def test_margin_decreases_toward_boundary(twobus):
     margins = []
     for s in scales:
         sol = solve_load_voltages(np.array([-0.1 * s]), np.array([1.0]), twobus)
-        margins.append(monotonicity_margin(sol, twobus))
+        margins.append(sol.monotonicity_margin)
         # closed form: margin = 10 + q / v^2 with v the high quadratic root
         v = twobus_voltage(-0.1 * s)
         assert_allclose(margins[-1], 10.0 - 0.1 * s / v ** 2, rtol=1e-8)
@@ -207,9 +215,8 @@ def test_positive_margin_certifies_nonnegative_jacobians():
             sol = solve_load_voltages(q, vg, grid)
         except PowerFlowInfeasibleError:
             continue
-        if monotonicity_margin(sol, grid) > 0:
-            assert dvl_dql(sol, grid).min() >= -1e-10
-            assert dvl_dvg(sol, grid).min() >= -1e-10
+        if sol.monotonicity_margin > 0:
+            assert sol.jacobian.min() >= -1e-10
             solved += 1
 
 
@@ -266,9 +273,10 @@ def test_grid_model_validation():
         GridModel(graph=g, susceptances=(-1.0,), generators=(0,), loads=(1,))
 
 
-def _singular_point():
+def _singular_point(grid):
     """A twobus solution whose G = i_L + v_L * b_LL is 0: singular."""
-    return PowerFlowSolution(np.array([0.5]), i_load=np.array([-5.0]))
+    return PowerFlowSolution(np.array([0.5]), i_load=np.array([-5.0]),
+                             grid=grid)
 
 
 # each call takes the twobus grid
@@ -286,12 +294,12 @@ def _singular_point():
     # q = 20 has the roots 2 and -1; the iteration from -1.5 finds -1
     (lambda grid: solve_load_voltages([20.0], [1.0], grid, v0=[-1.5]),
      PowerFlowInfeasibleError, "converged to non-physical voltages"),
-    (lambda grid: dvl_dql(_singular_point(), grid),
-     SingularJacobianError, "sensitivity matrix G is singular"),
-    (lambda grid: dvl_dvg(_singular_point(), grid),
+    (lambda grid: GridPlant(grid, [0.0, 0.0], [1.1, 0.0], [0.9]),
+     ModelError, "generator voltage limits must be positive"),
+    (lambda grid: _singular_point(grid).jacobian,
      SingularJacobianError, "sensitivity matrix G is singular"),
 ], ids=["partition", "unreachable-bus", "plant-limits", "solve-shapes",
-        "generator-voltage", "non-physical", "dvl-dql", "dvl-dvg"])
+        "generator-voltage", "non-physical", "generator-limit", "jacobian"])
 def test_grid_rejects_bad_input(twobus, call, error, message):
     with pytest.raises(error) as err:
         call(twobus)
@@ -309,7 +317,7 @@ def test_grid_model_rejects_buses_that_are_not_integers(generators, loads):
 @pytest.mark.parametrize("n", [5, 50, 200])
 def test_gain_matrix_matches_the_dense_product_bit_for_bit(n):
     # the reference is the dense form diag(i) + diag(v) @ B_LL; the row
-    # scaling must give the same bits, and so must both sensitivities
+    # scaling must give the same bits, and so must the jacobian
     rng = np.random.default_rng([7, n])
     grid, q_load, v_gen = random_grid(rng, n)
     i_gen = grid.b_lg @ v_gen
@@ -324,11 +332,12 @@ def test_gain_matrix_matches_the_dense_product_bit_for_bit(n):
         g = _gain_matrix(v, i, grid.b_ll)
         assert g.tobytes() == reference.tobytes()
         sol = PowerFlowSolution(v_load=v, q_gen=np.zeros(len(v_gen)),
-                                i_load=i, iterations=0, residual=0.0)
-        assert dvl_dql(sol, grid).tobytes() == \
-            np.linalg.inv(reference).tobytes()
-        assert dvl_dvg(sol, grid).tobytes() == np.linalg.solve(
-            reference, -np.diag(v) @ grid.b_lg).tobytes()
+                                i_load=i, iterations=0, residual=0.0,
+                                grid=grid)
+        rhs = np.hstack((np.eye(len(v)), -v[:, None] * grid.b_lg))
+        order = np.argsort(grid.loads + grid.generators)
+        assert sol.jacobian.tobytes() == \
+            np.linalg.solve(reference, rhs)[:, order].tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 5, 12, 40, 100])
@@ -497,6 +506,24 @@ def test_a_chord_step_that_misses_the_tolerance_runs_newton(monkeypatch,
     assert (warm.iterations, warm.residual) == (want.iterations,
                                                 want.residual)
     assert warm.iterations >= 1 and warm._g_inv is None
+
+
+@pytest.mark.parametrize("moves", [(), (1e-4,)], ids=["newton", "chord"])
+def test_an_edited_reading_cannot_change_the_next_warm_solve(moves):
+    # the reading that solve_from returns is its state's v_load, which the
+    # next warm solve starts from: an edit in place must fail, not move it
+    plant, u, state = pjm5_warm_chain(*moves)
+    assert (state.iterations == 1) == (state._g_inv is not None) == bool(moves)
+    bumped = u.copy()
+    bumped[list(plant.grid.loads)] += 0.001
+    want = plant.solve_from(bumped, state)[1]
+    y = plant.solve_from(u, state)[0]
+    for array in (y, state.v_load, state.i_load):
+        with pytest.raises(ValueError, match="read-only"):
+            array += 0.05
+    got = plant.solve_from(bumped, state)[1]
+    assert got.v_load.tobytes() == want.v_load.tobytes()
+    assert (got.iterations, got.residual) == (want.iterations, want.residual)
 
 
 def test_cold_and_array_started_solves_compute_no_inverse(monkeypatch):

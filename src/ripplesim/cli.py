@@ -119,7 +119,8 @@ def _write_rows(path, header, rounds, table, messages=None):
     """CSV of the header, then one line per row of table (floats): its
     round, the repr of each entry and, when given, its message count. An
     entry with the bits of the entry above reuses its text, so each column
-    calls repr once per change (-0.0 under 0.0 is a change). Rows are
+    calls repr once per change (-0.0 under 0.0 is a change); a column that
+    changes in every row of a block takes its texts as they come. Rows are
     converted a block at a time, which keeps the peak memory low."""
     bits = table.view(np.int64)
     changed = np.ones(table.shape, dtype=bool)
@@ -131,9 +132,12 @@ def _write_rows(path, header, rounds, table, messages=None):
             rows = slice(block, block + _ROW_BLOCK)
             columns = [list(map(str, rounds[rows].tolist()))]
             for values, new in zip(table[rows].T, changed[rows].T):
-                texts = np.array(list(map(repr, values[new].tolist())),
-                                 dtype=object)
-                columns.append(texts[np.cumsum(new) - 1].tolist())
+                if new.all():
+                    columns.append(list(map(repr, values.tolist())))
+                else:
+                    texts = np.array(list(map(repr, values[new].tolist())),
+                                     dtype=object)
+                    columns.append(texts[np.cumsum(new) - 1].tolist())
             if messages is not None:
                 columns.append(list(map(str, messages[rows].tolist())))
             # the line csv.writer writes: repr floats and ints need no quoting

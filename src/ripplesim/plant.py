@@ -49,7 +49,10 @@ class PlantModel(abc.ABC):
     reuses, and the iterations and residual (a grid's also carries the
     Newton-matrix inverse of power.solve_load_voltages' chord step). An
     iteratively solved plant starts its next solve there, so a control
-    that moved little converges in few steps. A warm solve agrees with the
+    that moved little converges in few steps, and it does not re-check
+    what its start settled (a grid's unchanged generator voltages are
+    positive; a water start that meets the tolerance pumps forwards): a
+    start is a solution the solver returned. A warm solve agrees with the
     cold one to within the solver tolerance. The default has no state to
     reuse: it returns (solve(u), None).
     """

@@ -82,7 +82,10 @@ class PowerFlowSolution:
     cached; a q_gen given to the constructor is returned as it is. i_gen,
     B_LG v_G, is what a later solve of that grid at that v_gen reuses, and
     so is g_inv, the inverse of the Newton matrix G at an earlier point of
-    that solve chain (None: not yet computed, or dropped).
+    that solve chain (None: not yet computed, or dropped); v_gen, which a
+    solver-made solution keeps read-only, is shared along that chain.
+    q_gen, jacobian and monotonicity_margin raise ModelError on a solution
+    made without grid=.
     """
 
     __slots__ = ("v_load", "i_load", "iterations", "residual", "_q_gen",
@@ -96,10 +99,18 @@ class PowerFlowSolution:
         self._q_gen, self._v_gen, self._grid = q_gen, v_gen, grid
         self._i_gen, self._g_inv = i_gen, g_inv
 
+    def _solved_grid(self, name) -> GridModel:
+        """The kept grid, which name is derived from; a solution made
+        without grid= raises ModelError."""
+        if self._grid is None:
+            raise ModelError(f"{name} needs the grid: this solution was "
+                             "made without grid=")
+        return self._grid
+
     @property
     def q_gen(self) -> np.ndarray:
         if self._q_gen is None:
-            v_gen, grid = self._v_gen, self._grid
+            v_gen, grid = self._v_gen, self._solved_grid("q_gen")
             self._q_gen = v_gen * (grid.b_gg.dot(v_gen)
                                    + grid.b_lg.T.dot(self.v_load))
         return self._q_gen
@@ -109,7 +120,7 @@ class PowerFlowSolution:
         """dv_L/du, one column per bus in bus order: the solution X of
         G X = [I | -diag(v_L) B_LG] (load columns, then generator columns),
         reordered by bus. Derived from the kept grid on each read."""
-        grid, v = self._grid, self.v_load
+        grid, v = self._solved_grid("jacobian"), self.v_load
         rhs = np.hstack((np.eye(len(v)), -v[:, None] * grid.b_lg))
         try:
             x = np.linalg.solve(_gain_matrix(v, self.i_load, grid.b_ll), rhs)
@@ -122,7 +133,8 @@ class PowerFlowSolution:
     def monotonicity_margin(self) -> float:
         """Smallest eigenvalue of diag(q_L/v_L^2) + B_LL (i_L / v_L at the
         solution); a positive one certifies a nonnegative jacobian."""
-        cert = np.diag(self.i_load / self.v_load) + self._grid.b_ll
+        cert = (np.diag(self.i_load / self.v_load)
+                + self._solved_grid("monotonicity_margin").b_ll)
         return float(np.min(np.linalg.eigvalsh(cert)))
 
 
@@ -152,29 +164,37 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
     the inverse G0^-1 the solution carries (computed at its start if none).
     A chord point that meets tol with positive voltages is the solution and
     carries G0^-1 on; otherwise the damped Newton runs from the start, and
-    its solution carries no inverse. The solution's v_load and i_load are
-    read-only.
-    Raises PowerFlowInfeasibleError when the iteration stops unconverged
-    (the message names the stop) or the converged root is non-physical
-    (v <= 0), and SingularJacobianError when the iteration matrix
-    degenerates.
+    its solution carries no inverse. Such a solve keeps the start's v_gen
+    array and does not test it again: the solve that made the start did.
+    The solution's v_load and i_load are read-only.
+    Raises ModelError when a vector, v0's load voltages included, does not
+    match the partition or a generator voltage is not positive,
+    PowerFlowInfeasibleError when the iteration stops unconverged (the
+    message names the stop) or the converged root is non-physical (v <=
+    0), and SingularJacobianError when the iteration matrix degenerates.
     """
     q_load = np.asarray(q_load, dtype=float)
-    v_gen = np.array(v_gen, dtype=float)  # a copy: the solution keeps it
+    v_gen = np.asarray(v_gen, dtype=float)
     nl = len(grid.loads)
     if q_load.shape != (nl,) or v_gen.shape != (len(grid.generators),):
         raise ModelError("injection/voltage vectors disagree with partition")
-    if np.fmin.reduce(v_gen) <= 0.0:  # a NaN passes, and fails the solve
-        raise ModelError("generator voltages must be positive")
     start = g_inv = None
     if isinstance(v0, PowerFlowSolution):
         if v0._grid is grid and v0._v_gen.tobytes() == v_gen.tobytes():
-            i_gen, g_inv = v0._i_gen, v0._g_inv
+            v_gen, i_gen, g_inv = v0._v_gen, v0._i_gen, v0._g_inv
             start = (v0.v_load * v0.i_load - q_load, v0.i_load)
         v0 = v0.v_load
     if start is None:
+        if np.fmin.reduce(v_gen) <= 0.0:  # a NaN passes, and fails the solve
+            raise ModelError("generator voltages must be positive")
+        v_gen = np.array(v_gen)  # a copy: the solution keeps it
+        v_gen.setflags(write=False)
         i_gen = grid.b_lg.dot(v_gen)
-    v = np.ones(nl) if v0 is None else np.asarray(v0, dtype=float).copy()
+        v = np.ones(nl) if v0 is None else np.array(v0, dtype=float)
+        if v.shape != (nl,):
+            raise ModelError("start vector must hold one voltage per load bus")
+    else:
+        v = v0
 
     def residual(vl):
         il = i_gen + grid.b_ll.dot(vl)
@@ -201,7 +221,7 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
                                      grid=grid, i_gen=i_gen, g_inv=g_inv)
         g_inv = None
     v, i_load, rnorm, iters = damped_newton(
-        v, residual,
+        v if start is None else v.copy(), residual,  # not the start's array
         lambda vl, r, il: np.linalg.solve(_gain_matrix(vl, il, grid.b_ll), -r),
         singular, tol, MAX_NEWTON_ITER, start)
     if not rnorm <= tol:  # a NaN residual is no solution

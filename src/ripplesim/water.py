@@ -291,13 +291,15 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
     differs from that solution's heads by one finite, nonzero amount c,
     every free pressure of the start is raised by c: pressures enter the
     system only through differences, so the pipe, pump and conservation
-    rows stay those of the solution. When x0 is None it starts from the
-    minimum-norm flows that conserve the injections and every free
-    pressure at the mean fixed pressure. Raises ModelError when u or x0
-    has the wrong length, HydraulicInfeasibleError when the Newton
-    iteration stops unconverged (the message names the stop), and
-    PumpReverseFlowError when the solution would push flow backwards
-    through a pump.
+    rows stay those of the solution. A start from a solution of this
+    model that meets tol is the solution, with that solution's flows and
+    flow terms, which the solve that made them tested for pump reverse
+    flow already. When x0 is None it starts from the minimum-norm flows
+    that conserve the injections and every free pressure at the mean
+    fixed pressure. Raises ModelError when u or x0 has the wrong length,
+    HydraulicInfeasibleError when the Newton iteration stops unconverged
+    (the message names the stop), and PumpReverseFlowError when the
+    solution would push flow backwards through a pump.
     """
     u = np.asarray(u, dtype=float)
     n = model.graph.node_count
@@ -329,7 +331,9 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
             terms, shift = start.flow_terms, (heads - start.heads).tolist()
             c = shift[0]
             if c != 0.0 and isfinite(c) and shift.count(c) == len(shift):
-                x0 = np.concatenate((x0[:m], x0[m:] + c))
+                x0 = x0.copy()
+                x0[m:] += c
+    reused = terms
     if x0 is None:
         lap = np.bincount(net.lap_at, net.lap_sign, nf * nf).reshape(nf, nf)
         x0, terms = np.concatenate((net.across(np.linalg.solve(lap, u_free)),
@@ -348,14 +352,17 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
         raise HydraulicInfeasibleError(
             "no hydraulic solution: "
             + newton_failure(rnorm, iters, MAX_HYDRAULIC_ITER))
-    q = x[:m]
-    backward = q[k:] < -1e-6
-    if np.logical_or.reduce(backward):
-        j = k + backward.argmax()
-        raise PumpReverseFlowError(
-            f"pump {tail[j]}->{head[j]} would carry reverse flow {q[j]:.3f}")
-    for a in (x, *terms):
-        a.setflags(write=False)
+    x.setflags(write=False)
+    if terms is not reused:  # reused ones were tested when solved
+        q = x[:m]
+        backward = q[k:] < -1e-6
+        if np.logical_or.reduce(backward):
+            j = k + backward.argmax()
+            raise PumpReverseFlowError(
+                f"pump {tail[j]}->{head[j]} would carry reverse flow "
+                f"{q[j]:.3f}")
+        for a in terms:
+            a.setflags(write=False)
     return HydraulicSolution(pressures, None, rnorm, iters, x, terms, model,
                              heads)
 

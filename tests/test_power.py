@@ -274,7 +274,8 @@ def test_grid_model_validation():
 
 
 def _singular_point(grid):
-    """A twobus solution whose G = i_L + v_L * b_LL is 0: singular."""
+    """A twobus solution whose G = i_L + v_L * b_LL is 0: singular (and
+    made without a grid when grid is None)."""
     return PowerFlowSolution(np.array([0.5]), i_load=np.array([-5.0]),
                              grid=grid)
 
@@ -298,8 +299,24 @@ def _singular_point(grid):
      ModelError, "generator voltage limits must be positive"),
     (lambda grid: _singular_point(grid).jacobian,
      SingularJacobianError, "sensitivity matrix G is singular"),
+    (lambda grid: solve_load_voltages([0.0], [1.0], grid, v0=np.ones(2)),
+     ModelError, "start vector must hold one voltage per load bus"),
+    (lambda grid: solve_load_voltages([0.0], [1.0], grid,
+                                      v0=np.ones((1, 1))),
+     ModelError, "start vector must hold one voltage per load bus"),
+    (lambda _: _singular_point(None).jacobian,
+     ModelError, "jacobian needs the grid: this solution was made without "
+                 "grid="),
+    (lambda _: _singular_point(None).monotonicity_margin,
+     ModelError, "monotonicity_margin needs the grid: this solution was "
+                 "made without grid="),
+    (lambda _: _singular_point(None).q_gen,
+     ModelError, "q_gen needs the grid: this solution was made without "
+                 "grid="),
 ], ids=["partition", "unreachable-bus", "plant-limits", "solve-shapes",
-        "generator-voltage", "non-physical", "generator-limit", "jacobian"])
+        "generator-voltage", "non-physical", "generator-limit", "jacobian",
+        "start-length", "start-shape", "jacobian-without-grid",
+        "margin-without-grid", "q-gen-without-grid"])
 def test_grid_rejects_bad_input(twobus, call, error, message):
     with pytest.raises(error) as err:
         call(twobus)
@@ -443,6 +460,38 @@ def test_a_warm_grid_solve_reuses_its_start_bit_for_bit():
         state = warm
     assert reused == len(trace.u) - 1 - 3
     assert 1_000 < chords < reused  # both kinds of step are exercised
+
+
+def test_a_warm_solve_tests_only_generator_voltages_no_start_has():
+    # a start of this grid at the same generator-voltage bytes lends its
+    # v_gen array, read-only, and the positivity test its own solve made;
+    # a non-positive or NaN voltage matches no start, so along pjm5's chain
+    # it meets today's check and words
+    outcome, trace = run(load_scenario("pjm5"))
+    plant = outcome.plant
+    grid = plant.grid
+    loads, gens = list(grid.loads), list(grid.generators)
+    refused = (
+        (0.0, ModelError, "generator voltages must be positive"),
+        (-1.0, ModelError, "generator voltages must be positive"),
+        (np.nan, PowerFlowInfeasibleError, "no load-voltage solution: the "
+         "residual at the starting point is not finite (residual nan)"))
+    _, state = plant.solve_from(outcome.u0)
+    reused = 0
+    for k, u in enumerate(trace.u[:-1]):
+        for bad, error, words in refused:
+            v_gen = u[gens]
+            v_gen[k % len(gens)] = bad
+            with pytest.raises(error) as err:
+                solve_load_voltages(u[loads], v_gen, grid, v0=state)
+            assert type(err.value) is error and str(err.value) == words
+        _, warm = plant.solve_from(u, state)
+        assert not warm._v_gen.flags.writeable
+        if warm._i_gen is state._i_gen:
+            reused += 1
+            assert warm._v_gen is state._v_gen
+        state = warm
+    assert reused == len(trace.u) - 1 - 3
 
 
 def counted(monkeypatch, name):

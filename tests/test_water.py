@@ -485,6 +485,58 @@ def test_pump_refuses_reverse_flow():
         solve_network(np.array([5.0, -100.0, 50.0]), model)
 
 
+def _start(model, kind):
+    """x0 for [5, -100, 50] on test_pump_refuses_reverse_flow's line: the
+    solution at a forward-pumping control, from which the solve must step
+    onto the reversed root, or that root itself, where the pipe carries 50
+    and the pump -50 (so no step is taken from it)."""
+    if kind == "warm-steps":
+        sol = solve_network(np.array([5.0, 0.0, -100.0]), model)
+        assert sol.flows[1] > 0
+        return sol
+    return np.array([50.0, -50.0, 2.5, 12.5])
+
+
+@pytest.mark.parametrize("kind", ["warm-steps", "array-root"])
+def test_a_start_that_would_reverse_a_pump_is_refused(kind, monkeypatch):
+    g = Graph(node_count=3, edges=((0, 1), (1, 2)))
+    model = WaterModel(graph=g,
+                       edge_laws=(PipeLaw(coefficient=0.001),
+                                  PumpLaw(gain=10.0)),
+                       pressure_nodes=(0,))
+    x0 = _start(model, kind)
+    steps = []
+
+    def counted(*args):
+        steps.append(1)
+        return _newton_step(*args)
+
+    monkeypatch.setattr(water, "_newton_step", counted)
+    with pytest.raises(PumpReverseFlowError) as err:
+        solve_network(np.array([5.0, -100.0, 50.0]), model, x0=x0)
+    assert str(err.value) == "pump 1->2 would carry reverse flow -50.000"
+    assert bool(steps) == (kind == "warm-steps")
+
+
+def test_a_solve_that_takes_no_newton_step_keeps_its_starts_terms():
+    # 682 of wds10's warm solves take no Newton step: each returns the flow
+    # terms of its start, which are read-only already, and every array
+    # that a next solve starts from is read-only
+    plant, controls = _wds10_run_controls()
+    _, state = plant.solve_from(controls[0])
+    kept = 0
+    for u in controls[1:]:
+        _, warm = plant.solve_from(u, state)
+        for array in (warm.unknowns, *warm.flow_terms):
+            assert not array.flags.writeable
+        if warm.iterations == 0:
+            kept += 1
+            assert all(got is had for got, had in zip(warm.flow_terms,
+                                                      state.flow_terms))
+        state = warm
+    assert kept == 682  # of 685 rounds
+
+
 def test_disconnected_reference_rejected():
     g = Graph(node_count=3, edges=((0, 1),))
     with pytest.raises(ModelError, match=r"^nodes \[2\] cannot reach any "

@@ -45,16 +45,13 @@ class PlantModel(abc.ABC):
     not keep mutable state across calls, so concurrent read-only use is safe.
     The state is the solution object that the plant's solver returned (a
     grid's PowerFlowSolution, a water network's HydraulicSolution), to be
-    read only: the solver unknowns, the terms of them that the next solve
-    reuses, and the iterations and residual (a grid's also carries the
-    Newton-matrix inverse of power.solve_load_voltages' chord step). An
-    iteratively solved plant starts its next solve there, so a control
-    that moved little converges in few steps, and it does not re-check
-    what its start settled (a grid's unchanged generator voltages are
-    positive; a water start that meets the tolerance pumps forwards): a
-    start is a solution the solver returned. A warm solve agrees with the
-    cold one to within the solver tolerance. The default has no state to
-    reuse: it returns (solve(u), None).
+    read only. An iteratively solved plant starts its next solve there, so
+    a control that moved little converges in few steps; the solver reuses
+    the record that its own solve left there (a grid's i_gen, a water
+    network's flow_terms and heads) without re-checking it, and any other
+    solution starts like its v_load or unknowns array. A warm solve agrees
+    with the cold one to within the fixed solver tolerance. The default
+    has no state to reuse: it returns (solve(u), None).
     """
 
     u_lower: np.ndarray
@@ -163,11 +160,12 @@ class LinearPlant(PlantModel):
 
     def disrupted(self, event):
         """Supports parameter_change with {"offset": [...]}, a replacement
-        offset of the same length."""
+        offset of the same length. Builds type(self): a subclass with
+        another constructor overrides this."""
         if event.kind != "parameter_change" or "offset" not in event.params:
             raise ScenarioError(
                 f"unsupported linear-plant disruption '{event.kind}'")
-        return LinearPlant(self.sensitivity, event.params["offset"],
+        return type(self)(self.sensitivity, event.params["offset"],
                            self.u_lower, self.u_upper, self.y_lower,
                            self.measured_nodes)
 

@@ -23,7 +23,7 @@ from .errors import (ModelError, PowerFlowInfeasibleError, ScenarioError,
                      SingularJacobianError)
 from .graph import (Graph, _integer, edge_index, reachable,
                     weighted_laplacian, without_edge)
-from .plant import PlantModel, damped_newton, newton_failure
+from .plant import PlantModel, _frozen, damped_newton, newton_failure
 
 SOLVER_TOL = 1e-8
 MAX_NEWTON_ITER = 50
@@ -77,15 +77,15 @@ class GridModel:
 class PowerFlowSolution:
     """Solved load voltages plus bookkeeping from the Newton iteration.
 
-    q_gen, the generator injections v_G * (B_GG v_G + B_LG^T v_L), is
-    built on first read from the v_gen and grid the solve kept, then
-    cached; a q_gen given to the constructor is returned as it is. i_gen,
-    B_LG v_G, is what a later solve of that grid at that v_gen reuses, and
-    so is g_inv, the inverse of the Newton matrix G at an earlier point of
-    that solve chain (None: not yet computed, or dropped); v_gen, which a
-    solver-made solution keeps read-only, is shared along that chain.
-    q_gen, jacobian and monotonicity_margin raise ModelError on a solution
-    made without grid=.
+    q_gen, the generator injections v_G * (B_GG v_G + B_LG^T v_L), is built
+    on first read from the v_gen and grid the solve kept, then cached; a
+    q_gen given to the constructor is returned as it is. i_gen = B_LG v_G
+    and v_gen (read-only, shared along a solve chain) are the record that a
+    solve of that grid at those v_gen bytes reuses, with g_inv, the inverse
+    of the Newton matrix G at an earlier point of that chain (None: not yet
+    computed, or dropped); without that record a solution starts a solve as
+    its v_load would. q_gen, jacobian and monotonicity_margin raise
+    ModelError without grid= (q_gen: or v_gen=).
     """
 
     __slots__ = ("v_load", "i_load", "iterations", "residual", "_q_gen",
@@ -99,18 +99,17 @@ class PowerFlowSolution:
         self._q_gen, self._v_gen, self._grid = q_gen, v_gen, grid
         self._i_gen, self._g_inv = i_gen, g_inv
 
-    def _solved_grid(self, name) -> GridModel:
-        """The kept grid, which name is derived from; a solution made
-        without grid= raises ModelError."""
-        if self._grid is None:
-            raise ModelError(f"{name} needs the grid: this solution was "
-                             "made without grid=")
-        return self._grid
+    def _kept(self, name, field="grid"):
+        """The kept grid or v_gen that name derives from, else ModelError."""
+        if (kept := getattr(self, "_" + field)) is None:
+            raise ModelError(f"{name} needs the {field}: this solution was "
+                             f"made without {field}=")
+        return kept
 
     @property
     def q_gen(self) -> np.ndarray:
         if self._q_gen is None:
-            v_gen, grid = self._v_gen, self._solved_grid("q_gen")
+            grid, v_gen = self._kept("q_gen"), self._kept("q_gen", "v_gen")
             self._q_gen = v_gen * (grid.b_gg.dot(v_gen)
                                    + grid.b_lg.T.dot(self.v_load))
         return self._q_gen
@@ -120,7 +119,7 @@ class PowerFlowSolution:
         """dv_L/du, one column per bus in bus order: the solution X of
         G X = [I | -diag(v_L) B_LG] (load columns, then generator columns),
         reordered by bus. Derived from the kept grid on each read."""
-        grid, v = self._solved_grid("jacobian"), self.v_load
+        grid, v = self._kept("jacobian"), self.v_load
         rhs = np.hstack((np.eye(len(v)), -v[:, None] * grid.b_lg))
         try:
             x = np.linalg.solve(_gain_matrix(v, self.i_load, grid.b_ll), rhs)
@@ -134,7 +133,7 @@ class PowerFlowSolution:
         """Smallest eigenvalue of diag(q_L/v_L^2) + B_LL (i_L / v_L at the
         solution); a positive one certifies a nonnegative jacobian."""
         cert = (np.diag(self.i_load / self.v_load)
-                + self._solved_grid("monotonicity_margin").b_ll)
+                + self._kept("monotonicity_margin").b_ll)
         return float(np.min(np.linalg.eigvalsh(cert)))
 
 
@@ -152,21 +151,21 @@ def _gain_matrix(v_load, i_load, b_ll) -> np.ndarray:
     return g
 
 
-def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
-                        tol: float = SOLVER_TOL) -> PowerFlowSolution:
+def solve_load_voltages(q_load, v_gen, grid: GridModel,
+                        v0=None) -> PowerFlowSolution:
     """Solve diag(v_L)(B_LG v_G + B_LL v_L) = q_L for the load voltages.
 
-    Runs plant.damped_newton from a flat 1.0 per-unit start, or from v0:
-    load voltages, or a previous PowerFlowSolution, whose v_load it starts
-    at. When that solution solved this grid at the same v_gen, its B_LG v_G
-    and i_load are reused, so its start residual r is v_L * i_load - q_L,
-    and a finite r above tol first takes the chord step v_L - G0^-1 r with
-    the inverse G0^-1 the solution carries (computed at its start if none).
-    A chord point that meets tol with positive voltages is the solution and
-    carries G0^-1 on; otherwise the damped Newton runs from the start, and
-    its solution carries no inverse. Such a solve keeps the start's v_gen
-    array and does not test it again: the solve that made the start did.
-    The solution's v_load and i_load are read-only.
+    Runs plant.damped_newton to SOLVER_TOL from a flat 1.0 per-unit start, or
+    from v0: load voltages, or a previous PowerFlowSolution, at its v_load.
+    When v0 holds the record (i_gen, v_gen) of a solve of this grid at these
+    v_gen bytes, its B_LG v_G and i_load are reused, so its start residual r
+    is v_L * i_load - q_L, and a finite r above SOLVER_TOL first takes the
+    chord step v_L - G0^-1 r with the inverse G0^-1 that v0 carries (computed
+    at its start if none). A chord point that meets SOLVER_TOL with positive
+    voltages is the solution and carries G0^-1 on; otherwise the damped
+    Newton runs from the start, and its solution carries no inverse. Such a
+    solve keeps v0's v_gen array and does not test it again: the solve that
+    made it did. Both paths mark v_load and i_load read-only.
     Raises ModelError when a vector, v0's load voltages included, does not
     match the partition or a generator voltage is not positive,
     PowerFlowInfeasibleError when the iteration stops unconverged (the
@@ -178,23 +177,21 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
     nl = len(grid.loads)
     if q_load.shape != (nl,) or v_gen.shape != (len(grid.generators),):
         raise ModelError("injection/voltage vectors disagree with partition")
-    start = g_inv = None
+    start = g_inv = iters = None  # iters: set once a root is found
     if isinstance(v0, PowerFlowSolution):
-        if v0._grid is grid and v0._v_gen.tobytes() == v_gen.tobytes():
+        if v0._i_gen is not None and v0._v_gen is not None and \
+                v0._grid is grid and v0._v_gen.tobytes() == v_gen.tobytes():
             v_gen, i_gen, g_inv = v0._v_gen, v0._i_gen, v0._g_inv
             start = (v0.v_load * v0.i_load - q_load, v0.i_load)
-        v0 = v0.v_load
+        v = v0 = v0.v_load
     if start is None:
         if np.fmin.reduce(v_gen) <= 0.0:  # a NaN passes, and fails the solve
             raise ModelError("generator voltages must be positive")
-        v_gen = np.array(v_gen)  # a copy: the solution keeps it
-        v_gen.setflags(write=False)
+        v_gen = _frozen(v_gen)  # a copy: the solution keeps it
         i_gen = grid.b_lg.dot(v_gen)
         v = np.ones(nl) if v0 is None else np.array(v0, dtype=float)
         if v.shape != (nl,):
             raise ModelError("start vector must hold one voltage per load bus")
-    else:
-        v = v0
 
     def residual(vl):
         il = i_gen + grid.b_ll.dot(vl)
@@ -204,7 +201,7 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
         return SingularJacobianError(
             f"singular iteration matrix at iteration {k}")
 
-    if start is not None and tol < np.maximum.reduce(
+    if start is not None and SOLVER_TOL < np.maximum.reduce(
             np.abs(start[0]), initial=0.0) < np.inf:
         if g_inv is None:
             try:
@@ -212,24 +209,24 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel, v0=None,
             except np.linalg.LinAlgError as exc:  # so would Newton's step
                 raise singular(0) from exc
         vc = v - g_inv.dot(start[0])
-        rc, ic = residual(vc)
-        rcn = float(np.maximum.reduce(np.abs(rc)))
-        if rcn <= tol and np.fmin.reduce(vc) > 0.0:
-            vc.setflags(write=False)
-            ic.setflags(write=False)
-            return PowerFlowSolution(vc, None, ic, 1, rcn, v_gen=v_gen,
-                                     grid=grid, i_gen=i_gen, g_inv=g_inv)
-        g_inv = None
-    v, i_load, rnorm, iters = damped_newton(
-        v if start is None else v.copy(), residual,  # not the start's array
-        lambda vl, r, il: np.linalg.solve(_gain_matrix(vl, il, grid.b_ll), -r),
-        singular, tol, MAX_NEWTON_ITER, start)
-    if not rnorm <= tol:  # a NaN residual is no solution
-        raise PowerFlowInfeasibleError(
-            "no load-voltage solution: "
-            + newton_failure(rnorm, iters, MAX_NEWTON_ITER))
-    if np.fmin.reduce(v, initial=np.inf) <= 0.0:
-        raise PowerFlowInfeasibleError("converged to non-physical voltages")
+        r, i_load = residual(vc)
+        rnorm = float(np.maximum.reduce(np.abs(r)))
+        if rnorm <= SOLVER_TOL and np.fmin.reduce(vc) > 0.0:
+            v, iters = vc, 1
+        else:
+            g_inv = None
+    if iters is None:
+        v, i_load, rnorm, iters = damped_newton(
+            v if start is None else v.copy(), residual,  # not the start's
+            lambda vl, r, il: np.linalg.solve(
+                _gain_matrix(vl, il, grid.b_ll), -r),
+            singular, SOLVER_TOL, MAX_NEWTON_ITER, start)
+        if not rnorm <= SOLVER_TOL:  # a NaN residual is no solution
+            raise PowerFlowInfeasibleError(
+                "no load-voltage solution: "
+                + newton_failure(rnorm, iters, MAX_NEWTON_ITER))
+        if np.fmin.reduce(v, initial=np.inf) <= 0.0:
+            raise PowerFlowInfeasibleError("converged to non-physical voltages")
     v.setflags(write=False)
     i_load.setflags(write=False)
     return PowerFlowSolution(v, None, i_load, iters, rnorm, v_gen=v_gen,
@@ -295,7 +292,8 @@ class GridPlant(PlantModel):
     def disrupted(self, event):
         """Supports remove_edge {"edge": (m, n)}, which trips a line;
         demand_change at a load bus (PlantModel._rebased_limits); and
-        parameter_change {"edge": (m, n), "susceptance": b}."""
+        parameter_change {"edge": (m, n), "susceptance": b}. Builds
+        type(self): a subclass with another constructor overrides this."""
         grid, limits = self.grid, (self.u_lower, self.u_upper)
         if event.kind == "remove_edge":
             graph, sus = without_edge(grid.graph, event.params["edge"],
@@ -317,4 +315,4 @@ class GridPlant(PlantModel):
                              grid.loads)
         else:
             raise ScenarioError(f"unsupported grid disruption '{event.kind}'")
-        return GridPlant(grid, *limits, y_lower=self.y_lower)
+        return type(self)(grid, *limits, y_lower=self.y_lower)

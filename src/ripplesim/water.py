@@ -234,12 +234,12 @@ class HydraulicSolution:
 
     Flows are oriented along each edge's canonical (low, high) direction;
     the reverse flow is the negation. unknowns is the converged Newton
-    vector (law-order edge flows, free pressures), flow_terms its pipe
-    drops, slopes and free-node outflows and heads the fixed pressures it
-    was solved at, all read-only, and model the WaterModel solved: a later
-    solve of that model takes the solution as its x0 and reuses them.
-    flows is scattered from unknowns on first read, then cached; a flows
-    given to the constructor is returned as it is.
+    vector (law-order edge flows, free pressures), model the WaterModel
+    solved, and flow_terms (its pipe drops, slopes and free-node outflows)
+    and heads (the fixed pressures it was solved at) the record that a
+    solve of that model from this x0 reuses, all read-only; without that
+    record a solution starts as its unknowns would. flows is scattered
+    from unknowns on first read, then cached; a flows passed in is used as is.
     """
 
     __slots__ = ("pressures", "residual", "iterations", "unknowns",
@@ -278,25 +278,25 @@ def _newton_step(net: _Incidence, r, slope):
     return np.concatenate((w * net.across(dp)[:k] - w_r, sol[nf:], dp))
 
 
-def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
-                  x0=None) -> HydraulicSolution:
+def solve_network(u, model: WaterModel, x0=None) -> HydraulicSolution:
     """Solve for nodal pressures and edge flows given the control vector.
 
     u holds one entry per node: pressure (m) at fixed-pressure nodes,
-    injection (m^3/hr) everywhere else. The Newton iteration starts from
-    x0: the edge flows in law order (pipes then pumps, each pump along its
+    injection (m^3/hr) everywhere else. Newton runs to FLOW_TOL from x0:
+    the edge flows in law order (pipes then pumps, each pump along its
     boost) then the free pressures, as in HydraulicSolution.unknowns, or a
-    previous HydraulicSolution, whose unknowns it starts at with their
-    flow_terms if it solved this model. If every fixed pressure in u then
-    differs from that solution's heads by one finite, nonzero amount c,
-    every free pressure of the start is raised by c: pressures enter the
-    system only through differences, so the pipe, pump and conservation
-    rows stay those of the solution. A start from a solution of this
-    model that meets tol is the solution, with that solution's flows and
-    flow terms, which the solve that made them tested for pump reverse
-    flow already. When x0 is None it starts from the minimum-norm flows
-    that conserve the injections and every free pressure at the mean
-    fixed pressure. Raises ModelError when u or x0 has the wrong length,
+    previous HydraulicSolution, whose unknowns it starts at, with their
+    flow_terms if it holds the record of its solve of this model
+    (flow_terms and heads). If every fixed pressure in u then differs from
+    its heads by one finite, nonzero amount c, every free pressure of the
+    start is raised by c: pressures enter the system only through
+    differences, so the pipe, pump and conservation rows stay those of the
+    solution. Such a start that meets FLOW_TOL is the solution, with that
+    solution's flows and flow terms, which the solve that made them tested
+    for pump reverse flow already; any other solution starts as its
+    unknowns would. When x0 is None it starts from the minimum-norm flows
+    that conserve the injections and every free pressure at the mean fixed
+    pressure. Raises ModelError when u or x0 has the wrong length,
     HydraulicInfeasibleError when the Newton iteration stops unconverged
     (the message names the stop), and PumpReverseFlowError when the
     solution would push flow backwards through a pump.
@@ -327,7 +327,8 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
     start, terms = x0, None
     if isinstance(start, HydraulicSolution):
         x0 = start.unknowns
-        if start.model is model:
+        if start.model is model and start.flow_terms is not None and \
+                start.heads is not None:
             terms, shift = start.flow_terms, (heads - start.heads).tolist()
             c = shift[0]
             if c != 0.0 and isfinite(c) and shift.count(c) == len(shift):
@@ -347,8 +348,8 @@ def solve_network(u, model: WaterModel, tol: float = FLOW_TOL,
         x0, residual, lambda x, r, aux: _newton_step(net, r, aux[1][1]),
         lambda it: HydraulicInfeasibleError(
             f"singular hydraulic Jacobian at iteration {it}"),
-        tol, MAX_HYDRAULIC_ITER, residual(x0, terms))
-    if not rnorm <= tol:  # a NaN residual is no solution
+        FLOW_TOL, MAX_HYDRAULIC_ITER, residual(x0, terms))
+    if not rnorm <= FLOW_TOL:  # a NaN residual is no solution
         raise HydraulicInfeasibleError(
             "no hydraulic solution: "
             + newton_failure(rnorm, iters, MAX_HYDRAULIC_ITER))
@@ -413,7 +414,8 @@ class WaterPlant(PlantModel):
         """Supports remove_edge {"edge": (m, n)}, which drops a pipe or pump;
         source_outage {"node": k}: node k stops injecting, its control is
         pinned at zero and, if it held a fixed pressure, it no longer does;
-        and demand_change (PlantModel._rebased_limits)."""
+        and demand_change (PlantModel._rebased_limits). Builds type(self):
+        a subclass with another constructor overrides this."""
         model, limits = self.model, (self.u_lower, self.u_upper)
         if event.kind == "remove_edge":
             graph, laws = without_edge(model.graph, event.params["edge"],
@@ -431,5 +433,5 @@ class WaterPlant(PlantModel):
             limits = self._rebased_limits(event)
         else:
             raise ScenarioError(f"unsupported water disruption '{event.kind}'")
-        return WaterPlant(model, *limits, y_lower=self.y_lower,
+        return type(self)(model, *limits, y_lower=self.y_lower,
                           measured_nodes=self.measured_nodes)

@@ -273,11 +273,15 @@ def test_grid_model_validation():
         GridModel(graph=g, susceptances=(-1.0,), generators=(0,), loads=(1,))
 
 
-def _singular_point(grid):
+def _singular_point(grid, solved=None):
     """A twobus solution whose G = i_L + v_L * b_LL is 0: singular (and
-    made without a grid when grid is None)."""
+    made without a grid when grid is None). Given solved, a solution of
+    that grid, it carries solved's record (v_gen and i_gen) and no
+    inverse, so a solve at those generator voltages reuses it."""
+    record = {} if solved is None else {"v_gen": solved._v_gen,
+                                        "i_gen": solved._i_gen}
     return PowerFlowSolution(np.array([0.5]), i_load=np.array([-5.0]),
-                             grid=grid)
+                             grid=grid, **record)
 
 
 # each call takes the twobus grid
@@ -313,10 +317,14 @@ def _singular_point(grid):
     (lambda _: _singular_point(None).q_gen,
      ModelError, "q_gen needs the grid: this solution was made without "
                  "grid="),
+    # the chord step needs G^-1 at a reused start that carries none
+    (lambda grid: solve_load_voltages([0.0], [1.0], grid, v0=_singular_point(
+        grid, solve_load_voltages([0.0], [1.0], grid))),
+     SingularJacobianError, "singular iteration matrix at iteration 0"),
 ], ids=["partition", "unreachable-bus", "plant-limits", "solve-shapes",
         "generator-voltage", "non-physical", "generator-limit", "jacobian",
         "start-length", "start-shape", "jacobian-without-grid",
-        "margin-without-grid", "q-gen-without-grid"])
+        "margin-without-grid", "q-gen-without-grid", "chord-singular"])
 def test_grid_rejects_bad_input(twobus, call, error, message):
     with pytest.raises(error) as err:
         call(twobus)
@@ -385,6 +393,32 @@ def test_a_q_gen_given_to_the_constructor_comes_back_as_it_is(twobus):
     assert copy.q_gen is given
     assert copy.v_load is sol.v_load and copy.i_load is sol.i_load
     assert (copy.iterations, copy.residual) == (sol.iterations, sol.residual)
+
+
+@pytest.mark.parametrize("record", [(), ("v_gen",), ("i_gen",)],
+                         ids=["bare", "v-gen", "i-gen"])
+def test_a_solution_without_its_solves_record_starts_like_its_v_load(
+        twobus, record):
+    # only the i_gen a solve leaves, with its v_gen, makes a solution a
+    # reused start; one made by hand from v_load, i_load and the grid (and
+    # one of the two) starts exactly as its v_load array does
+    sol = solve_load_voltages(np.array([-0.1]), np.array([1.0]), twobus)
+    start = PowerFlowSolution(
+        sol.v_load, i_load=sol.i_load, grid=twobus,
+        **{name: getattr(sol, "_" + name) for name in record})
+    q_load, v_gen = np.array([-0.2]), np.array([1.0])
+    got = solve_load_voltages(q_load, v_gen, twobus, v0=start)
+    want = solve_load_voltages(q_load, v_gen, twobus, v0=sol.v_load)
+    for a, b in ((got.v_load, want.v_load), (got.i_load, want.i_load),
+                 (got.q_gen, want.q_gen)):
+        assert a.tobytes() == b.tobytes()
+    assert (got.iterations, got.residual) == (want.iterations, want.residual)
+    assert got._g_inv is None
+    if "v_gen" not in record:
+        with pytest.raises(ModelError) as err:
+            start.q_gen
+        assert type(err.value) is ModelError and str(err.value) == (
+            "q_gen needs the v_gen: this solution was made without v_gen=")
 
 
 @pytest.mark.parametrize("name", ["pjm5", "twobus"])
@@ -631,9 +665,8 @@ def test_a_pjm5_run_with_chord_steps_ends_where_the_newton_run_does():
             return super().solve_from(u, None if start is None
                                       else start.v_load)
 
-    scenario = load_scenario("pjm5")
-    plant, u0 = disrupted_setup(scenario)
-    chord = replace(scenario, plant=plant, u0=u0, disruptions=())
+    chord = scenario = load_scenario("pjm5")
+    plant = scenario.plant
     newton = replace(chord, plant=Newton(plant.grid, plant.u_lower,
                                          plant.u_upper, plant.y_lower))
     (chord_outcome, chord_trace), (newton_outcome, newton_trace) = (

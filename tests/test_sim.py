@@ -587,6 +587,35 @@ def test_disrupted_setup_moves_initial_control():
     assert scenario.u0[2] == -100.0  # scenario itself untouched
 
 
+def _as_subclass(plant):
+    """plant rebuilt as an instance of a subclass of its own type that
+    overrides nothing."""
+    sub = type("Sub", (type(plant),), {})
+    if isinstance(plant, GridPlant):
+        return sub(plant.grid, plant.u_lower, plant.u_upper, plant.y_lower)
+    limits = (plant.u_lower, plant.u_upper, plant.y_lower,
+              plant.measured_nodes)
+    if isinstance(plant, WaterPlant):
+        return sub(plant.model, *limits)
+    return sub(plant.sensitivity, plant.offset, *limits)
+
+
+@pytest.mark.parametrize("name", ["linear_cascade", "pjm5", "wds10"])
+def test_a_plant_subclass_stays_itself_through_its_disruptions(name):
+    # each event is applied by disrupted, which builds the plant's own type
+    scenario = load_scenario(name)
+    if name == "linear_cascade":
+        scenario = replace(scenario, disruptions=(DisruptionEvent(
+            "parameter_change", {"offset": [0.25]}),))
+    sub = _as_subclass(scenario.plant)
+    plant, u0 = disrupted_setup(scenario)
+    got, got_u0 = disrupted_setup(replace(scenario, plant=sub))
+    assert type(got) is type(sub) and type(plant) is type(scenario.plant)
+    assert got_u0.tobytes() == u0.tobytes()
+    assert got.solve(u0).tobytes() == plant.solve(u0).tobytes()
+    assert got.solve(u0).tobytes() != scenario.plant.solve(u0).tobytes()
+
+
 def test_outcome_carries_the_disrupted_plant_and_its_start():
     scenario = load_scenario("wds10")
     outcome, _ = run(scenario)
@@ -1127,14 +1156,16 @@ def test_run_rejects_a_tolerance_that_is_not_a_real_number(field, value):
 
 def tight_cold_reading(plant, u):
     """The plant reading at u, solved from the flat start to a tolerance
-    far below the solvers' own."""
-    if isinstance(plant, GridPlant):
-        grid = plant.grid
-        return solve_load_voltages(u[list(grid.loads)],
-                                   u[list(grid.generators)], grid,
-                                   tol=1e-13).v_load
-    sol = solve_network(u, plant.model, tol=1e-12)
-    return sol.pressures[list(plant.measured_nodes)]
+    far below the solvers' own, set on their modules for this solve only."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr("ripplesim.power.SOLVER_TOL", 1e-13)
+        monkeypatch.setattr("ripplesim.water.FLOW_TOL", 1e-12)
+        if isinstance(plant, GridPlant):
+            grid = plant.grid
+            return solve_load_voltages(u[list(grid.loads)],
+                                       u[list(grid.generators)], grid).v_load
+        sol = solve_network(u, plant.model)
+        return sol.pressures[list(plant.measured_nodes)]
 
 
 @pytest.mark.parametrize("name", ["pjm5", "wds10"])

@@ -313,9 +313,8 @@ def test_a_wds10_run_solved_cold_every_round_ends_where_the_warm_run_does():
         def solve_from(self, u, start=None):
             return super().solve_from(u)
 
-    scenario = load_scenario("wds10")
-    plant, u0 = disrupted_setup(scenario)
-    warm = replace(scenario, plant=plant, u0=u0, disruptions=())
+    warm = scenario = load_scenario("wds10")
+    plant = scenario.plant
     cold = replace(warm, plant=Cold(plant.model, plant.u_lower, plant.u_upper,
                                     plant.y_lower, plant.measured_nodes))
     warm_outcome, cold_outcome = run(warm)[0], run(cold)[0]
@@ -343,6 +342,29 @@ def test_a_non_finite_head_change_says_so(single_pipe, head, word,
     assert str(err.value) == (
         "no hydraulic solution: the residual at the starting point is not "
         f"finite (residual {word})")
+
+
+@pytest.mark.parametrize("record", [(), ("heads",), ("flow_terms",)],
+                         ids=["bare", "heads", "flow-terms"])
+def test_a_solution_without_its_solves_record_starts_like_its_unknowns(
+        single_pipe, record):
+    # only the flow_terms and heads a solve leaves make a solution of this
+    # model a reused start; one made by hand from its unknowns (and part of
+    # that record) starts exactly as its unknowns array does, with no head
+    # shift
+    sol = solve_network(np.array([5.0, -100.0]), single_pipe)
+    start = water.HydraulicSolution(
+        sol.pressures, unknowns=sol.unknowns, model=single_pipe,
+        **{name: getattr(sol, name) for name in record})
+    u = np.array([6.0, -100.0])
+    got = solve_network(u, single_pipe, x0=start)
+    want = solve_network(u, single_pipe, x0=np.array(sol.unknowns))
+    for a, b in zip((got.pressures, got.flows, got.unknowns, *got.flow_terms),
+                    (want.pressures, want.flows, want.unknowns,
+                     *want.flow_terms)):
+        assert a.tobytes() == b.tobytes()
+    assert (got.iterations, got.residual) == (want.iterations, want.residual)
+    assert got.iterations >= 1
 
 
 def test_a_solution_of_another_model_lends_only_its_unknowns():

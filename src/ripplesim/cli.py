@@ -166,8 +166,7 @@ def _write_effort(path, outcome, trace, labels):
 
 
 def _write_summary(path, scenario, outcome, trace, labels):
-    u0 = outcome.u0
-    stats = message_stats(trace, scenario.comm_graph, u0) if trace else None
+    stats = message_stats(trace, scenario.comm_graph, outcome.u0)
     doc = {
         "schema": "ripplesim-summary/1",
         "outcome": {
@@ -180,9 +179,9 @@ def _write_summary(path, scenario, outcome, trace, labels):
             "detail": outcome.detail,
         },
         "gain_condition": outcome.gain_norm,
-        "messages_total": stats.total if stats else 0,
+        "messages_total": stats.total,
         "first_assistance": {labels[k]: v for k, v in
-                             (stats.first_assistance.items() if stats else [])},
+                             stats.first_assistance.items()},
         "terminal_u": dict(zip(labels, outcome.u.tolist())),
         "terminal_y": None if outcome.y is None else outcome.y.tolist(),
         "run": {

@@ -78,14 +78,11 @@ class PowerFlowSolution:
     """Solved load voltages plus bookkeeping from the Newton iteration.
 
     q_gen, the generator injections v_G * (B_GG v_G + B_LG^T v_L), is built
-    on first read from the v_gen and grid the solve kept, then cached; a
-    q_gen given to the constructor is returned as it is. i_gen = B_LG v_G
-    and v_gen (read-only, shared along a solve chain) are the record that a
-    solve of that grid at those v_gen bytes reuses, with g_inv, the inverse
-    of the Newton matrix G at an earlier point of that chain (None: not yet
-    computed, or dropped); without that record a solution starts a solve as
-    its v_load would. q_gen, jacobian and monotonicity_margin raise
-    ModelError without grid= (q_gen: or v_gen=).
+    on first read from the kept v_gen and grid, then cached; a q_gen given
+    to the constructor is returned as it is. i_gen = B_LG v_G, v_gen and
+    g_inv (an inverse of the Newton matrix, or None) are the record that
+    solve_load_voltages reuses. q_gen, jacobian and monotonicity_margin
+    raise ModelError without grid= (q_gen: or v_gen=).
     """
 
     __slots__ = ("v_load", "i_load", "iterations", "residual", "_q_gen",
@@ -157,15 +154,10 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel,
 
     Runs plant.damped_newton to SOLVER_TOL from a flat 1.0 per-unit start, or
     from v0: load voltages, or a previous PowerFlowSolution, at its v_load.
-    When v0 holds the record (i_gen, v_gen) of a solve of this grid at these
-    v_gen bytes, its B_LG v_G and i_load are reused, so its start residual r
-    is v_L * i_load - q_L, and a finite r above SOLVER_TOL first takes the
-    chord step v_L - G0^-1 r with the inverse G0^-1 that v0 carries (computed
-    at its start if none). A chord point that meets SOLVER_TOL with positive
-    voltages is the solution and carries G0^-1 on; otherwise the damped
-    Newton runs from the start, and its solution carries no inverse. Such a
-    solve keeps v0's v_gen array and does not test it again: the solve that
-    made it did. Both paths mark v_load and i_load read-only.
+    A v0 whose record (i_gen, v_gen) solved this grid at these v_gen bytes
+    reuses that record and its i_load, and first tries one chord step with
+    the inverse it carries (the README gives the warm path); the solution
+    keeps v0's v_gen array. v_load and i_load are read-only.
     Raises ModelError when a vector, v0's load voltages included, does not
     match the partition or a generator voltage is not positive,
     PowerFlowInfeasibleError when the iteration stops unconverged (the

@@ -8,12 +8,13 @@ little from round to round; the reading goes to one call of the round
 kernel (protocol_round) on constants built once per run. The arithmetic of
 a round stays in numpy; its stopping rules, the equilibrium test
 (is_equilibrium) included, compare Python floats from tolist(), which at a
-few agents costs less than numpy calls. A retained round appends to one
-list per trace column, and every _BLOCK arrays of a list are joined into
-one; each column is joined once more when the run ends, into a columnar
-Trace of TraceRecord rows, and the terminal state is classified into an
-Outcome. Runs are single-threaded and deterministic: the same scenario
-yields bit-identical traces.
+few agents costs less than numpy calls. A retained round appends its
+round, u, y and beacons to one list each, and every _BLOCK arrays of a
+list are joined into one; when the run ends each list is joined once
+more, the deficit and message columns are derived from the y and beacon
+columns, and the terminal state is classified into an Outcome. Runs are
+single-threaded and deterministic: the same scenario yields bit-identical
+traces.
 """
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -151,7 +152,7 @@ class Trace(Sequence):
     rounds and messages are integer vectors; u, deficit and beacons are
     (records, agents) arrays and y is a (records, measured outputs) array.
     trace[i] is the TraceRecord of row i (its arrays are views of the
-    columns), so a Trace also reads as a sequence of records.
+    columns), and a Trace iterates over those records.
     """
 
     rounds: np.ndarray
@@ -183,10 +184,6 @@ class Trace(Sequence):
         return TraceRecord(int(self.rounds[i]), self.u[i], self.y[i],
                            self.deficit[i], self.beacons[i],
                            int(self.messages[i]))
-
-    def __iter__(self):
-        return map(TraceRecord, self.rounds.tolist(), self.u, self.y,
-                   self.deficit, self.beacons, self.messages.tolist())
 
 
 @dataclass(frozen=True)
@@ -298,6 +295,8 @@ def run(scenario: Scenario):
     The trace keeps round 1, every trace_decimation-th round and the round
     the run stopped in (Outcome.rounds), whichever rule stopped it; a round
     whose solve fails is not kept, so a run that fails in round 1 keeps none.
+    Its deficit column is computed once, from its y column, as
+    protocol_round computes the deficit of a round from its reading.
     """
     plant, u0, state, adjacency, gains, norm = run_setup(scenario)
     if not norm < 1.0 and not scenario.override_gain_check:
@@ -318,9 +317,9 @@ def run(scenario: Scenario):
     feas_floor = [float(eps_feas)] * n
     u_seen = u.tolist()
     prev_deficit = np.full(n, np.nan).tolist()  # all NaN: equal to nothing
-    columns = ([], [], [], [], [])  # kept rounds, u, y, deficit, beacons
-    keep_round, keep_u, keep_y, keep_deficit, keep_beacons = (
-        column.append for column in columns)
+    columns = ([], [], [], [])  # kept rounds, u, y, beacons
+    keep_round, keep_u, keep_y, keep_beacons = (column.append
+                                                 for column in columns)
     keep, window = scenario.trace_decimation, scenario.stall_window
     budget, frozen_rounds = scenario.budget, 0
     stop, detail = None, ""  # set by the stopping rule that ends the run
@@ -372,7 +371,6 @@ def run(scenario: Scenario):
             keep_round(t)
             keep_u(u)
             keep_y(y)
-            keep_deficit(deficit)
             keep_beacons(beacons)
             if len(columns[0]) % _BLOCK == 0:
                 for rows in columns[1:]:
@@ -397,8 +395,11 @@ def run(scenario: Scenario):
     # the messages are counted at once; each column is joined in turn, and
     # its blocks and per-round arrays are released before the next is joined
     records = len(columns[0])
-    u_col, y_col, deficit_col, beacons_col = map(
-        _stacked, columns[1:], [(records, width) for width in (n, m, n, n)])
+    u_col, y_col, beacons_col = map(
+        _stacked, columns[1:], [(records, width) for width in (n, m, n)])
+    deficit_col = np.zeros((records, n))  # as protocol_round computes it
+    deficit_col[:, plant.measured_nodes] = np.maximum(
+        plant.y_lower - y_col, 0.0)
     return outcome, Trace(columns[0], u_col, y_col, deficit_col, beacons_col,
                           message_counts(beacons_col, adjacency))
 
@@ -432,7 +433,8 @@ def _previous(rows, first):
 def _first_rounds(mask, rounds) -> dict:
     """{agent: first round whose row of mask is set}, in order of that round."""
     agents = mask.any(axis=0).nonzero()[0]
-    first = mask[:, agents].argmax(axis=0)
+    # no agent is set in an empty mask, whose zero rows argmax rejects
+    first = mask[:, agents].argmax(axis=0) if agents.size else agents
     order = first.argsort(kind="stable")
     return dict(zip(agents[order].tolist(), rounds[first[order]].tolist()))
 
@@ -444,10 +446,9 @@ def message_stats(trace: Trace, comm_graph: Graph, u0) -> MessageStats:
     first_assistance[k] the first round some neighbor's beacon did (i.e.
     a message reached k); first_change[k] the first round k's control moved
     away from its previous value (u0, the run's start, for the first
-    round). Missing keys mean the event never happened.
+    round). Missing keys mean the event never happened, so an empty trace
+    gives MessageStats(0, {}, {}, {}).
     """
-    if not trace:
-        raise ValueError("empty trace")
     beaconing, rounds = trace.beacons > 0, trace.rounds
     assisted = beaconing @ (adjacency_matrix(comm_graph) > 0)
     return MessageStats(
@@ -468,9 +469,8 @@ def verify_trace(trace: Trace, comm_graph: Graph, u_upper, u0) -> list:
     Locality compares a record with the one before it (the first record of
     round 1 with u0 and no beacons), so it skips every record whose round
     does not directly follow the previous record's, as in a decimated trace.
+    An empty trace has no problems.
     """
-    if not trace:
-        return []
     u_upper = np.asarray(u_upper, dtype=float)
     adjacency = adjacency_matrix(comm_graph)
     u, beacons, messages = trace.u, trace.beacons, trace.messages

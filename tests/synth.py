@@ -4,7 +4,8 @@ Everything takes an explicit numpy Generator so tests stay reproducible.
 """
 import numpy as np
 
-from ripplesim import Graph, GridModel, LinearPlant, PipeLaw, WaterModel
+from ripplesim import (Graph, GridModel, LinearPlant, PipeLaw, WaterModel,
+                       solve_load_voltages)
 
 
 def random_connected_graph(rng, n, extra_edges=1):
@@ -67,6 +68,25 @@ def random_grid(rng, n_buses, n_gens=None):
     q_load = rng.uniform(-0.5, 0.05, size=len(loads))
     v_gen = rng.uniform(0.98, 1.05, size=len(gens))
     return grid, q_load, v_gen
+
+
+def finite_difference_jacobians(grid, q, vg, h=1e-6):
+    """Central differences of the load voltages in q_load and in v_gen;
+    returns (dV_load/dq_load, dV_load/dv_gen)."""
+    nl, ng = len(grid.loads), len(grid.generators)
+    dql = np.zeros((nl, nl))
+    dvg = np.zeros((nl, ng))
+    for k in range(nl):
+        e = np.zeros(nl)
+        e[k] = h
+        dql[:, k] = (solve_load_voltages(q + e, vg, grid).v_load
+                     - solve_load_voltages(q - e, vg, grid).v_load) / (2 * h)
+    for k in range(ng):
+        e = np.zeros(ng)
+        e[k] = h
+        dvg[:, k] = (solve_load_voltages(q, vg + e, grid).v_load
+                     - solve_load_voltages(q, vg - e, grid).v_load) / (2 * h)
+    return dql, dvg
 
 
 def random_water_network(rng, n_nodes):

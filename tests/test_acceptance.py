@@ -14,8 +14,9 @@ from ripplesim import (Graph, PipeLaw, PowerFlowInfeasibleError, Scenario,
                        max_effort_feasibility, message_stats, run,
                        solve_load_voltages, solve_network, spectral_norm,
                        verify_trace)
-from synth import (random_connected_graph, random_grid,
-                   random_monotone_linear_plant, random_water_network)
+from synth import (finite_difference_jacobians, random_connected_graph,
+                   random_grid, random_monotone_linear_plant,
+                   random_water_network)
 
 CORPUS_SIZE = 200
 
@@ -137,23 +138,6 @@ def test_criterion_2_terminal_reading(corpus, grid_scenario_trace,
             outcome.plant, outcome.u, scenario.eps_feas)
     report(2, "terminal reading", time.perf_counter() - t0,
            f"on {len(runs) + len(bundled)} runs")
-
-
-def finite_difference_jacobians(grid, q, vg, h=1e-6):
-    nl, ng = len(grid.loads), len(grid.generators)
-    dql = np.zeros((nl, nl))
-    dvg = np.zeros((nl, ng))
-    for k in range(nl):
-        e = np.zeros(nl)
-        e[k] = h
-        dql[:, k] = (solve_load_voltages(q + e, vg, grid).v_load
-                     - solve_load_voltages(q - e, vg, grid).v_load) / (2 * h)
-    for k in range(ng):
-        e = np.zeros(ng)
-        e[k] = h
-        dvg[:, k] = (solve_load_voltages(q, vg + e, grid).v_load
-                     - solve_load_voltages(q, vg - e, grid).v_load) / (2 * h)
-    return dql, dvg
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,10 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from ripplesim import load_scenario, run
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
 spec = importlib.util.spec_from_file_location("parity", TOOL)
 parity = importlib.util.module_from_spec(spec)
@@ -39,3 +43,14 @@ def test_identical_digests_have_one_run_sha_each():
     assert parity.compare(ours, ours, "a", "b") == ([], {}, 0)
     assert parity.run_sha(ours["demo/a.py"]) == \
         parity.run_sha({"parts": {"stdout": "x"}})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_the_edge_case_scenarios_fail_in_round_1_and_stall(tmp_path):
+    # failure.json overflows its reading at u0, so numpy warns
+    parity.write_edge_scenarios(tmp_path)
+    outcome, trace = run(load_scenario(tmp_path / "failure.json"))
+    assert (outcome.status, outcome.rounds, len(trace)) == \
+        ("solver_failure", 1, 0)
+    outcome, trace = run(load_scenario(tmp_path / "stall.json"))
+    assert (outcome.status, outcome.feasible) == ("stalled", False)

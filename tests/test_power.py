@@ -13,7 +13,7 @@ from ripplesim import (Graph, GridModel, GridPlant, ModelError,
                        weighted_laplacian)
 from ripplesim.power import (MAX_NEWTON_ITER, SOLVER_TOL, PowerFlowSolution,
                              _gain_matrix)
-from synth import random_grid
+from synth import finite_difference_jacobians, random_grid
 
 
 @pytest.fixture
@@ -157,23 +157,6 @@ def test_jacobian_two_bus_flat(twobus):
     dql, dvg = split_jacobian(sol, twobus)
     assert_allclose(dql, [[0.1]], atol=1e-12)
     assert_allclose(dvg, [[1.0]], atol=1e-10)
-
-
-def finite_difference_jacobians(grid, q, vg, h=1e-6):
-    nl, ng = len(grid.loads), len(grid.generators)
-    dql = np.zeros((nl, nl))
-    dvg = np.zeros((nl, ng))
-    for k in range(nl):
-        e = np.zeros(nl)
-        e[k] = h
-        dql[:, k] = (solve_load_voltages(q + e, vg, grid).v_load
-                     - solve_load_voltages(q - e, vg, grid).v_load) / (2 * h)
-    for k in range(ng):
-        e = np.zeros(ng)
-        e[k] = h
-        dvg[:, k] = (solve_load_voltages(q, vg + e, grid).v_load
-                     - solve_load_voltages(q, vg - e, grid).v_load) / (2 * h)
-    return dql, dvg
 
 
 def test_jacobians_match_finite_differences(twobus):

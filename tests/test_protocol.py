@@ -227,6 +227,13 @@ def test_gain_condition_overflow_is_infinite():
     assert not norm < 1.0
 
 
+def test_gain_condition_is_infinite_when_only_part_of_the_product_overflows():
+    # agent 0's product is inf, agent 1's is 1: the matrix holds inf, nan
+    # (inf * 0) and finite entries
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert gain_condition([1e200, 1.0], [1e200, 1.0], a) == np.inf
+
+
 def test_spectral_norm_matches_dense_svd():
     # oracle: the root of the largest eigenvalue of M^T M, not an SVD
     rng = np.random.default_rng(9)
@@ -267,6 +274,15 @@ def reference_eta1(plant, u0):
         if sens > 1e-12:
             eta1[k] = 0.5 / sens
     return eta1
+
+
+def test_auto_gains_falls_back_at_a_sensitivity_of_exactly_1e_12():
+    # at u0 = 0 the probe's central difference returns 1e-12 exactly, which
+    # is not above the cut-off
+    plant = LinearPlant([[1e-12]], offset=[0.0], u_lower=[0.0], u_upper=[1.0],
+                        y_lower=[0.0], measured_nodes=[0])
+    assert monotonicity_probe(plant, [0.0]).jacobian.tolist() == [[1e-12]]
+    assert auto_gains(plant, np.zeros((1, 1)), [0.0]).eta1.tolist() == [1.0]
 
 
 def test_auto_gains_eta1_matches_a_per_agent_loop_bit_for_bit():

@@ -13,10 +13,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import ripplesim.sim
 from ripplesim import (DisruptionEvent, GridModel, GridPlant, Graph,
-                       HydraulicSolution, LinearPlant, ModelError, Outcome,
-                       PipeLaw, PlantModel, PowerFlowSolution, ProtocolGains,
-                       PumpLaw, Scenario, ScenarioError, SolverError, Trace,
-                       TraceRecord, WaterModel, WaterPlant, adjacency_matrix,
+                       HydraulicSolution, LinearPlant, MessageStats,
+                       ModelError, Outcome, PipeLaw, PlantModel,
+                       PowerFlowSolution, ProtocolGains, PumpLaw, Scenario,
+                       ScenarioError, SolverError, Trace, TraceRecord,
+                       WaterModel, WaterPlant, adjacency_matrix,
                        disrupted_setup, load_scenario, message_stats,
                        protocol_round, run, solve_load_voltages,
                        solve_network, verify_trace)
@@ -127,8 +128,8 @@ def test_trace_rows_match_its_columns(case, tmp_path):
     if case == "empty":
         assert len(trace) == 0
         assert trace.u.shape == (0, 2) and trace.y.shape == (0, 1)
-        with pytest.raises(ValueError, match="empty trace"):
-            message_stats(trace, scenario.comm_graph, u0)
+        assert message_stats(trace, scenario.comm_graph, u0) == \
+            MessageStats(0, {}, {}, {})
         return
     assert trace.rounds.tolist() == (list(range(1, 1343)) if case == "full"
                                      else [1, *range(7, 1343, 7), 1342])
@@ -777,12 +778,15 @@ def test_bundled_runs_are_pinned(name, status, rounds, n_records, messages):
     assert sum(r.messages for r in records) == messages
 
 
-def single_agent(eta1=0.5, plant_type=LinearPlant, **knobs):
-    """One agent with y = u, a floor of 1 and a ceiling of 2, from u0 = 0."""
+def single_agent(eta1=0.5, plant_type=LinearPlant, u0=0.0, u_upper=2.0,
+                 y_lower=1.0, **knobs):
+    """One agent with y = u, a floor of 1 and a ceiling of 2, from u0 = 0,
+    unless given others."""
     plant = plant_type(sensitivity=[[1.0]], offset=[0.0], u_lower=[0.0],
-                       u_upper=[2.0], y_lower=[1.0], measured_nodes=[0])
+                       u_upper=[u_upper], y_lower=[y_lower],
+                       measured_nodes=[0])
     return Scenario(plant=plant, comm_graph=Graph(node_count=1, edges=()),
-                    u0=np.zeros(1),
+                    u0=np.array([u0]),
                     gains=ProtocolGains(eta1=[eta1], eta2=[1.0], eta3=[1.0]),
                     **knobs)
 
@@ -853,6 +857,67 @@ def test_stop_at_the_budget():
     result, records = stop(single_agent(budget=5))
     assert result == ("budget_exceeded", 5, False)
     assert len(records) == 5
+
+
+def test_a_control_exactly_eps_eq_below_its_ceiling_is_pinned():
+    # round 1 steps 0.25 = eps_eq from 0.5 to 0.75 = ceiling - eps_eq with
+    # the deficit 1.0 left: rule 3 stops the run there
+    result, records = stop(single_agent(0.25, u0=0.5, u_upper=1.0,
+                                        y_lower=1.5, eps_eq=0.25))
+    assert result == ("stalled", 1, True)
+    assert records[-1].u.tolist() == [0.75]
+
+
+def test_a_deficit_of_exactly_eps_feas_never_stalls_the_run():
+    # both controls start pinned at ceilings 0.5 under the floor 1.5, so the
+    # deficit stays (0.5, 0), and the beacons grow by 0.5 every round
+    # (gain norm 1, hence the override): the frozen count passes the
+    # window of 3, but a deficit of exactly eps_feas is no violation
+    plant = LinearPlant(sensitivity=[[1.0, 1.0]], offset=[0.0],
+                        u_lower=[0.0, 0.0], u_upper=[0.5, 0.5],
+                        y_lower=[1.5], measured_nodes=[0])
+    scenario = Scenario(plant=plant, comm_graph=Graph(2, ((0, 1),)),
+                        u0=np.array([0.5, 0.5]),
+                        gains=ProtocolGains(eta1=np.ones(2), eta2=np.ones(2),
+                                            eta3=np.ones(2)),
+                        eps_eq=0.25, eps_feas=0.5, stall_window=3, budget=10,
+                        override_gain_check=True)
+    result, records = stop(scenario)
+    assert result == ("budget_exceeded", 10, False)
+    assert records[-1].deficit.tolist() == [0.5, 0.0]
+    below = replace(scenario, eps_feas=np.nextafter(0.5, 0.0))
+    assert stop(below)[0] == ("stalled", 4, False)
+
+
+def test_a_terminal_reading_exactly_eps_feas_below_its_floor_is_feasible():
+    # pinned at the ceiling 1.0 under the floor 1.5: the beacon steps
+    # 0.125 <= eps_eq, so rule 3 stops round 1 at the reading 1.0 =
+    # floor - eps_feas
+    outcome, records = run(single_agent(0.25, u0=1.0, u_upper=1.0,
+                                        y_lower=1.5, eps_eq=0.25,
+                                        eps_feas=0.5))
+    assert (outcome.status, outcome.rounds, outcome.feasible) == \
+        ("converged", 1, True)
+    assert outcome.y.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("u0, beyond", [
+    ([-0.5, 0.0], [np.nextafter(-0.5, -1.0), 0.0]),
+    ([1.0, 1.5], [1.0, np.nextafter(1.5, 2.0)])], ids=["lower", "upper"])
+def test_a_start_exactly_eps_feas_outside_its_box_may_start(u0, beyond):
+    # the box is [0, 0.5] x [0, 1] and eps_feas = 0.5; one ulp further out
+    # is a start outside the box
+    scenario = replace(cascade_scenario(), eps_feas=0.5)
+    assert ripplesim.sim.run_setup(replace(scenario, u0=u0))[1].tolist() == u0
+    with pytest.raises(ScenarioError, match="violates its box limits"):
+        run(replace(scenario, u0=beyond))
+
+
+def test_a_start_below_its_box_at_one_agent_only_is_rejected():
+    scenario = replace(cascade_scenario(), u0=np.array([0.0, -1.0]))
+    with pytest.raises(ScenarioError,
+                       match="^initial control violates its box limits$"):
+        run(scenario)
 
 
 def test_crawl_below_eps_eq_keeps_running():
@@ -1059,18 +1124,20 @@ def test_record_messages_are_the_degrees_of_the_beaconing_agents(status,
 
 def nan_after_round(monkeypatch, field, at):
     """Put a NaN in entry 0 of the u_next, beacons_next or deficit (field
-    "u", "beacons" or "deficit") of round `at` of the next run."""
+    "u", "beacons" or "deficit") of round `at` of the next run; returns the
+    list that collects each round's outputs by field."""
     calls = []
 
     def poisoned(u, beacons, y, *rest):
         deficit, u_next, beacons_next = protocol_round(u, beacons, y, *rest)
-        calls.append(None)
+        calls.append({"u": u_next, "beacons": beacons_next,
+                      "deficit": deficit})
         if len(calls) == at:
-            {"u": u_next, "beacons": beacons_next,
-             "deficit": deficit}[field][0] = np.nan
+            calls[-1][field][0] = np.nan
         return deficit, u_next, beacons_next
 
     monkeypatch.setattr("ripplesim.sim.protocol_round", poisoned)
+    return calls
 
 
 # each scenario stops by one rule in rule_round (rules 2, 3, 4 and 5 in
@@ -1094,10 +1161,13 @@ def test_a_nan_passes_no_stopping_rule(monkeypatch, make, rule_round, field):
     # a NaN in any array the stopping rule reads must keep it from firing
     # in that round
     assert run(make())[0].rounds == rule_round
-    nan_after_round(monkeypatch, field, rule_round)
+    outputs = nan_after_round(monkeypatch, field, rule_round)
     outcome, records = run(make())
     assert outcome.rounds > rule_round
-    assert np.isnan(getattr(records[rule_round - 1], field)[0])
+    if field == "deficit":  # the trace derives its deficit from y
+        assert np.isnan(outputs[rule_round - 1][field][0])
+    else:
+        assert np.isnan(getattr(records[rule_round - 1], field)[0])
 
 
 @pytest.mark.parametrize("field, value", [

@@ -13,12 +13,18 @@ with BLAS on one thread. The runs, and the parts of each that are hashed
                       type, box and floors) and every Trace column
   simulate <args>     `ripplesim simulate` on the four bundled scenarios,
                       plain and with --decimate 3, plus wds10 --budget 500
-                      --decimate 7: trace.csv, effort.csv, summary.json,
-                      stdout, stderr and the exit code
+                      --decimate 7, and on two edge cases of the trace that
+                      the tool writes into its workdir: failure.json, whose
+                      reading overflows at u0 (a solver failure in round 1,
+                      an empty trace, exit 3), and stall.json, plain and
+                      with --decimate 3 (ceilings below the floor, a stall):
+                      trace.csv, effort.csv, summary.json, stdout, stderr,
+                      warnings and the exit code
   <command> <args>    check-gains, check-monotonicity --points 3 (plain and
                       --disrupted) and feasibility on the four bundled
                       scenarios, and sweep on pjm5 and twobus: stdout,
-                      stderr, the exit code and, for sweep, sweep.csv
+                      stderr, warnings, the exit code and, for sweep,
+                      sweep.csv
   demo/<file>         the stdout of each script in demos/
 
 Without --against the tool prints CHECKOUT's digest as JSON, one SHA-256
@@ -41,14 +47,22 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 CORPUS_SIZE = 200
 POPULATION_SEEDS = (2024, 3)
 SCENARIOS = ("pjm5", "wds10", "twobus", "linear_cascade")
+# linear_cascade with these plant fields and start, one file per edge case
+EDGE_SCENARIOS = {
+    "failure.json": ({"sensitivity": [[1e308, 1e308]],
+                      "u_upper": [1.0, 1.0]}, [1.0, 1.0]),
+    "stall.json": ({"u_upper": [0.3, 0.4]}, [0.0, 0.0]),
+}
 SIMULATE_RUNS = [[name] + extra for name in SCENARIOS
                  for extra in ([], ["--decimate", "3"])] + [
-    ["wds10", "--budget", "500", "--decimate", "7"]]
+    ["wds10", "--budget", "500", "--decimate", "7"], ["failure.json"],
+    ["stall.json"], ["stall.json", "--decimate", "3"]]
 # sweep prints its output path, so it writes to a relative one
 ANALYSIS_RUNS = [[command, name, *extra] for name in SCENARIOS
                  for command, extra in (
@@ -115,18 +129,40 @@ def _corpus_runs():
 
 
 def _cli_parts(args):
-    """The exit code, stdout and stderr of `ripplesim ARGS`, run here."""
+    """The exit code, stdout, stderr and warnings of `ripplesim ARGS`, run
+    here. A warning counts by its category and text, every time it is
+    raised, and not by the file and line it names, which differ between
+    checkouts."""
     from ripplesim.cli import main
 
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(stderr):
+            contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(args)
     return {"exit_code": _sha(code), "stdout": _sha(stdout.getvalue()),
-            "stderr": _sha(stderr.getvalue())}
+            "stderr": _sha(stderr.getvalue()),
+            "warnings": _sha(repr([(w.category.__name__, str(w.message))
+                                   for w in caught]))}
+
+
+def write_edge_scenarios(workdir):
+    """Write each EDGE_SCENARIOS file into workdir."""
+    from ripplesim.scenario_io import bundled_scenario_path
+
+    text = bundled_scenario_path("linear_cascade").read_text()
+    for name, (plant, u0) in EDGE_SCENARIOS.items():
+        doc = json.loads(text)
+        doc["plant"].update(plant)
+        doc["initial"]["u0"] = u0
+        Path(workdir, name).write_text(json.dumps(doc))
 
 
 def _simulate_runs(workdir):
+    """The simulate runs; workdir is the current directory, where the
+    edge-case runs find their files."""
+    write_edge_scenarios(workdir)
     for k, args in enumerate(SIMULATE_RUNS):
         out = Path(workdir, f"simulate-{k}")
         parts = _cli_parts(["simulate", *args, "--output-dir", str(out)])

@@ -235,7 +235,7 @@ def cmd_check_monotonicity(args) -> int:
             failures += 1
             continue
         line = f"point {i}: monotone={probe.monotone} " \
-               f"min sensitivity={probe.jacobian.min():.3e}"
+               f"min sensitivity={probe.jacobian.min(initial=np.inf):.3e}"
         if isinstance(plant, GridPlant):
             sol = plant.solve_from(point)[1]
             line += f" margin={sol.monotonicity_margin:.6f}"

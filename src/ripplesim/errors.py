@@ -30,15 +30,5 @@ class PumpReverseFlowError(SolverError):
 
 
 class PlantSolveError(SolverError):
-    """A plant evaluation failed; carries the offending control vector.
-
-    Attributes:
-        control: the control vector passed to the plant.
-        direction: probe direction index, when raised from a sensitivity
-            probe, else None.
-    """
-
-    def __init__(self, message, control=None, direction=None):
-        super().__init__(message)
-        self.control = control
-        self.direction = direction
+    """A plant evaluation failed; the message says where, then quotes the
+    solver's own message, and the solver's error is the __cause__."""

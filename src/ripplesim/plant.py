@@ -173,8 +173,8 @@ class LinearPlant(PlantModel):
 def feasibility_check(plant: PlantModel, u, eps_feas: float = EPS_FEAS_DEFAULT) -> bool:
     """True iff u is inside its box and plant outputs clear their floors.
 
-    Both comparisons are slackened by eps_feas. Plant solve failures are
-    re-raised as PlantSolveError carrying the offending control vector.
+    Both comparisons are slackened by eps_feas. A plant solve failure is
+    re-raised as PlantSolveError, whose message carries the solver's.
     """
     u = np.asarray(u, dtype=float)
     if (u < plant.u_lower - eps_feas).any() or (u > plant.u_upper + eps_feas).any():
@@ -182,7 +182,7 @@ def feasibility_check(plant: PlantModel, u, eps_feas: float = EPS_FEAS_DEFAULT) 
     try:
         y = plant.solve(u)
     except SolverError as exc:
-        raise PlantSolveError(f"plant solve failed: {exc}", control=u) from exc
+        raise PlantSolveError(f"plant solve failed: {exc}") from exc
     return bool((y >= plant.y_lower - eps_feas).all())
 
 
@@ -195,12 +195,12 @@ def max_effort_feasibility(plant: PlantModel, eps_feas: float = EPS_FEAS_DEFAULT
     try:
         y = plant.solve(plant.u_upper)
     except SolverError as exc:
-        raise PlantSolveError(f"plant solve failed at maximum effort: {exc}",
-                              control=np.array(plant.u_upper)) from exc
+        raise PlantSolveError(
+            f"plant solve failed at maximum effort: {exc}") from exc
     return bool(np.all(y >= plant.y_lower - eps_feas))
 
 
-def damped_newton(x, residual, direction, singular, tol: float,
+def damped_newton(x, residual, direction, singular, failed, tol: float,
                   max_iter: int, start=None):
     """Backtracking Newton iteration for the square system F(x) = 0.
 
@@ -208,17 +208,23 @@ def damped_newton(x, residual, direction, singular, tol: float,
     caller has it; direction(x, F(x), aux) returns the Newton step, the
     solution of J step = -F with J = dF/dx, however the caller solves it.
     Each iteration takes the first of x + step, x + step/2, ..., x +
-    step/1024 that lowers the residual inf-norm. Stops at inf-norm <= tol,
-    at a start whose inf-norm is not finite (no step is taken from it),
-    after max_iter iterations, or where no step lowers it (iterations <
-    max_iter), at the lowest residual reached. Returns (x, aux, inf-norm,
-    iterations); a LinAlgError from direction (a singular J) raises
+    step/1024 that lowers the residual inf-norm. Returns (x, aux, inf-norm,
+    iterations) once the inf-norm is <= tol. Otherwise raises failed(why),
+    why naming the stop: a start whose inf-norm is not finite (no step is
+    taken from it), max_iter iterations, or the first iteration where no
+    step lowers it; a LinAlgError from direction (a singular J) raises
     singular(iteration).
     """
     r, aux = residual(x) if start is None else start
     rnorm = float(np.maximum.reduce(np.abs(r))) if r.size else 0.0
+    if not rnorm < np.inf:  # every accepted step lowers a finite residual
+        raise failed(f"the residual at the starting point is not finite "
+                     f"(residual {rnorm:.3e})")
     iters = 0
-    while tol < rnorm < np.inf and iters < max_iter:
+    while tol < rnorm:
+        if iters >= max_iter:
+            raise failed(f"iteration cap {max_iter} reached "
+                         f"(residual {rnorm:.3e})")
         try:
             step = direction(x, r, aux)
         except np.linalg.LinAlgError as exc:
@@ -229,25 +235,12 @@ def damped_newton(x, residual, direction, singular, tol: float,
             if (rcn := float(np.maximum.reduce(np.abs(rc)))) < rnorm:
                 break
         else:
-            break
+            raise failed(f"no step along the Newton direction lowers the "
+                         f"residual at iteration {iters} "
+                         f"(residual {rnorm:.3e})")
         rnorm, x, r, aux = rcn, cand, rc, ac
         iters += 1
     return x, aux, rnorm, iters
-
-
-def newton_failure(rnorm: float, iters: int, max_iter: int) -> str:
-    """Which stop ended an unconverged damped_newton run, and where.
-
-    Every accepted step lowers the residual, so a non-finite one can only
-    be the starting point's, where no line search ran.
-    """
-    if not np.isfinite(rnorm):
-        return (f"the residual at the starting point is not finite "
-                f"(residual {rnorm:.3e})")
-    if iters < max_iter:
-        return (f"no step along the Newton direction lowers the residual "
-                f"at iteration {iters} (residual {rnorm:.3e})")
-    return f"iteration cap {max_iter} reached (residual {rnorm:.3e})"
 
 
 @dataclass(frozen=True)
@@ -281,9 +274,8 @@ def monotonicity_probe(plant: PlantModel, u0) -> ProbeResult:
             y_up = plant.solve(up)
             y_dn = plant.solve(dn)
         except SolverError as exc:
-            raise PlantSolveError(
-                f"plant solve failed while probing control {k}: {exc}",
-                control=u0, direction=k) from exc
+            raise PlantSolveError(f"plant solve failed while probing "
+                                  f"control {k}: {exc}") from exc
         jac[:, k] = (y_up - y_dn) / (2.0 * step)
     return ProbeResult(jacobian=jac,
                        monotone=bool(np.all(jac >= -MONOTONE_TOL)))

@@ -23,7 +23,7 @@ from .errors import (ModelError, PowerFlowInfeasibleError, ScenarioError,
                      SingularJacobianError)
 from .graph import (Graph, _integer, edge_index, reachable,
                     weighted_laplacian, without_edge)
-from .plant import PlantModel, _frozen, damped_newton, newton_failure
+from .plant import PlantModel, _frozen, damped_newton
 
 SOLVER_TOL = 1e-8
 MAX_NEWTON_ITER = 50
@@ -128,10 +128,11 @@ class PowerFlowSolution:
     @property
     def monotonicity_margin(self) -> float:
         """Smallest eigenvalue of diag(q_L/v_L^2) + B_LL (i_L / v_L at the
-        solution); a positive one certifies a nonnegative jacobian."""
+        solution); a positive one certifies a nonnegative jacobian. A grid
+        with no load bus has no eigenvalue, and its margin is inf."""
         cert = (np.diag(self.i_load / self.v_load)
                 + self._kept("monotonicity_margin").b_ll)
-        return float(np.min(np.linalg.eigvalsh(cert)))
+        return float(np.min(np.linalg.eigvalsh(cert), initial=np.inf))
 
 
 def reactive_injections(v, b_matrix) -> np.ndarray:
@@ -160,9 +161,9 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel,
     keeps v0's v_gen array. v_load and i_load are read-only.
     Raises ModelError when a vector, v0's load voltages included, does not
     match the partition or a generator voltage is not positive,
-    PowerFlowInfeasibleError when the iteration stops unconverged (the
-    message names the stop) or the converged root is non-physical (v <=
-    0), and SingularJacobianError when the iteration matrix degenerates.
+    PowerFlowInfeasibleError at damped_newton's stop ("no load-voltage
+    solution: " and the stop it reached) or a non-physical root (v <= 0),
+    and SingularJacobianError when the iteration matrix degenerates.
     """
     q_load = np.asarray(q_load, dtype=float)
     v_gen = np.asarray(v_gen, dtype=float)
@@ -212,11 +213,9 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel,
             v if start is None else v.copy(), residual,  # not the start's
             lambda vl, r, il: np.linalg.solve(
                 _gain_matrix(vl, il, grid.b_ll), -r),
-            singular, SOLVER_TOL, MAX_NEWTON_ITER, start)
-        if not rnorm <= SOLVER_TOL:  # a NaN residual is no solution
-            raise PowerFlowInfeasibleError(
-                "no load-voltage solution: "
-                + newton_failure(rnorm, iters, MAX_NEWTON_ITER))
+            singular, lambda why: PowerFlowInfeasibleError(
+                "no load-voltage solution: " + why),
+            SOLVER_TOL, MAX_NEWTON_ITER, start)
         if np.fmin.reduce(v, initial=np.inf) <= 0.0:
             raise PowerFlowInfeasibleError("converged to non-physical voltages")
     v.setflags(write=False)

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (HydraulicInfeasibleError, ModelError,
                      PumpReverseFlowError, ScenarioError)
 from .graph import Graph, _integer, reachable, without_edge
-from .plant import PlantModel, damped_newton, newton_failure
+from .plant import PlantModel, damped_newton
 
 FLOW_TOL = 1e-9
 MAX_HYDRAULIC_ITER = 100
@@ -297,9 +297,9 @@ def solve_network(u, model: WaterModel, x0=None) -> HydraulicSolution:
     unknowns would. When x0 is None it starts from the minimum-norm flows
     that conserve the injections and every free pressure at the mean fixed
     pressure. Raises ModelError when u or x0 has the wrong length,
-    HydraulicInfeasibleError when the Newton iteration stops unconverged
-    (the message names the stop), and PumpReverseFlowError when the
-    solution would push flow backwards through a pump.
+    HydraulicInfeasibleError at damped_newton's stop ("no hydraulic
+    solution: " and the stop it reached), and PumpReverseFlowError when
+    the solution would push flow backwards through a pump.
     """
     u = np.asarray(u, dtype=float)
     n = model.graph.node_count
@@ -348,11 +348,8 @@ def solve_network(u, model: WaterModel, x0=None) -> HydraulicSolution:
         x0, residual, lambda x, r, aux: _newton_step(net, r, aux[1][1]),
         lambda it: HydraulicInfeasibleError(
             f"singular hydraulic Jacobian at iteration {it}"),
+        lambda why: HydraulicInfeasibleError("no hydraulic solution: " + why),
         FLOW_TOL, MAX_HYDRAULIC_ITER, residual(x0, terms))
-    if not rnorm <= FLOW_TOL:  # a NaN residual is no solution
-        raise HydraulicInfeasibleError(
-            "no hydraulic solution: "
-            + newton_failure(rnorm, iters, MAX_HYDRAULIC_ITER))
     x.setflags(write=False)
     if terms is not reused:  # reused ones were tested when solved
         q = x[:m]

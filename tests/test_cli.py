@@ -202,6 +202,34 @@ def test_check_monotonicity_reports_a_failed_probe(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("point 0: probe failed")
 
 
+def all_generator_grid(doc):
+    """twobus with its load bus made a generator: no measured output."""
+    doc["plant"]["buses"][1] = {"label": "2", "kind": "generator",
+                                "v_initial": 1.0, "v_max": 1.02}
+
+
+def no_pressure_floors(doc):
+    """wds10 with every pressure floor removed: no measured output."""
+    for node in doc["plant"]["nodes"]:
+        node.pop("pressure_min", None)
+
+
+@pytest.mark.parametrize("disrupted", [[], ["--disrupted"]],
+                         ids=["plain", "disrupted"])
+@pytest.mark.parametrize("name, edit, margin", [
+    ("twobus", all_generator_grid, " margin=inf"),
+    ("wds10", no_pressure_floors, "")], ids=["twobus", "wds10"])
+def test_check_monotonicity_of_a_plant_with_no_measured_output(
+        tmp_path, capsys, name, edit, margin, disrupted):
+    # no sensitivity and no certificate eigenvalue: both minimums are inf
+    path = write_edited(tmp_path, edit, name=name)
+    assert main(["check-monotonicity", path, "--points", "2",
+                 *disrupted]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"point {i}: monotone=True min sensitivity=inf{margin}"
+        for i in range(2)] + ["monotonicity check: pass"]
+
+
 def reverse_pump_flow(doc):
     """Consumer 3 may turn into a 500 m^3/hr source; at that injection the
     pump from node 1 to node 2 would have to carry flow backwards."""
@@ -251,6 +279,15 @@ def test_sweep_single_step(tmp_path):
     plant = load_scenario("twobus").plant
     sol = solve_load_voltages(np.array([-0.1]), np.array([1.0]), plant.grid)
     assert abs(float(rows[0]["lambda_min"]) - sol.monotonicity_margin) < 1e-12
+
+
+def test_sweep_of_a_grid_with_no_load_bus(tmp_path, capsys):
+    path = write_edited(tmp_path, all_generator_grid, name="twobus")
+    assert main(["sweep", path, "--steps", "3",
+                 "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("sweep: 3/3 scales solved")
+    rows = read_csv(tmp_path / "sweep.csv")
+    assert [(r["solved"], r["lambda_min"]) for r in rows] == [("1", "inf")] * 3
 
 
 @pytest.mark.parametrize("bound", ["--scale-min=nan", "--scale-max=inf",

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ripplesim import (Graph, GridModel, LinearPlant, ModelError,
                        PlantSolveError, disrupted_setup, feasibility_check,
                        load_scenario, max_effort_feasibility,
                        monotonicity_probe, run)
-from ripplesim.plant import damped_newton, newton_failure
+from ripplesim.plant import damped_newton
 from ripplesim.power import GridPlant
 from synth import random_monotone_linear_plant
 
@@ -184,44 +187,81 @@ class ExplodingPlant(LinearPlant):
 def test_solver_failure_carries_control():
     plant = ExplodingPlant(sensitivity=[[1.0]], offset=[0.0], u_lower=[0.0],
                            u_upper=[2.0], y_lower=[1.0], measured_nodes=[0])
-    with pytest.raises(PlantSolveError) as err:
+    with pytest.raises(PlantSolveError,
+                       match=r"^plant solve failed: boom$") as err:
         feasibility_check(plant, [1.0])
-    assert_allclose(err.value.control, [1.0])
-    with pytest.raises(PlantSolveError) as err:
+    assert str(err.value.__cause__) == "boom"
+    with pytest.raises(PlantSolveError, match=r"^plant solve failed at "
+                       r"maximum effort: boom$"):
+        max_effort_feasibility(plant)
+    with pytest.raises(PlantSolveError, match=r"^plant solve failed while "
+                       r"probing control 0: boom$"):
         monotonicity_probe(plant, np.array([1.0]))
-    assert err.value.direction == 0
 
 
 def _singular(k):
     return AssertionError(f"unexpected singular Jacobian at iteration {k}")
 
 
+class Failed(Exception):
+    """The failed(why) of the damped_newton tests."""
+
+
 def test_damped_newton_stops_at_its_first_exhausted_line_search():
-    # F(x) = x^2 + 1 has no root; its residual bottoms out at 1 (x = 0),
-    # where no Newton step can lower it
-    x, _, rnorm, iters = damped_newton(
-        np.array([0.5]), lambda x: (x * x + 1.0, None),
-        lambda x, r, _: np.linalg.solve(np.diag(2.0 * x), -r), _singular,
-        tol=1e-8, max_iter=50)
-    assert iters < 5
-    assert 1.0 <= rnorm < 1.25  # lowered from the start's 1.25, not zero
-    assert rnorm == float(x[0] ** 2 + 1.0)
-    assert newton_failure(rnorm, iters, 50).startswith(
-        f"no step along the Newton direction lowers the residual at "
-        f"iteration {iters}")
+    # F(x) = x^2 + 1 has no root; its residual bottoms out at 1 (x = 0).
+    # From 0.5 the half step lands on -0.125 and the 1/32 step on 2^-9,
+    # where no step lowers 1 + 2^-18 any further
+    with pytest.raises(Failed) as err:
+        damped_newton(
+            np.array([0.5]), lambda x: (x * x + 1.0, None),
+            lambda x, r, _: np.linalg.solve(np.diag(2.0 * x), -r),
+            _singular, Failed, tol=1e-8, max_iter=50)
+    assert err.value.args == (
+        "no step along the Newton direction lowers the residual at "
+        f"iteration 2 (residual {1.0 + 2.0 ** -18:.3e})",)
 
 
 def test_damped_newton_reports_the_iteration_cap():
     # F(x) = x - 1 with a Jacobian four times too steep: every full step
     # lowers the residual by a quarter, so only the cap stops the loop
-    x, _, rnorm, iters = damped_newton(
-        np.array([0.0]), lambda x: (x - 1.0, None),
-        lambda x, r, _: np.linalg.solve(np.array([[4.0]]), -r), _singular,
-        tol=1e-8, max_iter=5)
-    assert iters == 5
-    assert x[0] == 1.0 - 0.75 ** 5 and rnorm == 0.75 ** 5
-    assert newton_failure(rnorm, iters, 5) == \
-        f"iteration cap 5 reached (residual {0.75 ** 5:.3e})"
+    with pytest.raises(Failed) as err:
+        damped_newton(
+            np.array([0.0]), lambda x: (x - 1.0, None),
+            lambda x, r, _: np.linalg.solve(np.array([[4.0]]), -r),
+            _singular, Failed, tol=1e-8, max_iter=5)
+    assert err.value.args == (
+        f"iteration cap 5 reached (residual {0.75 ** 5:.3e})",)
+
+
+class Singular(Exception):
+    """The singular(k) of the damped_newton property test."""
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(n=st.integers(1, 3), max_iter=st.integers(0, 8), data=st.data())
+def test_damped_newton_returns_only_a_converged_point(n, max_iter, data):
+    # F(x) = A x + c x^2 - b, squared entrywise: a root near the start, a
+    # root out of reach, no root, or a singular Jacobian on the way; a
+    # nearly singular one steps to an overflow, whose NaN residual the line
+    # search must refuse
+    entries = st.floats(-4.0, 4.0)
+    a = data.draw(arrays(float, (n, n), elements=entries))
+    c, b, x0 = (data.draw(arrays(float, n, elements=entries))
+                for _ in range(3))
+
+    def residual(x):
+        return a.dot(x) + c * x * x - b, None
+
+    try:
+        with np.errstate(all="ignore"):
+            x, _, rnorm, iters = damped_newton(
+                x0, residual,
+                lambda x, r, _: np.linalg.solve(a + np.diag(2.0 * c * x), -r),
+                Singular, Failed, 1e-8, max_iter)
+    except (Singular, Failed):
+        return
+    assert np.abs(residual(x)[0]).max() == rnorm <= 1e-8
+    assert iters <= max_iter
 
 
 def test_damped_newton_takes_a_halved_step_past_a_nan_residual():
@@ -233,5 +273,5 @@ def test_damped_newton_takes_a_halved_step_past_a_nan_residual():
     x, _, rnorm, iters = damped_newton(
         np.array([0.0]), residual,
         lambda x, r, _: np.linalg.solve(np.array([[0.5]]), -r),
-        _singular, tol=1e-8, max_iter=50)
+        _singular, Failed, tol=1e-8, max_iter=50)
     assert (x[0], rnorm, iters) == (1.0, 0.0, 1)

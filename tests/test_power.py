@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ripplesim.power
 from ripplesim import (Graph, GridModel, GridPlant, ModelError,
                        PowerFlowInfeasibleError, SingularJacobianError,
                        disrupted_setup, load_scenario, loadability_sweep,
@@ -111,6 +112,16 @@ def test_solve_from_a_non_finite_start_says_so(twobus, q, v0, shown):
         f"not finite (residual {shown})")
 
 
+def test_a_cold_solve_past_its_iteration_cap_says_so(twobus, monkeypatch):
+    # from the flat start one Newton step lowers the residual 0.1 to
+    # 0.1 - 0.99 * 0.1 = 1e-3, and a cold solve needs more than one
+    monkeypatch.setattr(ripplesim.power, "MAX_NEWTON_ITER", 1)
+    with pytest.raises(PowerFlowInfeasibleError) as err:
+        solve_load_voltages(np.array([-0.1]), np.array([1.0]), twobus)
+    assert str(err.value) == ("no load-voltage solution: iteration cap 1 "
+                              "reached (residual 1.000e-03)")
+
+
 def test_every_solve_sweep_grid_failure_stops_at_a_stalled_line_search():
     # the grid population of perfbench's solve_sweep workload, at its
     # population and held-out seeds; a load-scale continuation finds a
@@ -187,6 +198,16 @@ def test_margin_decreases_toward_boundary(twobus):
         v = twobus_voltage(-0.1 * s)
         assert_allclose(margins[-1], 10.0 - 0.1 * s / v ** 2, rtol=1e-8)
     assert np.all(np.diff(margins) < 0)
+
+
+def test_a_grid_with_no_load_bus_has_an_infinite_margin():
+    # no load voltage, so the certificate has no eigenvalue: vacuously true
+    grid = GridModel(graph=Graph(node_count=2, edges=((0, 1),)),
+                     susceptances=(10.0,), generators=(0, 1), loads=())
+    sol = solve_load_voltages(np.zeros(0), np.array([1.0, 1.02]), grid)
+    assert (sol.v_load.shape, sol.iterations) == ((0,), 0)
+    assert sol.monotonicity_margin == np.inf
+    assert sol.jacobian.shape == (0, 2)
 
 
 def test_positive_margin_certifies_nonnegative_jacobians():

@@ -1074,6 +1074,25 @@ def test_budget_cuts_around_a_block_edge_match_a_single_join(
     assert_blocks_match_a_single_join(monkeypatch, scenario, block)
 
 
+def test_a_run_joins_each_full_block_once(monkeypatch):
+    # with blocks of 4, a 1,001-row trace joins 250 full blocks in each of
+    # its u, y and beacons columns, then each column once when the run
+    # ends; joining a column's last four rows after every kept round but
+    # the fourth would give the same trace in quadratic time
+    monkeypatch.setattr(ripplesim.sim, "_BLOCK", 4)
+    scenario = cut_keeping(1001, 1)
+    joins, concatenate = [], np.concatenate
+
+    def counted(*args, **kwargs):
+        joins.append(None)
+        return concatenate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counted)
+    outcome, trace = run(scenario)
+    assert (outcome.status, len(trace)) == ("budget_exceeded", 1001)
+    assert len(joins) == 3 * (1001 // 4) + 3
+
+
 def test_a_long_run_holds_one_block_of_rows_besides_its_trace(monkeypatch):
     # plant 179 has n = 10 and runs past 2,000 rounds; holding one array
     # per kept round and column until the run ends peaks at 3.1 times the

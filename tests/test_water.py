@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -459,6 +460,31 @@ def test_solve_from_a_non_finite_start_says_so(single_pipe, node):
     assert str(err.value) == (
         "no hydraulic solution: the residual at the starting point is not "
         "finite (residual nan)")
+
+
+def test_a_cold_solve_past_its_iteration_cap_says_so(monkeypatch):
+    # wds10 solves cold at its start in 3 iterations
+    scenario = load_scenario("wds10")
+    monkeypatch.setattr(water, "MAX_HYDRAULIC_ITER", 1)
+    with pytest.raises(HydraulicInfeasibleError, match=r"^no hydraulic "
+                       r"solution: iteration cap 1 reached \(residual "):
+        solve_network(np.asarray(scenario.u0, float), scenario.plant.model)
+
+
+def test_a_loop_at_a_million_m3_per_hr_stops_at_a_stalled_line_search():
+    # the triangle's pipes drop about 1e9 m, whose ulp, 1.2e-7, is far
+    # above FLOW_TOL: the pipe rows cannot get below it, so the line
+    # search stalls
+    g = Graph(node_count=3, edges=((0, 1), (1, 2), (0, 2)))
+    model = WaterModel(graph=g, edge_laws=(PipeLaw(coefficient=0.001),) * 3,
+                       pressure_nodes=(0,))
+    with pytest.raises(HydraulicInfeasibleError) as err:
+        solve_network(np.array([5.0, -1e6, -5e5]), model)
+    m = re.fullmatch(r"no hydraulic solution: no step along the Newton "
+                     r"direction lowers the residual at iteration (\d+) "
+                     r"\(residual (\S+)\)", str(err.value))
+    assert int(m[1]) < water.MAX_HYDRAULIC_ITER
+    assert water.FLOW_TOL < float(m[2]) <= 4 * np.spacing(1e9)
 
 
 def test_pump_between_fixed_nodes_is_singular():

@@ -25,7 +25,8 @@ print("\ninjections at flat voltage:", reactive_injections([1.0, 1.0],
                                                            grid.b_matrix))
 
 # drawing 0.1 p.u. of reactive power: 10 v (v - 1) = -0.1 has the high root
-# (1 + sqrt(0.96)) / 2, and the Newton solve lands on it from a flat start
+# (1 + sqrt(0.96)) / 2, and the Newton solve lands on it from the
+# open-circuit voltage, the root at zero load: here v_G = 1.0 itself
 sol = solve_load_voltages(np.array([-0.1]), np.array([1.0]), grid)
 closed_form = (1.0 + math.sqrt(0.96)) / 2.0
 print(f"\nsolved load voltage   {sol.v_load[0]:.12f}")

@@ -17,6 +17,17 @@ EPS_FEAS_DEFAULT = 1e-6
 MONOTONE_TOL = 1e-7
 
 
+def _kept(solution, name, field):
+    """solution's attribute field, from which its property name derives;
+    a ModelError naming field (less a leading _) if it is None, as on a
+    solution made by hand without it."""
+    if (kept := getattr(solution, field)) is None:
+        field = field.lstrip("_")
+        raise ModelError(f"{name} needs the {field}: this solution was made "
+                         f"without {field}=")
+    return kept
+
+
 def _frozen(values) -> np.ndarray:
     """A read-only float copy of values."""
     array = np.array(values, dtype=float)

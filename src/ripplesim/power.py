@@ -6,8 +6,9 @@ reactive injections satisfy q = diag(v) B v. Buses split into generators
 (voltage magnitude is the control) and loads (reactive injection is the
 control, voltage magnitude is the regulated output). Partitioning B
 accordingly and fixing (q_L, v_G) leaves a quadratic system in the load
-voltages, solved from a flat start by the damped Newton shared with the
-water solver (plant.damped_newton).
+voltages, solved by the damped Newton shared with the water solver
+(plant.damped_newton). A cold solve starts at the open-circuit voltages
+GridModel.open_circuit v_G, the exact solution at zero load injection.
 
 The implicit-function Jacobian of the solved map (PowerFlowSolution.jacobian)
 is closed-form through G = diag(i_L) + diag(v_L) B_LL, i_L = B_LG v_G +
@@ -16,6 +17,7 @@ diag(q_L / v_L^2) + B_LL is positive definite (G is then an M-matrix, so
 its inverse is nonnegative); its smallest eigenvalue is monotonicity_margin.
 """
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .errors import (ModelError, PowerFlowInfeasibleError, ScenarioError,
                      SingularJacobianError)
 from .graph import (Graph, _integer, edge_index, reachable,
                     weighted_laplacian, without_edge)
-from .plant import PlantModel, _frozen, damped_newton
+from .plant import PlantModel, _frozen, _kept, damped_newton
 
 SOLVER_TOL = 1e-8
 MAX_NEWTON_ITER = 50
@@ -36,9 +38,10 @@ class GridModel:
     generators and loads are disjoint bus-index tuples covering the graph,
     and every load bus reaches a generator bus through the lines.
     The read-only load/generator blocks b_ll, b_lg and b_gg of the
-    Laplacian B are derived once at construction and are all the solvers
-    read; b_matrix rebuilds B on access, so a model never stores B twice.
-    The model is immutable afterwards.
+    Laplacian B are derived once at construction; with open_circuit, built
+    on first use, they are all the solvers read. b_matrix rebuilds B on
+    access, so a model never stores B twice. The model is immutable
+    afterwards.
     """
 
     graph: Graph
@@ -73,6 +76,17 @@ class GridModel:
         """The weighted Laplacian B, built afresh on each access."""
         return weighted_laplacian(self.graph, self.susceptances)
 
+    @cached_property
+    def open_circuit(self) -> np.ndarray:
+        """The read-only (loads x generators) map -B_LL^-1 B_LG from
+        generator voltages to the load voltages at zero load injection,
+        built on first use. B_LL is a nonsingular M-matrix (every load
+        reaches a generator) and the rows of [B_LL B_LG] sum to zero, so
+        each row is nonnegative and sums to 1."""
+        oc = np.linalg.solve(self.b_ll, -self.b_lg)
+        oc.flags.writeable = False
+        return oc
+
 
 class PowerFlowSolution:
     """Solved load voltages plus bookkeeping from the Newton iteration.
@@ -81,8 +95,8 @@ class PowerFlowSolution:
     on first read from the kept v_gen and grid, then cached; a q_gen given
     to the constructor is returned as it is. i_gen = B_LG v_G, v_gen and
     g_inv (an inverse of the Newton matrix, or None) are the record that
-    solve_load_voltages reuses. q_gen, jacobian and monotonicity_margin
-    raise ModelError without grid= (q_gen: or v_gen=).
+    solve_load_voltages reuses. q_gen raises ModelError without grid= or
+    v_gen=, and jacobian and monotonicity_margin without grid= or i_load=.
     """
 
     __slots__ = ("v_load", "i_load", "iterations", "residual", "_q_gen",
@@ -96,17 +110,11 @@ class PowerFlowSolution:
         self._q_gen, self._v_gen, self._grid = q_gen, v_gen, grid
         self._i_gen, self._g_inv = i_gen, g_inv
 
-    def _kept(self, name, field="grid"):
-        """The kept grid or v_gen that name derives from, else ModelError."""
-        if (kept := getattr(self, "_" + field)) is None:
-            raise ModelError(f"{name} needs the {field}: this solution was "
-                             f"made without {field}=")
-        return kept
-
     @property
     def q_gen(self) -> np.ndarray:
         if self._q_gen is None:
-            grid, v_gen = self._kept("q_gen"), self._kept("q_gen", "v_gen")
+            grid = _kept(self, "q_gen", "_grid")
+            v_gen = _kept(self, "q_gen", "_v_gen")
             self._q_gen = v_gen * (grid.b_gg.dot(v_gen)
                                    + grid.b_lg.T.dot(self.v_load))
         return self._q_gen
@@ -116,10 +124,11 @@ class PowerFlowSolution:
         """dv_L/du, one column per bus in bus order: the solution X of
         G X = [I | -diag(v_L) B_LG] (load columns, then generator columns),
         reordered by bus. Derived from the kept grid on each read."""
-        grid, v = self._kept("jacobian"), self.v_load
+        grid, v = _kept(self, "jacobian", "_grid"), self.v_load
+        i_load = _kept(self, "jacobian", "i_load")
         rhs = np.hstack((np.eye(len(v)), -v[:, None] * grid.b_lg))
         try:
-            x = np.linalg.solve(_gain_matrix(v, self.i_load, grid.b_ll), rhs)
+            x = np.linalg.solve(_gain_matrix(v, i_load, grid.b_ll), rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(
                 "sensitivity matrix G is singular") from exc
@@ -130,8 +139,9 @@ class PowerFlowSolution:
         """Smallest eigenvalue of diag(q_L/v_L^2) + B_LL (i_L / v_L at the
         solution); a positive one certifies a nonnegative jacobian. A grid
         with no load bus has no eigenvalue, and its margin is inf."""
-        cert = (np.diag(self.i_load / self.v_load)
-                + self._kept("monotonicity_margin").b_ll)
+        grid = _kept(self, "monotonicity_margin", "_grid")
+        i_load = _kept(self, "monotonicity_margin", "i_load")
+        cert = np.diag(i_load / self.v_load) + grid.b_ll
         return float(np.min(np.linalg.eigvalsh(cert), initial=np.inf))
 
 
@@ -153,8 +163,9 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel,
                         v0=None) -> PowerFlowSolution:
     """Solve diag(v_L)(B_LG v_G + B_LL v_L) = q_L for the load voltages.
 
-    Runs plant.damped_newton to SOLVER_TOL from a flat 1.0 per-unit start, or
-    from v0: load voltages, or a previous PowerFlowSolution, at its v_load.
+    Runs plant.damped_newton to SOLVER_TOL from the open-circuit voltages
+    grid.open_circuit v_G, or from v0: load voltages, or a previous
+    PowerFlowSolution, at its v_load.
     A v0 whose record (i_gen, v_gen) solved this grid at these v_gen bytes
     reuses that record and its i_load, and first tries one chord step with
     the inverse it carries (the README gives the warm path); the solution
@@ -182,7 +193,8 @@ def solve_load_voltages(q_load, v_gen, grid: GridModel,
             raise ModelError("generator voltages must be positive")
         v_gen = _frozen(v_gen)  # a copy: the solution keeps it
         i_gen = grid.b_lg.dot(v_gen)
-        v = np.ones(nl) if v0 is None else np.array(v0, dtype=float)
+        v = (grid.open_circuit.dot(v_gen) if v0 is None
+             else np.array(v0, dtype=float))
         if v.shape != (nl,):
             raise ModelError("start vector must hold one voltage per load bus")
 
@@ -273,8 +285,8 @@ class GridPlant(PlantModel):
         return self.solve_from(u)[0]
 
     def solve_from(self, u, start=None):
-        """Load voltages solved from start, a previous state (None: flat);
-        the state is the PowerFlowSolution."""
+        """Load voltages solved from start, a previous state (None: the
+        open-circuit voltages); the state is the PowerFlowSolution."""
         u = np.asarray(u, dtype=float)
         sol = solve_load_voltages(u[self._measured], u[self._gens], self.grid,
                                   start)

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (HydraulicInfeasibleError, ModelError,
                      PumpReverseFlowError, ScenarioError)
 from .graph import Graph, _integer, reachable, without_edge
-from .plant import PlantModel, damped_newton
+from .plant import PlantModel, _kept, damped_newton
 
 FLOW_TOL = 1e-9
 MAX_HYDRAULIC_ITER = 100
@@ -239,7 +239,9 @@ class HydraulicSolution:
     and heads (the fixed pressures it was solved at) the record that a
     solve of that model from this x0 reuses, all read-only; without that
     record a solution starts as its unknowns would. flows is scattered
-    from unknowns on first read, then cached; a flows passed in is used as is.
+    from unknowns on first read, then cached; a flows passed in is used as
+    is. Without one, flows raises ModelError unless model= and unknowns=
+    were given.
     """
 
     __slots__ = ("pressures", "residual", "iterations", "unknowns",
@@ -255,9 +257,10 @@ class HydraulicSolution:
     @property
     def flows(self) -> np.ndarray:
         if self._flows is None:
-            net = self.model._incidence
-            self._flows = np.zeros(len(self.model.graph.edges))
-            self._flows[net.edges] = net.sign * self.unknowns[:len(net.tail)]
+            model = _kept(self, "flows", "model")
+            net, unknowns = model._incidence, _kept(self, "flows", "unknowns")
+            self._flows = np.zeros(len(model.graph.edges))
+            self._flows[net.edges] = net.sign * unknowns[:len(net.tail)]
         return self._flows
 
 

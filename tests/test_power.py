@@ -113,8 +113,9 @@ def test_solve_from_a_non_finite_start_says_so(twobus, q, v0, shown):
 
 
 def test_a_cold_solve_past_its_iteration_cap_says_so(twobus, monkeypatch):
-    # from the flat start one Newton step lowers the residual 0.1 to
-    # 0.1 - 0.99 * 0.1 = 1e-3, and a cold solve needs more than one
+    # on twobus v_G = 1, so the open-circuit start is v = 1; one Newton
+    # step lowers the residual 0.1 to 0.1 - 0.99 * 0.1 = 1e-3, and a cold
+    # solve needs more than one
     monkeypatch.setattr(ripplesim.power, "MAX_NEWTON_ITER", 1)
     with pytest.raises(PowerFlowInfeasibleError) as err:
         solve_load_voltages(np.array([-0.1]), np.array([1.0]), twobus)
@@ -125,20 +126,62 @@ def test_a_cold_solve_past_its_iteration_cap_says_so(twobus, monkeypatch):
 def test_every_solve_sweep_grid_failure_stops_at_a_stalled_line_search():
     # the grid population of perfbench's solve_sweep workload, at its
     # population and held-out seeds; a load-scale continuation finds a
-    # voltage-collapse fold below full load on every grid that fails
+    # voltage-collapse fold below full load on every grid that fails. Each
+    # grid is solved again from a flat 1.0 p.u. start: both starts agree on
+    # every outcome, and the cold (open-circuit) start reaches the stalls
+    # in fewer iterations in all. Both solutions leave a residual within
+    # SOLVER_TOL, so to first order their load voltages differ by at most
+    # 2 SOLVER_TOL ||G^-1||_inf, with G the Newton matrix at the solution
+    def stall(call):
+        """(solution, None) if call solves, else (None, the iteration at
+        which its line search stalled)."""
+        try:
+            return call(), None
+        except PowerFlowInfeasibleError as exc:
+            m = re.search(STALL + r" at iteration (\d+)", str(exc))
+            assert m and int(m[1]) < MAX_NEWTON_ITER
+            return None, int(m[1])
+
     for seed, expected in ((2024, 24), (3, 18)):
-        failures = 0
+        failures = cold_stalls = flat_stalls = 0
         for n in range(20, 201, 20):
             rng = np.random.default_rng([seed, 1, n])
             for _ in range(8):
                 grid, q_load, v_gen = random_grid(rng, n)
-                try:
-                    solve_load_voltages(q_load, v_gen, grid)
-                except PowerFlowInfeasibleError as exc:
-                    m = re.search(STALL + r" at iteration (\d+)", str(exc))
-                    assert m and int(m[1]) < MAX_NEWTON_ITER
+                cold, cold_stall = stall(
+                    lambda: solve_load_voltages(q_load, v_gen, grid))
+                flat, flat_stall = stall(lambda: solve_load_voltages(
+                    q_load, v_gen, grid, v0=np.ones(len(grid.loads))))
+                assert (cold is None) == (flat is None)
+                if cold is None:
                     failures += 1
+                    cold_stalls += cold_stall
+                    flat_stalls += flat_stall
+                    continue
+                g_inv = np.linalg.inv(
+                    _gain_matrix(cold.v_load, cold.i_load, grid.b_ll))
+                bound = 2 * SOLVER_TOL * np.abs(g_inv).sum(axis=1).max()
+                assert np.abs(cold.v_load - flat.v_load).max() <= bound
         assert failures == expected
+        assert cold_stalls < flat_stalls
+
+
+@pytest.mark.parametrize("n, n_gens", [(2, 1), (5, None), (12, None),
+                                       (30, 4), (6, 6)])
+def test_the_open_circuit_map_is_a_read_only_convex_weighting(n, n_gens):
+    # -B_LL^-1 B_LG: rows of [B_LL B_LG] sum to 0 and B_LL^-1 >= 0, so each
+    # row weights the generator voltages convexly; (6, 6) has no load bus
+    grid, _, v_gen = random_grid(np.random.default_rng([34, n]), n, n_gens)
+    oc = grid.open_circuit
+    assert oc is grid.open_circuit  # computed once per model
+    assert oc.shape == (len(grid.loads), len(grid.generators))
+    assert not oc.flags.writeable
+    assert oc.min(initial=0.0) >= -1e-15
+    assert_allclose(oc.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    # zero load injection: the open-circuit voltages solve it exactly
+    sol = solve_load_voltages(np.zeros(len(grid.loads)), v_gen, grid)
+    assert sol.iterations == 0
+    assert sol.v_load.tobytes() == oc.dot(v_gen).tobytes()
 
 
 def test_residual_invariant_on_random_grids():
@@ -321,6 +364,13 @@ def _singular_point(grid, solved=None):
     (lambda _: _singular_point(None).q_gen,
      ModelError, "q_gen needs the grid: this solution was made without "
                  "grid="),
+    (lambda grid: PowerFlowSolution(np.array([1.0]), grid=grid).jacobian,
+     ModelError, "jacobian needs the i_load: this solution was made without "
+                 "i_load="),
+    (lambda grid: PowerFlowSolution(np.array([1.0]),
+                                    grid=grid).monotonicity_margin,
+     ModelError, "monotonicity_margin needs the i_load: this solution was "
+                 "made without i_load="),
     # the chord step needs G^-1 at a reused start that carries none
     (lambda grid: solve_load_voltages([0.0], [1.0], grid, v0=_singular_point(
         grid, solve_load_voltages([0.0], [1.0], grid))),
@@ -328,7 +378,8 @@ def _singular_point(grid, solved=None):
 ], ids=["partition", "unreachable-bus", "plant-limits", "solve-shapes",
         "generator-voltage", "non-physical", "generator-limit", "jacobian",
         "start-length", "start-shape", "jacobian-without-grid",
-        "margin-without-grid", "q-gen-without-grid", "chord-singular"])
+        "margin-without-grid", "q-gen-without-grid", "jacobian-without-i-load",
+        "margin-without-i-load", "chord-singular"])
 def test_grid_rejects_bad_input(twobus, call, error, message):
     with pytest.raises(error) as err:
         call(twobus)

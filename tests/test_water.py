@@ -705,6 +705,21 @@ def test_flows_built_on_first_read_are_the_eager_expression():
         assert sol.flows is flows  # built once, then cached
 
 
+@pytest.mark.parametrize("with_model, missing", [(False, "model"),
+                                                 (True, "unknowns")],
+                         ids=["without-model", "without-unknowns"])
+def test_flows_of_a_hand_made_solution_names_what_it_lacks(
+        single_pipe, with_model, missing):
+    sol = solve_network(np.array([5.0, -100.0]), single_pipe)
+    bare = water.HydraulicSolution(
+        sol.pressures, model=single_pipe if with_model else None)
+    with pytest.raises(ModelError) as err:
+        bare.flows
+    assert type(err.value) is ModelError and str(err.value) == (
+        f"flows needs the {missing}: this solution was made without "
+        f"{missing}=")
+
+
 def test_flows_given_to_the_constructor_come_back_as_they_are(single_pipe):
     sol = solve_network(np.array([5.0, -100.0]), single_pipe)
     given = np.array([3.0])

@@ -201,7 +201,7 @@ def _write_summary(path, scenario, outcome, trace, labels):
 
 def cmd_check_gains(args) -> int:
     scenario = load_scenario(args.scenario)
-    gains, norm = run_setup(scenario)[4:]
+    gains, norm = run_setup(scenario)[5:]
     if scenario.gains is None:
         print(f"auto gains: eta1={np.array2string(gains.eta1, precision=4)} "
               f"eta2={np.array2string(gains.eta2, precision=4)} "

@@ -1,11 +1,12 @@
 """Scenario execution: disrupt a plant, run control rounds, record traces.
 
-A run applies the scenario's disruption events to the plant, then loops
-plant solve -> protocol round until the state stops moving or the round
-budget runs out. Each round's plant solve is warm-started from the
-previous round's solution (PlantModel.solve_from), since the control moves
-little from round to round; the reading goes to one call of the round
-kernel (protocol_round) on constants built once per run. The arithmetic of
+A run applies the scenario's disruption events to the plant and reads it
+at the initial control, then loops protocol round -> plant solve until the
+state stops moving or the round budget runs out, so each control is read
+once. Each plant solve after set-up is warm-started from the previous
+solution (PlantModel.solve_from), since the control moves little from
+round to round; each reading goes to one call of the round kernel
+(protocol_round) on constants built once per run. The arithmetic of
 a round stays in numpy; its stopping rules, the equilibrium test
 (is_equilibrium) included, compare Python floats from tolist(), which at a
 few agents costs less than numpy calls. A retained round appends its
@@ -48,7 +49,8 @@ class DisruptionEvent:
     demand_change and source_outage also move the initial control of their
     params["node"] to its new lower limit (disrupted_setup). params is
     kept as a read-only copy. A node index or an end of params["edge"]
-    that is not an integer is a ModelError.
+    that is not an integer is a ModelError, and so is an edge that is not
+    a tuple or list of two ends.
     """
 
     kind: str
@@ -58,15 +60,21 @@ class DisruptionEvent:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         if "node" in self.params:
             _integer(self.params["node"], "disruption node")
-        for end in self.params.get("edge", ()):
-            _integer(end, "disruption edge end")
+        if "edge" in self.params:
+            edge = self.params["edge"]
+            if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+                raise ModelError(f"disruption edge must be a pair of node "
+                                 f"indices, got {edge!r}")
+            for end in edge:
+                _integer(end, "disruption edge end")
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Everything a run needs: plant, overlay, gains, start, events, knobs;
     frozen, and checked when made (dataclasses.replace makes a copy). u0
-    is kept as a read-only float copy."""
+    is kept as a read-only float copy, and labels, None or a tuple or list
+    of one label per control with distinct str forms, as a tuple."""
 
     plant: PlantModel
     comm_graph: Graph
@@ -120,6 +128,13 @@ class Scenario:
         if not isinstance(self.override_gain_check, bool):
             raise ScenarioError("override_gain_check must be a bool, got "
                                 f"{self.override_gain_check!r}")
+        if self.labels is not None:
+            labels = tuple(self.labels) if isinstance(
+                self.labels, (tuple, list)) else ()
+            if len(labels) != n or len(set(map(str, labels))) != n:
+                raise ScenarioError(
+                    f"labels must name each of the {n} controls once")
+            object.__setattr__(self, "labels", labels)
 
     def node_label(self, index: int) -> str:
         if self.labels is not None:
@@ -199,7 +214,8 @@ class Outcome:
     before the first round. plant and u0 are the disrupted plant that the
     run acted on and its rebased start (disrupted_setup); u is the control
     the run stopped at and y is plant.solve(u), or None when that solve
-    raised a SolverError. These four take no part in comparisons.
+    raised a SolverError and after a solver_failure, which solves nothing
+    more. These four take no part in comparisons.
     """
 
     status: str
@@ -235,18 +251,20 @@ def disrupted_setup(scenario: Scenario):
 
 
 def run_setup(scenario: Scenario):
-    """(plant, u0, state, adjacency, gains, gain norm) of a run, or a
-    ScenarioError when its disrupted plant cannot start (u0 outside the box
-    or not solvable there): disrupted_setup's plant and start,
-    its solve state at u0, the overlay's adjacency, the gains (the
-    scenario's, else auto_gains at u0 once it solves) and their
+    """(plant, u0, y, state, adjacency, gains, gain norm) of a run, or a
+    ScenarioError when its disrupted plant cannot start (u0 outside the box,
+    or not solvable there to a finite reading): disrupted_setup's plant and
+    start, its reading and solve state at u0, the overlay's adjacency, the
+    gains (the scenario's, else auto_gains at u0 once it solves) and their
     gain_condition norm, which the caller judges."""
     plant, u0 = disrupted_setup(scenario)
     if (u0 < plant.u_lower - scenario.eps_feas).any() or \
             (u0 > plant.u_upper + scenario.eps_feas).any():
         raise ScenarioError("initial control violates its box limits")
     try:
-        state = plant.solve_from(u0)[1]
+        y, state = plant.solve_from(u0)
+        if not all(map(isfinite, y.tolist())):
+            raise SolverError("plant output is not finite")
     except (SolverError, ModelError) as exc:
         raise ScenarioError(
             f"disrupted plant is not solvable at the initial control: {exc}"
@@ -255,23 +273,26 @@ def run_setup(scenario: Scenario):
     gains = scenario.gains
     if gains is None:
         gains = auto_gains(plant, adjacency, u0)
-    return (plant, u0, state, adjacency, gains,
+    return (plant, u0, y, state, adjacency, gains,
             gain_condition(gains.eta2, gains.eta3, adjacency))
 
 
 def run(scenario: Scenario):
     """Execute the scenario on its disrupted plant; returns (Outcome, Trace).
 
-    Each round solves the plant and takes one protocol round on the
-    reading, which also returns the deficit. The solve is warm-started from
-    the previous round's solution (the first round from run_setup's solve
-    at u0); a warm solve that raises a SolverError is retried once from
-    the cold start, so a warm start never fails a round that the cold
+    Each round takes one protocol round, which also returns the deficit,
+    on the reading at its control: round 1 on run_setup's reading at u0,
+    and each later round on the plant solved at the control that the round
+    before it left, so each control is read once. That solve is
+    warm-started from the previous solution (the first from run_setup's
+    solve at u0); a warm solve that raises a SolverError is retried once
+    from the cold start, so a warm start never fails a round that the cold
     solve passes. The stopping rules are tested in this order, and the
     first that holds ends the run:
 
-      1. solver_failure: the plant solve (the cold retry, after a warm
-         start) raised a SolverError or returned a non-finite reading;
+      1. solver_failure: the solve for the round (the cold retry, after a
+         warm start) raised a SolverError or returned a non-finite
+         reading, so the round takes no protocol round;
       2. exact fixed point: neither controls nor beacons changed at all;
       3. eps_eq with every control pinned: every control sits within eps_eq
          of its ceiling and nothing moved more than eps_eq;
@@ -281,24 +302,26 @@ def run(scenario: Scenario):
          above eps_feas, for stall_window rounds in a row (status stalled);
       6. budget: the round budget ran out (status budget_exceeded).
 
-    Whichever rule fires, the plant is then solved cold once at the
-    control the run stopped at (Outcome.u and Outcome.y). Rules 2 to 4 end
-    in "converged" when that reading clears every floor within eps_feas
-    and in "stalled" otherwise; a terminal solve that raises a SolverError
-    leaves Outcome.y None, and an empty detail then names it. A state that
-    moved less than eps_eq but is neither pinned nor clear of its deficit
-    keeps going: it may still be crawling toward a feasible point through
-    a weakly coupled agent. A NaN passes none of rules 2 to 5. When the
-    solve fails at non-finite controls, the detail says that the protocol
-    update overflowed.
+    Whichever of rules 2 to 6 fires, the plant is then solved cold once at
+    the control the run stopped at (Outcome.u and Outcome.y); a
+    solver_failure solves nothing more and leaves Outcome.y None. Rules 2
+    to 4 end in "converged" when that reading clears every floor within
+    eps_feas and in "stalled" otherwise; a terminal solve that raises a
+    SolverError leaves Outcome.y None, and an empty detail then names it.
+    A state that moved less than eps_eq but is neither pinned nor clear of
+    its deficit keeps going: it may still be crawling toward a feasible
+    point through a weakly coupled agent. A NaN passes none of rules 2 to
+    5. When the solve fails at non-finite controls, the detail says that
+    the protocol update overflowed.
 
     The trace keeps round 1, every trace_decimation-th round and the round
     the run stopped in (Outcome.rounds), whichever rule stopped it; a round
-    whose solve fails is not kept, so a run that fails in round 1 keeps none.
-    Its deficit column is computed once, from its y column, as
-    protocol_round computes the deficit of a round from its reading.
+    whose solve fails is not kept, and round 1 acts on the reading that
+    run_setup checked, so a trace is never empty. Its deficit column is
+    computed once, from its y column, as protocol_round computes the
+    deficit of a round from its reading.
     """
-    plant, u0, state, adjacency, gains, norm = run_setup(scenario)
+    plant, u0, y, state, adjacency, gains, norm = run_setup(scenario)
     if not norm < 1.0 and not scenario.override_gain_check:
         raise ScenarioError(
             f"gain condition violated (spectral norm {norm:.6f} is not "
@@ -325,23 +348,6 @@ def run(scenario: Scenario):
     stop, detail = None, ""  # set by the stopping rule that ends the run
 
     for t in range(1, budget + 1):
-        try:
-            try:
-                y, state = plant.solve_from(u, state)
-            except SolverError:
-                if state is None:
-                    raise
-                y, state = plant.solve_from(u)
-            if not all(map(isfinite, y.tolist())):
-                raise SolverError(f"round {t}: plant output is not finite")
-        except SolverError as exc:
-            stop, detail = "solver_failure", str(exc)
-            if not all(map(isfinite, u_seen)):
-                # u0 is finite, so the update of the round before overflowed
-                detail = (f"controls are not finite: the protocol update of "
-                          f"round {t - 1} overflowed (a gain times a deficit "
-                          f"or a beacon); {detail}")
-            break
         deficit, u_next, beacons_next = protocol_round(u, beacons, y,
                                                        constants)
         # Rules 2 to 4 of the docstring; the beacons are compared and the
@@ -377,14 +383,32 @@ def run(scenario: Scenario):
                     rows[-_BLOCK:] = [np.concatenate(rows[-_BLOCK:])]
         if stop:
             break
+        try:  # the reading of round t + 1
+            try:
+                y, state = plant.solve_from(u, state)
+            except SolverError:
+                if state is None:
+                    raise
+                y, state = plant.solve_from(u)
+            if not all(map(isfinite, y.tolist())):
+                raise SolverError(f"round {t + 1}: plant output is not finite")
+        except SolverError as exc:  # the run stops in round t + 1
+            t, stop, detail = t + 1, "solver_failure", str(exc)
+            if not all(map(isfinite, u_seen)):
+                # u0 is finite, so the update of the round before overflowed
+                detail = (f"controls are not finite: the protocol update of "
+                          f"round {t - 1} overflowed (a gain times a deficit "
+                          f"or a beacon); {detail}")
+            break
 
     failed, equilibrium = stop == "solver_failure", stop == "equilibrium"
-    try:  # the terminal reading; the round kernel keeps u inside its box
-        y = plant.solve(u)
+    # the terminal reading, unless a reading failed; the round kernel keeps
+    # u inside its box
+    try:
+        y = None if failed else plant.solve(u)
     except SolverError as exc:
         y, detail = None, detail or f"terminal plant solve failed: {exc}"
-    feasible = not failed and y is not None and bool(
-        (y >= plant.y_lower - eps_feas).all())
+    feasible = y is not None and bool((y >= plant.y_lower - eps_feas).all())
     if equilibrium:
         stop = "converged" if feasible else "stalled"
     outcome = Outcome(

@@ -1,11 +1,13 @@
 """A plain restatement of ripplesim.sim.run, written from its docstring.
 
-reference_run(scenario) sets the run up with run_setup, then keeps one
-loop on numpy arrays: a plant solve (warm, then cold on a SolverError), a
-protocol_round, and the six stopping rules, each tested with numpy on
-arrays in the documented order. It keeps round 1, every
-trace_decimation-th round and the last, and stacks each trace column once
-when the loop ends. tests/test_sim.py compares it with run bit for bit.
+reference_run(scenario) sets the run up with run_setup, whose reading at
+u0 round 1 acts on, then keeps one loop on numpy arrays: a protocol_round
+on the reading it holds, the stopping rules 2 to 6, each tested with numpy
+on arrays in the documented order, and then the plant solve for the next
+round (warm, then cold on a SolverError), rule 1. It keeps round 1, every
+trace_decimation-th round and the last, solves the plant cold at the end
+unless a solve failed, and stacks each trace column once when the loop
+ends. tests/test_sim.py compares it with run bit for bit.
 """
 import numpy as np
 
@@ -16,7 +18,7 @@ from ripplesim.sim import Outcome, Trace, run_setup
 
 def reference_run(scenario):
     """(Outcome, Trace) of the scenario, as run's docstring describes them."""
-    plant, u0, state, adjacency, gains, norm = run_setup(scenario)
+    plant, u0, y, state, adjacency, gains, norm = run_setup(scenario)
     if not norm < 1.0 and not scenario.override_gain_check:
         raise ScenarioError(
             f"gain condition violated (spectral norm {norm:.6f} is not "
@@ -29,23 +31,8 @@ def reference_run(scenario):
     kept = []  # (round, u, y, deficit, beacons) of each kept round
     status, detail = None, ""
 
-    for t in range(1, scenario.budget + 1):
-        # rule 1: the solve, retried cold after a failed warm start, raised
-        # or read a non-finite output
-        try:
-            try:
-                y, state = plant.solve_from(u, state)
-            except SolverError:
-                y, state = plant.solve_from(u)
-            if not np.isfinite(y).all():
-                raise SolverError(f"round {t}: plant output is not finite")
-        except SolverError as exc:
-            status, detail = "solver_failure", str(exc)
-            if not np.isfinite(u).all():
-                detail = (f"controls are not finite: the protocol update of "
-                          f"round {t - 1} overflowed (a gain times a deficit "
-                          f"or a beacon); {detail}")
-            break
+    t = 1
+    while True:  # round t acts on y, the reading at u
         deficit, u_next, beacons_next = protocol_round(u, beacons, y,
                                                        constants)
         unchanged = (np.array_equal(u_next, u)
@@ -76,14 +63,32 @@ def reference_run(scenario):
             kept.append((t, u, y, deficit, beacons))
         if status:
             break
+        t += 1
+        # rule 1: the solve for round t, retried cold after a failed warm
+        # start, raised or read a non-finite output
+        try:
+            try:
+                y, state = plant.solve_from(u, state)
+            except SolverError:
+                y, state = plant.solve_from(u)
+            if not np.isfinite(y).all():
+                raise SolverError(f"round {t}: plant output is not finite")
+        except SolverError as exc:
+            status, detail = "solver_failure", str(exc)
+            if not np.isfinite(u).all():
+                detail = (f"controls are not finite: the protocol update of "
+                          f"round {t - 1} overflowed (a gain times a deficit "
+                          f"or a beacon); {detail}")
+            break
 
     failed = status == "solver_failure"
     equilibrium = status == "equilibrium"
-    try:  # the terminal reading, solved cold at the control the run ended at
-        y = plant.solve(u)
-    except SolverError as exc:
-        y = None
-        detail = detail or f"terminal plant solve failed: {exc}"
+    y = None  # a failed solve ends the run without a terminal reading
+    if not failed:  # the terminal reading, solved cold where the run ended
+        try:
+            y = plant.solve(u)
+        except SolverError as exc:
+            detail = detail or f"terminal plant solve failed: {exc}"
     feasible = (not failed and y is not None
                 and bool((y >= plant.y_lower - eps_feas).all()))
     if equilibrium:

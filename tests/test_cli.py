@@ -8,7 +8,7 @@ import pytest
 import ripplesim.cli
 import ripplesim.sim
 from ripplesim import (Graph, LinearPlant, ProtocolGains, Scenario,
-                       SolverError, adjacency_matrix, auto_gains,
+                       SolverError, Trace, adjacency_matrix, auto_gains,
                        gain_condition)
 from ripplesim.cli import main
 from ripplesim.scenario_io import bundled_scenario_path, load_scenario
@@ -333,9 +333,18 @@ def write_edited(tmp_path, edit, name="linear_cascade"):
 
 
 def overflowing_start(doc):
-    """A reading that overflows at the start, so the run fails in round 1."""
+    """A reading that overflows at the start, so set-up refuses the run."""
     doc["plant"].update(sensitivity=[[1.7e308, 1.7e308]])
     doc["initial"].update(u0=[0.5, 1.0])
+
+
+def overflowing_in_round_3(doc):
+    """A reading that is finite at (0, 0) and (1, 0) and overflows at
+    (1, 1), the control that round 2 leaves: the run fails in round 3 and
+    keeps rounds 1 and 2."""
+    doc["plant"].update(sensitivity=[[1e308, 1e308]], u_upper=[1.0, 1.0],
+                        y_lower=[1.5e308])
+    doc["initial"].update(u0=[0.0, 0.0])
 
 
 def test_simulate_computes_auto_gains_once(tmp_path, monkeypatch):
@@ -380,9 +389,18 @@ def test_check_gains_overflowing_gains_fail(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_simulate_non_finite_plant_output_exit(tmp_path):
-    # finite inputs whose reading overflows: 1.7e308 * (0.5 + 1.0) is inf
+def test_simulate_non_finite_plant_output_exit(tmp_path, capsys):
+    # finite inputs whose reading overflows at the start, 1.7e308 * (0.5 +
+    # 1.0) is inf, cannot start: a validation error and no output
     path = write_edited(tmp_path, overflowing_start)
+    out = tmp_path / "start"
+    assert main(["simulate", path, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: disrupted plant is not solvable at the initial "
+        "control: plant output is not finite\n")
+    assert not out.exists()
+    # one whose reading overflows in round 3 is a solver failure
+    path = write_edited(tmp_path, overflowing_in_round_3)
     assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 3
 
     def reject(constant):
@@ -391,8 +409,10 @@ def test_simulate_non_finite_plant_output_exit(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text(),
                          parse_constant=reject)
     assert summary["outcome"]["status"] == "solver_failure"
+    assert summary["outcome"]["detail"] == \
+        "round 3: plant output is not finite"
     assert summary["outcome"]["max_violation"] is None
-    assert summary["terminal_y"] == [None]
+    assert summary["terminal_y"] is None
 
 
 @pytest.mark.parametrize("edit", [
@@ -630,25 +650,28 @@ def reference_trace_and_effort(outdir, scenario, records):
                                     for i in cols])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", ["pjm5", "wds10", "linear_cascade-decimate-3",
-                                  "non-finite-empty-trace"])
-def test_trace_writers_match_the_csv_writer_reference(tmp_path, case):
-    args = []
-    if case == "non-finite-empty-trace":
-        source = write_edited(tmp_path, overflowing_start)
-    else:
-        source = case.split("-")[0]
-        if case.endswith("decimate-3"):
-            args = ["--decimate", "3"]
-    out, ref = tmp_path / "out", tmp_path / "ref"
-    ref.mkdir()
-    main(["simulate", source, "--output-dir", str(out)] + args)
+                                  "linear_cascade-empty-trace"])
+def test_trace_writers_match_the_csv_writer_reference(tmp_path, monkeypatch,
+                                                      case):
+    source = case.split("-")[0]
+    args = ["--decimate", "3"] if case.endswith("decimate-3") else []
     scenario = load_scenario(source)
     if args:
         scenario = replace(scenario, trace_decimation=3)
     outcome, records = run(scenario)
-    assert (len(records) == 0) == (case == "non-finite-empty-trace")
+    if case.endswith("empty-trace"):  # every run keeps round 1, so simulate
+        # writes a zero-row trace only when it is handed one
+        n, m = len(outcome.u0), len(outcome.plant.measured_nodes)
+        records = Trace(rounds=[], u=np.zeros((0, n)), y=np.zeros((0, m)),
+                        deficit=np.zeros((0, n)), beacons=np.zeros((0, n)),
+                        messages=[])
+        monkeypatch.setattr(ripplesim.cli, "run",
+                            lambda _: (outcome, records))
+    assert (len(records) == 0) == case.endswith("empty-trace")
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    ref.mkdir()
+    main(["simulate", source, "--output-dir", str(out)] + args)
     reference_trace_and_effort(ref, scenario, records)
     for name in ("trace.csv", "effort.csv"):
         assert (out / name).read_bytes() == (ref / name).read_bytes()
@@ -672,11 +695,11 @@ def per_row_writer(path, header, rounds, table, messages=None):
     (["--decimate", "3"], 7)],
     ids=["plain", "decimate-3", "plain-block-7", "decimate-3-block-7"])
 @pytest.mark.parametrize("name", ["pjm5", "wds10", "twobus", "linear_cascade",
-                                  "fails-in-round-1"])
+                                  "fails-in-round-3"])
 def test_column_writer_matches_the_per_row_writer(tmp_path, monkeypatch,
                                                   name, decimate, block):
-    source = write_edited(tmp_path, overflowing_start) \
-        if name == "fails-in-round-1" else name
+    source = write_edited(tmp_path, overflowing_in_round_3) \
+        if name == "fails-in-round-3" else name
     out, ref = tmp_path / "out", tmp_path / "ref"
     with monkeypatch.context() as patched:
         if block is not None:  # trace columns joined in blocks of 7 rows
@@ -689,7 +712,9 @@ def test_column_writer_matches_the_per_row_writer(tmp_path, monkeypatch,
     for file in ("trace.csv", "effort.csv", "summary.json"):
         assert (out / file).read_bytes() == (ref / file).read_bytes()
     rows = (out / "trace.csv").read_text().count("\n") - 1
-    assert (rows == 0) == (name == "fails-in-round-1")
+    assert rows > 0 and (code == 3) == (name == "fails-in-round-3")
+    if name == "fails-in-round-3":  # rounds 1 and 2, or round 1 alone
+        assert rows == (1 if decimate else 2)
 
 
 @pytest.mark.parametrize("table", [

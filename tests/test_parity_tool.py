@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ripplesim import load_scenario, run
+from ripplesim import ScenarioError, load_scenario, run
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
 spec = importlib.util.spec_from_file_location("parity", TOOL)
@@ -46,11 +46,18 @@ def test_identical_digests_have_one_run_sha_each():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_the_edge_case_scenarios_fail_in_round_1_and_stall(tmp_path):
-    # failure.json overflows its reading at u0, so numpy warns
+def test_the_edge_case_scenarios_cannot_start_fail_in_round_3_and_stall(
+        tmp_path):
+    # failure.json overflows its reading at u0 and midrun.json at the
+    # control that round 2 leaves, so numpy warns
     parity.write_edge_scenarios(tmp_path)
-    outcome, trace = run(load_scenario(tmp_path / "failure.json"))
-    assert (outcome.status, outcome.rounds, len(trace)) == \
-        ("solver_failure", 1, 0)
+    with pytest.raises(ScenarioError, match="^disrupted plant is not "
+                       "solvable at the initial control: plant output is "
+                       "not finite$"):
+        run(load_scenario(tmp_path / "failure.json"))
+    outcome, trace = run(load_scenario(tmp_path / "midrun.json"))
+    assert (outcome.status, outcome.rounds, len(trace), outcome.detail) == \
+        ("solver_failure", 3, 2, "round 3: plant output is not finite")
+    assert outcome.y is None
     outcome, trace = run(load_scenario(tmp_path / "stall.json"))
     assert (outcome.status, outcome.feasible) == ("stalled", False)

@@ -114,14 +114,19 @@ def assert_rows_match_columns(trace):
 
 @pytest.mark.parametrize("case", ["full", "decimated", "empty"])
 def test_trace_rows_match_its_columns(case, tmp_path):
-    # a full and a decimated pjm5 trace, and the empty trace of a solver
-    # failure in round 1, through the audit, the message count and the CLI
+    # a full and a decimated pjm5 trace through the audit, the message
+    # count and the CLI, and a zero-row trace of the cascade, which no run
+    # returns (it keeps round 1), through the audit and the message count
     scenario = load_scenario("pjm5")
     if case == "decimated":
         scenario = replace(scenario, trace_decimation=7)
     if case == "empty":
-        scenario = fails_in_round_1()
-    outcome, trace = run(scenario)
+        scenario = cascade_scenario()
+        trace = Trace(rounds=[], u=np.zeros((0, 2)), y=np.zeros((0, 1)),
+                      deficit=np.zeros((0, 2)), beacons=np.zeros((0, 2)),
+                      messages=[])
+    else:
+        trace = run(scenario)[1]
     assert_rows_match_columns(trace)
     plant, u0 = disrupted_setup(scenario)
     assert verify_trace(trace, scenario.comm_graph, plant.u_upper, u0) == []
@@ -646,10 +651,18 @@ def test_disruption_that_leaves_an_invalid_plant_is_a_scenario_error():
     ("source_outage", {"node": 0.7}, "node must be an integer, got 0.7"),
     ("remove_edge", {"edge": (True, 4)}, "edge end must be an integer, "
                                          "got True"),
-], ids=["float-node", "bool-node", "fraction-node", "bool-edge-end"])
+    ("remove_edge", {"edge": 5}, "edge must be a pair of node indices, "
+                                 "got 5"),
+    ("remove_edge", {"edge": (1, 4, 5)}, r"edge must be a pair of node "
+                                         r"indices, got \(1, 4, 5\)"),
+    ("remove_edge", {"edge": (1,)}, r"edge must be a pair of node indices, "
+                                    r"got \(1,\)"),
+], ids=["float-node", "bool-node", "fraction-node", "bool-edge-end",
+        "int-edge", "three-ends", "one-end"])
 def test_disruption_indices_must_be_integers(kind, params, index):
     # truncated, these would rebase node 1 of wds10, pin node 1, cut off
-    # its only fixed-pressure node 0 and remove its edge (1, 4)
+    # its only fixed-pressure node 0 and remove its edge (1, 4); an edge
+    # that is not two ends would raise a raw TypeError or ValueError
     scenario = load_scenario("wds10")
     with pytest.raises(ModelError, match=f"^disruption {index}$"):
         scenario = replace(scenario, disruptions=scenario.disruptions + (
@@ -732,20 +745,43 @@ def test_run_rejects_overflowing_gains_quickly():
 
 class ReadsPlusOffset(LinearPlant):
     """An affine plant whose reading adds extra, a non-finite offset that a
-    LinearPlant refuses when it is made."""
+    LinearPlant refuses when it is made, once a control has risen more
+    than rise above its floor."""
 
-    extra = np.nan
+    extra, rise = np.nan, 0.0
 
     def solve(self, u):
-        return super().solve(u) + self.extra
+        moved = (np.asarray(u) - self.u_lower > self.rise).any()
+        return super().solve(u) + (self.extra if moved else 0.0)
+
+
+class ReadsNanAboveATenth(ReadsPlusOffset):
+    """Reads NaN once a control rises more than 0.1 above its floor."""
+
+    rise = 0.1
 
 
 def test_non_finite_plant_output_is_solver_failure():
-    outcome, records = run(fails_in_round_1())
+    # round 1 reads the cascade at its floor and moves control 0 to 0.5,
+    # where round 2 reads NaN
+    outcome, records = run(fails_in_round_2())
     assert outcome.status == "solver_failure"
-    assert outcome.rounds == 1
-    assert "round 1" in outcome.detail
-    assert len(records) == 0
+    assert outcome.rounds == 2
+    assert outcome.detail == "round 2: plant output is not finite"
+    assert records.rounds.tolist() == [1]
+    assert outcome.u.tolist() == records.u[0].tolist() == [0.5, 0.0]
+    assert outcome.y is None
+
+
+def test_a_start_that_reads_non_finite_cannot_start():
+    # the same plant read at a start above its floor: set-up refuses it
+    # before any gain is judged or any round runs
+    scenario = replace(fails_in_round_2(), u0=np.array([0.5, 0.0]))
+    for call in (run, ripplesim.sim.run_setup):
+        with pytest.raises(ScenarioError, match=r"^disrupted plant is not "
+                           r"solvable at the initial control: plant output "
+                           r"is not finite$"):
+            call(scenario)
 
 
 def test_one_non_finite_output_is_solver_failure():
@@ -755,14 +791,17 @@ def test_one_non_finite_output_is_solver_failure():
     plant = ReadsInfAtOne(sensitivity=np.eye(2), offset=[0.0, 0.0],
                           u_lower=[0.0, 0.0], u_upper=[1.0, 1.0],
                           y_lower=[0.5, 0.5], measured_nodes=[0, 1])
-    outcome, records = run(Scenario(
+    scenario = Scenario(
         plant=plant, comm_graph=Graph(node_count=2, edges=((0, 1),)),
         u0=np.zeros(2), gains=ProtocolGains(eta1=np.ones(2),
                                             eta2=np.full(2, 0.5),
-                                            eta3=np.ones(2))))
-    assert (outcome.status, outcome.rounds) == ("solver_failure", 1)
-    assert outcome.detail == "round 1: plant output is not finite"
-    assert len(records) == 0
+                                            eta3=np.ones(2)))
+    outcome, records = run(scenario)
+    assert (outcome.status, outcome.rounds) == ("solver_failure", 2)
+    assert outcome.detail == "round 2: plant output is not finite"
+    assert records.rounds.tolist() == [1]
+    with pytest.raises(ScenarioError, match="plant output is not finite$"):
+        run(replace(scenario, u0=np.array([0.0, 0.5])))
 
 
 @pytest.mark.parametrize("name, status, rounds, n_records, messages", [
@@ -978,6 +1017,64 @@ def test_a_failed_terminal_solve_ends_in_an_outcome(scenario, status, rounds,
         assert_array_equal(outcome.y, outcome.u)  # y = u below the cliff
 
 
+def counted_solves(monkeypatch, plant_type):
+    """A list that gets the name of each outermost solve or solve_from call
+    on a plant_type, once it returns or raises: a grid or water solve, and
+    an affine solve_from, call the other method, and count once."""
+    calls, depth = [], [0]
+    for name in ("solve", "solve_from"):
+        def counted(self, *args, _name=name, _method=getattr(plant_type, name),
+                    **kwargs):
+            depth[0] += 1
+            try:
+                return _method(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+                if not depth[0]:
+                    calls.append(_name)
+        monkeypatch.setattr(plant_type, name, counted)
+    return calls
+
+
+def fails_in_round_3():
+    """linear_cascade with floor 1.5e308 and sensitivity 1e308: it reads 0
+    at (0, 0) and 1e308 at (1, 0), and its reading overflows at (1, 1), the
+    control that round 2 leaves."""
+    scenario = load_scenario("linear_cascade")
+    plant = scenario.plant
+    return replace(scenario, u0=np.zeros(2), plant=LinearPlant(
+        [[1e308, 1e308]], plant.offset, plant.u_lower, [1.0, 1.0], [1.5e308],
+        plant.measured_nodes))
+
+
+READ_ONCE_CASES = {
+    **{name: partial(load_scenario, name)
+       for name in ("pjm5", "wds10", "twobus", "linear_cascade")},
+    "fails-above-a-tenth": partial(single_agent, 0.06, FailsAboveATenth,
+                                   budget=3),
+    "fails-in-round-3": fails_in_round_3,
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", READ_ONCE_CASES)
+def test_each_control_is_read_once(monkeypatch, name):
+    # one solve at set-up, one for each round after the first and one
+    # where the run stopped; a run that fails in round t has made t solves,
+    # the last of them the failed one, and solves nothing more
+    scenario = READ_ONCE_CASES[name]()
+    calls = counted_solves(monkeypatch, type(scenario.plant))
+    outcome = run(scenario)[0]
+    if name.startswith("fails"):
+        assert (outcome.status, outcome.rounds, outcome.y) == \
+            ("solver_failure", 3, None)
+        assert len(calls) == 3
+    else:
+        assert outcome.status == "converged"
+        assert len(calls) == outcome.rounds + 1
+        assert calls[-1] == "solve"  # the terminal reading, solved cold
+
+
 def corpus_plant(index, population_seed=2024):
     """Scenario `index` of the acceptance corpus at its population seed."""
     rng = np.random.default_rng(population_seed)
@@ -998,8 +1095,9 @@ def no_measured_outputs():
                     u0=np.zeros(2))
 
 
-def fails_in_round_1():
-    """The cascade on a plant whose every reading is NaN."""
+def fails_in_round_2():
+    """The cascade on a plant that reads NaN once a control is above its
+    floor: round 1 reads it at its floor, and round 2 fails."""
     scenario = cascade_scenario()
     plant = scenario.plant
     return replace(scenario, plant=ReadsPlusOffset(
@@ -1038,7 +1136,8 @@ STOP_CASES = {
     "solver-failure-in-round-23": partial(
         single_agent, eta1=0.005, plant_type=FailsAboveATenth),
     "no-measured-outputs": no_measured_outputs,
-    "fails-in-round-1": fails_in_round_1,
+    "non-finite-in-round-23": partial(
+        single_agent, eta1=0.005, plant_type=ReadsNanAboveATenth),
 }
 
 
@@ -1218,6 +1317,29 @@ def test_a_scenario_keeps_a_read_only_copy_of_its_start():
     with pytest.raises(ValueError, match="read-only"):
         scenario.u0[0] = np.nan
     assert run(scenario)[0].status == "converged"
+
+
+@pytest.mark.parametrize("labels", [
+    ("a",), ("a", "b", "c", "d", "e", "f"), ("a",) * 5,
+    (1, "1", 2, 3, 4), "abcde", 5, {"a": 0}],
+    ids=["too-few", "too-many", "all-equal", "equal-strings", "a-string",
+         "an-int", "a-dict"])
+def test_a_scenario_names_each_control_once(labels):
+    # one label would send node_label(1) to a raw IndexError, and equal
+    # labels would merge their entries of summary.json's terminal_u
+    with pytest.raises(ScenarioError,
+                       match="^labels must name each of the 5 controls once$"):
+        replace(load_scenario("pjm5"), labels=labels)
+
+
+def test_a_scenario_keeps_its_labels_as_a_tuple():
+    scenario = load_scenario("pjm5")
+    assert scenario.labels == ("1", "2", "3", "4", "5")
+    named = replace(scenario, labels=["a", "b", 3, "d", "e"])
+    assert named.labels == ("a", "b", 3, "d", "e")
+    assert [named.node_label(i) for i in range(5)] == ["a", "b", "3", "d",
+                                                       "e"]
+    assert replace(scenario, labels=None).node_label(4) == "5"
 
 
 def test_a_disruption_events_params_are_read_only():

@@ -13,13 +13,15 @@ with BLAS on one thread. The runs, and the parts of each that are hashed
                       type, box and floors) and every Trace column
   simulate <args>     `ripplesim simulate` on the four bundled scenarios,
                       plain and with --decimate 3, plus wds10 --budget 500
-                      --decimate 7, and on two edge cases of the trace that
-                      the tool writes into its workdir: failure.json, whose
-                      reading overflows at u0 (a solver failure in round 1,
-                      an empty trace, exit 3), and stall.json, plain and
-                      with --decimate 3 (ceilings below the floor, a stall):
-                      trace.csv, effort.csv, summary.json, stdout, stderr,
-                      warnings and the exit code
+                      --decimate 7, and on three edge cases that the tool
+                      writes into its workdir: failure.json, whose reading
+                      overflows at u0 (set-up refuses it: exit 2 and no
+                      output files), midrun.json, whose reading overflows
+                      in round 3 (a solver failure after two kept rounds,
+                      exit 3), and stall.json, plain and with --decimate 3
+                      (ceilings below the floor, a stall): trace.csv,
+                      effort.csv, summary.json, stdout, stderr, warnings
+                      and the exit code
   <command> <args>    check-gains, check-monotonicity --points 3 (plain and
                       --disrupted) and feasibility on the four bundled
                       scenarios, and sweep on pjm5 and twobus: stdout,
@@ -57,12 +59,14 @@ SCENARIOS = ("pjm5", "wds10", "twobus", "linear_cascade")
 EDGE_SCENARIOS = {
     "failure.json": ({"sensitivity": [[1e308, 1e308]],
                       "u_upper": [1.0, 1.0]}, [1.0, 1.0]),
+    "midrun.json": ({"sensitivity": [[1e308, 1e308]], "u_upper": [1.0, 1.0],
+                     "y_lower": [1.5e308]}, [0.0, 0.0]),
     "stall.json": ({"u_upper": [0.3, 0.4]}, [0.0, 0.0]),
 }
 SIMULATE_RUNS = [[name] + extra for name in SCENARIOS
                  for extra in ([], ["--decimate", "3"])] + [
     ["wds10", "--budget", "500", "--decimate", "7"], ["failure.json"],
-    ["stall.json"], ["stall.json", "--decimate", "3"]]
+    ["midrun.json"], ["stall.json"], ["stall.json", "--decimate", "3"]]
 # sweep prints its output path, so it writes to a relative one
 ANALYSIS_RUNS = [[command, name, *extra] for name in SCENARIOS
                  for command, extra in (

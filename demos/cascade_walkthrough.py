@@ -22,9 +22,11 @@ outcome, trace = run(scenario)
 print(f"{outcome.status} after {outcome.rounds} rounds\n")
 print(f"{'round':>5} {'u1':>8} {'u2':>8} {'y':>8} {'deficit':>8} "
       f"{'beacon1':>8} {'msgs':>5}")
-for r in trace:
-    print(f"{r.round:5d} {r.u[0]:8.4f} {r.u[1]:8.4f} {r.y[0]:8.4f} "
-          f"{r.deficit[0]:8.4f} {r.beacons[0]:8.4f} {r.messages:5d}")
+for t, u, y, f, b, m in zip(trace.rounds.tolist(), trace.u, trace.y,
+                            trace.deficit, trace.beacons,
+                            trace.messages.tolist()):
+    print(f"{t:5d} {u[0]:8.4f} {u[1]:8.4f} {y[0]:8.4f} "
+          f"{f[0]:8.4f} {b[0]:8.4f} {m:5d}")
 
 stats = message_stats(trace, comm, scenario.u0)
 print(f"\ntotal messages: {stats.total}")

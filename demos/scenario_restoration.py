@@ -17,10 +17,9 @@ def show(name):
     labels = [scenario.node_label(i) for i in range(plant.control_dim)]
 
     print(f"=== {name}: {outcome.status} after {outcome.rounds} rounds, "
-          f"{sum(r.messages for r in trace)} messages ===")
-    first = trace[0]
+          f"{sum(trace.messages.tolist())} messages ===")
     violated = [scenario.node_label(n)
-                for n, y, f in zip(plant.measured_nodes, first.y,
+                for n, y, f in zip(plant.measured_nodes, trace.y[0],
                                    plant.y_lower) if y < f]
     print("outputs below their floors after the disruption:", violated)
 
@@ -28,13 +27,13 @@ def show(name):
     order = sorted(stats.first_change.items(), key=lambda kv: kv[1])
     print("activation order (agent: first round its control moved):")
     for agent, rnd in order:
-        tag = "violated" if first.deficit[agent] > 0 else "recruited"
+        tag = "violated" if trace.deficit[0, agent] > 0 else "recruited"
         print(f"  node {labels[agent]:>2}: round {rnd:5d}  ({tag})")
 
-    terminal = plant.solve(trace[-1].u)
+    terminal = plant.solve(trace.u[-1])
     worst = float(np.min(terminal - plant.y_lower))
     print(f"terminal floor margin: {worst:.2e}")
-    used = (trace[-1].u - u0) / np.maximum(plant.u_upper - u0, 1e-12)
+    used = (trace.u[-1] - u0) / np.maximum(plant.u_upper - u0, 1e-12)
     flexible = [i for i in range(len(labels))
                 if plant.u_upper[i] - u0[i] > 1e-12]
     effort = ", ".join(f"{labels[i]}: {used[i]:.0%}" for i in flexible)

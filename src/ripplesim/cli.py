@@ -1,14 +1,13 @@
 """Command-line front end.
 
 Subcommands:
-    simulate            run a scenario, write trace.csv / summary.json /
-                        effort.csv into the output directory
-    check-gains         print the gain-condition spectral norm and pass/fail
-    check-monotonicity  probe the plant response sign at sampled points
-    sweep               scale nominal load injections on a grid scenario and
-                        record solvability plus the monotonicity margin
-    feasibility         report whether maximum control effort satisfies the
-                        output floors
+    simulate  run a scenario, write trace.csv / summary.json / effort.csv
+              into the output directory
+    check     set the run up as simulate does and check the paper's three
+              hypotheses on it: the gain condition, monotonicity of the
+              disrupted plant at sampled points, max-effort feasibility
+    sweep     scale nominal load injections on a grid scenario and record
+              solvability plus the monotonicity margin
 
 Exit codes: 0 success/converged, 1 stalled or budget exceeded (or a failed
 check), 2 validation error (ScenarioError, ModelError), 3 solver failure.
@@ -26,7 +25,7 @@ from .errors import ModelError, ScenarioError, SolverError
 from .plant import max_effort_feasibility, monotonicity_probe
 from .power import GridPlant, loadability_sweep
 from .scenario_io import load_scenario
-from .sim import disrupted_setup, message_stats, run, run_setup
+from .sim import message_stats, run, run_setup
 
 
 _ROW_BLOCK = 4096  # rows of a CSV table converted to text at once
@@ -66,18 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run even if the gain condition fails")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("check-gains", help="evaluate the gain condition")
-    p.add_argument("scenario")
-    p.set_defaults(func=cmd_check_gains)
-
-    p = sub.add_parser("check-monotonicity",
-                       help="probe the plant response sign")
+    p = sub.add_parser("check", help="check the gain condition, "
+                       "monotonicity and max-effort feasibility")
     p.add_argument("scenario")
     p.add_argument("--points", type=int, default=3,
                    help="number of sampled control points")
-    p.add_argument("--disrupted", action="store_true",
-                   help="probe the post-disruption plant")
-    p.set_defaults(func=cmd_check_monotonicity)
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sweep", help="load scaling sweep (grid scenarios)")
     p.add_argument("scenario")
@@ -86,11 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--output-dir", default=".", type=Path)
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("feasibility",
-                       help="maximum-effort feasibility of the scenario")
-    p.add_argument("scenario")
-    p.set_defaults(func=cmd_feasibility)
     return parser
 
 
@@ -189,7 +177,7 @@ def _write_summary(path, scenario, outcome, trace, labels):
             "eps_eq": scenario.eps_eq,
             "eps_feas": scenario.eps_feas,
             "trace_decimation": scenario.trace_decimation,
-            "records": len(trace),
+            "records": len(trace.rounds),
         },
     }
     # strict JSON: NaN and infinities become null
@@ -199,52 +187,53 @@ def _write_summary(path, scenario, outcome, trace, labels):
         fh.write("\n")
 
 
-def cmd_check_gains(args) -> int:
+def cmd_check(args) -> int:
+    """Set the run up as simulate does (run_setup), then print the gain
+    condition, the probe of the disrupted plant at its start and at
+    points - 1 seeded points of its box (a grid point with its margin, from
+    set-up's solve at the start), its max-effort feasibility (the base
+    plant's first, for information, when there are disruptions) and a
+    verdict. Exits 3 when a probe failed, else 1 when a check failed; a
+    failed max-effort solve raises its PlantSolveError to main."""
+    if args.points < 1:
+        raise ScenarioError("points must be >= 1")
     scenario = load_scenario(args.scenario)
-    gains, norm = run_setup(scenario)[5:]
+    plant, u0, _, state, _, gains, norm = run_setup(scenario)
     if scenario.gains is None:
         print(f"auto gains: eta1={np.array2string(gains.eta1, precision=4)} "
               f"eta2={np.array2string(gains.eta2, precision=4)} "
               f"eta3={np.array2string(gains.eta3, precision=4)}")
-    verdict = "pass" if norm < 1.0 else "fail"
-    print(f"gain-condition spectral norm: {norm:.10g} -> {verdict}")
-    return 0 if norm < 1.0 else 1
-
-
-def cmd_check_monotonicity(args) -> int:
-    if args.points < 1:
-        raise ScenarioError("points must be >= 1")
-    scenario = load_scenario(args.scenario)
-    if args.disrupted:
-        plant, u0 = disrupted_setup(scenario)
-    else:
-        plant, u0 = scenario.plant, np.asarray(scenario.u0, float)
+    ok = norm < 1.0
+    print(f"gain-condition spectral norm: {norm:.10g} -> "
+          f"{'pass' if ok else 'fail'}")
     rng = np.random.default_rng(scenario.seed)
-    points = [u0]
     span = plant.u_upper - plant.u_lower
-    for _ in range(args.points - 1):
-        frac = rng.uniform(0.1, 0.9, size=plant.control_dim)
-        points.append(plant.u_lower + frac * span)
-    all_ok = True
-    failures = 0
+    points = [u0] + [
+        plant.u_lower + rng.uniform(0.1, 0.9, size=plant.control_dim) * span
+        for _ in range(args.points - 1)]
+    failed = False
     for i, point in enumerate(points):
         try:
             probe = monotonicity_probe(plant, point)
         except SolverError as exc:
             print(f"point {i}: probe failed ({exc})")
-            failures += 1
+            failed = True
             continue
         line = f"point {i}: monotone={probe.monotone} " \
                f"min sensitivity={probe.jacobian.min(initial=np.inf):.3e}"
         if isinstance(plant, GridPlant):
-            sol = plant.solve_from(point)[1]
+            sol = plant.solve_from(point)[1] if i else state
             line += f" margin={sol.monotonicity_margin:.6f}"
         print(line)
-        all_ok = all_ok and probe.monotone
-    if failures:
-        return 3
-    print("monotonicity check:", "pass" if all_ok else "fail")
-    return 0 if all_ok else 1
+        ok = ok and probe.monotone
+    if scenario.disruptions:
+        base_ok = max_effort_feasibility(scenario.plant, scenario.eps_feas)
+        print(f"base plant max-effort feasible: {base_ok}")
+    feasible = max_effort_feasibility(plant, scenario.eps_feas)
+    print(f"effective plant max-effort feasible: {feasible}")
+    ok = ok and feasible and not failed
+    print("check:", "pass" if ok else "fail")
+    return 3 if failed else 0 if ok else 1
 
 
 def cmd_sweep(args) -> int:
@@ -273,17 +262,6 @@ def cmd_sweep(args) -> int:
     solved = sum(1 for pt in points if pt.solved)
     print(f"sweep: {solved}/{len(points)} scales solved -> {path}")
     return 0
-
-
-def cmd_feasibility(args) -> int:
-    scenario = load_scenario(args.scenario)
-    plant, _ = disrupted_setup(scenario)
-    if scenario.disruptions:
-        base_ok = max_effort_feasibility(scenario.plant, scenario.eps_feas)
-        print(f"base plant max-effort feasible: {base_ok}")
-    ok = max_effort_feasibility(plant, scenario.eps_feas)
-    print(f"effective plant max-effort feasible: {ok}")
-    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -7,12 +7,12 @@ import pytest
 
 import ripplesim.cli
 import ripplesim.sim
-from ripplesim import (Graph, LinearPlant, ProtocolGains, Scenario,
-                       SolverError, Trace, adjacency_matrix, auto_gains,
-                       gain_condition)
+from ripplesim import (Graph, GridPlant, LinearPlant, ProtocolGains,
+                       Scenario, SolverError, Trace, adjacency_matrix,
+                       auto_gains, gain_condition)
 from ripplesim.cli import main
 from ripplesim.scenario_io import bundled_scenario_path, load_scenario
-from ripplesim.sim import disrupted_setup, run
+from ripplesim.sim import disrupted_setup, run, run_setup
 
 
 def read_csv(path):
@@ -130,10 +130,39 @@ def test_simulate_override_gain_check(tmp_path, capsys):
     assert summary["outcome"]["status"] == "converged"
 
 
-def test_check_gains_pass(capsys):
-    assert main(["check-gains", "pjm5"]) == 0
-    out = capsys.readouterr().out
-    assert "pass" in out
+def test_check_pjm5_prints_every_hypothesis(capsys):
+    # the gain condition, the disrupted plant's probe points (point 0's
+    # margin from set-up's solve), both max-effort verdicts, then the verdict
+    assert main(["check", "pjm5"]) == 0
+    assert capsys.readouterr().out == (
+        "gain-condition spectral norm: 0.692820323 -> pass\n"
+        "point 0: monotone=True min sensitivity=5.078e-03 margin=16.553246\n"
+        "point 1: monotone=True min sensitivity=5.017e-03 margin=16.666594\n"
+        "point 2: monotone=True min sensitivity=4.973e-03 margin=16.702444\n"
+        "base plant max-effort feasible: True\n"
+        "effective plant max-effort feasible: True\n"
+        "check: pass\n")
+
+
+@pytest.mark.parametrize("points", [1, 2, 3])
+def test_check_solves_each_grid_point_once(monkeypatch, capsys, points):
+    solves = []
+    solve_from = GridPlant.solve_from
+
+    def counted(plant, u, start=None):
+        solves.append(np.array(u, dtype=float))
+        return solve_from(plant, u, start)
+
+    monkeypatch.setattr(GridPlant, "solve_from", counted)
+    assert main(["check", "pjm5", "--points", str(points)]) == 0
+    capsys.readouterr()
+    u0 = disrupted_setup(load_scenario("pjm5"))[1]
+    n = len(u0)
+    # set-up's solve at u0, which point 0's margin reads, one margin solve
+    # for each other point, a probe of 2 n solves for each point and the two
+    # max-effort solves
+    assert sum((u == u0).all() for u in solves) == 1
+    assert len(solves) == points + points * 2 * n + 2
 
 
 def test_check_gains_fail(tmp_path, capsys):
@@ -141,38 +170,39 @@ def test_check_gains_fail(tmp_path, capsys):
     doc["gains"] = {"eta1": 1.0, "eta2": 1.0, "eta3": 1.0}
     path = tmp_path / "hot.json"
     path.write_text(json.dumps(doc))
-    assert main(["check-gains", str(path)]) == 1
+    assert main(["check", str(path)]) == 1
     out = capsys.readouterr().out
-    assert "fail" in out and "1" in out
+    assert "spectral norm: 1 -> fail" in out
+    assert out.endswith("check: fail\n")
 
 
-def test_check_gains_disconnected(tmp_path, capsys):
+def test_check_disconnected(tmp_path, capsys):
     doc = json.loads(bundled_scenario_path("linear_cascade").read_text())
     doc["comm_graph"]["edges"] = []
     path = tmp_path / "nocomm.json"
     path.write_text(json.dumps(doc))
-    assert main(["check-gains", str(path)]) == 2
+    assert main(["check", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""  # the run is set up before anything is printed
     assert err == "validation error: communication graph must be connected\n"
 
 
-def test_check_gains_prints_auto_gains(tmp_path, capsys):
+def test_check_prints_auto_gains(tmp_path, capsys):
     path = write_edited(tmp_path, lambda doc: doc.update(gains="auto"))
-    assert main(["check-gains", path]) == 0
+    assert main(["check", path]) == 0
     out = capsys.readouterr().out
     assert out.startswith("auto gains: eta1=[0.5 0.5] ")
     assert "spectral norm: 0.5 -> pass" in out
 
 
-def test_check_monotonicity_scenarios(capsys):
-    assert main(["check-monotonicity", "pjm5", "--points", "2"]) == 0
+def test_check_scenarios(capsys):
+    assert main(["check", "pjm5", "--points", "2"]) == 0
     out = capsys.readouterr().out
-    assert "margin=" in out and "pass" in out
-    assert main(["check-monotonicity", "wds10", "--points", "2"]) == 0
+    assert "margin=" in out and out.endswith("check: pass\n")
+    assert main(["check", "wds10", "--points", "2"]) == 0
 
 
-def test_check_monotonicity_flags_decreasing(tmp_path, capsys):
+def test_check_flags_decreasing(tmp_path, capsys):
     doc = {
         "schema": "ripplesim-scenario/1",
         "plant": {
@@ -189,17 +219,26 @@ def test_check_monotonicity_flags_decreasing(tmp_path, capsys):
     }
     path = tmp_path / "anti.json"
     path.write_text(json.dumps(doc))
-    assert main(["check-monotonicity", str(path), "--points", "1"]) == 1
-    assert "fail" in capsys.readouterr().out
+    assert main(["check", str(path), "--points", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "point 0: monotone=False " in out and out.endswith("check: fail\n")
 
 
-def test_check_monotonicity_reports_a_failed_probe(tmp_path, capsys):
+def test_check_refuses_a_start_past_the_fold_as_simulate_does(tmp_path,
+                                                              capsys):
     # a 400 Mvar load is past the two-bus fold at 250 Mvar, so the load
-    # voltage has no solution at the start
+    # voltage has no solution at the start, and set-up refuses the run
     path = write_edited(tmp_path, lambda doc: doc["plant"]["buses"][1].update(
         q_mvar=-400.0), name="twobus")
-    assert main(["check-monotonicity", path]) == 3
-    assert capsys.readouterr().out.startswith("point 0: probe failed")
+    assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) \
+        == 2
+    simulated = capsys.readouterr()
+    assert main(["check", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == simulated.out == ""
+    assert err == simulated.err
+    assert err.startswith("validation error: disrupted plant is not "
+                          "solvable at the initial control: ")
 
 
 def all_generator_grid(doc):
@@ -214,20 +253,19 @@ def no_pressure_floors(doc):
         node.pop("pressure_min", None)
 
 
-@pytest.mark.parametrize("disrupted", [[], ["--disrupted"]],
-                         ids=["plain", "disrupted"])
 @pytest.mark.parametrize("name, edit, margin", [
     ("twobus", all_generator_grid, " margin=inf"),
     ("wds10", no_pressure_floors, "")], ids=["twobus", "wds10"])
-def test_check_monotonicity_of_a_plant_with_no_measured_output(
-        tmp_path, capsys, name, edit, margin, disrupted):
+def test_check_of_a_plant_with_no_measured_output(tmp_path, capsys, name,
+                                                   edit, margin):
     # no sensitivity and no certificate eigenvalue: both minimums are inf
     path = write_edited(tmp_path, edit, name=name)
-    assert main(["check-monotonicity", path, "--points", "2",
-                 *disrupted]) == 0
-    assert capsys.readouterr().out.splitlines() == [
+    assert main(["check", path, "--points", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("point ")] == [
         f"point {i}: monotone=True min sensitivity=inf{margin}"
-        for i in range(2)] + ["monotonicity check: pass"]
+        for i in range(2)]
+    assert lines[-1] == "check: pass"
 
 
 def reverse_pump_flow(doc):
@@ -236,23 +274,40 @@ def reverse_pump_flow(doc):
     doc["plant"]["nodes"][2]["injection"]["max"] = 500.0
 
 
-def test_feasibility_names_the_cause_of_a_failed_solve(tmp_path, capsys):
-    path = write_edited(tmp_path, reverse_pump_flow, name="wds10")
-    assert main(["feasibility", path]) == 3
-    assert capsys.readouterr().err.startswith(
-        "solver failure: plant solve failed at maximum effort: pump 0->1 "
-        "would carry reverse flow -")
-
-
 def test_a_failed_probe_names_the_cause(tmp_path, capsys):
+    # wds10 with the reversed pump: probe points 2, 3 and 5 of 6 fail, and
+    # then so does the base plant's max-effort solve
     path = write_edited(tmp_path, reverse_pump_flow, name="wds10")
-    assert main(["check-monotonicity", path, "--points", "6"]) == 3
-    failed = [line for line in capsys.readouterr().out.splitlines()
-              if "probe failed" in line]
-    assert failed
-    for line in failed:
-        assert "probe failed (plant solve failed while probing control 0: " \
-            "pump 0->1 would carry reverse flow -" in line
+    assert main(["check", path, "--points", "6"]) == 3
+    out, err = capsys.readouterr()
+    points = [line.split(" (")[0].split(" min ")[0]
+              for line in out.splitlines() if line.startswith("point ")]
+    assert points == ["point 0: monotone=True", "point 1: monotone=True",
+                      "point 2: probe failed", "point 3: probe failed",
+                      "point 4: monotone=True", "point 5: probe failed"]
+    for line in out.splitlines():
+        if "probe failed" in line:
+            # the disrupted plant, which lost pump 0->1, is probed
+            assert "probe failed (plant solve failed while probing " \
+                "control 0: pump 6->2 would carry reverse flow -" in line
+    assert "check:" not in out
+    assert err.startswith("solver failure: plant solve failed at maximum "
+                          "effort: pump 0->1 would carry reverse flow -")
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_a_failed_probe_outranks_a_failed_check(tmp_path, capsys,
+                                                monkeypatch, feasible):
+    # the run above with its max-effort verdicts passing or failing instead
+    # of raising: the failed probes still make the exit code 3
+    monkeypatch.setattr(ripplesim.cli, "max_effort_feasibility",
+                        lambda plant, eps_feas: feasible)
+    path = write_edited(tmp_path, reverse_pump_flow, name="wds10")
+    assert main(["check", path, "--points", "6"]) == 3
+    out, err = capsys.readouterr()
+    assert out.count("probe failed") == 3 and err == ""
+    assert out.endswith(f"effective plant max-effort feasible: {feasible}\n"
+                        "check: fail\n")
 
 
 def test_sweep_two_bus(tmp_path):
@@ -309,19 +364,133 @@ def test_sweep_rejects_non_power(tmp_path):
     assert main(["sweep", "wds10", "--output-dir", str(tmp_path)]) == 2
 
 
-def test_feasibility_reports(capsys):
-    assert main(["feasibility", "wds10"]) == 0
+def test_check_reports_feasibility(capsys):
+    assert main(["check", "wds10"]) == 0
     out = capsys.readouterr().out
     assert "base plant max-effort feasible: True" in out
     assert "effective plant max-effort feasible: True" in out
 
 
-def test_feasibility_infeasible_exit(tmp_path):
+def test_check_infeasible_exit(tmp_path, capsys):
     doc = json.loads(bundled_scenario_path("linear_cascade").read_text())
     doc["plant"]["u_upper"] = [0.3, 0.4]
     path = tmp_path / "tight.json"
     path.write_text(json.dumps(doc))
-    assert main(["feasibility", str(path)]) == 1
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.endswith(
+        "effective plant max-effort feasible: False\ncheck: fail\n")
+
+
+@pytest.mark.parametrize("name", ["linear_cascade", "pjm5", "twobus",
+                                  "wds10"])
+def test_check_prints_the_hypotheses_in_order(tmp_path, monkeypatch, capsys,
+                                              name):
+    # gain condition, one line per point, the base plant's feasibility only
+    # when there are disruptions, the disrupted plant's, then the verdict;
+    # nothing is written to the working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", name]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    scenario = load_scenario(name)
+    plant, *_, norm = run_setup(scenario)
+    feasible = ["effective plant max-effort feasible: True"]
+    if scenario.disruptions:
+        feasible.insert(0, "base plant max-effort feasible: True")
+    assert lines[0] == f"gain-condition spectral norm: {norm:.10g} -> pass"
+    assert [line.split(":")[0] for line in lines[1:4]] == [
+        "point 0", "point 1", "point 2"]
+    assert all(("margin=" in line) == isinstance(plant, GridPlant)
+               for line in lines[1:4])
+    assert lines[4:] == feasible + ["check: pass"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("points", [1, 2, 4])
+def test_check_points_are_a_prefix_of_more_points(capsys, points):
+    # the seeded points do not depend on how many are asked for
+    def point_lines(k):
+        assert main(["check", "twobus", "--points", str(k)]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("point ")]
+
+    assert point_lines(points) == point_lines(5)[:points]
+
+
+@pytest.mark.parametrize("base, effective, code", [
+    (True, True, 0), (False, True, 0), (True, False, 1), (False, False, 1)])
+def test_only_the_disrupted_plants_feasibility_decides(capsys, monkeypatch,
+                                                       base, effective,
+                                                       code):
+    # the base plant's max-effort line is information only
+    verdicts = [base, effective]
+    plants = []
+
+    def feasibility(plant, eps_feas):
+        plants.append(plant)
+        return verdicts[len(plants) - 1]
+
+    monkeypatch.setattr(ripplesim.cli, "max_effort_feasibility", feasibility)
+    assert main(["check", "wds10", "--points", "1"]) == code
+    out = capsys.readouterr().out
+    assert len(plants) == 2 and plants[0] is not plants[1]
+    assert out.endswith(f"base plant max-effort feasible: {base}\n"
+                        f"effective plant max-effort feasible: {effective}\n"
+                        f"check: {'pass' if code == 0 else 'fail'}\n")
+
+
+@pytest.mark.parametrize("hot", [False, True], ids=["cool", "hot"])
+@pytest.mark.parametrize("decreasing", [False, True],
+                         ids=["increasing", "decreasing"])
+@pytest.mark.parametrize("tight", [False, True], ids=["roomy", "tight"])
+def test_check_fails_when_any_hypothesis_fails(tmp_path, capsys, hot,
+                                                decreasing, tight):
+    # y1 = 3 u1 -/+ 0.1 u2: at u_upper = [0.5, 1] or [0.3, 0.4] the floor
+    # of 1 is cleared or not, whatever the sign of the second entry
+    def edit(doc):
+        doc["plant"]["sensitivity"] = [[3.0, -0.1 if decreasing else 0.1]]
+        if tight:
+            doc["plant"]["u_upper"] = [0.3, 0.4]
+        if hot:
+            doc["gains"] = {"eta1": 1.0, "eta2": 1.0, "eta3": 1.0}
+
+    path = write_edited(tmp_path, edit)
+    ok = not (hot or decreasing or tight)
+    assert main(["check", path, "--points", "2"]) == (0 if ok else 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("-> fail" if hot else "-> pass")
+    assert lines[1:3] == [f"point {i}: monotone={not decreasing} min "
+                          f"sensitivity={-0.1 if decreasing else 0.1:.3e}"
+                          for i in range(2)]
+    assert lines[3:] == [
+        f"effective plant max-effort feasible: {not tight}",
+        f"check: {'pass' if ok else 'fail'}"]
+
+
+@pytest.mark.parametrize("name", ["linear_cascade", "pjm5", "twobus",
+                                  "wds10"])
+def test_check_prints_auto_gains_first(tmp_path, capsys, name):
+    path = write_edited(tmp_path, lambda doc: doc.update(gains="auto"), name)
+    norm = run_setup(load_scenario(path))[-1]
+    assert main(["check", path, "--points", "1"]) == 0
+    gains, _, rest = capsys.readouterr().out.partition(
+        "\ngain-condition spectral norm: ")
+    assert gains.startswith("auto gains: eta1=") and " eta3=" in gains
+    assert rest.startswith(f"{norm:.10g} -> pass\npoint 0: ")
+    assert rest.endswith("\ncheck: pass\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-gains", "pjm5"], ["check-monotonicity", "pjm5"],
+    ["feasibility", "pjm5"], ["check", "pjm5", "--disrupted"],
+    ["check", "pjm5", "--points", "x"], ["check", "pjm5", "--points", "1.5"],
+    ["check", "pjm5", "--points", "2e0"]],
+    ids=lambda argv: " ".join(argv[:1] + argv[2:]))
+def test_the_parser_refuses_what_check_replaced_and_bad_points(capsys, argv):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ripplesim ")
 
 
 def write_edited(tmp_path, edit, name="linear_cascade"):
@@ -381,10 +550,10 @@ def test_simulate_rejects_bad_gains(tmp_path):
         assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 2
 
 
-def test_check_gains_overflowing_gains_fail(tmp_path, capsys):
+def test_check_overflowing_gains_fail(tmp_path, capsys):
     path = write_edited(tmp_path, lambda doc: doc["gains"].update(
         eta2=1e308, eta3=1e308))
-    assert main(["check-gains", path]) == 1
+    assert main(["check", path]) == 1
     assert "inf -> fail" in capsys.readouterr().out
 
 
@@ -447,16 +616,15 @@ def test_simulate_rejects_malformed_integer_knobs(tmp_path, knob, value):
     assert main(["simulate", path, "--output-dir", str(tmp_path)]) == 2
 
 
-def test_check_monotonicity_rejects_a_negative_seed(tmp_path):
+def test_check_rejects_a_negative_seed(tmp_path):
     # the seed feeds np.random.default_rng, which raises on negative seeds
     path = write_edited(tmp_path, lambda doc: doc["run"].update(seed=-1))
-    assert main(["check-monotonicity", path]) == 2
+    assert main(["check", path]) == 2
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])
-def test_check_monotonicity_rejects_points_below_one(capsys, points):
-    assert main(["check-monotonicity", "linear_cascade",
-                 "--points", points]) == 2
+def test_check_rejects_points_below_one(capsys, points):
+    assert main(["check", "linear_cascade", "--points", points]) == 2
     assert "points must be >= 1" in capsys.readouterr().err
 
 
@@ -469,8 +637,7 @@ def test_simulate_rejects_command_line_knobs_below_one(tmp_path, capsys,
     assert "must be an integer >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "feasibility", "check-gains",
-                                     "check-monotonicity"])
+@pytest.mark.parametrize("command", ["simulate", "check"])
 @pytest.mark.parametrize("edit", [
     lambda doc: doc["plant"].update(u_upper=[0.5, float("inf")]),
     lambda doc: doc["plant"].update(y_lower=[float("nan")]),
@@ -483,8 +650,7 @@ def test_non_finite_linear_plant_is_rejected_by_every_command(tmp_path,
     assert main(argv) == 2
 
 
-@pytest.mark.parametrize("command", ["simulate", "check-gains",
-                                     "check-monotonicity", "feasibility"])
+@pytest.mark.parametrize("command", ["simulate", "check"])
 @pytest.mark.parametrize("event", [
     {"kind": "source_outage", "node": "1"},
     {"kind": "remove_edge", "from": "1", "to": "2"},
@@ -495,8 +661,7 @@ def test_water_network_left_without_a_fixed_pressure_fails_validation(
     # link to the rest of the network
     path = write_edited(tmp_path, lambda doc: doc["disruption"].append(event),
                         "wds10")
-    argv = {"simulate": ["--output-dir", str(tmp_path)],
-            "check-monotonicity": ["--disrupted"]}.get(command, [])
+    argv = {"simulate": ["--output-dir", str(tmp_path)]}.get(command, [])
     assert main([command, path] + argv) == 2
     assert "validation error" in capsys.readouterr().err
 
@@ -531,12 +696,12 @@ def auto(edit):
      "initial control violates its box limits"),
 ], ids=["auto-gains-pump", "explicit-gains-pump", "auto-gains-cut-source",
         "disconnected-overlay", "start-outside-its-box"])
-def test_check_gains_rejects_a_scenario_that_cannot_start_as_simulate_does(
+def test_check_rejects_a_scenario_that_cannot_start_as_simulate_does(
         tmp_path, capsys, name, edit, message):
     path = write_edited(tmp_path, edit, name)
     simulate = main(["simulate", path, "--output-dir", str(tmp_path / "out")])
     simulated = capsys.readouterr()
-    assert main(["check-gains", path]) == simulate == 2
+    assert main(["check", path]) == simulate == 2
     out, err = capsys.readouterr()
     assert out == simulated.out == ""
     assert err == simulated.err == f"validation error: {message}\n"
@@ -544,9 +709,7 @@ def test_check_gains_rejects_a_scenario_that_cannot_start_as_simulate_does(
 
 @pytest.mark.parametrize("name, argv", [
     ("linear_cascade", ["simulate", "--output-dir", "out"]),
-    ("linear_cascade", ["check-gains"]), ("linear_cascade", ["feasibility"]),
-    ("linear_cascade", ["check-monotonicity"]),
-    ("linear_cascade", ["check-monotonicity", "--disrupted"]),
+    ("linear_cascade", ["check"]),
     ("pjm5", ["sweep", "--output-dir", "out"])],
     ids=lambda value: " ".join(value[:2]).replace(" --output-dir", "")
     if isinstance(value, list) else value)
@@ -584,8 +747,7 @@ def test_every_command_rejects_a_broken_disrupted_plant_alike(
         tmp_path, capsys, name, edit, message):
     path = write_edited(tmp_path, edit, name)
     for argv in (["simulate", "--output-dir", str(tmp_path / "out")],
-                 ["check-gains"], ["feasibility"],
-                 ["check-monotonicity", "--disrupted"]):
+                 ["check"]):
         assert main([argv[0], path] + argv[1:]) == 2, argv[0]
         out, err = capsys.readouterr()
         assert out == "", argv[0]
@@ -610,9 +772,7 @@ def test_every_command_rejects_a_broken_power_file_alike(
         tmp_path, capsys, monkeypatch, edit, message):
     monkeypatch.chdir(tmp_path)
     path = write_edited(tmp_path, edit, "pjm5")
-    for argv in (["simulate", "--output-dir", "out"], ["check-gains"],
-                 ["feasibility"], ["check-monotonicity"],
-                 ["check-monotonicity", "--disrupted"],
+    for argv in (["simulate", "--output-dir", "out"], ["check"],
                  ["sweep", "--output-dir", "out"]):
         assert main([argv[0], path] + argv[1:]) == 2, argv
         out, err = capsys.readouterr()

@@ -61,3 +61,12 @@ def test_the_edge_case_scenarios_cannot_start_fail_in_round_3_and_stall(
     assert outcome.y is None
     outcome, trace = run(load_scenario(tmp_path / "stall.json"))
     assert (outcome.status, outcome.feasible) == ("stalled", False)
+
+
+def test_a_command_line_the_parser_refuses_counts_by_its_exit_code():
+    # a subcommand one checkout lacks makes that run differ, not the tool
+    # fail
+    parts = parity._cli_parts(["no-such-command", "pjm5"])
+    assert parts["exit_code"] == parity._sha(2)
+    assert parts["stdout"] == parity._sha("")
+    assert parts["stderr"] != parity._sha("")

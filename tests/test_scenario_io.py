@@ -294,9 +294,8 @@ def test_the_loader_and_run_accept_the_same_run_knobs(knob, value):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--output-dir", "out"], ["check-gains"],
-    ["check-monotonicity"], ["check-monotonicity", "--disrupted"],
-    ["sweep", "--output-dir", "out"], ["feasibility"]],
+    ["simulate", "--output-dir", "out"], ["check"],
+    ["sweep", "--output-dir", "out"]],
     ids=lambda argv: " ".join(argv[:2]).replace(" --output-dir", ""))
 @pytest.mark.parametrize("knob, value", [
     ("eps_eq", 0), ("eps_eq", -1e-8), ("eps_feas", 0.0), ("eps_feas", -1),
@@ -325,13 +324,13 @@ def test_an_integer_knob_below_its_range_gets_one_message(
     path.write_text(json.dumps(doc))
     if value >= least:
         assert getattr(scenario_from_dict(doc), knob) == value
-        assert main(["feasibility", str(path)]) == 0
+        assert main(["check", str(path)]) == 0
         return
     message = f"{knob} must be an integer >= {least}, got {value}"
     with pytest.raises(ScenarioError) as caught:
         scenario_from_dict(doc)
     assert str(caught.value) == message
-    assert main(["feasibility", str(path)]) == 2
+    assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err == f"validation error: {message}\n"
 
 

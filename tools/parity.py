@@ -22,11 +22,9 @@ with BLAS on one thread. The runs, and the parts of each that are hashed
                       (ceilings below the floor, a stall): trace.csv,
                       effort.csv, summary.json, stdout, stderr, warnings
                       and the exit code
-  <command> <args>    check-gains, check-monotonicity --points 3 (plain and
-                      --disrupted) and feasibility on the four bundled
-                      scenarios, and sweep on pjm5 and twobus: stdout,
-                      stderr, warnings, the exit code and, for sweep,
-                      sweep.csv
+  <command> <args>    check --points 3 on the four bundled scenarios, and
+                      sweep on pjm5 and twobus: stdout, stderr, warnings,
+                      the exit code and, for sweep, sweep.csv
   demo/<file>         the stdout of each script in demos/
 
 Without --against the tool prints CHECKOUT's digest as JSON, one SHA-256
@@ -68,12 +66,7 @@ SIMULATE_RUNS = [[name] + extra for name in SCENARIOS
     ["wds10", "--budget", "500", "--decimate", "7"], ["failure.json"],
     ["midrun.json"], ["stall.json"], ["stall.json", "--decimate", "3"]]
 # sweep prints its output path, so it writes to a relative one
-ANALYSIS_RUNS = [[command, name, *extra] for name in SCENARIOS
-                 for command, extra in (
-                     ("check-gains", []),
-                     ("check-monotonicity", ["--points", "3"]),
-                     ("check-monotonicity", ["--points", "3", "--disrupted"]),
-                     ("feasibility", []))] + [
+ANALYSIS_RUNS = [["check", name, "--points", "3"] for name in SCENARIOS] + [
     ["sweep", name, "--output-dir", f"sweep-{name}"]
     for name in ("pjm5", "twobus")]
 OUTPUT_FILES = ("trace.csv", "effort.csv", "summary.json")
@@ -126,7 +119,7 @@ def _corpus_runs():
                     value = getattr(record, f.name)
                     parts[f"{owner}.{f.name}"] = _plant_sha(value) if \
                         isinstance(value, PlantModel) else _sha(value)
-            end = trace.u[-1] if len(trace) else outcome.u0
+            end = trace.u[-1] if len(trace.rounds) else outcome.u0
             yield f"corpus/{seed}/{i:03d}", {
                 "parts": parts, "status": outcome.status,
                 "rounds": outcome.rounds, "terminal_u": end.tolist()}
@@ -136,7 +129,9 @@ def _cli_parts(args):
     """The exit code, stdout, stderr and warnings of `ripplesim ARGS`, run
     here. A warning counts by its category and text, every time it is
     raised, and not by the file and line it names, which differ between
-    checkouts."""
+    checkouts. A command line that the checkout's parser refuses (a
+    subcommand it does not have) counts by argparse's exit code and
+    message."""
     from ripplesim.cli import main
 
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -144,7 +139,10 @@ def _cli_parts(args):
             contextlib.redirect_stderr(stderr), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(args)
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
     return {"exit_code": _sha(code), "stdout": _sha(stdout.getvalue()),
             "stderr": _sha(stderr.getvalue()),
             "warnings": _sha(repr([(w.category.__name__, str(w.message))
